@@ -32,11 +32,12 @@ sampling and records the worst observed gap.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoThresholdFound
+from .errors import CertificateOverflow, NoThresholdFound
 from .operators import ShiftedOperator
 from .potentials import Potential
 
@@ -119,14 +120,13 @@ def compute_threshold_radius(g: Potential, coef: float) -> tuple[float, str]:
         return float(g.threshold_formula(coef)), "closed_form"
 
     phases = np.exp(2j * np.pi * np.arange(SCAN_PHASES) / SCAN_PHASES)
+    times = np.arange(g.period)[:, None, None]
     candidate = 2.0**-4
     while candidate <= SCAN_MAX_RADIUS:
         radii = np.geomspace(candidate, candidate * SCAN_SPAN, SCAN_RADII)
         grid = radii[:, None] * phases[None, :]
-        worst = 0.0
-        for t in range(g.period):
-            vals = np.abs(np.asarray(g.evaluate(t, grid)))
-            worst = max(worst, float((vals / radii[:, None] ** 3).max()))
+        vals = np.abs(np.asarray(g.evaluate(times, grid)))
+        worst = float((vals / radii[:, None] ** 3).max())
         if worst < coef / SCAN_SAFETY:
             return float(candidate), "sampled"
         candidate *= 2.0
@@ -147,22 +147,19 @@ def compute_forcing_sup(g: Potential, radius: float) -> float:
     if g.sup_formula is not None:
         return float(g.sup_formula(radius))
     if radius == 0.0:
-        return max(float(abs(np.asarray(g.evaluate(t, 0.0)))) for t in range(g.period))
+        return float(np.abs(np.asarray(g.evaluate(np.arange(g.period), 0.0))).max())
 
     n_radii = 96
     phases = np.exp(2j * np.pi * np.arange(SCAN_PHASES) / SCAN_PHASES)
     radii = np.linspace(0.0, radius, n_radii)
+    times = np.arange(g.period)[:, None, None]
 
     def grid_max(rads: np.ndarray) -> tuple[float, float]:
-        grid = rads[:, None] * phases[None, :]
-        best_val, best_rad = 0.0, rads[0]
-        for t in range(g.period):
-            vals = np.abs(np.asarray(g.evaluate(t, grid)))
-            idx = int(np.argmax(vals))
-            val = float(vals.flat[idx])
-            if val > best_val:
-                best_val, best_rad = val, float(rads[idx // vals.shape[1]])
-        return best_val, best_rad
+        # flat argmax over (t, radius, phase): the first t, then the first
+        # grid index attaining the maximum
+        vals = np.abs(np.asarray(g.evaluate(times, rads[:, None] * phases[None, :])))
+        _, at, _ = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        return float(vals.max()), float(rads[at])
 
     coarse, at = grid_max(radii)
     step = radius / (n_radii - 1)
@@ -179,9 +176,9 @@ def compute_ball_radius(
 
     Solves  2*cubic_bound*R^3 - R >= (1 + slack) * (const_bound +
     linear_bound*R + cubic_bound*R^3)  for the smallest such R, by doubling a
-    bracket from the cubic's stationary point and bisecting to RADIUS_TOL.
-    For slack < 1 the cubic terms leave a positive net coefficient, so a
-    finite radius always exists.
+    bracket from the cubic's stationary point and bisecting to RADIUS_TOL, or
+    to the float spacing when that is coarser.  For slack < 1 the cubic terms
+    leave a positive net coefficient, so a finite radius always exists.
     """
     if not 0.0 <= slack < 1.0:
         raise ValueError(f"slack must lie in [0, 1), got {slack}")
@@ -201,6 +198,8 @@ def compute_ball_radius(
         hi *= 2.0
     while hi - lo > RADIUS_TOL:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # lo and hi are adjacent floats
         if excess(mid) < 0.0:
             lo = mid
         else:
@@ -250,10 +249,7 @@ def verify_boundary(
 
     gamma = op.params.gamma
     cubic = -gamma * (np.abs(flat) ** 2) * flat
-    forcing = np.empty_like(batch)
-    for t in range(T):
-        forcing[:, t, :] = np.asarray(g.evaluate(t, batch[:, t, :]), dtype=complex)
-    forcing_flat = forcing.reshape(samples, op.dim)
+    forcing_flat = g.on_lattice(batch).reshape(samples, op.dim)
 
     odd_part = flat - op.solve(cubic.T).T
     precond_forcing = op.solve((forcing_flat - op.shift * flat).T).T
@@ -274,19 +270,29 @@ def build_certificate(
     """Run the full constant chain and boundary check for one instance.
 
     Raises NoThresholdFound (via the threshold scan) when the forcing is not
-    subcubic; otherwise always returns a certificate, whose ``valid`` flag
+    subcubic and CertificateOverflow when a constant leaves the floating-point
+    range; otherwise always returns a certificate, whose ``valid`` flag
     reflects the sampled boundary evidence.
     """
     gamma = abs(op.params.gamma)
     coef = gamma / (2.0 * op.norm_shifted * op.norm_shifted_inv)
-    threshold_radius, rigor = compute_threshold_radius(g, coef)
-    forcing_sup = compute_forcing_sup(g, threshold_radius)
-    const_bound = op.norm_shifted_inv * forcing_sup
-    linear_bound = op.norm_shifted_inv * op.shift
-    cubic_bound = gamma / (2.0 * op.norm_shifted)
-    radius = compute_ball_radius(const_bound, linear_bound, cubic_bound, slack)
-    upper = const_bound + linear_bound * radius + cubic_bound * radius**3
-    margin = (2.0 * cubic_bound * radius**3 - radius) / upper - 1.0
+    try:
+        threshold_radius, rigor = compute_threshold_radius(g, coef)
+        forcing_sup = compute_forcing_sup(g, threshold_radius)
+        const_bound = op.norm_shifted_inv * forcing_sup
+        linear_bound = op.norm_shifted_inv * op.shift
+        cubic_bound = gamma / (2.0 * op.norm_shifted)
+        radius = compute_ball_radius(const_bound, linear_bound, cubic_bound, slack)
+        upper = const_bound + linear_bound * radius + cubic_bound * radius**3
+        margin = (2.0 * cubic_bound * radius**3 - radius) / upper - 1.0
+        finite = math.isfinite(upper) and math.isfinite(margin)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise CertificateOverflow(
+            "certificate constants overflow the floating-point range; the forcing is too "
+            "large for this lattice"
+        )
     cert = ExistenceCertificate(
         shift=op.shift,
         norm_linear=op.norm_linear,

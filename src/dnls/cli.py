@@ -16,14 +16,16 @@ functions of (config, seed): rerunning a command reproduces byte-identical
 bytes.
 
 Exit codes: 0 success, 1 config or dimension errors, 2 certificate failures
-(no subcubic threshold, or an invalid boundary check), 3 solver failures,
-4 degree estimates that failed their parity or agreement checks.
+(no subcubic threshold, constants beyond the floating-point range, or an
+invalid boundary check), 3 solver failures, 4 degree estimates that failed
+their parity or agreement checks.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,6 +36,7 @@ from .certificate import ExistenceCertificate, build_certificate
 from .degree import DegreeReport, estimate_degree
 from .errors import (
     CertificateInvalid,
+    CertificateOverflow,
     ConfigError,
     DimensionMismatch,
     DimensionTooLarge,
@@ -97,9 +100,18 @@ class RunConfig:
 # config parsing
 
 
-def _as_real(raw: object, field: str) -> float:
+def _is_number(raw: object) -> bool:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"field {field!r}: expected a number, got {raw!r}")
+        return False
+    try:
+        return math.isfinite(raw)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _as_real(raw: object, field: str) -> float:
+    if not _is_number(raw):
+        raise ConfigError(f"field {field!r}: expected a finite number, got {raw!r}")
     return float(raw)
 
 
@@ -114,13 +126,10 @@ def _parse_coefficients(raw: object, field: str) -> tuple[complex, ...]:
         raise ConfigError(f"field {field!r}: expected a nonempty list of [re, im] pairs")
     out = []
     for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
             raise ConfigError(
-                f"field {field}[{i}]: expected a two-element [re, im] pair, got {pair!r}"
+                f"field {field}[{i}]: expected a two-element [re, im] pair of finite "
+                f"numbers, got {pair!r}"
             )
         out.append(complex(pair[0], pair[1]))
     return tuple(out)
@@ -230,10 +239,15 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
+
+
+def _reject_constant(token: str) -> None:
+    # json accepts NaN and +-Infinity, which are not JSON and never valid here
+    raise ConfigError(f"config: non-finite number {token} is not allowed")
 
 
 def build_potential(spec: PotentialSpec) -> Potential:
@@ -459,9 +473,7 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> int:
         _emit({"command": "solve", "certificate": _certificate_payload(cert),
                "report": None}, out_dir, "report.json")
         return 2
-    report = homotopy_solve(
-        op, g, cert, tol=config.tolerance, max_iter=config.max_iter, seed=config.seed
-    )
+    report = homotopy_solve(op, g, cert, tol=config.tolerance, max_iter=config.max_iter)
     csv_name = "solution.csv" if report.status == "converged" else None
     _emit(
         {
@@ -629,7 +641,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DimensionMismatch, DimensionTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NoThresholdFound, CertificateInvalid) as exc:
+    except (NoThresholdFound, CertificateInvalid, CertificateOverflow) as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
         return 2
     except (SolveFailed, DnlsError) as exc:

@@ -38,9 +38,7 @@ from .operators import ShiftedOperator
 from .potentials import Potential
 from .solver import (
     _ball_field,
-    _cluster_representatives,
-    _damped_newton,
-    _pick_mode,
+    _collect_zeros,
     _slice_jacobian,
     _slice_residual,
     _sup,
@@ -124,7 +122,6 @@ def _origin_local_index(
     op: ShiftedOperator,
     g: Potential,
     tau: float,
-    mode: str,
     radius: float,
     seed: int,
 ) -> int | None:
@@ -144,7 +141,7 @@ def _origin_local_index(
     rho = 0.02 * min(1.0, radius)
 
     origin = np.zeros(op.dim, dtype=complex)
-    svals_0, rows_0 = np.linalg.svd(_slice_jacobian(origin, op, g, tau, mode))[1:]
+    svals_0, rows_0 = np.linalg.svd(_slice_jacobian(origin, op, g, tau))[1:]
     null_dirs: list[np.ndarray] = []
     for idx in range(len(svals_0)):
         if svals_0[idx] <= 1e-6 * svals_0[0]:
@@ -175,34 +172,17 @@ def _origin_local_index(
     for _ in range(96):
         starts.append(_ball_field(params.T, params.K, rng, rho).flatten())
 
-    flats: list[np.ndarray] = []
-    residuals: list[float] = []
-    uncertainties: list[float] = []
-    sigma_pairs: list[tuple[float, float]] = []
-    for start in starts:
-        x, _, status = _damped_newton(
-            start, op, g, tau, tol=tol, max_iter=60, mode=mode, shift_vec=w,
-        )
-        if status != "converged" or not _sup(x) < rho:
-            continue
-        res = _sup(_slice_residual(x, op, g, tau) - w)
-        svals = np.linalg.svd(_slice_jacobian(x, op, g, tau, mode), compute_uv=False)
-        smallest, largest = float(svals[-1]), float(svals[0])
-        flats.append(x)
-        residuals.append(res)
-        uncertainties.append(res / smallest if smallest > 0.0 else np.inf)
-        sigma_pairs.append((smallest, largest))
-    if not flats:
+    preimages = _collect_zeros(
+        starts, op, g, tau, tol=tol, max_iter=60, radius=rho, converge_on="slice",
+        shift_vec=w, base_tol=1e-9, cap=rho / 4.0,
+    )
+    if not preimages:
         return None
-
-    keep = _cluster_representatives(flats, residuals, uncertainties,
-                                    base_tol=1e-9, cap=rho / 4.0)
     index = 0
-    for i in keep:
-        smallest, largest = sigma_pairs[i]
-        if largest <= 0.0 or smallest / largest <= SIGMA_RATIO_DEGENERATE:
+    for z in preimages:
+        if z.sigma_max <= 0.0 or z.sigma_min / z.sigma_max <= SIGMA_RATIO_DEGENERATE:
             return None
-        index += zero_sign(_slice_jacobian(flats[i], op, g, tau, mode))
+        index += zero_sign(_slice_jacobian(z.flat, op, g, tau))
     return index
 
 
@@ -232,7 +212,6 @@ def estimate_degree(
     if not cert.valid:
         raise CertificateInvalid("degree estimation requires a VALID certificate")
     tau = 0.0 if target == "odd" else 1.0
-    mode = _pick_mode(g)
     params = op.params
     rng = np.random.default_rng(seed)
 
@@ -240,29 +219,9 @@ def estimate_degree(
     for _ in range(n_starts):
         starts.append(_ball_field(params.T, params.K, rng, cert.radius).flatten())
 
-    flats: list[np.ndarray] = []
-    residuals: list[float] = []
-    uncertainties: list[float] = []
-    sigma_pairs: list[tuple[float, float]] = []
-    for start in starts:
-        x, _, status = _damped_newton(
-            start, op, g, tau, tol=tol, max_iter=100, mode=mode,
-        )
-        if status != "converged":
-            continue
-        res = _sup(_slice_residual(x, op, g, tau))
-        if res > residual_cap or not _sup(x) < cert.radius:
-            continue
-        svals = np.linalg.svd(_slice_jacobian(x, op, g, tau, mode), compute_uv=False)
-        smallest, largest = float(svals[-1]), float(svals[0])
-        flats.append(x)
-        residuals.append(res)
-        uncertainties.append(res / smallest if smallest > 0.0 else np.inf)
-        sigma_pairs.append((smallest, largest))
-
-    keep = _cluster_representatives(
-        flats, residuals, uncertainties,
-        base_tol=1e-6, cap=0.01 * max(1.0, cert.radius),
+    found = _collect_zeros(
+        starts, op, g, tau, tol=tol, max_iter=100, radius=cert.radius, converge_on="slice",
+        residual_cap=residual_cap, base_tol=1e-6, cap=0.01 * max(1.0, cert.radius),
     )
 
     zeros: list[ZeroRecord] = []
@@ -270,22 +229,21 @@ def estimate_degree(
     degree = 0
     origin_perturbed = False
     origin_tol = 1e-6 * max(1.0, cert.radius)
-    for i in keep:
-        smallest, largest = sigma_pairs[i]
-        ratio = smallest / largest if largest > 0.0 else 0.0
-        field = LatticeField.from_flat(flats[i], params.T, params.K)
+    for z in found:
+        ratio = z.sigma_min / z.sigma_max if z.sigma_max > 0.0 else 0.0
+        field = LatticeField.from_flat(z.flat, params.T, params.K)
         if ratio > SIGMA_RATIO_DEGENERATE:
-            sign = zero_sign(_slice_jacobian(flats[i], op, g, tau, mode))
-            zeros.append(ZeroRecord(field, residuals[i], sign, ratio))
+            sign = zero_sign(_slice_jacobian(z.flat, op, g, tau))
+            zeros.append(ZeroRecord(field, z.residual, sign, ratio))
             degree += sign
             continue
         local_index: int | None = None
-        if _sup(flats[i]) <= origin_tol:
-            local_index = _origin_local_index(op, g, tau, mode, cert.radius, seed)
+        if _sup(z.flat) <= origin_tol:
+            local_index = _origin_local_index(op, g, tau, cert.radius, seed)
             if local_index is not None:
                 degree += local_index
                 origin_perturbed = True
-        degenerate.append(DegenerateRecord(field, residuals[i], ratio, local_index))
+        degenerate.append(DegenerateRecord(field, z.residual, ratio, local_index))
 
     parity_ok: bool | None = None
     if target == "odd":

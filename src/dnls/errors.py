@@ -27,16 +27,12 @@ class NoThresholdFound(DnlsError):
     ratio max |g| / |z|^3 dropping below the cubic threshold."""
 
 
+class CertificateOverflow(DnlsError):
+    """A certificate constant overflowed the floating-point range."""
+
+
 class MissingDerivative(DnlsError):
     """Analytic Jacobian requested but the potential carries none."""
-
-
-class SingularJacobian(DnlsError):
-    """Newton linear solve failed outright."""
-
-
-class StepUnderflow(DnlsError):
-    """Homotopy step length shrank below its floor."""
 
 
 class DegenerateZero(DnlsError):

@@ -217,11 +217,7 @@ def apply_forcing(phi: LatticeField, potential) -> LatticeField:
         raise PeriodMismatch(
             f"forcing period {period} does not divide the lattice time period {phi.T}"
         )
-    v = phi._values
-    out = np.empty_like(v)
-    for t in range(phi.T):
-        out[t, :] = np.asarray(potential.evaluate(t, v[t, :]), dtype=complex)
-    return LatticeField(out)
+    return LatticeField(potential.on_lattice(phi._values))
 
 
 def random_field(T: int, K: int, rng: np.random.Generator, radius: float = 1.0) -> LatticeField:

@@ -4,13 +4,20 @@ Each family packages the map itself together with the metadata that the
 certificate and solver consume:
 
 * ``period``             -- periodicity in t,
-* ``evaluate``           -- (t, z) -> g(t, z), vectorized over z,
+* ``evaluate``           -- (t, z) -> g(t, z), elementwise; ``t`` is an int or
+  an integer array that broadcasts against the complex array ``z``, and the
+  coefficient at ``t`` is the one at ``t % period``,
 * ``growth_exponent``    -- r when |g| scales like |z|^r, else None,
-* ``derivative``         -- optional realified 2x2 Jacobian block of
-  z = x + i*y -> g(t, z), rows (Re g, Im g), columns (d/dx, d/dy),
+* ``derivative``         -- optional realified Jacobian of z = x + i*y -> g(t, z)
+  with the same broadcasting, as blocks of shape ``z.shape + (2, 2)`` (the
+  broadcast shape of t and z, if t adds axes): rows (Re g, Im g), columns
+  (d/dx, d/dy),
 * ``threshold_formula``  -- optional closed form mapping the certificate's
   cubic-threshold coefficient to a radius beyond which |g(t, z)| <= coef*|z|^3,
 * ``sup_formula``        -- optional closed form for sup |g| over a disk.
+
+``Potential.on_lattice`` applies g at every node of a (..., T, K) stack of
+fields in one call, so no caller loops over time slices or nodes.
 
 Families without the closed forms are handled by the certificate module's
 numeric scans, at the price of a "sampled" rigor tag on the result.
@@ -19,7 +26,7 @@ numeric scans, at the price of a "sampled" rigor tag on the result.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,13 +51,18 @@ class Potential:
     """One forcing family; see the module docstring for field semantics."""
 
     period: int
-    evaluate: Callable[[int, np.ndarray], np.ndarray]
+    evaluate: Callable[[int | np.ndarray, np.ndarray], np.ndarray]
     kind: str = "custom"
     growth_exponent: float | None = None
-    derivative: Callable[[int, complex], np.ndarray] | None = None
+    derivative: Callable[[int | np.ndarray, np.ndarray], np.ndarray] | None = None
     threshold_formula: Callable[[float], float] | None = None
     sup_formula: Callable[[float], float] | None = None
     coefficients: tuple[complex, ...] = field(default=())
+
+    def on_lattice(self, values) -> np.ndarray:
+        """g(t, phi(t, k)) at every node of a (..., T, K) stack of fields."""
+        v = np.asarray(values, dtype=complex)
+        return np.asarray(self.evaluate(np.arange(v.shape[-2])[:, None], v), dtype=complex)
 
 
 def _coeff_tuple(f) -> tuple[complex, ...]:
@@ -60,39 +72,54 @@ def _coeff_tuple(f) -> tuple[complex, ...]:
     return coeffs
 
 
-def _rotation(c: complex) -> np.ndarray:
-    # multiplication by the complex scalar c, as a real 2x2 block
-    return np.array([[c.real, -c.imag], [c.imag, c.real]])
+def _coefficient_at(coeffs: tuple[complex, ...]) -> Callable[[int | np.ndarray], np.ndarray]:
+    """t -> f(t mod period), elementwise over an integer array of times."""
+    table = np.asarray(coeffs)
+    return lambda t: table[np.asarray(t) % len(table)]
+
+
+def _blocks(a, b, c, d) -> np.ndarray:
+    """Real 2x2 blocks [[a, b], [c, d]], stacked over the entries' common shape."""
+    out = np.empty(np.shape(a) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def _rotation(c) -> np.ndarray:
+    # multiplication by the complex scalars c, as real 2x2 blocks
+    c = np.asarray(c)
+    return _blocks(c.real, -c.imag, c.imag, c.real)
 
 
 def _make_power_law(coeffs: tuple[complex, ...], r: float) -> Potential:
     period = len(coeffs)
+    coeff = _coefficient_at(coeffs)
     fmax = max(abs(c) for c in coeffs)
     r = float(r)
 
-    def evaluate(t: int, z):
+    def evaluate(t, z):
         zz = np.asarray(z, dtype=complex)
         az = np.abs(zz)
         mag = np.zeros_like(az)
         nz = az > 0.0
         mag[nz] = az[nz] ** (r - 1.0)
-        return coeffs[t % period] * mag * zz
+        return coeff(t) * mag * zz
 
-    def derivative(t: int, z: complex) -> np.ndarray:
-        z = complex(z)
-        x, y = z.real, z.imag
+    def derivative(t, z) -> np.ndarray:
+        zz = np.asarray(z, dtype=complex)
+        x, y = zz.real, zz.imag
         rho2 = x * x + y * y
-        if rho2 == 0.0:
-            # the derivative of |z|^(r-1) z at 0 is the identity for r = 1,
-            # zero for r > 1, and does not exist for r < 1; return the
-            # continuous extension where there is one and zero otherwise
-            inner = np.eye(2) if r == 1.0 else np.zeros((2, 2))
-        else:
-            rho = np.sqrt(rho2)
-            scale = rho ** (r - 1.0)
-            quad = (r - 1.0) * rho ** (r - 3.0)
-            inner = scale * np.eye(2) + quad * np.array([[x * x, x * y], [x * y, y * y]])
-        return _rotation(coeffs[t % period]) @ inner
+        origin = rho2 == 0.0
+        # an array even for scalar z, so that ** takes the same path either way
+        rho = np.asarray(np.sqrt(np.where(origin, 1.0, rho2)))
+        scale = (rho ** (r - 1.0))[..., None, None]
+        quad = ((r - 1.0) * rho ** (r - 3.0))[..., None, None]
+        inner = scale * np.eye(2) + quad * _blocks(x * x, x * y, x * y, y * y)
+        # the derivative of |z|^(r-1) z at 0 is the identity for r = 1,
+        # zero for r > 1, and does not exist for r < 1; use the continuous
+        # extension where there is one and zero otherwise
+        inner[origin] = np.eye(2) if r == 1.0 else 0.0
+        return _rotation(coeff(t)) @ inner
 
     def threshold_formula(coef: float) -> float:
         if fmax == 0.0:
@@ -135,16 +162,8 @@ def _power_law_unchecked(f, r: float) -> Potential:
     Exists so negative tests (and deliberately out-of-range configs) exercise
     the certificate's rejection path instead of the constructor's.
     """
-    pot = _make_power_law(_coeff_tuple(f), float(r))
-    return Potential(
-        period=pot.period,
-        evaluate=pot.evaluate,
-        kind="power_law",
-        growth_exponent=pot.growth_exponent,
-        derivative=pot.derivative,
-        threshold_formula=None,
-        sup_formula=None,
-        coefficients=pot.coefficients,
+    return replace(
+        _make_power_law(_coeff_tuple(f), float(r)), threshold_formula=None, sup_formula=None
     )
 
 
@@ -155,26 +174,22 @@ def bounded_potential(f) -> Potential:
     """
     coeffs = _coeff_tuple(f)
     period = len(coeffs)
+    coeff = _coefficient_at(coeffs)
     fmax = max(abs(c) for c in coeffs)
 
-    def evaluate(t: int, z):
+    def evaluate(t, z):
         zz = np.asarray(z, dtype=complex)
-        return coeffs[t % period] * zz / (1.0 + np.abs(zz) ** 2)
+        return coeff(t) * zz / (1.0 + np.abs(zz) ** 2)
 
-    def derivative(t: int, z: complex) -> np.ndarray:
-        z = complex(z)
-        x, y = z.real, z.imag
-        denom = (1.0 + x * x + y * y) ** 2
+    def derivative(t, z) -> np.ndarray:
+        zz = np.asarray(z, dtype=complex)
+        x, y = zz.real, zz.imag
+        denom = (1.0 + x * x + y * y)[..., None, None] ** 2
         inner = (
-            np.array(
-                [
-                    [1.0 + y * y - x * x, -2.0 * x * y],
-                    [-2.0 * x * y, 1.0 + x * x - y * y],
-                ]
-            )
+            _blocks(1.0 + y * y - x * x, -2.0 * x * y, -2.0 * x * y, 1.0 + x * x - y * y)
             / denom
         )
-        return _rotation(coeffs[t % period]) @ inner
+        return _rotation(coeff(t)) @ inner
 
     def threshold_formula(coef: float) -> float:
         # beyond rho the inequality fmax*rho/(1+rho^2) <= coef*rho^3 holds,
@@ -201,23 +216,28 @@ def bounded_potential(f) -> Potential:
     )
 
 
+def _broadcast_shape(t, z) -> tuple[int, ...]:
+    return np.broadcast_shapes(np.shape(t), np.shape(z))
+
+
+def _zero_derivative(t, z) -> np.ndarray:
+    return np.zeros(_broadcast_shape(t, z) + (2, 2))
+
+
 def zero_potential(period: int = 1) -> Potential:
     """The unforced equation: g identically zero."""
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
 
-    def evaluate(t: int, z):
-        return np.zeros_like(np.asarray(z, dtype=complex))
-
-    def derivative(t: int, z: complex) -> np.ndarray:
-        return np.zeros((2, 2))
+    def evaluate(t, z):
+        return np.zeros(_broadcast_shape(t, z), dtype=complex)
 
     return Potential(
         period=period,
         evaluate=evaluate,
         kind="zero",
         growth_exponent=None,
-        derivative=derivative,
+        derivative=_zero_derivative,
         threshold_formula=lambda coef: 1.0,
         sup_formula=lambda radius: 0.0,
         coefficients=(),
@@ -232,14 +252,11 @@ def constant_potential(f) -> Potential:
     """
     coeffs = _coeff_tuple(f)
     period = len(coeffs)
+    coeff = _coefficient_at(coeffs)
     fmax = max(abs(c) for c in coeffs)
 
-    def evaluate(t: int, z):
-        zz = np.asarray(z, dtype=complex)
-        return np.full_like(zz, coeffs[t % period])
-
-    def derivative(t: int, z: complex) -> np.ndarray:
-        return np.zeros((2, 2))
+    def evaluate(t, z):
+        return np.broadcast_to(coeff(t), _broadcast_shape(t, z)).copy()
 
     def threshold_formula(coef: float) -> float:
         if fmax == 0.0:
@@ -251,7 +268,7 @@ def constant_potential(f) -> Potential:
         evaluate=evaluate,
         kind="constant",
         growth_exponent=0.0,
-        derivative=derivative,
+        derivative=_zero_derivative,
         threshold_formula=threshold_formula,
         sup_formula=lambda radius: float(fmax),
         coefficients=coeffs,
@@ -284,13 +301,9 @@ def growth_check(g: Potential, radii) -> GrowthReport:
         raise ValueError("radii must be strictly increasing")
 
     phases = np.exp(2j * np.pi * np.arange(GROWTH_PHASES) / GROWTH_PHASES)
-    ratios = np.empty_like(rho)
-    for i, radius in enumerate(rho):
-        circle = radius * phases
-        worst = 0.0
-        for t in range(g.period):
-            worst = max(worst, float(np.abs(g.evaluate(t, circle)).max()))
-        ratios[i] = worst / radius**3
+    circles = rho[:, None, None] * phases  # (radii, 1, phases)
+    vals = np.abs(g.evaluate(np.arange(g.period)[:, None], circles))
+    ratios = vals.max(axis=(-2, -1)) / rho**3
 
     tail = ratios[rho.size // 2 :]
     decay = bool(np.all(np.diff(tail) < 0.0)) if tail.size >= 2 else False

@@ -23,7 +23,7 @@ an R-linear map becomes a 2n x 2n real matrix built from 2x2 blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .lattice import (
     sup_norm,
 )
 from .operators import ShiftedOperator, build_shifted
-from .potentials import Potential
+from .potentials import Potential, _blocks
 
 __all__ = [
     "SolveReport",
@@ -129,17 +129,23 @@ def residual_direct(phi: LatticeField, params: LatticeParams, g: Potential) -> L
     return apply_linear(phi, params) - apply_cubic(phi, params) - apply_forcing(phi, g)
 
 
-def _slice_residual(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float) -> np.ndarray:
-    """Fixed-point residual of the tau-slice on a flat vector."""
+def _slice_residual(
+    flat: np.ndarray,
+    op: ShiftedOperator,
+    g: Potential,
+    tau: float,
+    shift_vec: np.ndarray | None = None,
+) -> np.ndarray:
+    """Fixed-point residual of the tau-slice on a flat vector, minus
+    ``shift_vec`` when one is given (the slice map shifted to r_tau - w)."""
     params = op.params
     cubic = -params.gamma * (np.abs(flat) ** 2) * flat
     res = flat - op.solve(cubic)
     if tau != 0.0:
-        grid = flat.reshape(params.T, params.K)
-        forcing = np.empty_like(grid)
-        for t in range(params.T):
-            forcing[t, :] = np.asarray(g.evaluate(t, grid[t, :]), dtype=complex)
-        res = res - tau * op.solve(forcing.ravel() - op.shift * flat)
+        forcing = g.on_lattice(flat.reshape(params.T, params.K)).ravel()
+        res = res - tau * op.solve(forcing - op.shift * flat)
+    if shift_vec is not None:
+        res = res - shift_vec
     return res
 
 
@@ -174,33 +180,18 @@ def _forcing_jacobian_blocks(
 ) -> np.ndarray:
     """(n, 2, 2) realified Jacobian blocks of the nodewise forcing."""
     grid = flat.reshape(params.T, params.K)
-    blocks = np.empty((flat.size, 2, 2))
     if mode == "analytic":
         if g.derivative is None:
             raise MissingDerivative(f"potential kind {g.kind!r} carries no analytic derivative")
-        for t in range(params.T):
-            for k in range(params.K):
-                blocks[t * params.K + k] = np.asarray(g.derivative(t, grid[t, k]), dtype=float)
+        blocks = g.derivative(np.arange(params.T)[:, None], grid)
     elif mode == "finite_diff":
-        for t in range(params.T):
-            row = grid[t, :]
-            h = 1e-6 * (1.0 + np.abs(row))
-            col_x = (
-                np.asarray(g.evaluate(t, row + h), dtype=complex)
-                - np.asarray(g.evaluate(t, row - h), dtype=complex)
-            ) / (2.0 * h)
-            col_y = (
-                np.asarray(g.evaluate(t, row + 1j * h), dtype=complex)
-                - np.asarray(g.evaluate(t, row - 1j * h), dtype=complex)
-            ) / (2.0 * h)
-            base = t * params.K
-            blocks[base : base + params.K, 0, 0] = col_x.real
-            blocks[base : base + params.K, 0, 1] = col_y.real
-            blocks[base : base + params.K, 1, 0] = col_x.imag
-            blocks[base : base + params.K, 1, 1] = col_y.imag
+        h = 1e-6 * (1.0 + np.abs(grid))
+        col_x = (g.on_lattice(grid + h) - g.on_lattice(grid - h)) / (2.0 * h)
+        col_y = (g.on_lattice(grid + 1j * h) - g.on_lattice(grid - 1j * h)) / (2.0 * h)
+        blocks = _blocks(col_x.real, col_y.real, col_x.imag, col_y.imag)
     else:
         raise ValueError(f"mode must be 'analytic' or 'finite_diff', got {mode!r}")
-    return blocks
+    return np.asarray(blocks, dtype=float).reshape(flat.size, 2, 2)
 
 
 def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -216,15 +207,17 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
 
 
 def _slice_jacobian(
-    flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float, mode: str
+    flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float, mode: str | None = None
 ) -> np.ndarray:
     """Realified Jacobian of the tau-slice residual at a flat vector.
 
     The identity and A^-1 parts are exact; the cubic blocks are analytic; the
-    forcing blocks follow ``mode``.
+    forcing blocks follow ``mode`` (default: analytic when the potential has a
+    derivative, else finite differences).
     """
     blocks = _cubic_jacobian_blocks(flat, op.params.gamma)
     if tau != 0.0:
+        mode = mode or _pick_mode(g)
         blocks = blocks + tau * _forcing_jacobian_blocks(flat, op.params, g, mode)
         blocks[:, 0, 0] -= tau * op.shift
         blocks[:, 1, 1] -= tau * op.shift
@@ -256,6 +249,18 @@ def _sup(vec: np.ndarray) -> float:
     return float(np.abs(vec).max())
 
 
+def _measure(
+    flat: np.ndarray, slice_res: np.ndarray, op: ShiftedOperator, g: Potential, converge_on: str
+) -> float:
+    """Newton's convergence measure at ``flat``: the sup norm of the slice
+    residual ``slice_res`` ("slice") or of the direct lattice residual
+    ("direct")."""
+    if converge_on == "slice":
+        return _sup(slice_res)
+    field = LatticeField.from_flat(flat, op.params.T, op.params.K)
+    return sup_norm(residual_direct(field, op.params, g))
+
+
 def _damped_newton(
     flat0: np.ndarray,
     op: ShiftedOperator,
@@ -263,7 +268,6 @@ def _damped_newton(
     tau: float,
     tol: float,
     max_iter: int,
-    mode: str,
     converge_on: str = "slice",
     shift_vec: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, str]:
@@ -272,33 +276,18 @@ def _damped_newton(
     Full steps first, halving up to MAX_HALVINGS times until the slice
     residual sup norm strictly decreases; a singular linear solve or a stalled
     line search counts as divergence.  ``converge_on`` picks the convergence
-    measure: the slice residual itself or the direct lattice residual.
-    ``shift_vec`` subtracts a constant from the slice map (used to solve
-    r_tau(phi) = w when estimating local indices).
+    measure (see ``_measure``).  ``shift_vec`` subtracts a constant from the
+    slice map (used to solve r_tau(phi) = w when estimating local indices).
     """
-    params = op.params
     x = np.array(flat0, dtype=complex)
-
-    def slice_res(vec: np.ndarray) -> np.ndarray:
-        r = _slice_residual(vec, op, g, tau)
-        if shift_vec is not None:
-            r = r - shift_vec
-        return r
-
-    def measure(vec: np.ndarray, r: np.ndarray) -> float:
-        if converge_on == "slice":
-            return _sup(r)
-        field = LatticeField.from_flat(vec, params.T, params.K)
-        return sup_norm(residual_direct(field, params, g))
-
-    r = slice_res(x)
+    r = _slice_residual(x, op, g, tau, shift_vec)
     for iteration in range(max_iter + 1):
-        if measure(x, r) <= tol:
+        if _measure(x, r, op, g, converge_on) <= tol:
             return x, iteration, "converged"
         if iteration == max_iter:
             return x, iteration, "max_iter"
         try:
-            jac = _slice_jacobian(x, op, g, tau, mode)
+            jac = _slice_jacobian(x, op, g, tau)
             step = complexify(np.linalg.solve(jac, -realify(r)))
         except np.linalg.LinAlgError:
             return x, iteration, "diverged"
@@ -306,7 +295,7 @@ def _damped_newton(
         lam = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = x + lam * step
-            r_candidate = slice_res(candidate)
+            r_candidate = _slice_residual(candidate, op, g, tau, shift_vec)
             if _sup(r_candidate) < base:
                 x, r = candidate, r_candidate
                 break
@@ -345,20 +334,16 @@ def newton_solve(
     g: Potential,
     tol: float = DEFAULT_TOL,
     max_iter: int = 100,
-    mode: str | None = None,
 ) -> SolveReport:
     """Damped Newton on the full fixed-point system from a given start.
 
     Converged means the direct lattice residual has sup norm at most ``tol``
     at the reported field; the line search itself is driven by the
-    fixed-point residual.  ``mode`` overrides the forcing-Jacobian route
-    (default: analytic when the potential has a derivative, else finite
-    differences).
+    fixed-point residual.  The forcing Jacobian is analytic when the
+    potential has a derivative, else finite differences.
     """
-    mode = mode or _pick_mode(g)
     flat, iterations, status = _damped_newton(
-        initial.flatten(), op, g, tau=1.0, tol=tol, max_iter=max_iter, mode=mode,
-        converge_on="direct",
+        initial.flatten(), op, g, tau=1.0, tol=tol, max_iter=max_iter, converge_on="direct"
     )
     return _report_at(flat, op, g, iterations, status, method="newton")
 
@@ -374,8 +359,6 @@ def homotopy_solve(
     step0: float = 1.0,
     tol: float = DEFAULT_TOL,
     max_iter: int = 100,
-    seed: int = 0,
-    mode: str | None = None,
 ) -> SolveReport:
     """Track the slice family from the origin at tau = 0 to the full problem.
 
@@ -384,16 +367,11 @@ def homotopy_solve(
     by 1.5x after two consecutive successes.  Tracking aborts with status
     "left_ball" when an accepted iterate leaves the certified ball, since the
     certificate only controls the zero set inside it.  The tau = 1 endpoint
-    is polished by ``newton_solve`` against the direct residual.
-
-    ``seed`` only feeds determinism plumbing (the run itself is
-    deterministic); it is accepted so call sites can thread one seed through
-    every solver route uniformly.
+    is polished by ``newton_solve`` against the direct residual.  The run is
+    deterministic.
     """
-    del seed  # deterministic; accepted for interface uniformity
     if not cert.valid:
         raise CertificateInvalid("homotopy tracking requires a VALID certificate")
-    mode = mode or _pick_mode(g)
     step = min(max(step0, STEP_FLOOR), 1.0)
 
     x = np.zeros(op.dim, dtype=complex)
@@ -417,7 +395,7 @@ def homotopy_solve(
         else:
             predicted = x + (x - x_prev) * ((tau_try - tau) / (tau - tau_prev))
         corrected, iters, status = _damped_newton(
-            predicted, op, g, tau_try, tol=tol, max_iter=CORRECTOR_ITER, mode=mode,
+            predicted, op, g, tau_try, tol=tol, max_iter=CORRECTOR_ITER,
         )
         total_iters += iters
         if status == "converged":
@@ -438,14 +416,13 @@ def homotopy_solve(
             successes = 0
             step *= 0.5
             if step < STEP_FLOOR:
-                # StepUnderflow condition: reported as divergence, not raised
+                # step underflow is reported as divergence
                 return _report_at(
                     x, op, g, total_iters, "diverged", "homotopy", macro_steps, tuple(path)
                 )
 
-    polish = newton_solve(
-        LatticeField.from_flat(x, op.params.T, op.params.K), op, g, tol, max_iter, mode
-    )
+    endpoint = LatticeField.from_flat(x, op.params.T, op.params.K)
+    polish = newton_solve(endpoint, op, g, tol, max_iter)
     total_iters += polish.newton_iterations
     final_flat = polish.solution.flatten()
     status = polish.status
@@ -468,29 +445,21 @@ def _ball_field(
     return LatticeField(moduli * np.exp(1j * phases))
 
 
-def _solution_uncertainty(
-    flat: np.ndarray, op: ShiftedOperator, g: Potential, mode: str
-) -> float:
-    """Rough bound on how far a numerically converged point can sit from the
-    true zero it approximates: fixed-point residual over the smallest singular
-    value of the Jacobian there.  Near-degenerate zeros (singular Jacobian)
-    get large values, which the clustering uses to merge their halo of
-    pseudo-solutions."""
-    res = _sup(_slice_residual(flat, op, g, 1.0))
-    sigma = np.linalg.svd(_slice_jacobian(flat, op, g, 1.0, mode), compute_uv=False)
-    smallest = float(sigma[-1])
-    if smallest <= 0.0:
-        return np.inf
-    return res / smallest
+@dataclass(frozen=True)
+class _Zero:
+    """A converged Newton candidate: the point, the iterations it took, the
+    convergence measure there, its location uncertainty, and the extreme
+    singular values of the slice Jacobian."""
+
+    flat: np.ndarray
+    iterations: int
+    residual: float
+    uncertainty: float
+    sigma_min: float
+    sigma_max: float
 
 
-def _cluster_representatives(
-    flats: list[np.ndarray],
-    residuals: list[float],
-    uncertainties: list[float],
-    base_tol: float,
-    cap: float,
-) -> list[int]:
+def _cluster_representatives(found: list[_Zero], base_tol: float, cap: float) -> list[_Zero]:
     """Greedy clustering of candidate solutions.
 
     Two candidates merge when their sup distance is below the base radius or
@@ -498,20 +467,60 @@ def _cluster_representatives(
     larger.  Each cluster keeps its smallest-residual member, ties going to
     the earlier candidate; cluster order is first-found order.
     """
-    reps: list[int] = []
-    for i in range(len(flats)):
-        merged = False
-        for slot, j in enumerate(reps):
-            unc = 10.0 * max(uncertainties[i], uncertainties[j])
-            thresh = max(base_tol, min(cap, unc))
-            if _sup(flats[i] - flats[j]) <= thresh:
-                if residuals[i] < residuals[j]:
-                    reps[slot] = i
-                merged = True
+    reps: list[_Zero] = []
+    for cand in found:
+        for slot, rep in enumerate(reps):
+            unc = 10.0 * max(cand.uncertainty, rep.uncertainty)
+            if _sup(cand.flat - rep.flat) <= max(base_tol, min(cap, unc)):
+                if cand.residual < rep.residual:
+                    reps[slot] = cand
                 break
-        if not merged:
-            reps.append(i)
+        else:
+            reps.append(cand)
     return reps
+
+
+def _collect_zeros(
+    starts: list[np.ndarray],
+    op: ShiftedOperator,
+    g: Potential,
+    tau: float,
+    *,
+    tol: float,
+    max_iter: int,
+    radius: float,
+    converge_on: str,
+    shift_vec: np.ndarray | None = None,
+    residual_cap: float = np.inf,
+    base_tol: float,
+    cap: float,
+) -> list[_Zero]:
+    """Zeros of the (shifted) tau-slice found by damped Newton from each start.
+
+    A converged run is kept when it ends strictly inside the ball of
+    ``radius`` and its convergence measure (the record's ``residual``) is at
+    most ``residual_cap``.  Its location uncertainty is the slice residual
+    over the smallest singular value of the slice Jacobian, infinite at a
+    singular Jacobian; near-degenerate zeros get large values, which the
+    clustering uses to merge their halo of pseudo-solutions.  Returns the
+    cluster representatives in first-found order.
+    """
+    found: list[_Zero] = []
+    for start in starts:
+        x, iterations, status = _damped_newton(
+            start, op, g, tau, tol, max_iter, converge_on, shift_vec
+        )
+        if status != "converged" or not _sup(x) < radius:
+            continue
+        slice_res = _slice_residual(x, op, g, tau, shift_vec)
+        residual = _measure(x, slice_res, op, g, converge_on)
+        if residual > residual_cap:
+            continue
+        svals = np.linalg.svd(_slice_jacobian(x, op, g, tau), compute_uv=False)
+        smallest, largest = float(svals[-1]), float(svals[0])
+        uncertainty = _sup(slice_res) / smallest if smallest > 0.0 else np.inf
+        found.append(_Zero(x, iterations, residual, uncertainty, smallest, largest))
+    return _cluster_representatives(found, base_tol, cap)
 
 
 def multi_start(
@@ -525,37 +534,29 @@ def multi_start(
 ) -> list[SolveReport]:
     """Enumerate distinct solutions inside the certified ball.
 
-    Runs ``newton_solve`` from the homotopy endpoint (when that run converges)
-    and from ``n_starts`` fields sampled uniformly in the ball, keeps the
-    converged results that stayed inside the ball (Newton is free to wander
-    out to zeros the certificate says nothing about), then deduplicates.
-    Deterministic for a fixed seed.
+    Runs Newton on the full system from the homotopy endpoint (when that run
+    converges) and from ``n_starts`` fields sampled uniformly in the ball,
+    keeps the converged results strictly inside the ball (Newton is free to
+    wander out to zeros the certificate says nothing about), then
+    deduplicates.  Deterministic for a fixed seed.
     """
     if not cert.valid:
         raise CertificateInvalid("multi-start enumeration requires a VALID certificate")
-    mode = _pick_mode(g)
     rng = np.random.default_rng(seed)
 
-    starts: list[LatticeField] = []
-    endpoint = homotopy_solve(op, g, cert, tol=tol, max_iter=max_iter, seed=seed, mode=mode)
+    starts: list[np.ndarray] = []
+    endpoint = homotopy_solve(op, g, cert, tol=tol, max_iter=max_iter)
     if endpoint.status == "converged":
-        starts.append(endpoint.solution)
+        starts.append(endpoint.solution.flatten())
     T, K = op.params.T, op.params.K
     for _ in range(n_starts):
-        starts.append(_ball_field(T, K, rng, cert.radius))
+        starts.append(_ball_field(T, K, rng, cert.radius).flatten())
 
-    converged: list[SolveReport] = []
-    for start in starts:
-        report = newton_solve(start, op, g, tol, max_iter, mode)
-        if report.status == "converged" and sup_norm(report.solution) <= cert.radius:
-            converged.append(report)
-
-    flats = [r.solution.flatten() for r in converged]
-    residuals = [r.residual_direct for r in converged]
-    uncertainties = [_solution_uncertainty(f, op, g, mode) for f in flats]
-    cap = 0.01 * max(1.0, cert.radius)
-    keep = _cluster_representatives(flats, residuals, uncertainties, DEDUP_TOL, cap)
-    return [replace(converged[i], method="multi_start") for i in keep]
+    zeros = _collect_zeros(
+        starts, op, g, 1.0, tol=tol, max_iter=max_iter, radius=cert.radius,
+        converge_on="direct", base_tol=DEDUP_TOL, cap=0.01 * max(1.0, cert.radius),
+    )
+    return [_report_at(z.flat, op, g, z.iterations, "converged", "multi_start") for z in zeros]
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +605,7 @@ def steady_state_solve(
         raise CertificateInvalid(
             "steady-state certificate failed its boundary check; cannot bound the search"
         )
-    report = homotopy_solve(op, h, cert, tol=tol, max_iter=max_iter, seed=seed)
+    report = homotopy_solve(op, h, cert, tol=tol, max_iter=max_iter)
     if report.status != "converged":
         candidates = multi_start(op, h, cert, n_starts=n_starts, seed=seed, tol=tol,
                                  max_iter=max_iter)

@@ -1,5 +1,7 @@
 """Certificate constant chain, threshold scans, ball radius, boundary sampling."""
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -127,6 +129,17 @@ def test_ball_radius_monotone_in_each_bound():
     assert compute_ball_radius(1.0, 2.0, 0.05, slack=0.1) > base
     assert compute_ball_radius(1.0, 1.0, 0.10, slack=0.1) < base
     assert compute_ball_radius(1.0, 1.0, 0.05, slack=0.2) > base
+
+
+@pytest.mark.parametrize("args", [(1e20, 1.0, 0.1), (1e300, 1.0, 1e-3)])
+def test_ball_radius_terminates_beyond_float_spacing(args):
+    # past 2**23 the float spacing exceeds the bisection tolerance; the
+    # bisection must stop at adjacent floats instead of looping forever
+    start = time.perf_counter()
+    radius = compute_ball_radius(*args, slack=0.1)
+    assert time.perf_counter() - start < 1.0
+    assert radius > 2.0**23
+    assert _excess(radius, *args, 0.1) >= 0.0
 
 
 def test_ball_radius_validates_inputs():

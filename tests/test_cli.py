@@ -223,6 +223,62 @@ def test_config_error_exit_one(tmp_path, capsys):
     assert "potentiall" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,raw,needle",
+    [
+        ("potential", '{"kind": "bounded", "coefficients": [[NaN, 0]]}', "NaN"),
+        ("beta", "Infinity", "Infinity"),
+        ("gamma", "-Infinity", "Infinity"),
+        ("beta", "1e400", "beta"),
+        ("epsilon", "1" + "0" * 400, "epsilon"),
+        ("epsilon", "1" * 5000, "JSON"),
+        ("potential", '{"kind": "bounded", "coefficients": [[1, 1e999]]}', "coefficients"),
+    ],
+    ids=["nan-coefficient", "beta-infinity", "gamma-minus-infinity", "beta-overflow",
+         "epsilon-huge-integer", "epsilon-too-many-digits", "coefficient-overflow"],
+)
+def test_non_finite_config_exit_one(tmp_path, capsys, field, raw, needle):
+    # Python's json module accepts NaN and Infinity tokens, and 1e400 parses
+    # to inf; all of them must end as a one-line config error
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_doc(**{field: "@RAW@"})).replace('"@RAW@"', raw))
+    assert main(["certify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        {"kind": "power_law", "coefficients": [[1e200, 0.0]], "exponent": 2.9},
+        {"kind": "power_law", "coefficients": [[1e300, 0.0]], "exponent": 2.5},
+        {"kind": "constant", "coefficients": [[1e308, 0.0]]},
+    ],
+    ids=["power-threshold-overflow", "power-sup-overflow", "constant-bound-overflow"],
+)
+def test_overflowing_certificate_exit_two(tmp_path, capsys, potential):
+    cfg = _write_config(tmp_path, T=2, potential=potential, samples=100)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("certificate error: ") and err.count("\n") == 1
+
+
+def test_certify_huge_constant_forcing_terminates(tmp_path, capsys):
+    # the certified radius is about 1.6e100, far beyond 2**23, where the old
+    # absolute bisection tolerance never terminated
+    cfg = _write_config(
+        tmp_path, T=2, potential={"kind": "constant", "coefficients": [[1e300, 0.0]]},
+        samples=100,
+    )
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"]["valid"] is True
+    assert payload["certificate"]["radius"] > 1e100
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["certify"]) == 1  # missing --config
     assert main(["frobnicate", "--config", "x"]) == 1  # unknown command

@@ -195,6 +195,59 @@ def test_derivative_matches_central_differences(g):
 
 
 # ---------------------------------------------------------------------------
+# whole-lattice evaluation
+
+
+_COEFFS = st.lists(
+    st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=3,
+)
+_FAMILIES = st.one_of(
+    st.builds(power_law, _COEFFS, st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5])),
+    st.builds(bounded_potential, _COEFFS),
+    st.builds(zero_potential, st.integers(1, 3)),
+    st.builds(constant_potential, _COEFFS),
+)
+
+
+@st.composite
+def _lattices(draw):
+    T, K = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    nodes = draw(st.lists(
+        st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                           allow_nan=False, allow_infinity=False),
+        min_size=T * K, max_size=T * K,
+    ))
+    zeros = draw(st.lists(st.booleans(), min_size=T * K, max_size=T * K))
+    grid = np.array(nodes, dtype=complex)
+    grid[np.array(zeros)] = 0.0
+    grid[0] = 0.0  # always include the origin
+    return grid.reshape(T, K)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_FAMILIES, _lattices())
+def test_lattice_calls_match_per_node_calls(g, grid):
+    T, K = grid.shape
+    times = np.arange(T)[:, None]
+    values = np.asarray(g.evaluate(times, grid))
+    nodewise = np.array([[complex(g.evaluate(t, grid[t, k])) for k in range(K)]
+                         for t in range(T)])
+    assert values.shape == (T, K)
+    assert values.astype(complex).tobytes() == nodewise.tobytes()
+    assert g.on_lattice(grid).tobytes() == nodewise.tobytes()
+
+    blocks = np.asarray(g.derivative(times, grid))
+    assert blocks.shape == (T, K, 2, 2)
+    for t in range(T):
+        for k in range(K):
+            block = np.asarray(g.derivative(t, grid[t, k]), dtype=float)
+            assert block.shape == (2, 2)
+            scale = max(1.0, float(np.abs(block).max()))
+            assert np.abs(blocks[t, k] - block).max() <= 1e-15 * scale
+
+
+# ---------------------------------------------------------------------------
 # growth classification by circle sampling
 
 
