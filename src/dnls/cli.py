@@ -317,7 +317,7 @@ def read_solution_csv(path: str | Path, params: LatticeParams) -> LatticeField:
 
     Accepts the full `t,k,re,im` layout (exactly T*K rows, every node once)
     and the steady `k,re,im` layout (exactly K rows, lifted to all T time
-    slices).  Anything else raises DimensionMismatch.
+    slices), with every value finite.  Anything else raises DimensionMismatch.
     """
     try:
         text = Path(path).read_text()
@@ -335,9 +335,12 @@ def read_solution_csv(path: str | Path, params: LatticeParams) -> LatticeField:
                 f"solution file {path}: expected {want} columns, got {len(parts)} in {line!r}"
             )
         try:
-            return [float(p) for p in parts]
+            values = [float(p) for p in parts]
         except ValueError as exc:
             raise DimensionMismatch(f"solution file {path}: non-numeric row {line!r}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise DimensionMismatch(f"solution file {path}: non-finite value in row {line!r}")
+        return values
 
     T, K = params.T, params.K
     if header == CSV_FIELD_HEADER:

@@ -18,8 +18,8 @@ class EmptyCoefficients(DnlsError):
 
 
 class SingularShift(DnlsError):
-    """Factorization of the shifted operator failed; the shift did not
-    clear the spectrum (internal error, should not occur for factor > 1)."""
+    """The symbol of the shifted operator has a numerical zero; the shift
+    did not clear the spectrum (internal error, should not occur for factor > 1)."""
 
 
 class NoThresholdFound(DnlsError):

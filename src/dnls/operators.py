@@ -1,12 +1,13 @@
-"""Dense matrix form of the linear lattice operator and its invertible shift.
+"""The linear lattice operator as a circulant stencil, and its invertible shift.
 
-The linear part of the equation acts on row-major flattened fields as a
-T*K x T*K complex matrix with at most five nonzero entries per row (time
-wraparound can merge or cancel entries for T <= 2, and K = 2 merges the two
-space neighbours).  Subtracting a shift s strictly larger than the sup-induced
-operator norm makes the matrix invertible; everything downstream (certificate
-constants, fixed-point residuals, Jacobians) works with that shifted matrix,
-its LU factorization, and its explicitly computed inverse.
+The linear part has constant coefficients, so on the T x K torus it is a
+circulant: node (t, k) couples to node (t + dt, k + dk) with the weight
+``kernel[dt, dk]`` of one (T, K) kernel, indices modulo T and K.  The shift s
+exceeds the sup-induced norm, so the symbol (2-D DFT of the kernel) of
+A = L - sI has no zero, and A^-1 is the circulant whose kernel is the inverse
+DFT of the reciprocal symbol.  Each row of a circulant permutes its kernel,
+so the sup-induced norms are l1 norms of kernels; the dense n x n matrices
+are gathered from the kernels.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularShift
 from .lattice import LatticeParams
@@ -23,27 +23,33 @@ from .lattice import LatticeParams
 __all__ = ["linear_matrix", "operator_norm_sup", "ShiftedOperator", "build_shifted"]
 
 
-def linear_matrix(params: LatticeParams) -> np.ndarray:
-    """Dense matrix of the linear operator on row-major flattened fields.
-
-    Entries accumulate, so wrapped neighbours that land on the same column
-    (T <= 2 in time, K = 2 in space) merge automatically; in particular the
-    time part cancels to zero for T in {1, 2}.
-    """
-    T, K = params.T, params.K
-    dim = T * K
-    mat = np.zeros((dim, dim), dtype=complex)
+def _stencil(params: LatticeParams) -> np.ndarray:
+    """(T, K) kernel of the linear operator.  The offsets accumulate, so those
+    that wrap onto one another merge: the time part cancels to zero for
+    T in {1, 2}, and K = 2 doubles the space neighbour."""
+    T = params.T
+    kernel = np.zeros((T, params.K), dtype=complex)
     ib = 1j * params.beta
     eps = params.epsilon
-    for t in range(T):
-        for k in range(K):
-            row = t * K + k
-            mat[row, ((t + 1) % T) * K + k] += ib
-            mat[row, ((t - 1) % T) * K + k] -= ib
-            mat[row, t * K + (k + 1) % K] += eps
-            mat[row, t * K + (k - 1) % K] += eps
-            mat[row, row] += -2.0 * eps
-    return mat
+    kernel[1 % T, 0] += ib
+    kernel[-1, 0] -= ib
+    kernel[0, 1] += eps
+    kernel[0, -1] += eps
+    kernel[0, 0] += -2.0 * eps
+    return kernel
+
+
+def _circulant(kernel: np.ndarray) -> np.ndarray:
+    """Dense matrix of the circulant with a (T, K) kernel, on row-major
+    flattened fields: entry (t*K + k, t'*K + k') is kernel[t' - t, k' - k]."""
+    T, K = kernel.shape
+    t, k = np.divmod(np.arange(T * K), K)
+    return kernel[(t - t[:, None]) % T, (k - k[:, None]) % K]
+
+
+def linear_matrix(params: LatticeParams) -> np.ndarray:
+    """Dense matrix of the linear operator on row-major flattened fields."""
+    return _circulant(_stencil(params))
 
 
 def operator_norm_sup(matrix: np.ndarray) -> float:
@@ -61,29 +67,26 @@ def operator_norm_sup(matrix: np.ndarray) -> float:
 
 @dataclass
 class ShiftedOperator:
-    """The shifted linear operator, factorized, with its certificate norms.
+    """The shifted operator A = L - sI, its inverse, and the certificate norms.
 
     Treated as immutable after ``build_shifted`` returns.  ``shift`` exceeds
-    ``norm_linear`` strictly, which keeps ``shifted`` invertible;
-    ``norm_shifted_inv`` comes from the explicitly formed inverse, not from a
-    bound, because the certificate constants need the actual value.
+    ``norm_linear`` strictly, which keeps ``shifted`` invertible.  The norms
+    are the l1 norms of the kernels of L, A and A^-1: actual values, not
+    bounds, because the certificate constants need them.
     """
 
     params: LatticeParams
     dim: int
-    matrix: np.ndarray
     shift: float
     shifted: np.ndarray
-    lu: tuple
     inverse: np.ndarray
     norm_linear: float
     norm_shifted: float
     norm_shifted_inv: float
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the inverse of the shifted matrix to one vector or a stack
-        of column vectors, via the stored LU factorization."""
-        return scipy.linalg.lu_solve(self.lu, rhs)
+        """Apply A^-1 to one vector or to an (n, m) stack of column vectors."""
+        return self.inverse @ rhs
 
     @cached_property
     def inverse_realified(self) -> np.ndarray:
@@ -94,7 +97,7 @@ class ShiftedOperator:
 
 
 def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOperator:
-    """Assemble the linear matrix and its shifted, factorized form.
+    """Build the shifted operator from the stencil kernel of the linear part.
 
     The shift is ``shift_factor * norm_linear`` (or ``shift_factor`` itself in
     the degenerate case of a zero linear norm), so any factor > 1 places the
@@ -102,27 +105,23 @@ def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOp
     """
     if not shift_factor > 1.0:
         raise ValueError(f"shift_factor must exceed 1, got {shift_factor}")
-    mat = linear_matrix(params)
-    norm_linear = operator_norm_sup(mat)
+    kernel = _stencil(params)
+    norm_linear = float(np.abs(kernel).sum())
     shift = shift_factor * norm_linear if norm_linear > 0.0 else float(shift_factor)
-    shifted = mat - shift * np.eye(params.dim)
-    try:
-        lu = scipy.linalg.lu_factor(shifted)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - shift > norm prevents this
-        raise SingularShift(f"factorization of the shifted operator failed: {exc}") from exc
-    diag = np.abs(np.diag(lu[0]))
-    if diag.min() <= 1e3 * np.finfo(float).eps * max(diag.max(), 1.0):  # pragma: no cover
+    shifted_kernel = kernel.copy()
+    shifted_kernel[0, 0] -= shift
+    symbol = np.fft.fft2(shifted_kernel)
+    modulus = np.abs(symbol)
+    if modulus.min() <= 1e3 * np.finfo(float).eps * max(modulus.max(), 1.0):  # pragma: no cover
         raise SingularShift("shifted operator is numerically singular despite shift > norm")
-    inverse = scipy.linalg.lu_solve(lu, np.eye(params.dim, dtype=complex))
+    inverse_kernel = np.fft.ifft2(1.0 / symbol)
     return ShiftedOperator(
         params=params,
         dim=params.dim,
-        matrix=mat,
         shift=float(shift),
-        shifted=shifted,
-        lu=lu,
-        inverse=inverse,
+        shifted=_circulant(shifted_kernel),
+        inverse=_circulant(inverse_kernel),
         norm_linear=norm_linear,
-        norm_shifted=operator_norm_sup(shifted),
-        norm_shifted_inv=operator_norm_sup(inverse),
+        norm_shifted=float(np.abs(shifted_kernel).sum()),
+        norm_shifted_inv=float(np.abs(inverse_kernel).sum()),
     )

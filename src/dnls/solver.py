@@ -194,18 +194,6 @@ def _forcing_jacobian_blocks(
     return np.asarray(blocks, dtype=float).reshape(flat.size, 2, 2)
 
 
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """(n, 2, 2) stack -> (2n, 2n) block-diagonal matrix."""
-    n = blocks.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    idx = 2 * np.arange(n)
-    out[idx, idx] = blocks[:, 0, 0]
-    out[idx, idx + 1] = blocks[:, 0, 1]
-    out[idx + 1, idx] = blocks[:, 1, 0]
-    out[idx + 1, idx + 1] = blocks[:, 1, 1]
-    return out
-
-
 def _slice_jacobian(
     flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float, mode: str | None = None
 ) -> np.ndarray:
@@ -221,8 +209,11 @@ def _slice_jacobian(
         blocks = blocks + tau * _forcing_jacobian_blocks(flat, op.params, g, mode)
         blocks[:, 0, 0] -= tau * op.shift
         blocks[:, 1, 1] -= tau * op.shift
+    # column pair j of A_r^-1 blockdiag(blocks) is that of A_r^-1 times block j
     n = flat.size
-    return np.eye(2 * n) - op.inverse_realified @ _block_diagonal(blocks)
+    inv = op.inverse_realified.reshape(2 * n, n, 2)
+    product = inv[:, :, :1] * blocks[:, 0] + inv[:, :, 1:] * blocks[:, 1]
+    return np.eye(2 * n) - product.reshape(2 * n, 2 * n)
 
 
 def realified_jacobian(
@@ -261,6 +252,7 @@ def _measure(
     return sup_norm(residual_direct(field, op.params, g))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _damped_newton(
     flat0: np.ndarray,
     op: ShiftedOperator,
@@ -274,8 +266,9 @@ def _damped_newton(
     """Damped Newton on the (realified) tau-slice.
 
     Full steps first, halving up to MAX_HALVINGS times until the slice
-    residual sup norm strictly decreases; a singular linear solve or a stalled
-    line search counts as divergence.  ``converge_on`` picks the convergence
+    residual sup norm strictly decreases; a singular linear solve, a stalled
+    line search, or a non-finite trial residual (from a non-finite step or an
+    overflow) counts as divergence.  ``converge_on`` picks the convergence
     measure (see ``_measure``).  ``shift_vec`` subtracts a constant from the
     slice map (used to solve r_tau(phi) = w when estimating local indices).
     """
@@ -296,6 +289,8 @@ def _damped_newton(
         for _ in range(MAX_HALVINGS + 1):
             candidate = x + lam * step
             r_candidate = _slice_residual(candidate, op, g, tau, shift_vec)
+            if not np.isfinite(r_candidate).all():
+                return x, iteration, "diverged"
             if _sup(r_candidate) < base:
                 x, r = candidate, r_candidate
                 break

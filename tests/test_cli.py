@@ -1,6 +1,7 @@
 """Config parsing, CSV round trips, and end-to-end command exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -177,9 +178,13 @@ def test_steady_csv_lifts_to_all_time_slices(tmp_path):
         ("t,k,re,im\n" + "\n".join(f"0.5,{k},1,0" for k in range(6)), "outside"),
         ("t,k,re,im\n0,0,1\n0,1,1\n0,2,1\n1,0,1\n1,1,1\n1,2,1", "columns"),
         ("k,re,im\n0,1,0\n1,1,0", "expected 3 rows"),
+        ("t,k,re,im\n0,0,nan,0\n0,0,1,0\n0,1,1,0\n0,2,1,0\n1,0,1,0\n1,1,1,0", "non-finite"),
+        ("k,re,im\n0,1,0\n1,inf,0\n2,1,-inf", "non-finite"),
+        ("t,k,re,im\n" + "\n".join(f"nan,{k},1,0" for k in range(6)), "non-finite"),
     ],
     ids=["empty", "bad-header", "row-count", "duplicate", "out-of-range",
-         "non-numeric", "fractional-index", "short-rows", "steady-count"],
+         "non-numeric", "fractional-index", "short-rows", "steady-count",
+         "nan-value", "inf-value", "nan-index"],
 )
 def test_read_solution_csv_rejects_malformed(tmp_path, content, needle):
     path = tmp_path / "sol.csv"
@@ -277,6 +282,21 @@ def test_certify_huge_constant_forcing_terminates(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"]["valid"] is True
     assert payload["certificate"]["radius"] > 1e100
+
+
+def test_solve_overflowing_newton_exit_three(tmp_path, capsys):
+    # the certificate holds (radius about 1.7e100), but the cubic term
+    # overflows along the homotopy; Newton reports divergence quietly
+    cfg = _write_config(
+        tmp_path, T=4, K=4, potential={"kind": "constant", "coefficients": [[1e300, 0.0]]},
+        samples=100,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["report"]["status"] == "diverged"
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

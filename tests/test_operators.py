@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dnls import (
@@ -192,3 +194,36 @@ def test_inverse_realified_matches_complex_inverse():
     op = build_shifted(_params(T=2, K=3), shift_factor=1.5)
     inv = np.linalg.inv(op.shifted)
     assert_allclose(op.inverse_realified, realified_matrix(inv), atol=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    T=st.integers(1, 7),
+    K=st.integers(2, 7),
+    beta=st.floats(0.1, 3.0),
+    epsilon=st.floats(0.1, 3.0),
+    factor=st.floats(1.01, 4.0),
+)
+def test_circulant_operator_matches_dense_oracles(T, K, beta, epsilon, factor):
+    # the kernel-built operator against dense matrices, including the wrap
+    # cases T in {1, 2} and K = 2 where stencil offsets merge
+    params = _params(T=T, K=K, beta=beta, epsilon=epsilon)
+    op = build_shifted(params, shift_factor=factor)
+    mat = linear_matrix(params)
+    rng = np.random.default_rng(10 * T + K)
+    phi = random_field(T, K, rng, 2.0)
+    via_stencil = apply_linear(phi, params).flatten()
+    assert np.max(np.abs(mat @ phi.flatten() - via_stencil)) <= 1e-13 * max(
+        1.0, np.max(np.abs(via_stencil))
+    )
+
+    assert op.norm_linear == pytest.approx(operator_norm_sup(mat), rel=1e-12)
+    assert op.norm_shifted == pytest.approx(operator_norm_sup(op.shifted), rel=1e-12)
+    dense_inv = np.linalg.inv(op.shifted)
+    assert op.norm_shifted_inv == pytest.approx(operator_norm_sup(dense_inv), rel=1e-12)
+
+    stack = rng.normal(size=(params.dim, 3)) + 1j * rng.normal(size=(params.dim, 3))
+    for rhs in (stack[:, 0], stack):
+        back = op.shifted @ op.solve(rhs)
+        assert back.shape == rhs.shape
+        assert np.max(np.abs(back - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))

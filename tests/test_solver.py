@@ -165,6 +165,28 @@ def test_realified_jacobian_requires_derivative_in_analytic_mode():
     realified_jacobian(phi, op, stripped, mode="finite_diff")
 
 
+@pytest.mark.parametrize("T,K", [(1, 2), (2, 3), (3, 4)])
+def test_slice_jacobian_matches_dense_oracle(T, K):
+    # I - A_r^-1 D with a dense inverse and a dense block-diagonal D, where D
+    # holds the cubic and forcing derivative blocks minus the shift
+    params = LatticeParams(T=T, K=K, beta=0.7, epsilon=1.3, gamma=-1.2)
+    op = build_shifted(params, shift_factor=1.7)
+    g = power_law([0.5], 2.0)
+    flat = random_field(T, K, np.random.default_rng(T * K), 1.5).flatten()
+    x, y = flat.real, flat.imag
+    cubic = -params.gamma * np.array([[3 * x * x + y * y, 2 * x * y],
+                                      [2 * x * y, x * x + 3 * y * y]])
+    forcing = g.derivative(np.arange(T)[:, None], flat.reshape(T, K)).reshape(-1, 2, 2)
+    blocks = cubic.transpose(2, 0, 1) + forcing - op.shift * np.eye(2)
+    n = flat.size
+    diag = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        diag[2 * j:2 * j + 2, 2 * j:2 * j + 2] = blocks[j]
+    oracle = np.eye(2 * n) - realified_matrix(np.linalg.inv(op.shifted)) @ diag
+    jac = _slice_jacobian(flat, op, g, tau=1.0)
+    assert np.max(np.abs(jac - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+
+
 def test_odd_slice_jacobian_at_origin_is_identity():
     # at tau = 0 and phi = 0 the cubic's derivative vanishes, leaving I
     params, op, g, _ = _setup(T=2, K=2, samples=0)
