@@ -65,6 +65,9 @@ STEP_FLOOR = 1e-6
 CORRECTOR_ITER = 25
 #: base deduplication radius for distinct solutions (sup distance)
 DEDUP_TOL = 1e-6
+#: realified dimension up to which a Newton step solves the dense Jacobian;
+#: above it a sparse LU of the stencil system is faster (README, numerics)
+DENSE_STEP_MAX_DIM = 128
 
 
 @dataclass(frozen=True)
@@ -194,14 +197,16 @@ def _forcing_jacobian_blocks(
     return np.asarray(blocks, dtype=float).reshape(flat.size, 2, 2)
 
 
-def _slice_jacobian(
+def _slice_blocks(
     flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float, mode: str | None = None
 ) -> np.ndarray:
-    """Realified Jacobian of the tau-slice residual at a flat vector.
+    """(n, 2, 2) realified Jacobian blocks of the nodewise part of the
+    tau-slice, the cubic term plus tau * (forcing - s*phi): the slice
+    Jacobian is I - A_r^-1 blockdiag(blocks).
 
-    The identity and A^-1 parts are exact; the cubic blocks are analytic; the
-    forcing blocks follow ``mode`` (default: analytic when the potential has a
-    derivative, else finite differences).
+    The cubic blocks are analytic; the forcing blocks follow ``mode``
+    (default: analytic when the potential has a derivative, else finite
+    differences).
     """
     blocks = _cubic_jacobian_blocks(flat, op.params.gamma)
     if tau != 0.0:
@@ -209,6 +214,15 @@ def _slice_jacobian(
         blocks = blocks + tau * _forcing_jacobian_blocks(flat, op.params, g, mode)
         blocks[:, 0, 0] -= tau * op.shift
         blocks[:, 1, 1] -= tau * op.shift
+    return blocks
+
+
+def _slice_jacobian(
+    flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float, mode: str | None = None
+) -> np.ndarray:
+    """Dense realified Jacobian of the tau-slice residual at a flat vector,
+    with the blocks of ``_slice_blocks``."""
+    blocks = _slice_blocks(flat, op, g, tau, mode)
     # column pair j of A_r^-1 blockdiag(blocks) is that of A_r^-1 times block j
     n = flat.size
     inv = op.inverse_realified.reshape(2 * n, n, 2)
@@ -252,6 +266,38 @@ def _measure(
     return sup_norm(residual_direct(field, op.params, g))
 
 
+def _newton_step(
+    flat: np.ndarray, res: np.ndarray, op: ShiftedOperator, g: Potential, tau: float
+) -> np.ndarray:
+    """Newton step of the tau-slice at ``flat``, whose slice residual is
+    ``res``: the solution dx of J dx = -res.
+
+    Up to DENSE_STEP_MAX_DIM the dense J is assembled and solved.  Above it
+    the step uses J = A_r^-1 M, where M = A_r - blockdiag(``_slice_blocks``)
+    is the sparse realified stencil plus 2x2 diagonal blocks, and solves
+    M dx = -A_r res by sparse LU, so neither J nor A^-1 is formed.  An
+    exactly singular matrix raises LinAlgError on both paths.
+    """
+    if 2 * flat.size <= DENSE_STEP_MAX_DIM:
+        return complexify(np.linalg.solve(_slice_jacobian(flat, op, g, tau), -realify(res)))
+    import scipy.sparse
+    from scipy.sparse.linalg import splu
+
+    n = flat.size
+    diag = scipy.sparse.bsr_matrix(
+        (_slice_blocks(flat, op, g, tau), np.arange(n), np.arange(n + 1)), shape=(2 * n, 2 * n)
+    )
+    shifted = op.shifted_realified_sparse
+    try:
+        lu = splu(shifted - diag)
+    except RuntimeError as exc:
+        # SuperLU's counterpart of LinAlgError; other errors still surface
+        if "exactly singular" not in str(exc):
+            raise
+        raise np.linalg.LinAlgError(str(exc)) from exc
+    return complexify(lu.solve(-(shifted @ realify(res))))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _damped_newton(
     flat0: np.ndarray,
@@ -280,8 +326,7 @@ def _damped_newton(
         if iteration == max_iter:
             return x, iteration, "max_iter"
         try:
-            jac = _slice_jacobian(x, op, g, tau)
-            step = complexify(np.linalg.solve(jac, -realify(r)))
+            step = _newton_step(x, r, op, g, tau)
         except np.linalg.LinAlgError:
             return x, iteration, "diverged"
         base = _sup(r)

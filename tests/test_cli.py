@@ -1,13 +1,19 @@
 """Config parsing, CSV round trips, and end-to-end command exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dnls import DimensionMismatch, LatticeField, LatticeParams
+import dnls
+from dnls import DimensionMismatch, LatticeField, LatticeParams, solver
 from dnls.cli import (
     ConfigError,
     PotentialSpec,
@@ -297,6 +303,91 @@ def test_solve_overflowing_newton_exit_three(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["report"]["status"] == "diverged"
+
+
+#: constant forcing on a 12 x 12 lattice: realified dimension 288, sparse steps
+_SPARSE_SOLVE = dict(
+    T=12, K=12, potential={"kind": "constant", "coefficients": [[2.0, 0.0], [1.0, 1.0]]},
+    samples=200,
+)
+
+
+def _splu_raising(monkeypatch, message):
+    import scipy.sparse.linalg
+
+    def splu(matrix, *args, **kwargs):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+
+
+def test_solve_singular_sparse_factor_exit_three(tmp_path, capsys, monkeypatch):
+    # SuperLU's exactly singular factor reads as divergence, like LinAlgError
+    cfg = _write_config(tmp_path, **_SPARSE_SOLVE)
+    _splu_raising(monkeypatch, "Factor is exactly singular")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["report"]["status"] == "diverged"
+
+
+def test_solve_other_sparse_factor_errors_surface(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path, **_SPARSE_SOLVE)
+    _splu_raising(monkeypatch, "not enough memory")
+    with pytest.raises(RuntimeError, match="not enough memory"):
+        main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+def test_solve_sparse_and_dense_newton_steps_agree(tmp_path, capsys, monkeypatch):
+    assert 2 * 12 * 12 > solver.DENSE_STEP_MAX_DIM
+    cfg = _write_config(tmp_path, **_SPARSE_SOLVE)
+
+    def solve_and_verify(subdir):
+        out = tmp_path / subdir
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert main(["verify", "--config", cfg, "--solution", str(out / "solution.csv"),
+                     "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        values = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+        return report, values
+
+    sparse_report, sparse = solve_and_verify("sparse")
+    monkeypatch.setattr(solver, "DENSE_STEP_MAX_DIM", 2 * 12 * 12)
+    dense_report, dense = solve_and_verify("dense")
+    for key in ("status", "newton_iterations", "homotopy_steps"):
+        assert sparse_report[key] == dense_report[key]
+    assert np.max(np.abs(sparse - dense)) <= 1e-10
+
+
+def test_small_lattices_do_not_import_scipy_sparse(tmp_path):
+    # importing scipy.sparse.linalg costs about 25 MB of resident memory;
+    # lattices at or below the crossover take dense Newton steps without it
+    script = textwrap.dedent("""
+        import json, sys
+        import dnls, dnls.cli
+
+        lattice = {"beta": 1.0, "epsilon": 1.0, "gamma": 1.0, "samples": 200}
+        runs = {
+            "degree": dict(T=4, K=8, n_starts=4, potential={
+                "kind": "power_law", "coefficients": [[0.3, 0.0]], "exponent": 2.0}),
+            "solve": dict(T=4, K=4, potential={
+                "kind": "constant", "coefficients": [[2.0, 0.0], [1.0, 1.0]]}),
+        }
+        for command, config in runs.items():
+            path = f"{sys.argv[1]}/{command}.json"
+            with open(path, "w") as fh:
+                json.dump({**lattice, **config}, fh)
+            rc = dnls.cli.main([command, "--config", path, "--out", f"{sys.argv[1]}/{command}"])
+            assert rc == 0, (command, rc)
+        assert "scipy.sparse" not in sys.modules
+    """)
+    src = str(Path(dnls.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -196,14 +196,18 @@ def test_inverse_realified_matches_complex_inverse():
     assert_allclose(op.inverse_realified, realified_matrix(inv), atol=1e-12)
 
 
-@settings(deadline=None, max_examples=60)
-@given(
+#: lattices up to 7 x 7, including the wrap cases T in {1, 2} and K = 2
+_LATTICES = dict(
     T=st.integers(1, 7),
     K=st.integers(2, 7),
     beta=st.floats(0.1, 3.0),
     epsilon=st.floats(0.1, 3.0),
     factor=st.floats(1.01, 4.0),
 )
+
+
+@settings(deadline=None, max_examples=60)
+@given(**_LATTICES)
 def test_circulant_operator_matches_dense_oracles(T, K, beta, epsilon, factor):
     # the kernel-built operator against dense matrices, including the wrap
     # cases T in {1, 2} and K = 2 where stencil offsets merge
@@ -221,9 +225,21 @@ def test_circulant_operator_matches_dense_oracles(T, K, beta, epsilon, factor):
     assert op.norm_shifted == pytest.approx(operator_norm_sup(op.shifted), rel=1e-12)
     dense_inv = np.linalg.inv(op.shifted)
     assert op.norm_shifted_inv == pytest.approx(operator_norm_sup(dense_inv), rel=1e-12)
+    sparse = op.shifted_realified_sparse
+    assert sparse.format == "csc"
+    assert np.array_equal(sparse.toarray(), realified_matrix(op.shifted))
 
     stack = rng.normal(size=(params.dim, 3)) + 1j * rng.normal(size=(params.dim, 3))
     for rhs in (stack[:, 0], stack):
         back = op.shifted @ op.solve(rhs)
         assert back.shape == rhs.shape
         assert np.max(np.abs(back - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(**_LATTICES)
+def test_shifted_inverse_norm_within_neumann_bound(T, K, beta, epsilon, factor):
+    # A = -s (I - L/s) with ||L|| < s, so the Neumann series bounds
+    # ||A^-1|| by 1 / (s - ||L||) without any inverse
+    op = build_shifted(_params(T=T, K=K, beta=beta, epsilon=epsilon), shift_factor=factor)
+    assert op.norm_shifted_inv <= (1.0 + 1e-12) / (op.shift - op.norm_linear)

@@ -36,7 +36,8 @@ from dnls import (
     tile_steady,
     zero_potential,
 )
-from dnls.solver import _slice_jacobian, realified_matrix
+from dnls import solver
+from dnls.solver import _newton_step, _slice_jacobian, _slice_residual, realified_matrix
 
 RNG = np.random.default_rng(2024)
 
@@ -185,6 +186,28 @@ def test_slice_jacobian_matches_dense_oracle(T, K):
     oracle = np.eye(2 * n) - realified_matrix(np.linalg.inv(op.shifted)) @ diag
     jac = _slice_jacobian(flat, op, g, tau=1.0)
     assert np.max(np.abs(jac - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+
+
+@pytest.mark.parametrize("T,K", [(8, 10), (12, 12)])
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("shifted", [False, True], ids=["plain", "shift_vec"])
+@pytest.mark.parametrize("mode", ["analytic", "finite_diff"])
+def test_sparse_newton_step_matches_dense_solve(T, K, tau, shifted, mode):
+    # above the crossover the step solves (A_r - B) dx = -A_r r by sparse LU,
+    # which must agree with the dense solve of J dx = -r
+    assert 2 * T * K > solver.DENSE_STEP_MAX_DIM
+    params = LatticeParams(T=T, K=K, beta=0.7, epsilon=1.3, gamma=-1.2)
+    op = build_shifted(params, shift_factor=1.7)
+    g = power_law([0.5, 0.2 + 0.3j], 2.5)
+    if mode == "finite_diff":
+        g = replace(g, derivative=None)
+    rng = np.random.default_rng(T * K)
+    flat = random_field(T, K, rng, 1.5).flatten()
+    shift_vec = random_field(T, K, rng, 0.5).flatten() if shifted else None
+    res = _slice_residual(flat, op, g, tau, shift_vec)
+    dense = complexify(np.linalg.solve(_slice_jacobian(flat, op, g, tau), -realify(res)))
+    step = _newton_step(flat, res, op, g, tau)
+    assert np.max(np.abs(step - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 def test_odd_slice_jacobian_at_origin_is_identity():
