@@ -65,6 +65,9 @@ SCAN_MAX_RADIUS = 2.0**24
 SUP_SAFETY = 1.05
 #: absolute bisection tolerance of the certified ball radius
 RADIUS_TOL = 1e-9
+#: complex values per chunk of the boundary check, which bounds its working
+#: memory apart from the sample batch itself
+CHUNK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,11 @@ def sphere_samples(
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(count, T, K))
     flat_idx = rng.integers(0, T * K, size=count)
     moduli.reshape(count, T * K)[np.arange(count), flat_idx] = radius
-    return moduli * np.exp(1j * phases)
+    # moduli * exp(1j * phases), bit for bit, without full-size temporaries
+    z = 1j * phases
+    np.exp(z, out=z)
+    z *= moduli
+    return z
 
 
 def verify_boundary(
@@ -238,22 +245,26 @@ def verify_boundary(
 
     which the certificate constants promise to be positive.  Evidence with a
     nonpositive minimum gap (or an empty sample set) marks the certificate
-    invalid.  Deterministic for a fixed seed; evaluation is batched.
+    invalid.  Deterministic for a fixed seed; the samples are evaluated in
+    chunks of about CHUNK_VALUES complex values.
     """
     if samples <= 0:
         return BoundaryEvidence(count=0, min_gap=None, argmin_hash=None)
     T, K = op.params.T, op.params.K
     rng = np.random.default_rng(seed)
     batch = sphere_samples(T, K, cert.radius, samples, rng)
-    flat = batch.reshape(samples, op.dim)
 
     gamma = op.params.gamma
-    cubic = -gamma * (np.abs(flat) ** 2) * flat
-    forcing_flat = g.on_lattice(batch).reshape(samples, op.dim)
-
-    odd_part = flat - op.solve(cubic.T).T
-    precond_forcing = op.solve((forcing_flat - op.shift * flat).T).T
-    gaps = np.abs(odd_part).max(axis=1) - np.abs(precond_forcing).max(axis=1)
+    gaps = np.empty(samples)
+    step = max(1, CHUNK_VALUES // op.dim)
+    for lo in range(0, samples, step):
+        fields = batch[lo : lo + step]
+        flat = fields.reshape(-1, op.dim)
+        cubic = -gamma * (np.abs(flat) ** 2) * flat
+        forcing_flat = g.on_lattice(fields).reshape(flat.shape)
+        odd_part = flat - op.solve(cubic.T).T
+        precond_forcing = op.solve((forcing_flat - op.shift * flat).T).T
+        gaps[lo : lo + step] = np.abs(odd_part).max(axis=1) - np.abs(precond_forcing).max(axis=1)
 
     worst = int(np.argmin(gaps))
     digest = hashlib.sha256(np.ascontiguousarray(batch[worst]).tobytes()).hexdigest()[:16]

@@ -15,7 +15,8 @@ additionally write the solution as CSV.  All outputs are deterministic
 functions of (config, seed): rerunning a command reproduces byte-identical
 bytes.
 
-Exit codes: 0 success, 1 config or dimension errors, 2 certificate failures
+Exit codes: 0 success, 1 config or dimension errors (including a config too
+large for the available memory), 2 certificate failures
 (no subcubic threshold, constants beyond the floating-point range, or an
 invalid boundary check), 3 solver failures, 4 degree estimates that failed
 their parity or agreement checks.
@@ -643,6 +644,10 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_degree(config, out_dir)
     except (ConfigError, DimensionMismatch, DimensionTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the size and shape of the array that did not fit
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (NoThresholdFound, CertificateInvalid, CertificateOverflow) as exc:
         print(f"certificate error: {exc}", file=sys.stderr)

@@ -6,8 +6,9 @@ circulant: node (t, k) couples to node (t + dt, k + dk) with the weight
 exceeds the sup-induced norm, so the symbol (2-D DFT of the kernel) of
 A = L - sI has no zero, and A^-1 is the circulant whose kernel is the inverse
 DFT of the reciprocal symbol.  Each row of a circulant permutes its kernel,
-so the sup-induced norms are l1 norms of kernels; the dense n x n matrices
-are gathered from the kernels.
+so the sup-induced norms are l1 norms of kernels.  Above DENSE_APPLY_MAX_DIM
+nodes A^-1 is applied by FFT; the dense n x n matrices are gathered from the
+kernels only when something asks for them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .errors import SingularShift
 from .lattice import LatticeParams
 
 __all__ = ["linear_matrix", "operator_norm_sup", "ShiftedOperator", "build_shifted"]
+
+#: largest lattice size n = T*K whose A^-1 applies are dense products; above
+#: it they go through the FFT (measured crossover, README)
+DENSE_APPLY_MAX_DIM = 256
 
 
 def _stencil(params: LatticeParams) -> np.ndarray:
@@ -37,6 +42,18 @@ def _stencil(params: LatticeParams) -> np.ndarray:
     kernel[0, -1] += eps
     kernel[0, 0] += -2.0 * eps
     return kernel
+
+
+def _shifted_stencil(params: LatticeParams, shift: float) -> np.ndarray:
+    """(T, K) kernel of A = L - sI."""
+    kernel = _stencil(params)
+    kernel[0, 0] -= shift
+    return kernel
+
+
+def _reversed(kernel: np.ndarray) -> np.ndarray:
+    """``kernel`` at negated offsets (indices modulo T and K)."""
+    return np.roll(kernel[::-1, ::-1], (1, 1), axis=(0, 1))
 
 
 def _circulant(kernel: np.ndarray) -> np.ndarray:
@@ -70,23 +87,40 @@ class ShiftedOperator:
     """The shifted operator A = L - sI, its inverse, and the certificate norms.
 
     Treated as immutable after ``build_shifted`` returns.  ``shift`` exceeds
-    ``norm_linear`` strictly, which keeps ``shifted`` invertible.  The norms
-    are the l1 norms of the kernels of L, A and A^-1: actual values, not
-    bounds, because the certificate constants need them.
+    ``norm_linear`` strictly, which keeps A invertible.  The norms are the l1
+    norms of the kernels of L, A and A^-1: actual values, not bounds, because
+    the certificate constants need them.  ``inverse_symbol`` multiplies the
+    2-D DFT of a field to apply A^-1; the dense matrices are gathered on
+    first use.
     """
 
     params: LatticeParams
     dim: int
     shift: float
-    shifted: np.ndarray
-    inverse: np.ndarray
+    inverse_symbol: np.ndarray
     norm_linear: float
     norm_shifted: float
     norm_shifted_inv: float
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply A^-1 to one vector or to an (n, m) stack of column vectors."""
-        return self.inverse @ rhs
+        """Apply A^-1 to one vector or to an (n, m) stack of column vectors:
+        a dense product up to DENSE_APPLY_MAX_DIM nodes, an FFT above."""
+        if self.dim <= DENSE_APPLY_MAX_DIM:
+            return self.inverse @ rhs
+        T, K = self.params.T, self.params.K
+        spectrum = np.fft.fft2(rhs.reshape(T, K, -1), axes=(0, 1))
+        spectrum *= self.inverse_symbol[:, :, None]
+        return np.fft.ifft2(spectrum, axes=(0, 1)).reshape(rhs.shape)
+
+    @cached_property
+    def shifted(self) -> np.ndarray:
+        """Dense A."""
+        return _circulant(_shifted_stencil(self.params, self.shift))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Dense A^-1, gathered from the inverse DFT of the reciprocal symbol."""
+        return _circulant(np.fft.ifft2(_reversed(self.inverse_symbol)))
 
     @cached_property
     def inverse_realified(self) -> np.ndarray:
@@ -102,8 +136,7 @@ class ShiftedOperator:
         [[Re w, -Im w], [Im w, Re w]] of the kernel weight w."""
         import scipy.sparse
 
-        kernel = _stencil(self.params)
-        kernel[0, 0] -= self.shift
+        kernel = _shifted_stencil(self.params, self.shift)
         T, K = kernel.shape
         n = T * K
         dt, dk = np.nonzero(kernel)
@@ -137,13 +170,15 @@ def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOp
     modulus = np.abs(symbol)
     if modulus.min() <= 1e3 * np.finfo(float).eps * max(modulus.max(), 1.0):  # pragma: no cover
         raise SingularShift("shifted operator is numerically singular despite shift > norm")
-    inverse_kernel = np.fft.ifft2(1.0 / symbol)
+    reciprocal = 1.0 / symbol
+    inverse_kernel = np.fft.ifft2(reciprocal)
     return ShiftedOperator(
         params=params,
         dim=params.dim,
         shift=float(shift),
-        shifted=_circulant(shifted_kernel),
-        inverse=_circulant(inverse_kernel),
+        # _circulant correlates with its kernel, so a field's DFT meets the
+        # symbol at negated frequencies
+        inverse_symbol=_reversed(reciprocal),
         norm_linear=norm_linear,
         norm_shifted=float(np.abs(shifted_kernel).sum()),
         norm_shifted_inv=float(np.abs(inverse_kernel).sum()),

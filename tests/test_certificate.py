@@ -1,5 +1,6 @@
 """Certificate constant chain, threshold scans, ball radius, boundary sampling."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from dnls import (
     verify_boundary,
     zero_potential,
 )
+from dnls import certificate, operators
 from dnls.potentials import _power_law_unchecked
 
 
@@ -169,6 +171,19 @@ def test_sphere_samples_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_sphere_samples_bytes_are_pinned():
+    # degree probes and argmin_hash depend on these exact bytes
+    count, T, K, radius = 300, 3, 5, 2.7
+    rng = np.random.default_rng(11)
+    moduli = rng.uniform(0.0, radius, size=(count, T, K))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(count, T, K))
+    flat_idx = rng.integers(0, T * K, size=count)
+    moduli.reshape(count, T * K)[np.arange(count), flat_idx] = radius
+    expected = moduli * np.exp(1j * phases)
+    batch = sphere_samples(T, K, radius, count, np.random.default_rng(11))
+    assert batch.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the full chain
 
@@ -224,6 +239,10 @@ def test_certificate_rejects_cubic_forcing():
         build_certificate(_small_op(), _power_law_unchecked([1.0], 3.0), samples=10)
 
 
+def _sample_hash(sample):
+    return hashlib.sha256(np.ascontiguousarray(sample).tobytes()).hexdigest()[:16]
+
+
 def test_verify_boundary_matches_direct_computation():
     # recompute one sample's gap by hand and check it is among the gaps seen
     op = _small_op()
@@ -241,3 +260,76 @@ def test_verify_boundary_matches_direct_computation():
         gaps.append(np.abs(odd).max() - np.abs(rest).max())
     evidence = verify_boundary(cert, op, g, samples=64, seed=5)
     assert evidence.min_gap == pytest.approx(min(gaps), rel=1e-12)
+    assert evidence.count == 64
+    assert evidence.argmin_hash == _sample_hash(batch[int(np.argmin(gaps))])
+
+
+def _direct_gaps(op, g, batch):
+    """Per-sample gaps with the dense inverse, one sample at a time."""
+    inv = np.linalg.inv(op.shifted)
+    gaps = []
+    for sample in batch:
+        flat = sample.reshape(op.dim)
+        cubic = -op.params.gamma * np.abs(flat) ** 2 * flat
+        forcing = np.asarray(g.on_lattice(sample), dtype=complex).reshape(op.dim)
+        odd = flat - inv @ cubic
+        rest = inv @ (forcing - op.shift * flat)
+        gaps.append(np.abs(odd).max() - np.abs(rest).max())
+    return np.array(gaps)
+
+
+def _tied_across_chunks(op, g, step):
+    """A sphere_samples stand-in whose batch ties for the minimum gap: the
+    worst sample goes, negated, to the same offset of the first chunk and,
+    as is, of the third.  The negated copy has the same gap bit for bit
+    (the gap is odd-symmetric and each chunk has the same shape), but
+    different bytes, so the reported hash tells the copies apart."""
+
+    def samples(T, K, radius, count, rng):
+        batch = sphere_samples(T, K, radius, count, rng)
+        worst = int(np.argmin(_direct_gaps(op, g, batch)))
+        offset = worst % step
+        phi = batch[worst].copy()
+        batch[offset] = -phi
+        batch[offset + 2 * step] = phi
+        return batch
+
+    return samples
+
+
+#: (T, K, samples, chunk budget in complex values or None for the default)
+_CHUNK_CASES = {
+    "partial-last-chunk": (1, 2, 64, 20),     # 10 samples a chunk: 7 chunks, last of 4
+    "above-crossover": (12, 24, 300, None),   # FFT apply; 113 a chunk, last of 74
+    "tie-across-chunks": (2, 3, 48, 6 * 8),   # 8 samples a chunk, tie in chunks 1 and 3
+}
+
+
+@pytest.mark.parametrize("case", list(_CHUNK_CASES))
+def test_verify_boundary_chunks_match_direct_computation(case, monkeypatch):
+    T, K, samples, budget = _CHUNK_CASES[case]
+    if budget is not None:
+        monkeypatch.setattr(certificate, "CHUNK_VALUES", budget)
+    params = LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=1.0)
+    op = build_shifted(params, shift_factor=1.5)
+    g = power_law([0.5], 2.0)
+    cert = build_certificate(op, g, samples=0)
+    step = max(1, certificate.CHUNK_VALUES // op.dim)
+    chunks = -(-samples // step)
+    if case == "partial-last-chunk":
+        assert chunks >= 3 and samples % step != 0
+    if case == "above-crossover":
+        assert op.dim > operators.DENSE_APPLY_MAX_DIM and chunks >= 3
+    if case == "tie-across-chunks":
+        assert chunks >= 3
+        monkeypatch.setattr(certificate, "sphere_samples", _tied_across_chunks(op, g, step))
+
+    evidence = verify_boundary(cert, op, g, samples=samples, seed=5)
+    batch = certificate.sphere_samples(T, K, cert.radius, samples, np.random.default_rng(5))
+    gaps = _direct_gaps(op, g, batch)
+    worst = int(np.argmin(gaps))
+    if case == "tie-across-chunks":
+        assert worst < step and np.count_nonzero(gaps == gaps[worst]) >= 2
+    assert evidence.count == samples
+    assert evidence.min_gap == pytest.approx(gaps[worst], rel=1e-12)
+    assert evidence.argmin_hash == _sample_hash(batch[worst])

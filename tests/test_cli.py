@@ -277,6 +277,25 @@ def test_overflowing_certificate_exit_two(tmp_path, capsys, potential):
     assert err.startswith("certificate error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(T=2, K=2, samples=10_000_000_000,
+             potential={"kind": "power_law", "coefficients": [[0.3, 0.0]], "exponent": 2.0}),
+        dict(T=200_000, K=200_000),
+    ],
+    ids=["samples", "lattice"],
+)
+def test_oversized_config_exit_one(tmp_path, capsys, overrides):
+    # the boundary samples (about 300 GiB) or the stencil kernel (about
+    # 600 GiB) fail at their first allocation, so nothing is allocated
+    cfg = _write_config(tmp_path, **overrides)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
 def test_certify_huge_constant_forcing_terminates(tmp_path, capsys):
     # the certified radius is about 1.6e100, far beyond 2**23, where the old
     # absolute bisection tolerance never terminated

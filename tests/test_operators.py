@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,6 +16,7 @@ from dnls import (
     random_field,
     sup_norm,
 )
+from dnls import operators
 from dnls.solver import realified_matrix
 
 RNG = np.random.default_rng(42)
@@ -190,6 +191,21 @@ def test_shift_factor_must_exceed_one(factor):
         build_shifted(_params(), shift_factor=factor)
 
 
+def test_dense_matrices_are_gathered_on_demand():
+    op = build_shifted(_params(T=3, K=4), shift_factor=1.5)
+    assert {"shifted", "inverse", "inverse_realified"}.isdisjoint(vars(op))
+    assert np.array_equal(op.shifted, linear_matrix(op.params) - op.shift * np.eye(12))
+    assert "shifted" in vars(op) and "inverse" not in vars(op)
+
+
+def test_degree_lattices_apply_densely():
+    # the degree command's lattices (realified dimension at most 64) keep the
+    # dense apply, whose products its outputs were recorded with
+    from dnls.cli import DEGREE_DIM_CAP
+
+    assert DEGREE_DIM_CAP // 2 <= operators.DENSE_APPLY_MAX_DIM
+
+
 def test_inverse_realified_matches_complex_inverse():
     op = build_shifted(_params(T=2, K=3), shift_factor=1.5)
     inv = np.linalg.inv(op.shifted)
@@ -208,6 +224,10 @@ _LATTICES = dict(
 
 @settings(deadline=None, max_examples=60)
 @given(**_LATTICES)
+@example(T=1, K=2, beta=1.0, epsilon=1.0, factor=1.5)
+@example(T=2, K=2, beta=0.7, epsilon=1.3, factor=2.0)
+@example(T=2, K=5, beta=1.1, epsilon=0.4, factor=1.2)
+@example(T=6, K=2, beta=2.0, epsilon=0.3, factor=3.0)
 def test_circulant_operator_matches_dense_oracles(T, K, beta, epsilon, factor):
     # the kernel-built operator against dense matrices, including the wrap
     # cases T in {1, 2} and K = 2 where stencil offsets merge
@@ -225,15 +245,23 @@ def test_circulant_operator_matches_dense_oracles(T, K, beta, epsilon, factor):
     assert op.norm_shifted == pytest.approx(operator_norm_sup(op.shifted), rel=1e-12)
     dense_inv = np.linalg.inv(op.shifted)
     assert op.norm_shifted_inv == pytest.approx(operator_norm_sup(dense_inv), rel=1e-12)
+    assert np.max(np.abs(op.inverse - dense_inv)) <= 1e-12
     sparse = op.shifted_realified_sparse
     assert sparse.format == "csc"
     assert np.array_equal(sparse.toarray(), realified_matrix(op.shifted))
 
+    # both apply paths: the dense product, and the FFT with the crossover at 0
     stack = rng.normal(size=(params.dim, 3)) + 1j * rng.normal(size=(params.dim, 3))
-    for rhs in (stack[:, 0], stack):
-        back = op.shifted @ op.solve(rhs)
-        assert back.shape == rhs.shape
-        assert np.max(np.abs(back - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+    for max_dim in (operators.DENSE_APPLY_MAX_DIM, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "DENSE_APPLY_MAX_DIM", max_dim)
+            for rhs in (stack[:, 0], stack):
+                applied = op.solve(rhs)
+                back = op.shifted @ applied
+                assert back.shape == rhs.shape
+                scale = max(1.0, np.max(np.abs(rhs)))
+                assert np.max(np.abs(back - rhs)) <= 1e-12 * scale
+                assert np.max(np.abs(applied - dense_inv @ rhs)) <= 1e-12 * scale
 
 
 @settings(deadline=None, max_examples=60)

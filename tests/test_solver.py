@@ -36,7 +36,7 @@ from dnls import (
     tile_steady,
     zero_potential,
 )
-from dnls import solver
+from dnls import operators, solver
 from dnls.solver import _newton_step, _slice_jacobian, _slice_residual, realified_matrix
 
 RNG = np.random.default_rng(2024)
@@ -208,6 +208,20 @@ def test_sparse_newton_step_matches_dense_solve(T, K, tau, shifted, mode):
     dense = complexify(np.linalg.solve(_slice_jacobian(flat, op, g, tau), -realify(res)))
     step = _newton_step(flat, res, op, g, tau)
     assert np.max(np.abs(step - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+def test_large_lattice_builds_no_dense_operator_matrix():
+    # above both crossovers the certificate applies A^-1 by FFT and Newton
+    # takes sparse steps, so no dense n x n matrix is gathered
+    params = LatticeParams(T=12, K=24, beta=1.0, epsilon=1.0, gamma=1.0)
+    assert params.dim > operators.DENSE_APPLY_MAX_DIM
+    assert 2 * params.dim > solver.DENSE_STEP_MAX_DIM
+    op = build_shifted(params, shift_factor=1.5)
+    g = constant_potential([2.0, 1.0 + 1.0j])
+    cert = build_certificate(op, g, samples=200, seed=0)
+    report = homotopy_solve(op, g, cert)
+    assert report.status == "converged"
+    assert {"shifted", "inverse", "inverse_realified"}.isdisjoint(vars(op))
 
 
 def test_odd_slice_jacobian_at_origin_is_identity():
