@@ -129,28 +129,6 @@ class ShiftedOperator:
 
         return realified_matrix(self.inverse)
 
-    @cached_property
-    def shifted_realified_sparse(self):
-        """Realified A as a sparse CSC matrix, interleaved (Re, Im) layout:
-        each node couples to its stencil neighbours through the 2x2 block
-        [[Re w, -Im w], [Im w, Re w]] of the kernel weight w."""
-        import scipy.sparse
-
-        kernel = _shifted_stencil(self.params, self.shift)
-        T, K = kernel.shape
-        n = T * K
-        dt, dk = np.nonzero(kernel)
-        w = kernel[dt, dk]
-        t, k = np.divmod(np.arange(n), K)
-        neighbours = ((t[:, None] + dt) % T) * K + (k[:, None] + dk) % K
-        blocks = np.stack([w.real, -w.imag, w.imag, w.real], axis=-1).reshape(-1, 2, 2)
-        indptr = np.arange(0, n * w.size + 1, w.size)
-        matrix = scipy.sparse.bsr_matrix(
-            (np.tile(blocks, (n, 1, 1)), neighbours.ravel(), indptr), shape=(2 * n, 2 * n)
-        ).tocsc()
-        matrix.eliminate_zeros()
-        return matrix
-
 
 def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOperator:
     """Build the shifted operator from the stencil kernel of the linear part.

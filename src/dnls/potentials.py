@@ -179,7 +179,10 @@ def bounded_potential(f) -> Potential:
 
     def evaluate(t, z):
         zz = np.asarray(z, dtype=complex)
-        return coeff(t) * zz / (1.0 + np.abs(zz) ** 2)
+        # |z| * |z|, not |z| ** 2: a float64 scalar's ** 2 can differ from
+        # an array's in the last bit
+        size = np.abs(zz)
+        return coeff(t) * zz / (1.0 + size * size)
 
     def derivative(t, z) -> np.ndarray:
         zz = np.asarray(z, dtype=complex)

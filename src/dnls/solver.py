@@ -23,6 +23,7 @@ an R-linear map becomes a 2n x 2n real matrix built from 2x2 blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,25 @@ STEP_FLOOR = 1e-6
 CORRECTOR_ITER = 25
 #: base deduplication radius for distinct solutions (sup distance)
 DEDUP_TOL = 1e-6
-#: realified dimension up to which a Newton step solves the dense Jacobian;
-#: above it a sparse LU of the stencil system is faster (README, numerics)
-DENSE_STEP_MAX_DIM = 128
+#: relative tolerance of a GMRES Newton step on ||J dx + r||_2, floored at
+#: 1e-2 * tol: a step near convergence need not go far below the Newton
+#: tolerance
+KRYLOV_RTOL = 1e-8
+#: Jacobian products one GMRES Newton step may take before it gives up.
+#: Preconditioned homotopy steps take 1 or 2 (README, numerics); steps from
+#: random starts took a median of 59 to 200 on 8x10 to 24x24.  The basis
+#: holds up to cap + 1 vectors of 2n floats, 210 MB at 256x256
+KRYLOV_MAX_PRODUCTS = 200
+#: the product J v = v - A_r^-1 B v of a unit v carries rounding of order
+#: eps (1 + ||J v||); a new Arnoldi direction below this multiple of that
+#: scale is rounding, so the Krylov space stopped growing
+KRYLOV_BREAKDOWN = 1e-12
+#: largest time period the GMRES preconditioner resolves; its symbol,
+#: frequency matrices and inverses take about 100 n q bytes (50 MB at
+#: 256x256 with q = 8)
+PRECOND_MAX_PERIOD = 8
+#: reciprocal condition number below which the preconditioner counts as singular
+PRECOND_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -266,36 +283,156 @@ def _measure(
     return sup_norm(residual_direct(field, op.params, g))
 
 
+def _jacobian_product(v: np.ndarray, op: ShiftedOperator, blocks: np.ndarray) -> np.ndarray:
+    """J v for the slice Jacobian J = I - A_r^-1 blockdiag(``blocks``) and a
+    realified v: the 2x2 blocks, then one apply of A^-1."""
+    pairs = np.einsum("nij,nj->ni", blocks, v.reshape(-1, 2))
+    return v - realify(op.solve(pairs[:, 0] + 1j * pairs[:, 1]))
+
+
+def _cell_mean_solver(op: ShiftedOperator, blocks: np.ndarray, period: int):
+    """Solver for M = I - A_r^-1 blockdiag(C), where C replaces each of the
+    slice ``blocks`` by their mean over the nodes with the same time index
+    modulo q = gcd(T, ``period``) (q = 1 above PRECOND_MAX_PERIOD).
+
+    M commutes with time shifts by q and with all space shifts, so a real
+    DFT over those shifts splits it into one 2q x 2q matrix per frequency:
+    I - P C, where P is the DFT of A_r^-1 in 2x2 blocks, from one apply of
+    A^-1 to the unit impulse at node 0.  M equals J at a field that is
+    constant in space and q-periodic in time, as the slice's zero branch
+    from the origin is, so an M whose condition number may exceed
+    1 / PRECOND_RCOND raises LinAlgError, like a singular J.  Returns a
+    function of a realified vector.
+    """
+    T, K = op.params.T, op.params.K
+    q = math.gcd(T, period)
+    if q > PRECOND_MAX_PERIOD:
+        q = 1
+    cells, m = T // q, 2 * q
+    impulse = np.zeros(T * K, dtype=complex)
+    impulse[0] = 1.0
+    response = op.solve(impulse).reshape(T, K)
+    # the block from in-cell row s to row s' is the response at time offset
+    # s' - s, read at every q-th time
+    offsets = [np.roll(response, -d, axis=0)[::q] for d in range(1 - q, q)]
+    re, im = np.fft.rfft2(np.real(offsets)), np.fft.rfft2(np.imag(offsets))
+    pick = np.subtract.outer(np.arange(q), np.arange(q)) + q - 1
+    symbol = np.empty((q, 2, q, 2) + re.shape[1:], dtype=complex)
+    symbol[:, 0, :, 0] = symbol[:, 1, :, 1] = re[pick]
+    symbol[:, 1, :, 0] = im[pick]
+    symbol[:, 0, :, 1] = -im[pick]
+    symbol = symbol.reshape(m, m, *re.shape[1:])
+    mean = np.zeros((q, 2, q, 2))
+    mean[np.arange(q), :, np.arange(q), :] = blocks.reshape(cells, q, K, 2, 2).mean(axis=(0, 2))
+    matrices = np.eye(m)[:, :, None, None] - np.einsum("ikab,kj->ijab", symbol, mean.reshape(m, m))
+    matrices = np.moveaxis(matrices, (0, 1), (2, 3))
+    inverse = np.linalg.inv(matrices)
+    # Frobenius norms bound the condition number of M from above
+    cond = np.linalg.norm(matrices, axis=(2, 3)).max() * np.linalg.norm(inverse, axis=(2, 3)).max()
+    if not cond < 1.0 / PRECOND_RCOND:  # also catches NaN
+        raise np.linalg.LinAlgError("the cell-mean preconditioner is singular")
+    inverse = np.moveaxis(inverse, (2, 3), (0, 1))
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        spectrum = np.fft.rfft2(v.reshape(cells, q, K, 2).transpose(1, 3, 0, 2).reshape(m, cells, K))
+        spectrum = np.einsum("ijab,jab->iab", inverse, spectrum)
+        out = np.fft.irfft2(spectrum, s=(cells, K))
+        return out.reshape(q, 2, cells, K).transpose(2, 0, 3, 1).reshape(-1)
+
+    return solve
+
+
+def _gmres(product, rhs: np.ndarray, target: float) -> np.ndarray:
+    """Unrestarted GMRES from x = 0 for ``product(x) = rhs``, stopping at the
+    first iterate with ||product(x) - rhs||_2 <= ``target``.
+
+    A zero ``rhs`` gives x = 0; any other takes at least one product.
+    Raises LinAlgError after
+    KRYLOV_MAX_PRODUCTS products short of the target, or when the Krylov
+    space stops growing (a singular system) short of it.
+    """
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs)
+    cap = KRYLOV_MAX_PRODUCTS
+    # Arnoldi basis rows are written as the space grows, and untouched rows
+    # of np.empty hold no memory; each Hessenberg column is brought to
+    # triangular form by the Givens rotations as it arrives
+    basis = np.empty((cap + 1, rhs.size))
+    basis[0] = rhs / rhs_norm
+    tri = np.zeros((cap + 1, cap))
+    cos = np.empty(cap)
+    sin = np.empty(cap)
+    rotated = np.zeros(cap + 1)  # the rotations applied to rhs_norm * e_1
+    rotated[0] = rhs_norm
+    for j in range(cap):
+        w = product(basis[j])
+        w_norm = float(np.linalg.norm(w))
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            coef = basis[: j + 1] @ w
+            w -= coef @ basis[: j + 1]
+            tri[: j + 1, j] += coef
+        h_next = float(np.linalg.norm(w))
+        col = tri[:, j]
+        for i in range(j):
+            col[i], col[i + 1] = (cos[i] * col[i] + sin[i] * col[i + 1],
+                                  cos[i] * col[i + 1] - sin[i] * col[i])
+        diag = float(np.hypot(col[j], h_next))
+        if diag == 0.0:
+            raise np.linalg.LinAlgError("GMRES met a singular system")
+        cos[j], sin[j] = col[j] / diag, h_next / diag
+        col[j] = diag
+        rotated[j + 1] = -sin[j] * rotated[j]
+        rotated[j] *= cos[j]
+        if abs(rotated[j + 1]) <= target:
+            coeffs = np.linalg.solve(tri[: j + 1, : j + 1], rotated[: j + 1])
+            return coeffs @ basis[: j + 1]
+        if not h_next > KRYLOV_BREAKDOWN * (1.0 + w_norm):  # also catches NaN
+            raise np.linalg.LinAlgError(
+                f"GMRES broke down after {j + 1} products at residual {abs(rotated[j + 1]):.3g}"
+            )
+        basis[j + 1] = w / h_next
+    raise np.linalg.LinAlgError(
+        f"GMRES took {cap} products, residual {abs(rotated[cap]):.3g} above {target:.3g}"
+    )
+
+
 def _newton_step(
-    flat: np.ndarray, res: np.ndarray, op: ShiftedOperator, g: Potential, tau: float
+    flat: np.ndarray,
+    res: np.ndarray,
+    op: ShiftedOperator,
+    g: Potential,
+    tau: float,
+    tol: float,
+    dense: bool,
 ) -> np.ndarray:
     """Newton step of the tau-slice at ``flat``, whose slice residual is
-    ``res``: the solution dx of J dx = -res.
+    ``res``: a solution dx of J dx = -res, where ``tol`` is the Newton
+    tolerance.
 
-    Up to DENSE_STEP_MAX_DIM the dense J is assembled and solved.  Above it
-    the step uses J = A_r^-1 M, where M = A_r - blockdiag(``_slice_blocks``)
-    is the sparse realified stencil plus 2x2 diagonal blocks, and solves
-    M dx = -A_r res by sparse LU, so neither J nor A^-1 is formed.  An
-    exactly singular matrix raises LinAlgError on both paths.
+    With ``dense`` the 2n x 2n J is assembled and solved exactly; callers
+    that assemble J anyway and start far from a zero take this step.
+    Otherwise the step is inexact: GMRES on J M^-1, M the cell-mean matrix
+    of ``_cell_mean_solver``, then dx = M^-1 y.  Each product is one solve
+    with M plus one ``_jacobian_product`` (an apply of A^-1, by FFT on large
+    lattices), so neither J nor A^-1 is formed.  GMRES stops once
+    ||J dx + res||_2 <= max(KRYLOV_RTOL ||res||_2, 1e-2 tol).  A singular
+    dense J or M, and a GMRES run that falls short of that target, raise
+    LinAlgError.
+
+    Without M, rounding leaves a residual that varies in space along the
+    space-constant zero branch; the spectrum of J surrounds the origin, and
+    the steps that must remove that residual took up to 189 products on 6x30
+    and over 300 on 6x90, where an exact step needs one.
     """
-    if 2 * flat.size <= DENSE_STEP_MAX_DIM:
+    if dense:
         return complexify(np.linalg.solve(_slice_jacobian(flat, op, g, tau), -realify(res)))
-    import scipy.sparse
-    from scipy.sparse.linalg import splu
-
-    n = flat.size
-    diag = scipy.sparse.bsr_matrix(
-        (_slice_blocks(flat, op, g, tau), np.arange(n), np.arange(n + 1)), shape=(2 * n, 2 * n)
-    )
-    shifted = op.shifted_realified_sparse
-    try:
-        lu = splu(shifted - diag)
-    except RuntimeError as exc:
-        # SuperLU's counterpart of LinAlgError; other errors still surface
-        if "exactly singular" not in str(exc):
-            raise
-        raise np.linalg.LinAlgError(str(exc)) from exc
-    return complexify(lu.solve(-(shifted @ realify(res))))
+    blocks = _slice_blocks(flat, op, g, tau)
+    precondition = _cell_mean_solver(op, blocks, g.period)
+    rhs = -realify(res)
+    target = max(KRYLOV_RTOL * float(np.linalg.norm(rhs)), 1e-2 * tol)
+    y = _gmres(lambda v: _jacobian_product(precondition(v), op, blocks), rhs, target)
+    return complexify(precondition(y))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -308,15 +445,19 @@ def _damped_newton(
     max_iter: int,
     converge_on: str = "slice",
     shift_vec: np.ndarray | None = None,
+    dense_steps: bool = False,
 ) -> tuple[np.ndarray, int, str]:
     """Damped Newton on the (realified) tau-slice.
 
     Full steps first, halving up to MAX_HALVINGS times until the slice
-    residual sup norm strictly decreases; a singular linear solve, a stalled
+    residual sup norm strictly decreases; a failed linear solve, a stalled
     line search, or a non-finite trial residual (from a non-finite step or an
     overflow) counts as divergence.  ``converge_on`` picks the convergence
     measure (see ``_measure``).  ``shift_vec`` subtracts a constant from the
     slice map (used to solve r_tau(phi) = w when estimating local indices).
+    ``dense_steps`` picks the exact dense Newton step over GMRES (see
+    ``_newton_step``); GMRES suits iterates near a zero on the branch that
+    homotopy tracks, the dense step random starts.
     """
     x = np.array(flat0, dtype=complex)
     r = _slice_residual(x, op, g, tau, shift_vec)
@@ -326,7 +467,7 @@ def _damped_newton(
         if iteration == max_iter:
             return x, iteration, "max_iter"
         try:
-            step = _newton_step(x, r, op, g, tau)
+            step = _newton_step(x, r, op, g, tau, tol, dense_steps)
         except np.linalg.LinAlgError:
             return x, iteration, "diverged"
         base = _sup(r)
@@ -380,7 +521,11 @@ def newton_solve(
     Converged means the direct lattice residual has sup norm at most ``tol``
     at the reported field; the line search itself is driven by the
     fixed-point residual.  The forcing Jacobian is analytic when the
-    potential has a derivative, else finite differences.
+    potential has a derivative, else finite differences.  Steps are
+    preconditioned GMRES (see ``_newton_step``), built for starts near a
+    zero such as the homotopy endpoint; from far starts a step can run out
+    of products and end the run as "diverged" (``multi_start`` takes exact
+    steps).
     """
     flat, iterations, status = _damped_newton(
         initial.flatten(), op, g, tau=1.0, tol=tol, max_iter=max_iter, converge_on="direct"
@@ -543,12 +688,14 @@ def _collect_zeros(
     over the smallest singular value of the slice Jacobian, infinite at a
     singular Jacobian; near-degenerate zeros get large values, which the
     clustering uses to merge their halo of pseudo-solutions.  Returns the
-    cluster representatives in first-found order.
+    cluster representatives in first-found order.  Newton takes exact dense
+    steps here: the starts are random, and the SVD needs the dense Jacobian
+    anyway.
     """
     found: list[_Zero] = []
     for start in starts:
         x, iterations, status = _damped_newton(
-            start, op, g, tau, tol, max_iter, converge_on, shift_vec
+            start, op, g, tau, tol, max_iter, converge_on, shift_vec, dense_steps=True
         )
         if status != "converged" or not _sup(x) < radius:
             continue

@@ -324,41 +324,43 @@ def test_solve_overflowing_newton_exit_three(tmp_path, capsys):
     assert json.loads(captured.out)["report"]["status"] == "diverged"
 
 
-#: constant forcing on a 12 x 12 lattice: realified dimension 288, sparse steps
+#: constant forcing on a 12 x 12 lattice: realified dimension 288, GMRES steps
 _SPARSE_SOLVE = dict(
     T=12, K=12, potential={"kind": "constant", "coefficients": [[2.0, 0.0], [1.0, 1.0]]},
     samples=200,
 )
 
 
-def _splu_raising(monkeypatch, message):
-    import scipy.sparse.linalg
-
-    def splu(matrix, *args, **kwargs):
-        raise RuntimeError(message)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
-
-
-def test_solve_singular_sparse_factor_exit_three(tmp_path, capsys, monkeypatch):
-    # SuperLU's exactly singular factor reads as divergence, like LinAlgError
+def test_solve_krylov_budget_exhausted_exit_three(tmp_path, capsys, monkeypatch):
+    # with no products allowed every GMRES Newton step fails, so the homotopy
+    # halves its step down to the floor and reports divergence
+    monkeypatch.setattr(solver, "KRYLOV_MAX_PRODUCTS", 0)
     cfg = _write_config(tmp_path, **_SPARSE_SOLVE)
-    _splu_raising(monkeypatch, "Factor is exactly singular")
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["report"]["status"] == "diverged"
 
 
-def test_solve_other_sparse_factor_errors_surface(tmp_path, capsys, monkeypatch):
-    cfg = _write_config(tmp_path, **_SPARSE_SOLVE)
-    _splu_raising(monkeypatch, "not enough memory")
-    with pytest.raises(RuntimeError, match="not enough memory"):
-        main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+def test_newton_step_singular_jacobian_raises():
+    # at the origin on the tau = 1 slice, J = A^-1 L, and L's symbol vanishes
+    # at time frequencies 0 and pi; the period-2 forcing puts the residual
+    # there, so J r = 0; the preconditioner equals J at this space-constant
+    # field, so it is singular too
+    params = LatticeParams(T=12, K=12, beta=1.0, epsilon=1.0, gamma=1.0)
+    op = dnls.build_shifted(params, shift_factor=1.5)
+    g = dnls.constant_potential([2.0, 1.0 + 1.0j])
+    flat = np.zeros(params.dim, dtype=complex)
+    res = solver._slice_residual(flat, op, g, 1.0)
+    jac = solver._slice_jacobian(flat, op, g, 1.0)
+    assert np.max(np.abs(jac @ solver.realify(res))) <= 1e-15
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._newton_step(flat, res, op, g, 1.0, solver.DEFAULT_TOL, False)
 
 
 def test_solve_sparse_and_dense_newton_steps_agree(tmp_path, capsys, monkeypatch):
-    assert 2 * 12 * 12 > solver.DENSE_STEP_MAX_DIM
     cfg = _write_config(tmp_path, **_SPARSE_SOLVE)
 
     def solve_and_verify(subdir):
@@ -371,27 +373,28 @@ def test_solve_sparse_and_dense_newton_steps_agree(tmp_path, capsys, monkeypatch
         values = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
         return report, values
 
-    sparse_report, sparse = solve_and_verify("sparse")
-    monkeypatch.setattr(solver, "DENSE_STEP_MAX_DIM", 2 * 12 * 12)
+    krylov_report, krylov = solve_and_verify("krylov")
+    newton_step = solver._newton_step
+    monkeypatch.setattr(solver, "_newton_step", lambda *args: newton_step(*args[:-1], True))
     dense_report, dense = solve_and_verify("dense")
     for key in ("status", "newton_iterations", "homotopy_steps"):
-        assert sparse_report[key] == dense_report[key]
-    assert np.max(np.abs(sparse - dense)) <= 1e-10
+        assert krylov_report[key] == dense_report[key]
+    assert np.max(np.abs(krylov - dense)) <= 1e-10
 
 
-def test_small_lattices_do_not_import_scipy_sparse(tmp_path):
-    # importing scipy.sparse.linalg costs about 25 MB of resident memory;
-    # lattices at or below the crossover take dense Newton steps without it
+def test_commands_do_not_import_scipy(tmp_path):
+    # numpy alone runs every command, Newton steps above the crossover too
     script = textwrap.dedent("""
         import json, sys
         import dnls, dnls.cli
 
         lattice = {"beta": 1.0, "epsilon": 1.0, "gamma": 1.0, "samples": 200}
+        constant = {"kind": "constant", "coefficients": [[2.0, 0.0], [1.0, 1.0]]}
         runs = {
+            "solve": dict(T=12, K=12, potential=constant),
+            "certify": dict(T=4, K=4, potential=constant),
             "degree": dict(T=4, K=8, n_starts=4, potential={
                 "kind": "power_law", "coefficients": [[0.3, 0.0]], "exponent": 2.0}),
-            "solve": dict(T=4, K=4, potential={
-                "kind": "constant", "coefficients": [[2.0, 0.0], [1.0, 1.0]]}),
         }
         for command, config in runs.items():
             path = f"{sys.argv[1]}/{command}.json"
@@ -399,7 +402,10 @@ def test_small_lattices_do_not_import_scipy_sparse(tmp_path):
                 json.dump({**lattice, **config}, fh)
             rc = dnls.cli.main([command, "--config", path, "--out", f"{sys.argv[1]}/{command}"])
             assert rc == 0, (command, rc)
-        assert "scipy.sparse" not in sys.modules
+        rc = dnls.cli.main(["verify", "--config", f"{sys.argv[1]}/solve.json", "--solution",
+                            f"{sys.argv[1]}/solve/solution.csv", "--out", f"{sys.argv[1]}/v"])
+        assert rc == 0, ("verify", rc)
+        assert "scipy" not in sys.modules
     """)
     src = str(Path(dnls.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -227,6 +227,8 @@ def _lattices(draw):
 
 @settings(deadline=None, max_examples=80)
 @given(_FAMILIES, _lattices())
+# |z| ** 2 of a float64 scalar and of an array differed in the last bit here
+@example(bounded_potential([1 + 0j]), np.array([[0j, -653.6189361759148 - 704.3761630187648j]]))
 def test_lattice_calls_match_per_node_calls(g, grid):
     T, K = grid.shape
     times = np.arange(T)[:, None]
