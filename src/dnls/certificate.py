@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CertificateOverflow, NoThresholdFound
+from .lattice import check_period
 from .operators import ShiftedOperator
 from .potentials import Potential
 
@@ -280,19 +281,26 @@ def build_certificate(
 ) -> ExistenceCertificate:
     """Run the full constant chain and boundary check for one instance.
 
-    Raises NoThresholdFound (via the threshold scan) when the forcing is not
+    Raises PeriodMismatch up front when the forcing period does not divide T,
+    NoThresholdFound (via the threshold scan) when the forcing is not
     subcubic and CertificateOverflow when a constant leaves the floating-point
-    range; otherwise always returns a certificate, whose ``valid`` flag
-    reflects the sampled boundary evidence.
+    range, or when |gamma| is so small that the cubic constants are 0;
+    otherwise always returns a certificate, whose ``valid`` flag reflects the
+    sampled boundary evidence.
     """
+    check_period(op.params.T, g)
     gamma = abs(op.params.gamma)
     coef = gamma / (2.0 * op.norm_shifted * op.norm_shifted_inv)
+    cubic_bound = gamma / (2.0 * op.norm_shifted)
+    if not min(coef, cubic_bound) > 0.0:
+        raise CertificateOverflow(
+            f"certificate constants underflow to 0 for gamma = {op.params.gamma!r}"
+        )
     try:
         threshold_radius, rigor = compute_threshold_radius(g, coef)
         forcing_sup = compute_forcing_sup(g, threshold_radius)
         const_bound = op.norm_shifted_inv * forcing_sup
         linear_bound = op.norm_shifted_inv * op.shift
-        cubic_bound = gamma / (2.0 * op.norm_shifted)
         radius = compute_ball_radius(const_bound, linear_bound, cubic_bound, slack)
         upper = const_bound + linear_bound * radius + cubic_bound * radius**3
         margin = (2.0 * cubic_bound * radius**3 - radius) / upper - 1.0

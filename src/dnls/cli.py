@@ -15,8 +15,9 @@ additionally write the solution as CSV.  All outputs are deterministic
 functions of (config, seed): rerunning a command reproduces byte-identical
 bytes.
 
-Exit codes: 0 success, 1 config or dimension errors (including a config too
-large for the available memory), 2 certificate failures
+Exit codes: 0 success, 1 config or dimension errors (including a forcing
+period that does not divide T, and a config too large for the available
+memory), 2 certificate failures
 (no subcubic threshold, constants beyond the floating-point range, or an
 invalid boundary check), 3 solver failures, 4 degree estimates that failed
 their parity or agreement checks.
@@ -28,12 +29,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .certificate import ExistenceCertificate, build_certificate
+from .certificate import build_certificate
 from .degree import DegreeReport, estimate_degree
 from .errors import (
     CertificateInvalid,
@@ -43,6 +44,7 @@ from .errors import (
     DimensionTooLarge,
     DnlsError,
     NoThresholdFound,
+    PeriodMismatch,
     SolveFailed,
 )
 from .lattice import LatticeField, LatticeParams, sup_norm
@@ -220,8 +222,8 @@ def parse_config(doc: object) -> RunConfig:
                 values[name] = _as_real(doc[name], name)
     if values["shift_factor"] <= 1:
         raise ConfigError(f"field 'shift_factor': must exceed 1, got {values['shift_factor']}")
-    if values["slack"] < 0:
-        raise ConfigError(f"field 'slack': must be nonnegative, got {values['slack']}")
+    if not 0 <= values["slack"] < 1:
+        raise ConfigError(f"field 'slack': must lie in [0, 1), got {values['slack']}")
     if values["tolerance"] <= 0:
         raise ConfigError(f"field 'tolerance': must be positive, got {values['tolerance']}")
     for name in ("max_iter", "samples", "n_starts"):
@@ -273,14 +275,6 @@ def build_potential(spec: PotentialSpec) -> Potential:
         return power_law(list(spec.coefficients), spec.exponent)
     except DnlsError as exc:
         raise ConfigError(f"field 'potential': {exc}") from exc
-
-
-def _check_period(config: RunConfig, g: Potential) -> None:
-    if config.params.T % g.period != 0:
-        raise ConfigError(
-            f"field 'potential.coefficients': period {g.period} does not divide T="
-            f"{config.params.T}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -386,42 +380,9 @@ def read_solution_csv(path: str | Path, params: LatticeParams) -> LatticeField:
     )
 
 
-def _certificate_payload(cert: ExistenceCertificate) -> dict:
-    return {
-        "shift": cert.shift,
-        "norm_linear": cert.norm_linear,
-        "norm_shifted": cert.norm_shifted,
-        "norm_shifted_inv": cert.norm_shifted_inv,
-        "threshold_coef": cert.threshold_coef,
-        "threshold_radius": cert.threshold_radius,
-        "forcing_sup": cert.forcing_sup,
-        "const_bound": cert.const_bound,
-        "linear_bound": cert.linear_bound,
-        "cubic_bound": cert.cubic_bound,
-        "radius": cert.radius,
-        "margin": cert.margin,
-        "rigor": cert.rigor,
-        "boundary": {
-            "count": cert.boundary.count,
-            "min_gap": cert.boundary.min_gap,
-            "argmin_hash": cert.boundary.argmin_hash,
-        },
-        "valid": cert.valid,
-    }
-
-
 def _solve_payload(report: SolveReport, csv_name: str | None) -> dict:
-    return {
-        "status": report.status,
-        "method": report.method,
-        "residual_direct": report.residual_direct,
-        "residual_precond": report.residual_precond,
-        "newton_iterations": report.newton_iterations,
-        "homotopy_steps": report.homotopy_steps,
-        "path": None if report.path is None else [[tau, norm] for tau, norm in report.path],
-        "sup_norm": sup_norm(report.solution),
-        "solution_csv": csv_name,
-    }
+    payload = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "solution"}
+    return {**payload, "sup_norm": sup_norm(report.solution), "solution_csv": csv_name}
 
 
 def _degree_payload(report: DegreeReport) -> dict:
@@ -454,7 +415,6 @@ def _degree_payload(report: DegreeReport) -> dict:
 
 def _certified_pipeline(config: RunConfig):
     g = build_potential(config.potential)
-    _check_period(config, g)
     op = build_shifted(config.params, config.shift_factor)
     cert = build_certificate(
         op, g, slack=config.slack, samples=config.samples, seed=config.seed
@@ -465,8 +425,7 @@ def _certified_pipeline(config: RunConfig):
 def cmd_certify(config: RunConfig, out_dir: Path) -> int:
     """Existence certificate as JSON; exit 0 exactly when it is valid."""
     _, _, cert = _certified_pipeline(config)
-    _emit({"command": "certify", "certificate": _certificate_payload(cert)},
-          out_dir, "certificate.json")
+    _emit({"command": "certify", "certificate": asdict(cert)}, out_dir, "certificate.json")
     return 0 if cert.valid else 2
 
 
@@ -474,7 +433,7 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> int:
     """Certify, track the homotopy, polish; dump the solution as CSV."""
     g, op, cert = _certified_pipeline(config)
     if not cert.valid:
-        _emit({"command": "solve", "certificate": _certificate_payload(cert),
+        _emit({"command": "solve", "certificate": asdict(cert),
                "report": None}, out_dir, "report.json")
         return 2
     report = homotopy_solve(op, g, cert, tol=config.tolerance, max_iter=config.max_iter)
@@ -482,7 +441,7 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> int:
     _emit(
         {
             "command": "solve",
-            "certificate": _certificate_payload(cert),
+            "certificate": asdict(cert),
             "report": _solve_payload(report, csv_name),
         },
         out_dir,
@@ -497,11 +456,6 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> int:
 def cmd_steady(config: RunConfig, out_dir: Path) -> int:
     """Steady-state solve (T forced to 1); dump the profile as CSV."""
     g = build_potential(config.potential)
-    if g.period != 1:
-        raise ConfigError(
-            f"field 'potential.coefficients': steady forcing must have period 1, "
-            f"got period {g.period}"
-        )
     profile, report = steady_state_solve(
         K=config.params.K,
         epsilon=config.params.epsilon,
@@ -534,7 +488,6 @@ def cmd_verify(config: RunConfig, solution_path: str, out_dir: Path) -> int:
     config alone, with no solver state involved.
     """
     g = build_potential(config.potential)
-    _check_period(config, g)
     phi = read_solution_csv(solution_path, config.params)
     res = residual_direct(phi, config.params, g)
     moduli = np.abs(res.values)
@@ -566,8 +519,7 @@ def cmd_degree(config: RunConfig, out_dir: Path) -> int:
         )
     g, op, cert = _certified_pipeline(config)
     if not cert.valid:
-        _emit({"command": "degree", "certificate": _certificate_payload(cert)},
-              out_dir, "degree.json")
+        _emit({"command": "degree", "certificate": asdict(cert)}, out_dir, "degree.json")
         return 2
     reports = {
         target: estimate_degree(
@@ -580,7 +532,7 @@ def cmd_degree(config: RunConfig, out_dir: Path) -> int:
     _emit(
         {
             "command": "degree",
-            "certificate": _certificate_payload(cert),
+            "certificate": asdict(cert),
             "odd": _degree_payload(reports["odd"]),
             "full": _degree_payload(reports["full"]),
             "estimates_agree": agree,
@@ -642,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(config, args.solution, out_dir)
         assert args.command == "degree"
         return cmd_degree(config, out_dir)
-    except (ConfigError, DimensionMismatch, DimensionTooLarge) as exc:
+    except (ConfigError, DimensionMismatch, DimensionTooLarge, PeriodMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

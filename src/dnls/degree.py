@@ -33,7 +33,7 @@ import numpy as np
 
 from .certificate import ExistenceCertificate, sphere_samples
 from .errors import CertificateInvalid, DegenerateZero
-from .lattice import LatticeField
+from .lattice import LatticeField, check_period
 from .operators import ShiftedOperator
 from .potentials import Potential
 from .solver import (
@@ -193,8 +193,6 @@ def estimate_degree(
     cert: ExistenceCertificate,
     n_starts: int = 32,
     seed: int = 0,
-    tol: float = ENUM_TOL,
-    residual_cap: float = RESIDUAL_CAP,
 ) -> DegreeReport:
     """Estimate the Brouwer degree of a fixed-point map on the certified ball.
 
@@ -202,11 +200,12 @@ def estimate_degree(
     the existence argument, odd by construction), "full" keeps it.  Candidate
     zeros come from Newton started at the origin and at ``n_starts`` random
     fields in the ball; converged candidates are kept when their re-verified
-    residual stays below ``residual_cap`` and they sit strictly inside the
-    ball, then deduplicated.  Regular zeros contribute their Jacobian sign;
+    residual stays below RESIDUAL_CAP and they sit strictly inside the ball,
+    then deduplicated.  Regular zeros contribute their Jacobian sign;
     a degenerate origin contributes its perturbation-recovered local index;
     other degenerate zeros (phase circles) are reported but not counted.
     """
+    check_period(op.params.T, g)
     if target not in ("odd", "full"):
         raise ValueError(f"target must be 'odd' or 'full', got {target!r}")
     if not cert.valid:
@@ -220,8 +219,8 @@ def estimate_degree(
         starts.append(_ball_field(params.T, params.K, rng, cert.radius).flatten())
 
     found = _collect_zeros(
-        starts, op, g, tau, tol=tol, max_iter=100, radius=cert.radius, converge_on="slice",
-        residual_cap=residual_cap, base_tol=1e-6, cap=0.01 * max(1.0, cert.radius),
+        starts, op, g, tau, tol=ENUM_TOL, max_iter=100, radius=cert.radius, converge_on="slice",
+        residual_cap=RESIDUAL_CAP, base_tol=1e-6, cap=0.01 * max(1.0, cert.radius),
     )
 
     zeros: list[ZeroRecord] = []

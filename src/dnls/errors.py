@@ -5,7 +5,7 @@ class DnlsError(Exception):
     """Base class for all library-specific errors."""
 
 
-class PeriodMismatch(DnlsError):
+class PeriodMismatch(DnlsError, ValueError):
     """Forcing period does not divide the lattice time period."""
 
 
@@ -28,7 +28,8 @@ class NoThresholdFound(DnlsError):
 
 
 class CertificateOverflow(DnlsError):
-    """A certificate constant overflowed the floating-point range."""
+    """A certificate constant left the floating-point range: it overflowed,
+    or a cubic constant underflowed to 0."""
 
 
 class MissingDerivative(DnlsError):

@@ -33,6 +33,7 @@ __all__ = [
     "apply_linear",
     "apply_cubic",
     "apply_forcing",
+    "check_period",
     "random_field",
 ]
 
@@ -206,17 +207,21 @@ def apply_cubic(phi: LatticeField, params: LatticeParams) -> LatticeField:
     return LatticeField(-params.gamma * (v.real * v.real + v.imag * v.imag) * v)
 
 
-def apply_forcing(phi: LatticeField, potential) -> LatticeField:
-    """Nodewise forcing (t, k) -> g(t, phi(t, k)).
+def check_period(T: int, potential) -> None:
+    """Raise PeriodMismatch unless the forcing period divides the time period T.
 
-    The forcing period must divide the field's time period so the composite
-    field is still T-periodic; otherwise PeriodMismatch is raised.
+    Only then is a forcing of that period a T-periodic problem; the solver,
+    certificate and degree entry points check this before doing any work.
     """
-    period = potential.period
-    if phi.T % period != 0:
+    if T % potential.period != 0:
         raise PeriodMismatch(
-            f"forcing period {period} does not divide the lattice time period {phi.T}"
+            f"forcing period {potential.period} does not divide the lattice time period {T}"
         )
+
+
+def apply_forcing(phi: LatticeField, potential) -> LatticeField:
+    """Nodewise forcing (t, k) -> g(t, phi(t, k)); see ``check_period``."""
+    check_period(phi.T, potential)
     return LatticeField(potential.on_lattice(phi._values))
 
 

@@ -36,6 +36,7 @@ from .lattice import (
     apply_cubic,
     apply_forcing,
     apply_linear,
+    check_period,
     sup_norm,
 )
 from .operators import ShiftedOperator, build_shifted
@@ -541,23 +542,23 @@ def homotopy_solve(
     op: ShiftedOperator,
     g: Potential,
     cert: ExistenceCertificate,
-    step0: float = 1.0,
     tol: float = DEFAULT_TOL,
     max_iter: int = 100,
 ) -> SolveReport:
     """Track the slice family from the origin at tau = 0 to the full problem.
 
-    Secant predictor, damped Newton corrector, adaptive steps: halve on
-    corrector failure (divergence when the step falls below STEP_FLOOR), grow
-    by 1.5x after two consecutive successes.  Tracking aborts with status
-    "left_ball" when an accepted iterate leaves the certified ball, since the
-    certificate only controls the zero set inside it.  The tau = 1 endpoint
-    is polished by ``newton_solve`` against the direct residual.  The run is
-    deterministic.
+    Secant predictor, damped Newton corrector, adaptive steps from 1: halve
+    on corrector failure (divergence when the step falls below STEP_FLOOR),
+    grow by 1.5x after two consecutive successes.  Tracking aborts with
+    status "left_ball" when an accepted iterate leaves the certified ball,
+    since the certificate only controls the zero set inside it.  The tau = 1
+    endpoint is polished by Newton against the direct residual, as in
+    ``newton_solve``.  The run is deterministic.
     """
+    check_period(op.params.T, g)
     if not cert.valid:
         raise CertificateInvalid("homotopy tracking requires a VALID certificate")
-    step = min(max(step0, STEP_FLOOR), 1.0)
+    step = 1.0
 
     x = np.zeros(op.dim, dtype=complex)
     x_prev: np.ndarray | None = None
@@ -571,9 +572,8 @@ def homotopy_solve(
     while tau < 1.0:
         attempts += 1
         if attempts > 2000:
-            return _report_at(
-                x, op, g, total_iters, "diverged", "homotopy", macro_steps, tuple(path)
-            )
+            status = "diverged"
+            break
         tau_try = min(1.0, tau + step)
         if x_prev is None or tau == tau_prev:
             predicted = x
@@ -590,9 +590,8 @@ def homotopy_solve(
             norm = _sup(x)
             path.append((tau, norm))
             if norm > cert.radius:
-                return _report_at(
-                    x, op, g, total_iters, "left_ball", "homotopy", macro_steps, tuple(path)
-                )
+                status = "left_ball"
+                break
             successes += 1
             if successes >= 2:
                 step = min(step * 1.5, 1.0)
@@ -602,19 +601,15 @@ def homotopy_solve(
             step *= 0.5
             if step < STEP_FLOOR:
                 # step underflow is reported as divergence
-                return _report_at(
-                    x, op, g, total_iters, "diverged", "homotopy", macro_steps, tuple(path)
-                )
-
-    endpoint = LatticeField.from_flat(x, op.params.T, op.params.K)
-    polish = newton_solve(endpoint, op, g, tol, max_iter)
-    total_iters += polish.newton_iterations
-    final_flat = polish.solution.flatten()
-    status = polish.status
-    if status == "converged" and _sup(final_flat) >= cert.radius:
-        status = "left_ball"
-    path[-1] = (1.0, _sup(final_flat))
-    return _report_at(final_flat, op, g, total_iters, status, "homotopy", macro_steps, tuple(path))
+                status = "diverged"
+                break
+    else:
+        x, iters, status = _damped_newton(x, op, g, 1.0, tol, max_iter, converge_on="direct")
+        total_iters += iters
+        if status == "converged" and _sup(x) >= cert.radius:
+            status = "left_ball"
+        path[-1] = (1.0, _sup(x))
+    return _report_at(x, op, g, total_iters, status, "homotopy", macro_steps, tuple(path))
 
 
 # ---------------------------------------------------------------------------
@@ -778,13 +773,12 @@ def steady_state_solve(
     its spatial row.  Tries homotopy continuation first and falls back to
     multi-start Newton when the tracked branch fails to reach tau = 1 (a real
     possibility for forcings with nonzero mean, whose constant-mode branch
-    folds); raises SolveFailed when no route converges.
+    folds); raises SolveFailed when no route converges, and PeriodMismatch
+    (from the certificate at T = 1) for a forcing whose period is not 1.
 
     Returns the K-entry complex profile, or ``(profile, report)`` when
     ``full_output`` is set.
     """
-    if h.period != 1:
-        raise ValueError(f"steady forcing must have period 1, got {h.period}")
     params = LatticeParams(T=1, K=K, beta=beta, epsilon=epsilon, gamma=gamma)
     op = build_shifted(params, shift_factor)
     cert = build_certificate(op, h, slack=slack, samples=samples, seed=seed)

@@ -1,15 +1,20 @@
 """Config parsing, CSV round trips, and end-to-end command exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dnls
@@ -76,13 +81,14 @@ def test_parse_config_defaults():
         (lambda d: d.update(gamma=0.0), "gamma"),
         (lambda d: d.update(shift_factor=1.0), "shift_factor"),
         (lambda d: d.update(slack=-0.1), "slack"),
+        (lambda d: d.update(slack=1.0), "slack"),
         (lambda d: d.update(tolerance=0.0), "tolerance"),
         (lambda d: d.update(seed=-1), "seed"),
         (lambda d: d.update(n_starts=-4), "n_starts"),
         (lambda d: d.update(samples="many"), "samples"),
     ],
     ids=["missing-gamma", "typo-field", "T-zero", "T-float", "beta-bool",
-         "gamma-zero", "shift-low", "slack-neg", "tol-zero", "seed-neg",
+         "gamma-zero", "shift-low", "slack-neg", "slack-one", "tol-zero", "seed-neg",
          "starts-neg", "samples-str"],
 )
 def test_parse_config_rejections_name_the_field(mutate, needle):
@@ -234,6 +240,33 @@ def test_config_error_exit_one(tmp_path, capsys):
     assert "potentiall" in capsys.readouterr().err
 
 
+def test_slack_beyond_one_exit_one(tmp_path, capsys):
+    # the ball radius has no solution for slack >= 1, so the config is refused
+    cfg = _write_config(tmp_path, slack=1.5, samples=10)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'slack'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["certify", "solve", "steady", "verify", "degree"])
+def test_period_mismatch_exit_one(tmp_path, capsys, command):
+    # period 3 divides neither T = 4 nor the steady T = 1
+    cfg = _write_config(
+        tmp_path, T=4, K=4, samples=10,
+        potential={"kind": "constant", "coefficients": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]},
+    )
+    solution = tmp_path / "zeros.csv"
+    write_field_csv(solution, LatticeField.zeros(4, 4))
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if command == "verify":
+        argv += ["--solution", str(solution)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: forcing period 3 does not divide")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "field,raw,needle",
     [
@@ -275,6 +308,15 @@ def test_overflowing_certificate_exit_two(tmp_path, capsys, potential):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("certificate error: ") and err.count("\n") == 1
+
+
+def test_underflowing_cubic_coefficient_exit_two(tmp_path, capsys):
+    # the smallest subnormal gamma makes the threshold coefficient 0
+    cfg = _write_config(tmp_path, gamma=5e-324, samples=10)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("certificate error: ") and err.count("\n") == 1
+    assert "underflow" in err
 
 
 @pytest.mark.parametrize(
@@ -557,3 +599,107 @@ def test_seed_override_changes_boundary_evidence(tmp_path, capsys):
         return json.loads(capsys.readouterr().out)["certificate"]["boundary"]["argmin_hash"]
 
     assert hash_for(0) != hash_for(9)
+
+
+# ---------------------------------------------------------------------------
+# the exit contract under fuzzed input
+
+#: values of the wrong type, or not finite, for any config field
+_MISTYPED = st.sampled_from([None, "1", True, [1.0], {"x": 1}, float("nan"), float("inf")])
+_REAL = st.floats(-1.0, 3.0)
+_PAIRS = st.lists(st.lists(_REAL, min_size=2, max_size=2), min_size=1, max_size=4)
+_CONFIGS = st.fixed_dictionaries(
+    {
+        "T": st.integers(1, 4),
+        "K": st.integers(2, 4),
+        "beta": st.floats(0.1, 3.0),
+        "epsilon": st.floats(0.1, 3.0),
+        "gamma": _REAL,
+        "potential": st.fixed_dictionaries(
+            {"kind": st.sampled_from(["power_law", "bounded", "zero", "constant"]),
+             "coefficients": _PAIRS},
+            optional={"exponent": st.floats(-1.0, 4.0)},
+        ),
+        "samples": st.integers(1, 40),
+        "n_starts": st.integers(0, 4),
+    },
+    optional={
+        "slack": st.floats(0.0, 1.5),
+        "shift_factor": st.floats(1.0, 3.0),
+        "tolerance": st.floats(0.0, 1e-6),
+        "max_iter": st.integers(0, 30),
+        "seed": st.integers(0, 5),
+    },
+)
+#: replacements that break a config: out-of-range or mistyped values, and
+#: coefficient lists of the wrong shape
+_BREAKS = st.tuples(
+    st.sampled_from(["T", "K", "beta", "epsilon", "gamma", "samples", "n_starts", "slack",
+                     "shift_factor", "tolerance", "max_iter", "seed", "potential", "unknown",
+                     "kind", "coefficients", "exponent"]),
+    st.one_of(_MISTYPED, st.integers(-1, 0), _REAL, st.sampled_from(["sine", []]),
+              st.lists(st.lists(_REAL, max_size=3), max_size=3)),
+)
+
+
+def _broken(config, breaks):
+    config = {**config, "potential": dict(config["potential"])}
+    for name, value in breaks:
+        target = config["potential"] if name in ("kind", "coefficients", "exponent") else config
+        if isinstance(target, dict):  # a potential replaced by a non-object has no subfields
+            target[name] = value
+    return config
+
+
+_TOKENS = st.sampled_from(["0", "1", "2", "-1", "0.5", "1e-3", "nan", "inf", "1e400", "x", ""])
+
+
+@st.composite
+def _solution_csvs(draw, config):
+    """Solution files for ``verify``: the right node count for the config's
+    lattice (when it has one) with arbitrary values, or malformed text."""
+    T, K = config.get("T"), config.get("K")
+    sized = type(T) is int and type(K) is int and 0 < T <= 4 and 0 < K <= 4
+    if sized and draw(st.booleans()):
+        value = st.floats(-2.0, 2.0).map(repr)
+        if draw(st.booleans()):
+            nodes = [f"{t},{k}" for t in range(T) for k in range(K)]
+            header = "t,k,re,im"
+        else:
+            nodes = [str(k) for k in range(K)]
+            header = "k,re,im"
+        rows = [f"{node},{draw(value)},{draw(value)}" for node in nodes]
+        return "\n".join([header, *rows]) + "\n"
+    header = draw(st.sampled_from(["t,k,re,im", "k,re,im", "t,k", ""]))
+    rows = draw(st.lists(st.lists(_TOKENS, min_size=1, max_size=5), max_size=20))
+    return "\n".join([header, *(",".join(row) for row in rows)])
+
+
+@st.composite
+def _cli_cases(draw):
+    command = draw(st.sampled_from(["certify", "solve", "steady", "verify", "degree"]))
+    config = _broken(draw(_CONFIGS), draw(st.lists(_BREAKS, max_size=2)))
+    csv = draw(_solution_csvs(config)) if command == "verify" else None
+    return command, config, csv
+
+
+@settings(deadline=None, max_examples=60)
+@example(case=("certify", _doc(slack=1.5, samples=10), None))
+@given(case=_cli_cases())
+def test_main_exit_contract(case):
+    # any config and solution file ends in a documented exit code with at
+    # most one line on stderr: no traceback, and no warning either
+    command, config, csv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
+        if csv is not None:
+            (Path(tmp) / "solution.csv").write_text(csv)
+            argv += ["--solution", str(Path(tmp) / "solution.csv")]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+    assert rc in {0, 1, 2, 3, 4}
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()

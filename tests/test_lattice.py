@@ -14,13 +14,19 @@ from dnls import (
     apply_cubic,
     apply_forcing,
     apply_linear,
+    build_certificate,
+    build_shifted,
     central_time_diff,
+    constant_potential,
+    estimate_degree,
+    homotopy_solve,
     power_law,
     random_field,
     spatial_laplacian,
     sup_norm,
     zero_potential,
 )
+from dnls import certificate, solver
 
 RNG = np.random.default_rng(20240817)
 
@@ -269,6 +275,27 @@ def test_apply_forcing_accepts_dividing_period():
     out = apply_forcing(phi, g)
     assert_allclose(out.values[2], 2.0 * phi.values[2])
     assert_allclose(out.values[3], 3.0 * phi.values[3])
+
+
+@pytest.mark.parametrize("entry", ["build_certificate", "homotopy_solve", "estimate_degree"])
+def test_period_mismatch_fails_before_any_work(entry, monkeypatch):
+    op = build_shifted(_params(T=16, K=16), shift_factor=1.5)
+    cert = build_certificate(op, constant_potential([2.0]), samples=10)
+    assert cert.valid
+    g = constant_potential([1.0, 2.0, 3.0])  # period 3 does not divide T = 16
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the period check")
+
+    monkeypatch.setattr(solver, "_damped_newton", forbidden)
+    monkeypatch.setattr(certificate, "sphere_samples", forbidden)
+    calls = {
+        "build_certificate": lambda: build_certificate(op, g, samples=10),
+        "homotopy_solve": lambda: homotopy_solve(op, g, cert),
+        "estimate_degree": lambda: estimate_degree("full", op, g, cert, n_starts=2),
+    }
+    with pytest.raises(PeriodMismatch, match="period 3 does not divide"):
+        calls[entry]()
 
 
 def test_random_field_respects_radius():

@@ -14,6 +14,7 @@ from dnls import (
     LatticeField,
     LatticeParams,
     MissingDerivative,
+    SolveFailed,
     apply_cubic,
     apply_forcing,
     apply_linear,
@@ -382,6 +383,36 @@ def test_homotopy_solution_verifies_against_direct_residual():
     assert res <= 1e-10
 
 
+def test_homotopy_stops_when_an_accepted_step_leaves_the_ball():
+    forcing = constant_potential([0.5])
+    _, op, _, cert = _setup(T=3, K=2, g=forcing)
+    full = homotopy_solve(op, forcing, cert)
+    assert full.status == "converged" and len(full.path) == 3
+    # a ball smaller than the first accepted point on the branch: tracking
+    # stops there, before tau = 1 and before the polish
+    small = replace(cert, radius=0.5 * full.path[1][1])
+    report = homotopy_solve(op, forcing, small)
+    assert report.status == "left_ball"
+    assert report.method == "homotopy"
+    assert report.path == full.path[:2]
+    assert report.homotopy_steps == 1
+    assert sup_norm(report.solution) == report.path[-1][1] > small.radius
+
+
+def test_homotopy_diverges_at_the_step_floor(monkeypatch):
+    # a corrector with no iterations never converges on a forced slice, so
+    # the step halves from 1 until it drops below STEP_FLOOR
+    monkeypatch.setattr(solver, "CORRECTOR_ITER", 0)
+    forcing = constant_potential([0.5])
+    _, op, _, cert = _setup(T=3, K=2, g=forcing)
+    report = homotopy_solve(op, forcing, cert)
+    assert report.status == "diverged"
+    assert report.method == "homotopy"
+    assert report.homotopy_steps == 0 and report.newton_iterations == 0
+    assert report.path == ((0.0, 0.0),)
+    assert sup_norm(report.solution) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # multi-start enumeration
 
@@ -487,3 +518,26 @@ def test_steady_profile_lifts_to_periodic_solution():
 def test_steady_rejects_time_varying_forcing():
     with pytest.raises(ValueError):
         steady_state_solve(3, 1.0, 1.0, constant_potential([1.0, 2.0]))
+
+
+def _diverged_homotopy(op, g, cert, **kwargs):
+    flat = np.zeros(op.dim, dtype=complex)
+    return solver._report_at(flat, op, g, 0, "diverged", "homotopy", 0, ((0.0, 0.0),))
+
+
+def test_steady_falls_back_to_multi_start(monkeypatch):
+    monkeypatch.setattr(solver, "homotopy_solve", _diverged_homotopy)
+    h = constant_potential([2.0])
+    profile, report = steady_state_solve(
+        6, epsilon=1.0, gamma=1.0, h=h, n_starts=8, full_output=True
+    )
+    assert report.method == "multi_start"
+    assert report.status == "converged"
+    params = LatticeParams(T=1, K=6, beta=1.0, epsilon=1.0, gamma=1.0)
+    assert sup_norm(residual_direct(tile_steady(profile, 1), params, h)) <= 1e-10
+
+
+def test_steady_without_starts_fails_when_homotopy_does(monkeypatch):
+    monkeypatch.setattr(solver, "homotopy_solve", _diverged_homotopy)
+    with pytest.raises(SolveFailed, match="diverged"):
+        steady_state_solve(6, 1.0, 1.0, constant_potential([2.0]), n_starts=0)
