@@ -5,137 +5,23 @@ Numerical companion to a degree-theoretic existence argument for
 certificate constants, boundary sampling of the homotopy inequality,
 Newton and homotopy solvers, steady states, and small-instance Brouwer
 degree estimates.
+
+The package exports exactly the names in each module's ``__all__``.
 """
 
-from .certificate import (
-    BoundaryEvidence,
-    ExistenceCertificate,
-    build_certificate,
-    compute_ball_radius,
-    compute_forcing_sup,
-    compute_threshold_radius,
-    sphere_samples,
-    verify_boundary,
-)
-from .degree import (
-    DegenerateRecord,
-    DegreeReport,
-    ZeroRecord,
-    estimate_degree,
-    zero_sign,
-)
-from .errors import (
-    CertificateInvalid,
-    CertificateOverflow,
-    ConfigError,
-    DegenerateZero,
-    DimensionMismatch,
-    DimensionTooLarge,
-    DnlsError,
-    EmptyCoefficients,
-    InvalidExponent,
-    MissingDerivative,
-    NoThresholdFound,
-    PeriodMismatch,
-    SingularShift,
-    SolveFailed,
-)
-from .lattice import (
-    LatticeField,
-    LatticeParams,
-    apply_cubic,
-    apply_forcing,
-    apply_linear,
-    central_time_diff,
-    random_field,
-    spatial_laplacian,
-    sup_norm,
-)
-from .operators import ShiftedOperator, build_shifted, linear_matrix, operator_norm_sup
-from .potentials import (
-    GrowthReport,
-    Potential,
-    bounded_potential,
-    constant_potential,
-    growth_check,
-    power_law,
-    zero_potential,
-)
-from .solver import (
-    SolveReport,
-    complexify,
-    homotopy_solve,
-    multi_start,
-    newton_solve,
-    realified_jacobian,
-    realified_matrix,
-    realify,
-    residual_direct,
-    residual_precond,
-    steady_state_solve,
-    tile_steady,
-)
+from . import certificate, degree, errors, lattice, operators, potentials, solver
+from .certificate import *  # noqa: F403
+from .degree import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .lattice import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .potentials import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryEvidence",
-    "CertificateInvalid",
-    "CertificateOverflow",
-    "ConfigError",
-    "DegenerateRecord",
-    "DegenerateZero",
-    "DegreeReport",
-    "DimensionMismatch",
-    "DimensionTooLarge",
-    "DnlsError",
-    "EmptyCoefficients",
-    "ExistenceCertificate",
-    "GrowthReport",
-    "InvalidExponent",
-    "LatticeField",
-    "LatticeParams",
-    "MissingDerivative",
-    "NoThresholdFound",
-    "PeriodMismatch",
-    "Potential",
-    "ShiftedOperator",
-    "SingularShift",
-    "SolveFailed",
-    "SolveReport",
-    "ZeroRecord",
-    "apply_cubic",
-    "apply_forcing",
-    "apply_linear",
-    "bounded_potential",
-    "build_certificate",
-    "build_shifted",
-    "central_time_diff",
-    "complexify",
-    "compute_ball_radius",
-    "compute_forcing_sup",
-    "compute_threshold_radius",
-    "constant_potential",
-    "estimate_degree",
-    "growth_check",
-    "homotopy_solve",
-    "linear_matrix",
-    "multi_start",
-    "newton_solve",
-    "operator_norm_sup",
-    "power_law",
-    "random_field",
-    "realified_jacobian",
-    "realified_matrix",
-    "realify",
-    "residual_direct",
-    "residual_precond",
-    "spatial_laplacian",
-    "sphere_samples",
-    "steady_state_solve",
-    "sup_norm",
-    "tile_steady",
-    "verify_boundary",
-    "zero_potential",
-    "zero_sign",
+    name
+    for module in (certificate, degree, errors, lattice, operators, potentials, solver)
+    for name in module.__all__
 ]

@@ -330,5 +330,6 @@ def build_certificate(
         valid=False,
     )
     evidence = verify_boundary(cert, op, g, samples, seed)
-    is_valid = evidence.count > 0 and evidence.min_gap is not None and evidence.min_gap > 0.0
+    # min_gap is None exactly when no samples were drawn
+    is_valid = evidence.min_gap is not None and evidence.min_gap > 0.0
     return replace(cert, boundary=evidence, valid=is_valid)

@@ -29,7 +29,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ from .errors import (
     DnlsError,
     NoThresholdFound,
     PeriodMismatch,
-    SolveFailed,
 )
 from .lattice import LatticeField, LatticeParams, sup_norm
 from .operators import build_shifted
@@ -86,17 +85,18 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One parsed and validated config document."""
+    """One parsed and validated config document.  The fields with defaults
+    are the optional config knobs; an int default makes a knob integer."""
 
     params: LatticeParams
     potential: PotentialSpec
-    shift_factor: float
-    slack: float
-    tolerance: float
-    max_iter: int
-    samples: int
-    n_starts: int
-    seed: int
+    shift_factor: float = 1.5
+    slack: float = 0.1
+    tolerance: float = 1e-10
+    max_iter: int = 100
+    samples: int = 10000
+    n_starts: int = 32
+    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +175,7 @@ def _parse_potential(raw: object) -> PotentialSpec:
     return PotentialSpec(kind=kind, coefficients=coeffs, exponent=exponent)
 
 
-_DEFAULTS = {
-    "shift_factor": 1.5,
-    "slack": 0.1,
-    "tolerance": 1e-10,
-    "max_iter": 100,
-    "samples": 10000,
-    "n_starts": 32,
-    "seed": 0,
-}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
 _REQUIRED = ("T", "K", "beta", "epsilon", "gamma", "potential")
 
@@ -214,23 +206,19 @@ def parse_config(doc: object) -> RunConfig:
     spec = _parse_potential(doc["potential"])
 
     values = dict(_DEFAULTS)
-    for name in _DEFAULTS:
+    for name, default in _DEFAULTS.items():
         if name in doc:
-            if name in ("max_iter", "samples", "n_starts", "seed"):
-                values[name] = _as_int(doc[name], name)
-            else:
-                values[name] = _as_real(doc[name], name)
+            parse = _as_int if isinstance(default, int) else _as_real
+            values[name] = parse(doc[name], name)
     if values["shift_factor"] <= 1:
         raise ConfigError(f"field 'shift_factor': must exceed 1, got {values['shift_factor']}")
     if not 0 <= values["slack"] < 1:
         raise ConfigError(f"field 'slack': must lie in [0, 1), got {values['slack']}")
     if values["tolerance"] <= 0:
         raise ConfigError(f"field 'tolerance': must be positive, got {values['tolerance']}")
-    for name in ("max_iter", "samples", "n_starts"):
+    for name in ("max_iter", "samples", "n_starts", "seed"):
         if values[name] < 0:
             raise ConfigError(f"field {name!r}: must be nonnegative, got {values[name]}")
-    if values["seed"] < 0:
-        raise ConfigError(f"field 'seed': must be nonnegative, got {values['seed']}")
 
     return RunConfig(params=params, potential=spec, **values)
 
@@ -604,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NoThresholdFound, CertificateInvalid, CertificateOverflow) as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
         return 2
-    except (SolveFailed, DnlsError) as exc:
+    except DnlsError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

@@ -37,7 +37,7 @@ from .lattice import LatticeField, check_period
 from .operators import ShiftedOperator
 from .potentials import Potential
 from .solver import (
-    _ball_field,
+    _ball_starts,
     _collect_zeros,
     _slice_jacobian,
     _slice_residual,
@@ -55,10 +55,9 @@ __all__ = [
 
 #: a zero counts as degenerate when sigma_min / sigma_max drops to this level
 SIGMA_RATIO_DEGENERATE = 1e-8
-#: Newton tolerance on the fixed-point residual during enumeration
+#: Newton tolerance on the fixed-point residual during enumeration, which
+#: bounds every record's residual
 ENUM_TOL = 1e-11
-#: re-verification cap: candidates above this residual are dropped
-RESIDUAL_CAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -142,13 +141,12 @@ def _origin_local_index(
 
     origin = np.zeros(op.dim, dtype=complex)
     svals_0, rows_0 = np.linalg.svd(_slice_jacobian(origin, op, g, tau))[1:]
-    null_dirs: list[np.ndarray] = []
-    for idx in range(len(svals_0)):
-        if svals_0[idx] <= 1e-6 * svals_0[0]:
-            vec = complexify(rows_0[idx])
-            norm = _sup(vec)
-            if norm > 0.0:
-                null_dirs.append(vec / norm)
+    # the rows are unit vectors, so their sup norms are positive
+    null_dirs = [
+        complexify(row) / _sup(complexify(row))
+        for sval, row in zip(svals_0, rows_0)
+        if sval <= 1e-6 * svals_0[0]
+    ]
     phases = np.exp(2j * np.pi * np.arange(16) / 16)
 
     probes = [sample.ravel() for sample in sphere_samples(params.T, params.K, rho, 256, rng)]
@@ -169,8 +167,7 @@ def _origin_local_index(
         for frac in (0.3, 0.6, 0.9):
             for phase in phases[::2]:
                 starts.append(frac * rho * phase * vec)
-    for _ in range(96):
-        starts.append(_ball_field(params.T, params.K, rng, rho).flatten())
+    starts += list(_ball_starts(op, rng, rho, 96))
 
     preimages = _collect_zeros(
         starts, op, g, tau, tol=tol, max_iter=60, radius=rho, converge_on="slice",
@@ -180,7 +177,7 @@ def _origin_local_index(
         return None
     index = 0
     for z in preimages:
-        if z.sigma_max <= 0.0 or z.sigma_min / z.sigma_max <= SIGMA_RATIO_DEGENERATE:
+        if z.sigma_ratio <= SIGMA_RATIO_DEGENERATE:
             return None
         index += zero_sign(_slice_jacobian(z.flat, op, g, tau))
     return index
@@ -199,11 +196,11 @@ def estimate_degree(
     ``target`` chooses the map: "odd" drops the forcing (the comparison map of
     the existence argument, odd by construction), "full" keeps it.  Candidate
     zeros come from Newton started at the origin and at ``n_starts`` random
-    fields in the ball; converged candidates are kept when their re-verified
-    residual stays below RESIDUAL_CAP and they sit strictly inside the ball,
-    then deduplicated.  Regular zeros contribute their Jacobian sign;
-    a degenerate origin contributes its perturbation-recovered local index;
-    other degenerate zeros (phase circles) are reported but not counted.
+    fields in the ball; candidates that converge to ENUM_TOL strictly inside
+    the ball are kept, then deduplicated.  Regular zeros contribute their
+    Jacobian sign; a degenerate origin contributes its perturbation-recovered
+    local index; other degenerate zeros (phase circles) are reported but not
+    counted.
     """
     check_period(op.params.T, g)
     if target not in ("odd", "full"):
@@ -212,15 +209,11 @@ def estimate_degree(
         raise CertificateInvalid("degree estimation requires a VALID certificate")
     tau = 0.0 if target == "odd" else 1.0
     params = op.params
-    rng = np.random.default_rng(seed)
-
     starts = [np.zeros(op.dim, dtype=complex)]
-    for _ in range(n_starts):
-        starts.append(_ball_field(params.T, params.K, rng, cert.radius).flatten())
-
+    starts += list(_ball_starts(op, np.random.default_rng(seed), cert.radius, n_starts))
     found = _collect_zeros(
         starts, op, g, tau, tol=ENUM_TOL, max_iter=100, radius=cert.radius, converge_on="slice",
-        residual_cap=RESIDUAL_CAP, base_tol=1e-6, cap=0.01 * max(1.0, cert.radius),
+        base_tol=1e-6, cap=0.01 * max(1.0, cert.radius),
     )
 
     zeros: list[ZeroRecord] = []
@@ -229,11 +222,10 @@ def estimate_degree(
     origin_perturbed = False
     origin_tol = 1e-6 * max(1.0, cert.radius)
     for z in found:
-        ratio = z.sigma_min / z.sigma_max if z.sigma_max > 0.0 else 0.0
         field = LatticeField.from_flat(z.flat, params.T, params.K)
-        if ratio > SIGMA_RATIO_DEGENERATE:
+        if z.sigma_ratio > SIGMA_RATIO_DEGENERATE:
             sign = zero_sign(_slice_jacobian(z.flat, op, g, tau))
-            zeros.append(ZeroRecord(field, z.residual, sign, ratio))
+            zeros.append(ZeroRecord(field, z.residual, sign, z.sigma_ratio))
             degree += sign
             continue
         local_index: int | None = None
@@ -242,7 +234,7 @@ def estimate_degree(
             if local_index is not None:
                 degree += local_index
                 origin_perturbed = True
-        degenerate.append(DegenerateRecord(field, z.residual, ratio, local_index))
+        degenerate.append(DegenerateRecord(field, z.residual, z.sigma_ratio, local_index))
 
     parity_ok: bool | None = None
     if target == "odd":

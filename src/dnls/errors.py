@@ -1,5 +1,22 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DnlsError",
+    "PeriodMismatch",
+    "InvalidExponent",
+    "EmptyCoefficients",
+    "SingularShift",
+    "NoThresholdFound",
+    "CertificateOverflow",
+    "MissingDerivative",
+    "DegenerateZero",
+    "CertificateInvalid",
+    "SolveFailed",
+    "DimensionMismatch",
+    "DimensionTooLarge",
+    "ConfigError",
+]
+
 
 class DnlsError(Exception):
     """Base class for all library-specific errors."""

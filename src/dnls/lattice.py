@@ -190,9 +190,8 @@ def spatial_laplacian(phi: LatticeField) -> LatticeField:
 def apply_linear(phi: LatticeField, params: LatticeParams) -> LatticeField:
     """Linear part of the equation: i*beta*(time difference) + epsilon*(Laplacian)."""
     _check_shape(phi, params)
-    v = phi._values
-    tdiff = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
-    lap = np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)
+    tdiff = central_time_diff(phi)._values
+    lap = spatial_laplacian(phi)._values
     return LatticeField(1j * params.beta * tdiff + params.epsilon * lap)
 
 

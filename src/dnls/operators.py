@@ -139,11 +139,9 @@ def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOp
     """
     if not shift_factor > 1.0:
         raise ValueError(f"shift_factor must exceed 1, got {shift_factor}")
-    kernel = _stencil(params)
-    norm_linear = float(np.abs(kernel).sum())
+    norm_linear = float(np.abs(_stencil(params)).sum())
     shift = shift_factor * norm_linear if norm_linear > 0.0 else float(shift_factor)
-    shifted_kernel = kernel.copy()
-    shifted_kernel[0, 0] -= shift
+    shifted_kernel = _shifted_stencil(params, shift)
     symbol = np.fft.fft2(shifted_kernel)
     modulus = np.abs(symbol)
     if modulus.min() <= 1e3 * np.finfo(float).eps * max(modulus.max(), 1.0):  # pragma: no cover

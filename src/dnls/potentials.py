@@ -7,7 +7,6 @@ certificate and solver consume:
 * ``evaluate``           -- (t, z) -> g(t, z), elementwise; ``t`` is an int or
   an integer array that broadcasts against the complex array ``z``, and the
   coefficient at ``t`` is the one at ``t % period``,
-* ``growth_exponent``    -- r when |g| scales like |z|^r, else None,
 * ``derivative``         -- optional realified Jacobian of z = x + i*y -> g(t, z)
   with the same broadcasting, as blocks of shape ``z.shape + (2, 2)`` (the
   broadcast shape of t and z, if t adds axes): rows (Re g, Im g), columns
@@ -53,7 +52,6 @@ class Potential:
     period: int
     evaluate: Callable[[int | np.ndarray, np.ndarray], np.ndarray]
     kind: str = "custom"
-    growth_exponent: float | None = None
     derivative: Callable[[int | np.ndarray, np.ndarray], np.ndarray] | None = None
     threshold_formula: Callable[[float], float] | None = None
     sup_formula: Callable[[float], float] | None = None
@@ -133,7 +131,6 @@ def _make_power_law(coeffs: tuple[complex, ...], r: float) -> Potential:
         period=period,
         evaluate=evaluate,
         kind="power_law",
-        growth_exponent=r,
         derivative=derivative,
         threshold_formula=threshold_formula if r < 3.0 else None,
         sup_formula=sup_formula,
@@ -211,7 +208,6 @@ def bounded_potential(f) -> Potential:
         period=period,
         evaluate=evaluate,
         kind="bounded",
-        growth_exponent=None,
         derivative=derivative,
         threshold_formula=threshold_formula,
         sup_formula=sup_formula,
@@ -239,7 +235,6 @@ def zero_potential(period: int = 1) -> Potential:
         period=period,
         evaluate=evaluate,
         kind="zero",
-        growth_exponent=None,
         derivative=_zero_derivative,
         threshold_formula=lambda coef: 1.0,
         sup_formula=lambda radius: 0.0,
@@ -270,7 +265,6 @@ def constant_potential(f) -> Potential:
         period=period,
         evaluate=evaluate,
         kind="constant",
-        growth_exponent=0.0,
         derivative=_zero_derivative,
         threshold_formula=threshold_formula,
         sup_formula=lambda radius: float(fmax),

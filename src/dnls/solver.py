@@ -550,14 +550,18 @@ def homotopy_solve(
     Secant predictor, damped Newton corrector, adaptive steps from 1: halve
     on corrector failure (divergence when the step falls below STEP_FLOOR),
     grow by 1.5x after two consecutive successes.  Tracking aborts with
-    status "left_ball" when an accepted iterate leaves the certified ball,
-    since the certificate only controls the zero set inside it.  The tau = 1
-    endpoint is polished by Newton against the direct residual, as in
-    ``newton_solve``.  The run is deterministic.
+    status "left_ball" when an accepted iterate (or the polished endpoint)
+    has sup norm at least the certified radius, since the certificate only
+    controls the zero set strictly inside the ball.  The tau = 1 endpoint is
+    polished by Newton against the direct residual, as in ``newton_solve``.
+    The run is deterministic.  Raises CertificateInvalid for a certificate
+    that failed its boundary check.
     """
     check_period(op.params.T, g)
     if not cert.valid:
-        raise CertificateInvalid("homotopy tracking requires a VALID certificate")
+        raise CertificateInvalid(
+            "the certificate failed its boundary check, so no certified ball bounds the search"
+        )
     step = 1.0
 
     x = np.zeros(op.dim, dtype=complex)
@@ -575,7 +579,7 @@ def homotopy_solve(
             status = "diverged"
             break
         tau_try = min(1.0, tau + step)
-        if x_prev is None or tau == tau_prev:
+        if x_prev is None:
             predicted = x
         else:
             predicted = x + (x - x_prev) * ((tau_try - tau) / (tau - tau_prev))
@@ -589,7 +593,7 @@ def homotopy_solve(
             macro_steps += 1
             norm = _sup(x)
             path.append((tau, norm))
-            if norm > cert.radius:
+            if norm >= cert.radius:
                 status = "left_ball"
                 break
             successes += 1
@@ -616,27 +620,28 @@ def homotopy_solve(
 # multi-start enumeration
 
 
-def _ball_field(
-    T: int, K: int, rng: np.random.Generator, radius: float
-) -> LatticeField:
-    """Field with entries independently uniform on the disk of the given radius."""
-    moduli = radius * np.sqrt(rng.uniform(0.0, 1.0, size=(T, K)))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(T, K))
-    return LatticeField(moduli * np.exp(1j * phases))
+def _ball_starts(
+    op: ShiftedOperator, rng: np.random.Generator, radius: float, count: int
+) -> np.ndarray:
+    """(count, n) flat fields with entries independently uniform on the disk
+    of the given radius.  Each field draws its n moduli, then its n phases."""
+    draws = rng.uniform(0.0, 1.0, size=(count, 2, op.dim))
+    moduli = radius * np.sqrt(draws[:, 0])
+    # the same doubles as rng.uniform(0, 2 pi): 0 + 2 pi * u
+    return moduli * np.exp(1j * (2.0 * np.pi * draws[:, 1]))
 
 
 @dataclass(frozen=True)
 class _Zero:
     """A converged Newton candidate: the point, the iterations it took, the
-    convergence measure there, its location uncertainty, and the extreme
-    singular values of the slice Jacobian."""
+    convergence measure there, its location uncertainty, and the ratio of
+    the smallest to the largest singular value of the slice Jacobian."""
 
     flat: np.ndarray
     iterations: int
     residual: float
     uncertainty: float
-    sigma_min: float
-    sigma_max: float
+    sigma_ratio: float
 
 
 def _cluster_representatives(found: list[_Zero], base_tol: float, cap: float) -> list[_Zero]:
@@ -671,15 +676,14 @@ def _collect_zeros(
     radius: float,
     converge_on: str,
     shift_vec: np.ndarray | None = None,
-    residual_cap: float = np.inf,
     base_tol: float,
     cap: float,
 ) -> list[_Zero]:
     """Zeros of the (shifted) tau-slice found by damped Newton from each start.
 
     A converged run is kept when it ends strictly inside the ball of
-    ``radius`` and its convergence measure (the record's ``residual``) is at
-    most ``residual_cap``.  Its location uncertainty is the slice residual
+    ``radius``; its convergence measure there, at most ``tol``, is the
+    record's ``residual``.  Its location uncertainty is the slice residual
     over the smallest singular value of the slice Jacobian, infinite at a
     singular Jacobian; near-degenerate zeros get large values, which the
     clustering uses to merge their halo of pseudo-solutions.  Returns the
@@ -696,12 +700,12 @@ def _collect_zeros(
             continue
         slice_res = _slice_residual(x, op, g, tau, shift_vec)
         residual = _measure(x, slice_res, op, g, converge_on)
-        if residual > residual_cap:
-            continue
         svals = np.linalg.svd(_slice_jacobian(x, op, g, tau), compute_uv=False)
-        smallest, largest = float(svals[-1]), float(svals[0])
+        # svals[0] > 0: J = I - A_r^-1 B = 0 would need A_r = B, but B is
+        # block diagonal and A_r couples neighbours (epsilon > 0)
+        smallest = float(svals[-1])
         uncertainty = _sup(slice_res) / smallest if smallest > 0.0 else np.inf
-        found.append(_Zero(x, iterations, residual, uncertainty, smallest, largest))
+        found.append(_Zero(x, iterations, residual, uncertainty, smallest / float(svals[0])))
     return _cluster_representatives(found, base_tol, cap)
 
 
@@ -720,19 +724,13 @@ def multi_start(
     converges) and from ``n_starts`` fields sampled uniformly in the ball,
     keeps the converged results strictly inside the ball (Newton is free to
     wander out to zeros the certificate says nothing about), then
-    deduplicates.  Deterministic for a fixed seed.
+    deduplicates.  Deterministic for a fixed seed.  Raises CertificateInvalid
+    (from ``homotopy_solve``) for a certificate that failed its boundary
+    check.
     """
-    if not cert.valid:
-        raise CertificateInvalid("multi-start enumeration requires a VALID certificate")
-    rng = np.random.default_rng(seed)
-
-    starts: list[np.ndarray] = []
     endpoint = homotopy_solve(op, g, cert, tol=tol, max_iter=max_iter)
-    if endpoint.status == "converged":
-        starts.append(endpoint.solution.flatten())
-    T, K = op.params.T, op.params.K
-    for _ in range(n_starts):
-        starts.append(_ball_field(T, K, rng, cert.radius).flatten())
+    starts = [endpoint.solution.flatten()] if endpoint.status == "converged" else []
+    starts += list(_ball_starts(op, np.random.default_rng(seed), cert.radius, n_starts))
 
     zeros = _collect_zeros(
         starts, op, g, 1.0, tol=tol, max_iter=max_iter, radius=cert.radius,
@@ -773,8 +771,10 @@ def steady_state_solve(
     its spatial row.  Tries homotopy continuation first and falls back to
     multi-start Newton when the tracked branch fails to reach tau = 1 (a real
     possibility for forcings with nonzero mean, whose constant-mode branch
-    folds); raises SolveFailed when no route converges, and PeriodMismatch
-    (from the certificate at T = 1) for a forcing whose period is not 1.
+    folds); raises SolveFailed when no route converges, PeriodMismatch
+    (from the certificate at T = 1) for a forcing whose period is not 1, and
+    CertificateInvalid (from ``homotopy_solve``) when the certificate fails
+    its boundary check.
 
     Returns the K-entry complex profile, or ``(profile, report)`` when
     ``full_output`` is set.
@@ -782,10 +782,6 @@ def steady_state_solve(
     params = LatticeParams(T=1, K=K, beta=beta, epsilon=epsilon, gamma=gamma)
     op = build_shifted(params, shift_factor)
     cert = build_certificate(op, h, slack=slack, samples=samples, seed=seed)
-    if not cert.valid:
-        raise CertificateInvalid(
-            "steady-state certificate failed its boundary check; cannot bound the search"
-        )
     report = homotopy_solve(op, h, cert, tol=tol, max_iter=max_iter)
     if report.status != "converged":
         candidates = multi_start(op, h, cert, n_starts=n_starts, seed=seed, tol=tol,

@@ -552,6 +552,17 @@ def test_steady_rejects_time_varying_forcing(tmp_path, capsys):
     assert "period" in capsys.readouterr().err
 
 
+def test_steady_invalid_certificate_exit_two(tmp_path, capsys):
+    # no boundary samples leave the certificate invalid
+    cfg = _write_config(
+        tmp_path, K=3, samples=0, potential={"kind": "constant", "coefficients": [[8.0, 0.0]]}
+    )
+    assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "failed its boundary check" in err
+
+
 def test_degree_unforced_parity(tmp_path, capsys):
     cfg = _write_config(tmp_path, samples=400, n_starts=8)
     out = tmp_path / "deg"

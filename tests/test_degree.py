@@ -23,6 +23,7 @@ from dnls import (
     zero_potential,
     zero_sign,
 )
+from dnls import degree
 
 ODD_CIRCLE_SUPS = (np.sqrt(6.0), np.sqrt(10.0), np.sqrt(3.0) + 1.0)
 FULL_CIRCLE_SUPS = (2.0,)
@@ -79,7 +80,7 @@ def test_unforced_odd_route_enumeration():
     for rec in report.degenerate:
         sup = np.max(np.abs(rec.field.values))
         assert min(abs(sup - known) for known in ODD_CIRCLE_SUPS) <= 1e-6
-        assert rec.residual <= 1e-9
+        assert rec.residual <= degree.ENUM_TOL
         assert rec.sigma_ratio <= 1e-8
         assert rec.local_index is None
         assert sup < cert.radius

@@ -399,6 +399,18 @@ def test_homotopy_stops_when_an_accepted_step_leaves_the_ball():
     assert sup_norm(report.solution) == report.path[-1][1] > small.radius
 
 
+def test_homotopy_stops_on_the_sphere_itself():
+    # the certificate says nothing about the sphere, so an accepted point
+    # with sup norm exactly the radius also ends tracking
+    forcing = constant_potential([0.5])
+    _, op, _, cert = _setup(T=3, K=2, g=forcing)
+    full = homotopy_solve(op, forcing, cert)
+    report = homotopy_solve(op, forcing, replace(cert, radius=full.path[1][1]))
+    assert report.status == "left_ball"
+    assert report.homotopy_steps == 1
+    assert report.path == full.path[:2]
+
+
 def test_homotopy_diverges_at_the_step_floor(monkeypatch):
     # a corrector with no iterations never converges on a forced slice, so
     # the step halves from 1 until it drops below STEP_FLOOR
@@ -464,7 +476,7 @@ def test_multi_start_counts_match_exact_steps(T, K, potential, gamma, count):
 
 def test_multi_start_requires_valid_certificate():
     _, op, g, cert = _setup(samples=0)
-    with pytest.raises(CertificateInvalid):
+    with pytest.raises(CertificateInvalid, match="failed its boundary check"):
         multi_start(op, g, cert)
 
 
