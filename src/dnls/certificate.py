@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateOverflow, NoThresholdFound
+from .errors import CertificateInvalid, CertificateOverflow, NoThresholdFound
 from .lattice import check_period
 from .operators import ShiftedOperator
-from .potentials import Potential
+from .potentials import CIRCLE_PHASES, Potential, _circle_moduli
 
 __all__ = [
     "BoundaryEvidence",
@@ -53,8 +53,6 @@ __all__ = [
     "build_certificate",
 ]
 
-#: phase resolution of the polar scans
-SCAN_PHASES = 64
 #: per-candidate radial span and resolution of the threshold scan
 SCAN_SPAN = 16.0
 SCAN_RADII = 48
@@ -105,7 +103,7 @@ class ExistenceCertificate:
     radius: float
     margin: float
     rigor: str
-    boundary: BoundaryEvidence | None
+    boundary: BoundaryEvidence
     valid: bool
 
 
@@ -114,7 +112,7 @@ def compute_threshold_radius(g: Potential, coef: float) -> tuple[float, str]:
 
     Uses the potential's closed form when present.  Otherwise scans a ladder
     of candidate radii; a candidate R is accepted when the sampled ratio
-    max |g| / |z|^3 over the polar grid [R, R*SCAN_SPAN] x SCAN_PHASES stays
+    max |g| / |z|^3 over the polar grid [R, R*SCAN_SPAN] x CIRCLE_PHASES stays
     below coef / SCAN_SAFETY.  Raises NoThresholdFound when the ladder is
     exhausted, the signature of growth that is cubic or worse.
     """
@@ -123,15 +121,10 @@ def compute_threshold_radius(g: Potential, coef: float) -> tuple[float, str]:
     if g.threshold_formula is not None:
         return float(g.threshold_formula(coef)), "closed_form"
 
-    phases = np.exp(2j * np.pi * np.arange(SCAN_PHASES) / SCAN_PHASES)
-    times = np.arange(g.period)[:, None, None]
     candidate = 2.0**-4
     while candidate <= SCAN_MAX_RADIUS:
         radii = np.geomspace(candidate, candidate * SCAN_SPAN, SCAN_RADII)
-        grid = radii[:, None] * phases[None, :]
-        vals = np.abs(np.asarray(g.evaluate(times, grid)))
-        worst = float((vals / radii[:, None] ** 3).max())
-        if worst < coef / SCAN_SAFETY:
+        if (_circle_moduli(g, radii) / radii[:, None] ** 3).max() < coef / SCAN_SAFETY:
             return float(candidate), "sampled"
         candidate *= 2.0
     raise NoThresholdFound(
@@ -154,14 +147,12 @@ def compute_forcing_sup(g: Potential, radius: float) -> float:
         return float(np.abs(np.asarray(g.evaluate(np.arange(g.period), 0.0))).max())
 
     n_radii = 96
-    phases = np.exp(2j * np.pi * np.arange(SCAN_PHASES) / SCAN_PHASES)
     radii = np.linspace(0.0, radius, n_radii)
-    times = np.arange(g.period)[:, None, None]
 
     def grid_max(rads: np.ndarray) -> tuple[float, float]:
         # flat argmax over (t, radius, phase): the first t, then the first
         # grid index attaining the maximum
-        vals = np.abs(np.asarray(g.evaluate(times, rads[:, None] * phases[None, :])))
+        vals = _circle_moduli(g, rads)
         _, at, _ = np.unravel_index(int(np.argmax(vals)), vals.shape)
         return float(vals.max()), float(rads[at])
 
@@ -169,7 +160,7 @@ def compute_forcing_sup(g: Potential, radius: float) -> float:
     step = radius / (n_radii - 1)
     lo = max(0.0, at - step)
     hi = min(radius, at + step)
-    fine, _ = grid_max(np.linspace(lo, hi, 4 * SCAN_PHASES))
+    fine, _ = grid_max(np.linspace(lo, hi, 4 * CIRCLE_PHASES))
     return float(max(coarse, fine) * SUP_SAFETY)
 
 
@@ -231,16 +222,37 @@ def sphere_samples(
     return z
 
 
+def _require_valid(cert: ExistenceCertificate) -> None:
+    """Raise CertificateInvalid unless ``cert`` passed its boundary check."""
+    if not cert.valid:
+        raise CertificateInvalid(
+            "the certificate failed its boundary check, so no certified ball bounds the search"
+        )
+
+
+def _odd_part(flat: np.ndarray, op: ShiftedOperator) -> np.ndarray:
+    """phi - A^-1 F(phi) for one flat field or an (m, n) stack of them."""
+    cubic = -op.params.gamma * (np.abs(flat) ** 2) * flat
+    return flat - op.solve(cubic.T).T
+
+
+def _forcing_part(flat: np.ndarray, op: ShiftedOperator, g: Potential) -> np.ndarray:
+    """A^-1 (G(phi) - s*phi) for one flat field or an (m, n) stack of them."""
+    fields = flat.reshape(flat.shape[:-1] + (op.params.T, op.params.K))
+    forcing = g.on_lattice(fields).reshape(flat.shape)
+    return op.solve((forcing - op.shift * flat).T).T
+
+
 def verify_boundary(
-    cert: ExistenceCertificate,
+    radius: float,
     op: ShiftedOperator,
     g: Potential,
     samples: int,
     seed: int,
 ) -> BoundaryEvidence:
-    """Sample the certified sphere and record the worst inequality gap.
+    """Sample the sphere of the given radius and record the worst inequality gap.
 
-    For each sample phi with sup norm cert.radius the gap is
+    For each sample phi with sup norm ``radius`` the gap is
 
         ||phi - A^-1 F(phi)||  -  ||A^-1 (G(phi) - s*phi)||,
 
@@ -251,21 +263,17 @@ def verify_boundary(
     """
     if samples <= 0:
         return BoundaryEvidence(count=0, min_gap=None, argmin_hash=None)
-    T, K = op.params.T, op.params.K
-    rng = np.random.default_rng(seed)
-    batch = sphere_samples(T, K, cert.radius, samples, rng)
+    batch = sphere_samples(op.params.T, op.params.K, radius, samples, np.random.default_rng(seed))
 
-    gamma = op.params.gamma
     gaps = np.empty(samples)
     step = max(1, CHUNK_VALUES // op.dim)
     for lo in range(0, samples, step):
-        fields = batch[lo : lo + step]
-        flat = fields.reshape(-1, op.dim)
-        cubic = -gamma * (np.abs(flat) ** 2) * flat
-        forcing_flat = g.on_lattice(fields).reshape(flat.shape)
-        odd_part = flat - op.solve(cubic.T).T
-        precond_forcing = op.solve((forcing_flat - op.shift * flat).T).T
-        gaps[lo : lo + step] = np.abs(odd_part).max(axis=1) - np.abs(precond_forcing).max(axis=1)
+        flat = batch[lo : lo + step].reshape(-1, op.dim)
+        # two names: one expression frees the first half before the second is
+        # allocated, which made this loop 40% slower on 24x24
+        odd = _odd_part(flat, op)
+        forced = _forcing_part(flat, op, g)
+        gaps[lo : lo + step] = np.abs(odd).max(axis=1) - np.abs(forced).max(axis=1)
 
     worst = int(np.argmin(gaps))
     digest = hashlib.sha256(np.ascontiguousarray(batch[worst]).tobytes()).hexdigest()[:16]
@@ -312,7 +320,8 @@ def build_certificate(
             "certificate constants overflow the floating-point range; the forcing is too "
             "large for this lattice"
         )
-    cert = ExistenceCertificate(
+    evidence = verify_boundary(radius, op, g, samples, seed)
+    return ExistenceCertificate(
         shift=op.shift,
         norm_linear=op.norm_linear,
         norm_shifted=op.norm_shifted,
@@ -326,10 +335,7 @@ def build_certificate(
         radius=float(radius),
         margin=float(margin),
         rigor=rigor,
-        boundary=None,
-        valid=False,
+        boundary=evidence,
+        # min_gap is None exactly when no samples were drawn
+        valid=evidence.min_gap is not None and evidence.min_gap > 0.0,
     )
-    evidence = verify_boundary(cert, op, g, samples, seed)
-    # min_gap is None exactly when no samples were drawn
-    is_valid = evidence.min_gap is not None and evidence.min_gap > 0.0
-    return replace(cert, boundary=evidence, valid=is_valid)

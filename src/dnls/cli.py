@@ -16,8 +16,8 @@ functions of (config, seed): rerunning a command reproduces byte-identical
 bytes.
 
 Exit codes: 0 success, 1 config or dimension errors (including a forcing
-period that does not divide T, and a config too large for the available
-memory), 2 certificate failures
+period that does not divide T, a config too large for the available
+memory, and an ``--out`` path that cannot be written), 2 certificate failures
 (no subcubic threshold, constants beyond the floating-point range, or an
 invalid boundary check), 3 solver failures, 4 degree estimates that failed
 their parity or agreement checks.
@@ -56,13 +56,7 @@ from .potentials import (
     power_law,
     zero_potential,
 )
-from .solver import (
-    SolveReport,
-    homotopy_solve,
-    residual_direct,
-    steady_state_solve,
-    tile_steady,
-)
+from .solver import SolveReport, homotopy_solve, residual_direct, steady_state_solve
 
 __all__ = ["RunConfig", "PotentialSpec", "load_config", "build_potential", "main", "entrypoint"]
 
@@ -270,29 +264,31 @@ def build_potential(spec: PotentialSpec) -> Potential:
 
 
 def _emit(payload: dict, out_dir: Path, name: str) -> None:
+    """Write the JSON report into ``out_dir``, then print it; a path that
+    cannot be written raises OSError before anything is printed."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(text, newline="\n")
+    sys.stdout.write(text)
+
+
+def _write_csv(path: Path, header: str, values: np.ndarray) -> None:
+    """One row per entry in row-major order: the indices, then the real and
+    imaginary parts with 17 significant digits."""
+    lines = [header]
+    for index, z in np.ndenumerate(values):
+        lines.append(",".join(map(str, index)) + f",{z.real:.17g},{z.imag:.17g}")
+    path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def write_field_csv(path: Path, field: LatticeField) -> None:
     """Row-major `t,k,re,im` dump with 17 significant digits per component."""
-    lines = [CSV_FIELD_HEADER]
-    vals = field.values
-    for t in range(field.T):
-        for k in range(field.K):
-            z = vals[t, k]
-            lines.append(f"{t},{k},{z.real:.17g},{z.imag:.17g}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(path, CSV_FIELD_HEADER, field.values)
 
 
 def write_steady_csv(path: Path, profile: np.ndarray) -> None:
     """`k,re,im` dump of a spatial profile, 17 significant digits."""
-    lines = [CSV_STEADY_HEADER]
-    for k, z in enumerate(profile):
-        lines.append(f"{k},{z.real:.17g},{z.imag:.17g}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(path, CSV_STEADY_HEADER, np.asarray(profile))
 
 
 def read_solution_csv(path: str | Path, params: LatticeParams) -> LatticeField:
@@ -310,62 +306,44 @@ def read_solution_csv(path: str | Path, params: LatticeParams) -> LatticeField:
     if not lines:
         raise DimensionMismatch(f"solution file {path} is empty")
     header, rows = lines[0], lines[1:]
-
-    def parse_row(line: str, want: int) -> list[float]:
+    shapes = {CSV_FIELD_HEADER: (params.T, params.K), CSV_STEADY_HEADER: (params.K,)}
+    if header not in shapes:
+        raise DimensionMismatch(
+            f"solution file {path}: unrecognized header {header!r} "
+            f"(expected {CSV_FIELD_HEADER!r} or {CSV_STEADY_HEADER!r})"
+        )
+    shape = shapes[header]
+    if len(rows) != math.prod(shape):
+        dims = ", ".join(f"{name.upper()}={n}" for name, n in zip(header.split(","), shape))
+        raise DimensionMismatch(
+            f"solution file {path}: expected {math.prod(shape)} rows for {dims}, got {len(rows)}"
+        )
+    grid = np.full(shape, np.nan, dtype=complex)  # values are finite, so NaN marks unseen
+    for line in rows:
         parts = line.split(",")
-        if len(parts) != want:
+        if len(parts) != len(shape) + 2:
             raise DimensionMismatch(
-                f"solution file {path}: expected {want} columns, got {len(parts)} in {line!r}"
+                f"solution file {path}: expected {len(shape) + 2} columns, got {len(parts)} "
+                f"in {line!r}"
             )
         try:
             values = [float(p) for p in parts]
         except ValueError as exc:
             raise DimensionMismatch(f"solution file {path}: non-numeric row {line!r}") from exc
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise DimensionMismatch(f"solution file {path}: non-finite value in row {line!r}")
-        return values
-
-    T, K = params.T, params.K
-    if header == CSV_FIELD_HEADER:
-        if len(rows) != T * K:
+        *index, re, im = values
+        node = tuple(int(i) for i in index)
+        at = ", ".join(f"{i:g}" for i in index)
+        if node != tuple(index) or not all(0 <= i < n for i, n in zip(node, shape)):
             raise DimensionMismatch(
-                f"solution file {path}: expected {T * K} rows for T={T}, K={K}, got {len(rows)}"
+                f"solution file {path}: node ({at}) outside the lattice of shape {shape}"
             )
-        grid = np.full((T, K), np.nan, dtype=complex)
-        for line in rows:
-            t_raw, k_raw, re, im = parse_row(line, 4)
-            t, k = int(t_raw), int(k_raw)
-            if t != t_raw or k != k_raw or not (0 <= t < T and 0 <= k < K):
-                raise DimensionMismatch(
-                    f"solution file {path}: node ({t_raw}, {k_raw}) outside the {T}x{K} lattice"
-                )
-            if not np.isnan(grid[t, k].real):
-                raise DimensionMismatch(f"solution file {path}: node ({t}, {k}) appears twice")
-            grid[t, k] = complex(re, im)
-        return LatticeField(grid)
-    if header == CSV_STEADY_HEADER:
-        if len(rows) != K:
-            raise DimensionMismatch(
-                f"solution file {path}: expected {K} rows for K={K}, got {len(rows)}"
-            )
-        profile = np.zeros(K, dtype=complex)
-        seen = np.zeros(K, dtype=bool)
-        for line in rows:
-            k_raw, re, im = parse_row(line, 3)
-            k = int(k_raw)
-            if k != k_raw or not 0 <= k < K:
-                raise DimensionMismatch(
-                    f"solution file {path}: node {k_raw} outside 0..{K - 1}"
-                )
-            if seen[k]:
-                raise DimensionMismatch(f"solution file {path}: node {k} appears twice")
-            seen[k] = True
-            profile[k] = complex(re, im)
-        return tile_steady(profile, T)
-    raise DimensionMismatch(
-        f"solution file {path}: unrecognized header {header!r} "
-        f"(expected {CSV_FIELD_HEADER!r} or {CSV_STEADY_HEADER!r})"
-    )
+        if not np.isnan(grid[node].real):
+            raise DimensionMismatch(f"solution file {path}: node ({at}) appears twice")
+        grid[node] = complex(re, im)
+    # a steady profile holds at every time slice
+    return LatticeField(np.broadcast_to(grid, (params.T, params.K)))
 
 
 def _solve_payload(report: SolveReport, csv_name: str | None) -> dict:
@@ -375,12 +353,7 @@ def _solve_payload(report: SolveReport, csv_name: str | None) -> dict:
 
 def _degree_payload(report: DegreeReport) -> dict:
     return {
-        "target": report.target,
-        "radius": report.radius,
-        "degree_estimate": report.degree_estimate,
-        "parity_ok": report.parity_ok,
-        "completeness": report.completeness,
-        "origin_perturbed": report.origin_perturbed,
+        **{f.name: getattr(report, f.name) for f in fields(report)},
         "zeros": [
             {"sup_norm": sup_norm(z.field), "residual": z.residual, "sign": z.sign}
             for z in report.zeros
@@ -420,21 +393,13 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
 def cmd_solve(config: RunConfig, out_dir: Path) -> int:
     """Certify, track the homotopy, polish; dump the solution as CSV."""
     g, op, cert = _certified_pipeline(config)
+    payload = {"command": "solve", "certificate": asdict(cert), "report": None}
     if not cert.valid:
-        _emit({"command": "solve", "certificate": asdict(cert),
-               "report": None}, out_dir, "report.json")
+        _emit(payload, out_dir, "report.json")
         return 2
     report = homotopy_solve(op, g, cert, tol=config.tolerance, max_iter=config.max_iter)
     csv_name = "solution.csv" if report.status == "converged" else None
-    _emit(
-        {
-            "command": "solve",
-            "certificate": asdict(cert),
-            "report": _solve_payload(report, csv_name),
-        },
-        out_dir,
-        "report.json",
-    )
+    _emit({**payload, "report": _solve_payload(report, csv_name)}, out_dir, "report.json")
     if report.status != "converged":
         return 3
     write_field_csv(out_dir / csv_name, report.solution)
@@ -506,8 +471,9 @@ def cmd_degree(config: RunConfig, out_dir: Path) -> int:
             f"got 2*T*K = {2 * config.params.dim}"
         )
     g, op, cert = _certified_pipeline(config)
+    payload = {"command": "degree", "certificate": asdict(cert)}
     if not cert.valid:
-        _emit({"command": "degree", "certificate": asdict(cert)}, out_dir, "degree.json")
+        _emit(payload, out_dir, "degree.json")
         return 2
     reports = {
         target: estimate_degree(
@@ -519,8 +485,7 @@ def cmd_degree(config: RunConfig, out_dir: Path) -> int:
     ok = bool(reports["odd"].parity_ok) and agree
     _emit(
         {
-            "command": "degree",
-            "certificate": asdict(cert),
+            **payload,
             "odd": _degree_payload(reports["odd"]),
             "full": _degree_payload(reports["full"]),
             "estimates_agree": agree,
@@ -572,18 +537,17 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
             config = replace(config, seed=args.seed)
         out_dir = Path(args.out)
-        if args.command == "certify":
-            return cmd_certify(config, out_dir)
-        if args.command == "solve":
-            return cmd_solve(config, out_dir)
-        if args.command == "steady":
-            return cmd_steady(config, out_dir)
         if args.command == "verify":
             return cmd_verify(config, args.solution, out_dir)
-        assert args.command == "degree"
-        return cmd_degree(config, out_dir)
+        commands = {"certify": cmd_certify, "solve": cmd_solve, "steady": cmd_steady,
+                    "degree": cmd_degree}
+        return commands[args.command](config, out_dir)
     except (ConfigError, DimensionMismatch, DimensionTooLarge, PeriodMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # reads of the config and the solution already end as the errors above
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         # numpy's message names the size and shape of the array that did not fit

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import ExistenceCertificate, sphere_samples
-from .errors import CertificateInvalid, DegenerateZero
+from .certificate import ExistenceCertificate, _require_valid, sphere_samples
+from .errors import DegenerateZero
 from .lattice import LatticeField, check_period
 from .operators import ShiftedOperator
 from .potentials import Potential
@@ -205,8 +205,7 @@ def estimate_degree(
     check_period(op.params.T, g)
     if target not in ("odd", "full"):
         raise ValueError(f"target must be 'odd' or 'full', got {target!r}")
-    if not cert.valid:
-        raise CertificateInvalid("degree estimation requires a VALID certificate")
+    _require_valid(cert)
     tau = 0.0 if target == "odd" else 1.0
     params = op.params
     starts = [np.zeros(op.dim, dtype=complex)]

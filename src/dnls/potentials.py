@@ -41,8 +41,8 @@ __all__ = [
     "GrowthReport",
 ]
 
-#: number of phase samples per circle in the growth scan
-GROWTH_PHASES = 64
+#: phase samples per circle of the polar scans
+CIRCLE_PHASES = 64
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def _make_power_law(coeffs: tuple[complex, ...], r: float) -> Potential:
         evaluate=evaluate,
         kind="power_law",
         derivative=derivative,
-        threshold_formula=threshold_formula if r < 3.0 else None,
+        threshold_formula=threshold_formula,
         sup_formula=sup_formula,
         coefficients=coeffs,
     )
@@ -272,6 +272,14 @@ def constant_potential(f) -> Potential:
     )
 
 
+def _circle_moduli(g: Potential, radii) -> np.ndarray:
+    """|g(t, rho e^{i theta})| over the times of one period, the radii and
+    CIRCLE_PHASES equally spaced phases from 0: shape (period, radii, phases)."""
+    phases = np.exp(2j * np.pi * np.arange(CIRCLE_PHASES) / CIRCLE_PHASES)
+    grid = np.asarray(radii)[:, None] * phases[None, :]
+    return np.abs(np.asarray(g.evaluate(np.arange(g.period)[:, None, None], grid)))
+
+
 @dataclass(frozen=True)
 class GrowthReport:
     """Sampled growth ratios max_t max_{|z|=rho} |g(t, z)| / rho^3 per radius."""
@@ -297,10 +305,7 @@ def growth_check(g: Potential, radii) -> GrowthReport:
     if not np.all(np.diff(rho) > 0.0):
         raise ValueError("radii must be strictly increasing")
 
-    phases = np.exp(2j * np.pi * np.arange(GROWTH_PHASES) / GROWTH_PHASES)
-    circles = rho[:, None, None] * phases  # (radii, 1, phases)
-    vals = np.abs(g.evaluate(np.arange(g.period)[:, None], circles))
-    ratios = vals.max(axis=(-2, -1)) / rho**3
+    ratios = _circle_moduli(g, rho).max(axis=(0, 2)) / rho**3
 
     tail = ratios[rho.size // 2 :]
     decay = bool(np.all(np.diff(tail) < 0.0)) if tail.size >= 2 else False

@@ -24,12 +24,18 @@ an R-linear map becomes a 2n x 2n real matrix built from 2x2 blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certificate import ExistenceCertificate, build_certificate
-from .errors import CertificateInvalid, MissingDerivative, SolveFailed
+from .certificate import (
+    ExistenceCertificate,
+    _forcing_part,
+    _odd_part,
+    _require_valid,
+    build_certificate,
+)
+from .errors import MissingDerivative, SolveFailed
 from .lattice import (
     LatticeField,
     LatticeParams,
@@ -157,14 +163,12 @@ def _slice_residual(
     tau: float,
     shift_vec: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Fixed-point residual of the tau-slice on a flat vector, minus
-    ``shift_vec`` when one is given (the slice map shifted to r_tau - w)."""
-    params = op.params
-    cubic = -params.gamma * (np.abs(flat) ** 2) * flat
-    res = flat - op.solve(cubic)
+    """Fixed-point residual of the tau-slice on a flat vector: the odd part
+    minus tau times the forcing part, the two halves the boundary check
+    compares; minus ``shift_vec`` when one is given (the map r_tau - w)."""
+    res = _odd_part(flat, op)
     if tau != 0.0:
-        forcing = g.on_lattice(flat.reshape(params.T, params.K)).ravel()
-        res = res - tau * op.solve(forcing - op.shift * flat)
+        res = res - tau * _forcing_part(flat, op, g)
     if shift_vec is not None:
         res = res - shift_vec
     return res
@@ -186,61 +190,41 @@ def residual_precond(phi: LatticeField, op: ShiftedOperator, g: Potential) -> La
 
 def _cubic_jacobian_blocks(flat: np.ndarray, gamma: float) -> np.ndarray:
     """(n, 2, 2) realified Jacobian blocks of z -> -gamma |z|^2 z."""
-    x = flat.real
-    y = flat.imag
-    blocks = np.empty((flat.size, 2, 2))
-    blocks[:, 0, 0] = 3.0 * x * x + y * y
-    blocks[:, 0, 1] = 2.0 * x * y
-    blocks[:, 1, 0] = 2.0 * x * y
-    blocks[:, 1, 1] = x * x + 3.0 * y * y
-    return -gamma * blocks
+    x, y = flat.real, flat.imag
+    return -gamma * _blocks(3.0 * x * x + y * y, 2.0 * x * y, 2.0 * x * y, x * x + 3.0 * y * y)
 
 
-def _forcing_jacobian_blocks(
-    flat: np.ndarray, params: LatticeParams, g: Potential, mode: str
-) -> np.ndarray:
-    """(n, 2, 2) realified Jacobian blocks of the nodewise forcing."""
+def _forcing_jacobian_blocks(flat: np.ndarray, params: LatticeParams, g: Potential) -> np.ndarray:
+    """(n, 2, 2) realified Jacobian blocks of the nodewise forcing: the
+    potential's derivative when it has one, else central differences with
+    step 1e-6 * (1 + |z|)."""
     grid = flat.reshape(params.T, params.K)
-    if mode == "analytic":
-        if g.derivative is None:
-            raise MissingDerivative(f"potential kind {g.kind!r} carries no analytic derivative")
+    if g.derivative is not None:
         blocks = g.derivative(np.arange(params.T)[:, None], grid)
-    elif mode == "finite_diff":
+    else:
         h = 1e-6 * (1.0 + np.abs(grid))
         col_x = (g.on_lattice(grid + h) - g.on_lattice(grid - h)) / (2.0 * h)
         col_y = (g.on_lattice(grid + 1j * h) - g.on_lattice(grid - 1j * h)) / (2.0 * h)
         blocks = _blocks(col_x.real, col_y.real, col_x.imag, col_y.imag)
-    else:
-        raise ValueError(f"mode must be 'analytic' or 'finite_diff', got {mode!r}")
     return np.asarray(blocks, dtype=float).reshape(flat.size, 2, 2)
 
 
-def _slice_blocks(
-    flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float, mode: str | None = None
-) -> np.ndarray:
+def _slice_blocks(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float) -> np.ndarray:
     """(n, 2, 2) realified Jacobian blocks of the nodewise part of the
     tau-slice, the cubic term plus tau * (forcing - s*phi): the slice
-    Jacobian is I - A_r^-1 blockdiag(blocks).
-
-    The cubic blocks are analytic; the forcing blocks follow ``mode``
-    (default: analytic when the potential has a derivative, else finite
-    differences).
-    """
+    Jacobian is I - A_r^-1 blockdiag(blocks)."""
     blocks = _cubic_jacobian_blocks(flat, op.params.gamma)
     if tau != 0.0:
-        mode = mode or _pick_mode(g)
-        blocks = blocks + tau * _forcing_jacobian_blocks(flat, op.params, g, mode)
+        blocks = blocks + tau * _forcing_jacobian_blocks(flat, op.params, g)
         blocks[:, 0, 0] -= tau * op.shift
         blocks[:, 1, 1] -= tau * op.shift
     return blocks
 
 
-def _slice_jacobian(
-    flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float, mode: str | None = None
-) -> np.ndarray:
+def _slice_jacobian(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float) -> np.ndarray:
     """Dense realified Jacobian of the tau-slice residual at a flat vector,
     with the blocks of ``_slice_blocks``."""
-    blocks = _slice_blocks(flat, op, g, tau, mode)
+    blocks = _slice_blocks(flat, op, g, tau)
     # column pair j of A_r^-1 blockdiag(blocks) is that of A_r^-1 times block j
     n = flat.size
     inv = op.inverse_realified.reshape(2 * n, n, 2)
@@ -257,11 +241,13 @@ def realified_jacobian(
     the potential to carry a derivative (MissingDerivative otherwise),
     "finite_diff" uses central differences with step 1e-6 * (1 + |z|).
     """
-    return _slice_jacobian(phi.flatten(), op, g, tau=1.0, mode=mode)
-
-
-def _pick_mode(g: Potential) -> str:
-    return "analytic" if g.derivative is not None else "finite_diff"
+    if mode == "finite_diff":
+        g = replace(g, derivative=None)
+    elif mode != "analytic":
+        raise ValueError(f"mode must be 'analytic' or 'finite_diff', got {mode!r}")
+    elif g.derivative is None:
+        raise MissingDerivative(f"potential kind {g.kind!r} carries no analytic derivative")
+    return _slice_jacobian(phi.flatten(), op, g, tau=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -558,17 +544,13 @@ def homotopy_solve(
     that failed its boundary check.
     """
     check_period(op.params.T, g)
-    if not cert.valid:
-        raise CertificateInvalid(
-            "the certificate failed its boundary check, so no certified ball bounds the search"
-        )
+    _require_valid(cert)
     step = 1.0
 
     x = np.zeros(op.dim, dtype=complex)
     x_prev: np.ndarray | None = None
     tau, tau_prev = 0.0, 0.0
     path: list[tuple[float, float]] = [(0.0, 0.0)]
-    macro_steps = 0
     total_iters = 0
     successes = 0
     attempts = 0
@@ -590,7 +572,6 @@ def homotopy_solve(
         if status == "converged":
             x_prev, tau_prev = x, tau
             x, tau = corrected, tau_try
-            macro_steps += 1
             norm = _sup(x)
             path.append((tau, norm))
             if norm >= cert.radius:
@@ -613,7 +594,7 @@ def homotopy_solve(
         if status == "converged" and _sup(x) >= cert.radius:
             status = "left_ball"
         path[-1] = (1.0, _sup(x))
-    return _report_at(x, op, g, total_iters, status, "homotopy", macro_steps, tuple(path))
+    return _report_at(x, op, g, total_iters, status, "homotopy", len(path) - 1, tuple(path))
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def test_verify_boundary_matches_direct_computation():
         odd = flat - op.solve(cubic)
         rest = op.solve(forcing - op.shift * flat)
         gaps.append(np.abs(odd).max() - np.abs(rest).max())
-    evidence = verify_boundary(cert, op, g, samples=64, seed=5)
+    evidence = verify_boundary(cert.radius, op, g, samples=64, seed=5)
     assert evidence.min_gap == pytest.approx(min(gaps), rel=1e-12)
     assert evidence.count == 64
     assert evidence.argmin_hash == _sample_hash(batch[int(np.argmin(gaps))])
@@ -324,7 +324,7 @@ def test_verify_boundary_chunks_match_direct_computation(case, monkeypatch):
         assert chunks >= 3
         monkeypatch.setattr(certificate, "sphere_samples", _tied_across_chunks(op, g, step))
 
-    evidence = verify_boundary(cert, op, g, samples=samples, seed=5)
+    evidence = verify_boundary(cert.radius, op, g, samples=samples, seed=5)
     batch = certificate.sphere_samples(T, K, cert.radius, samples, np.random.default_rng(5))
     gaps = _direct_gaps(op, g, batch)
     worst = int(np.argmin(gaps))

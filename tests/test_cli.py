@@ -193,10 +193,15 @@ def test_steady_csv_lifts_to_all_time_slices(tmp_path):
         ("t,k,re,im\n0,0,nan,0\n0,0,1,0\n0,1,1,0\n0,2,1,0\n1,0,1,0\n1,1,1,0", "non-finite"),
         ("k,re,im\n0,1,0\n1,inf,0\n2,1,-inf", "non-finite"),
         ("t,k,re,im\n" + "\n".join(f"nan,{k},1,0" for k in range(6)), "non-finite"),
+        ("k,re,im\n0,1,0\n1,1,0\n1,2,0", "twice"),
+        ("k,re,im\n0,1,0\n1,1,0\n3,1,0", "outside"),
+        ("k,re,im\n0,1,0\n1.5,1,0\n2,1,0", "outside"),
+        ("k,re,im\n0,1,0,0\n1,1,0,0\n2,1,0,0", "columns"),
     ],
     ids=["empty", "bad-header", "row-count", "duplicate", "out-of-range",
          "non-numeric", "fractional-index", "short-rows", "steady-count",
-         "nan-value", "inf-value", "nan-index"],
+         "nan-value", "inf-value", "nan-index", "steady-duplicate", "steady-out-of-range",
+         "steady-fractional-index", "steady-long-rows"],
 )
 def test_read_solution_csv_rejects_malformed(tmp_path, content, needle):
     path = tmp_path / "sol.csv"
@@ -561,6 +566,42 @@ def test_steady_invalid_certificate_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "failed its boundary check" in err
+
+
+@pytest.mark.parametrize("command,name", [("solve", "report.json"), ("degree", "degree.json")])
+def test_invalid_certificate_is_reported_with_exit_two(tmp_path, capsys, command, name):
+    # no boundary samples leave the certificate invalid
+    cfg = _write_config(tmp_path, samples=0)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    stdout = capsys.readouterr().out
+    payload = json.loads(stdout)
+    assert payload["command"] == command
+    assert payload["certificate"]["valid"] is False
+    if command == "solve":
+        assert payload["report"] is None
+    assert (out / name).read_text() == stdout
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["certify", "solve", "steady", "verify", "degree"])
+def test_unwritable_out_exit_one(tmp_path, capsys, command, under):
+    # an --out that is an existing file, or lies under one, cannot be written
+    cfg = _write_config(tmp_path, samples=50, n_starts=2)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "verify":
+        solution = tmp_path / "zero.csv"
+        write_steady_csv(solution, np.zeros(2, dtype=complex))
+        argv += ["--solution", str(solution)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot write output: ")
+    assert blocker.read_text() == ""
 
 
 def test_degree_unforced_parity(tmp_path, capsys):

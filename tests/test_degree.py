@@ -19,6 +19,8 @@ from dnls import (
     build_certificate,
     build_shifted,
     estimate_degree,
+    homotopy_solve,
+    multi_start,
     power_law,
     zero_potential,
     zero_sign,
@@ -151,6 +153,19 @@ def test_estimate_requires_valid_certificate():
     invalid = build_certificate(op, g, samples=0)
     with pytest.raises(CertificateInvalid):
         estimate_degree("odd", op, g, invalid)
+
+
+def test_invalid_certificate_message_is_shared():
+    # estimate_degree, homotopy_solve and multi_start raise one wording
+    op, g, _ = _setup()
+    invalid = build_certificate(op, g, samples=0)
+    for call in (
+        lambda: estimate_degree("full", op, g, invalid),
+        lambda: homotopy_solve(op, g, invalid),
+        lambda: multi_start(op, g, invalid, n_starts=1),
+    ):
+        with pytest.raises(CertificateInvalid, match="failed its boundary check"):
+            call()
 
 
 def test_estimate_rejects_unknown_target():

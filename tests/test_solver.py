@@ -167,6 +167,13 @@ def test_realified_jacobian_requires_derivative_in_analytic_mode():
     realified_jacobian(phi, op, stripped, mode="finite_diff")
 
 
+def test_realified_jacobian_rejects_unknown_mode():
+    g = power_law([1.0], 2.0)
+    params, op, _, _ = _setup(T=1, K=2, g=g, samples=0)
+    with pytest.raises(ValueError, match="mode"):
+        realified_jacobian(random_field(1, 2, RNG, 1.0), op, g, mode="bogus")
+
+
 @pytest.mark.parametrize("T,K", [(1, 2), (2, 3), (3, 4)])
 def test_slice_jacobian_matches_dense_oracle(T, K):
     # I - A_r^-1 D with a dense inverse and a dense block-diagonal D, where D
@@ -307,7 +314,7 @@ def test_large_lattice_builds_no_dense_operator_matrix():
 def test_odd_slice_jacobian_at_origin_is_identity():
     # at tau = 0 and phi = 0 the cubic's derivative vanishes, leaving I
     params, op, g, _ = _setup(T=2, K=2, samples=0)
-    jac = _slice_jacobian(np.zeros(4, dtype=complex), op, g, tau=0.0, mode="analytic")
+    jac = _slice_jacobian(np.zeros(4, dtype=complex), op, g, tau=0.0)
     assert_allclose(jac, np.eye(8), atol=1e-14)
 
 
