@@ -56,7 +56,7 @@ from .potentials import (
     power_law,
     zero_potential,
 )
-from .solver import SolveReport, homotopy_solve, residual_direct, steady_state_solve
+from .solver import DEFAULT_TOL, SolveReport, homotopy_solve, residual_direct, steady_state_solve
 
 __all__ = ["RunConfig", "PotentialSpec", "load_config", "build_potential", "main", "entrypoint"]
 
@@ -86,7 +86,7 @@ class RunConfig:
     potential: PotentialSpec
     shift_factor: float = 1.5
     slack: float = 0.1
-    tolerance: float = 1e-10
+    tolerance: float = DEFAULT_TOL
     max_iter: int = 100
     samples: int = 10000
     n_starts: int = 32
@@ -132,7 +132,15 @@ def _parse_coefficients(raw: object, field: str) -> tuple[complex, ...]:
     return tuple(out)
 
 
-_POTENTIAL_KINDS = ("power_law", "bounded", "zero", "constant")
+#: constructor of each forcing kind, in the order the config error lists them
+_POTENTIAL_KINDS = {
+    "power_law": lambda spec: (power_law if spec.exponent < 3 else _power_law_unchecked)(
+        list(spec.coefficients), spec.exponent
+    ),
+    "bounded": lambda spec: bounded_potential(list(spec.coefficients)),
+    "zero": lambda spec: zero_potential(period=max(1, len(spec.coefficients))),
+    "constant": lambda spec: constant_potential(list(spec.coefficients)),
+}
 
 
 def _parse_potential(raw: object) -> PotentialSpec:
@@ -147,14 +155,12 @@ def _parse_potential(raw: object) -> PotentialSpec:
         raise ConfigError(
             f"field 'potential.kind': expected one of {list(_POTENTIAL_KINDS)}, got {kind!r}"
         )
-    if kind == "zero":
-        coeffs: tuple[complex, ...] = ()
-        if "coefficients" in raw:
-            coeffs = _parse_coefficients(raw["coefficients"], "potential.coefficients")
-    else:
-        if "coefficients" not in raw:
-            raise ConfigError(f"field 'potential.coefficients': required for kind {kind!r}")
+    if "coefficients" in raw:
         coeffs = _parse_coefficients(raw["coefficients"], "potential.coefficients")
+    elif kind == "zero":
+        coeffs = ()
+    else:
+        raise ConfigError(f"field 'potential.coefficients': required for kind {kind!r}")
     exponent: float | None = None
     if kind == "power_law":
         if "exponent" not in raw:
@@ -245,16 +251,7 @@ def build_potential(spec: PotentialSpec) -> Potential:
     point (config validation rejects them).
     """
     try:
-        if spec.kind == "zero":
-            return zero_potential(period=max(1, len(spec.coefficients)))
-        if spec.kind == "bounded":
-            return bounded_potential(list(spec.coefficients))
-        if spec.kind == "constant":
-            return constant_potential(list(spec.coefficients))
-        assert spec.kind == "power_law"
-        if spec.exponent is not None and spec.exponent >= 3:
-            return _power_law_unchecked(list(spec.coefficients), spec.exponent)
-        return power_law(list(spec.coefficients), spec.exponent)
+        return _POTENTIAL_KINDS[spec.kind](spec)
     except DnlsError as exc:
         raise ConfigError(f"field 'potential': {exc}") from exc
 
@@ -263,11 +260,15 @@ def build_potential(spec: PotentialSpec) -> Potential:
 # serialization helpers
 
 
-def _emit(payload: dict, out_dir: Path, name: str) -> None:
-    """Write the JSON report into ``out_dir``, then print it; a path that
-    cannot be written raises OSError before anything is printed."""
+def _emit(payload: dict, out_dir: Path, name: str, csv: tuple | None = None) -> None:
+    """Write the optional CSV ``(file name, writer, data)`` and then the JSON
+    report into ``out_dir``, then print the report; a path that cannot be
+    written raises OSError before anything is printed."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     out_dir.mkdir(parents=True, exist_ok=True)
+    if csv is not None:
+        csv_name, write, data = csv
+        write(out_dir / csv_name, data)
     (out_dir / name).write_text(text, newline="\n")
     sys.stdout.write(text)
 
@@ -398,12 +399,11 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> int:
         _emit(payload, out_dir, "report.json")
         return 2
     report = homotopy_solve(op, g, cert, tol=config.tolerance, max_iter=config.max_iter)
-    csv_name = "solution.csv" if report.status == "converged" else None
-    _emit({**payload, "report": _solve_payload(report, csv_name)}, out_dir, "report.json")
-    if report.status != "converged":
-        return 3
-    write_field_csv(out_dir / csv_name, report.solution)
-    return 0
+    converged = report.status == "converged"
+    csv_name = "solution.csv" if converged else None
+    csv = (csv_name, write_field_csv, report.solution) if converged else None
+    _emit({**payload, "report": _solve_payload(report, csv_name)}, out_dir, "report.json", csv)
+    return 0 if converged else 3
 
 
 def cmd_steady(config: RunConfig, out_dir: Path) -> int:
@@ -429,8 +429,8 @@ def cmd_steady(config: RunConfig, out_dir: Path) -> int:
         {"command": "steady", "report": _solve_payload(report, csv_name)},
         out_dir,
         "report.json",
+        (csv_name, write_steady_csv, profile),
     )
-    write_steady_csv(out_dir / csv_name, profile)
     return 0
 
 

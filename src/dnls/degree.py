@@ -37,6 +37,7 @@ from .lattice import LatticeField, check_period
 from .operators import ShiftedOperator
 from .potentials import Potential
 from .solver import (
+    DEDUP_TOL,
     _ball_starts,
     _collect_zeros,
     _slice_jacobian,
@@ -212,7 +213,7 @@ def estimate_degree(
     starts += list(_ball_starts(op, np.random.default_rng(seed), cert.radius, n_starts))
     found = _collect_zeros(
         starts, op, g, tau, tol=ENUM_TOL, max_iter=100, radius=cert.radius, converge_on="slice",
-        base_tol=1e-6, cap=0.01 * max(1.0, cert.radius),
+        base_tol=DEDUP_TOL, cap=0.01 * max(1.0, cert.radius),
     )
 
     zeros: list[ZeroRecord] = []

@@ -63,17 +63,47 @@ class Potential:
         return np.asarray(self.evaluate(np.arange(v.shape[-2])[:, None], v), dtype=complex)
 
 
-def _coeff_tuple(f) -> tuple[complex, ...]:
+def _coefficients(f) -> tuple[tuple[complex, ...], Callable, float]:
+    """Set-up of a coefficient family: the coefficients of f, one per time of
+    the period; the lookup t -> f(t mod period), elementwise over an integer
+    array of times; and max|f|."""
     coeffs = tuple(complex(c) for c in np.atleast_1d(np.asarray(f, dtype=complex)))
     if len(coeffs) == 0:
         raise EmptyCoefficients("coefficient list must contain at least one entry")
-    return coeffs
-
-
-def _coefficient_at(coeffs: tuple[complex, ...]) -> Callable[[int | np.ndarray], np.ndarray]:
-    """t -> f(t mod period), elementwise over an integer array of times."""
     table = np.asarray(coeffs)
-    return lambda t: table[np.asarray(t) % len(table)]
+    return coeffs, lambda t: table[np.asarray(t) % len(table)], max(abs(c) for c in coeffs)
+
+
+def _coefficient_family(
+    coeffs: tuple[complex, ...], kind: str, evaluate, derivative, formulas
+) -> Potential:
+    """The family with the given coefficients, one per time of the period,
+    and its (threshold_formula, sup_formula) pair."""
+    threshold_formula, sup_formula = formulas
+    return Potential(
+        period=len(coeffs),
+        evaluate=evaluate,
+        kind=kind,
+        derivative=derivative,
+        threshold_formula=threshold_formula,
+        sup_formula=sup_formula,
+        coefficients=coeffs,
+    )
+
+
+def _power_formulas(fmax: float, r: float):
+    """Closed forms for a forcing of modulus |f(t)| * |z|^r with max|f| = fmax:
+    the radius beyond which |g| <= coef*|z|^3, and sup |g| over a disk."""
+
+    def threshold_formula(coef: float) -> float:
+        if fmax == 0.0:
+            return 1.0
+        return float((fmax / coef) ** (1.0 / (3.0 - r)))
+
+    def sup_formula(radius: float) -> float:
+        return float(fmax * radius**r)
+
+    return threshold_formula, sup_formula
 
 
 def _blocks(a, b, c, d) -> np.ndarray:
@@ -89,10 +119,8 @@ def _rotation(c) -> np.ndarray:
     return _blocks(c.real, -c.imag, c.imag, c.real)
 
 
-def _make_power_law(coeffs: tuple[complex, ...], r: float) -> Potential:
-    period = len(coeffs)
-    coeff = _coefficient_at(coeffs)
-    fmax = max(abs(c) for c in coeffs)
+def _make_power_law(f, r: float) -> Potential:
+    coeffs, coeff, fmax = _coefficients(f)
     r = float(r)
 
     def evaluate(t, z):
@@ -119,23 +147,7 @@ def _make_power_law(coeffs: tuple[complex, ...], r: float) -> Potential:
         inner[origin] = np.eye(2) if r == 1.0 else 0.0
         return _rotation(coeff(t)) @ inner
 
-    def threshold_formula(coef: float) -> float:
-        if fmax == 0.0:
-            return 1.0
-        return float((fmax / coef) ** (1.0 / (3.0 - r)))
-
-    def sup_formula(radius: float) -> float:
-        return float(fmax * radius**r)
-
-    return Potential(
-        period=period,
-        evaluate=evaluate,
-        kind="power_law",
-        derivative=derivative,
-        threshold_formula=threshold_formula,
-        sup_formula=sup_formula,
-        coefficients=coeffs,
-    )
+    return _coefficient_family(coeffs, "power_law", evaluate, derivative, _power_formulas(fmax, r))
 
 
 def power_law(f, r: float) -> Potential:
@@ -146,10 +158,10 @@ def power_law(f, r: float) -> Potential:
     InvalidExponent; for r >= 3 the certificate's growth hypothesis fails for
     any nonzero f, and r <= 0 would make the map discontinuous at the origin.
     """
-    coeffs = _coeff_tuple(f)
+    g = _make_power_law(f, r)  # an empty f raises before the exponent is checked
     if not 0.0 < float(r) < 3.0:
         raise InvalidExponent(f"growth exponent must lie strictly between 0 and 3, got {r}")
-    return _make_power_law(coeffs, float(r))
+    return g
 
 
 def _power_law_unchecked(f, r: float) -> Potential:
@@ -159,9 +171,7 @@ def _power_law_unchecked(f, r: float) -> Potential:
     Exists so negative tests (and deliberately out-of-range configs) exercise
     the certificate's rejection path instead of the constructor's.
     """
-    return replace(
-        _make_power_law(_coeff_tuple(f), float(r)), threshold_formula=None, sup_formula=None
-    )
+    return replace(_make_power_law(f, r), threshold_formula=None, sup_formula=None)
 
 
 def bounded_potential(f) -> Potential:
@@ -169,10 +179,7 @@ def bounded_potential(f) -> Potential:
 
     The bound is attained at |z| = 1.
     """
-    coeffs = _coeff_tuple(f)
-    period = len(coeffs)
-    coeff = _coefficient_at(coeffs)
-    fmax = max(abs(c) for c in coeffs)
+    coeffs, coeff, fmax = _coefficients(f)
 
     def evaluate(t, z):
         zz = np.asarray(z, dtype=complex)
@@ -204,72 +211,37 @@ def bounded_potential(f) -> Potential:
             return float(fmax / 2.0)
         return float(fmax * radius / (1.0 + radius * radius))
 
-    return Potential(
-        period=period,
-        evaluate=evaluate,
-        kind="bounded",
-        derivative=derivative,
-        threshold_formula=threshold_formula,
-        sup_formula=sup_formula,
-        coefficients=coeffs,
-    )
-
-
-def _broadcast_shape(t, z) -> tuple[int, ...]:
-    return np.broadcast_shapes(np.shape(t), np.shape(z))
-
-
-def _zero_derivative(t, z) -> np.ndarray:
-    return np.zeros(_broadcast_shape(t, z) + (2, 2))
-
-
-def zero_potential(period: int = 1) -> Potential:
-    """The unforced equation: g identically zero."""
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-
-    def evaluate(t, z):
-        return np.zeros(_broadcast_shape(t, z), dtype=complex)
-
-    return Potential(
-        period=period,
-        evaluate=evaluate,
-        kind="zero",
-        derivative=_zero_derivative,
-        threshold_formula=lambda coef: 1.0,
-        sup_formula=lambda radius: 0.0,
-        coefficients=(),
+    return _coefficient_family(
+        coeffs, "bounded", evaluate, derivative, (threshold_formula, sup_formula)
     )
 
 
 def constant_potential(f) -> Potential:
-    """z-independent forcing g(t, z) = f(t).
+    """z-independent forcing g(t, z) = f(t): modulus |f(t)| * |z|^0, so the
+    power-law closed forms at r = 0.
 
     Not odd in z (unless f = 0), so it breaks the symmetry that pins the
     trivial solution at the origin; the steady-state pipeline relies on it.
     """
-    coeffs = _coeff_tuple(f)
-    period = len(coeffs)
-    coeff = _coefficient_at(coeffs)
-    fmax = max(abs(c) for c in coeffs)
+    coeffs, coeff, fmax = _coefficients(f)
 
     def evaluate(t, z):
-        return np.broadcast_to(coeff(t), _broadcast_shape(t, z)).copy()
+        return np.broadcast_to(coeff(t), np.broadcast_shapes(np.shape(t), np.shape(z))).copy()
 
-    def threshold_formula(coef: float) -> float:
-        if fmax == 0.0:
-            return 1.0
-        return float((fmax / coef) ** (1.0 / 3.0))
+    def derivative(t, z) -> np.ndarray:
+        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(z)) + (2, 2))
 
-    return Potential(
-        period=period,
-        evaluate=evaluate,
-        kind="constant",
-        derivative=_zero_derivative,
-        threshold_formula=threshold_formula,
-        sup_formula=lambda radius: float(fmax),
-        coefficients=coeffs,
+    return _coefficient_family(
+        coeffs, "constant", evaluate, derivative, _power_formulas(fmax, 0.0)
     )
+
+
+def zero_potential(period: int = 1) -> Potential:
+    """The unforced equation: g identically zero, the constant family on
+    ``period`` zero coefficients (so its closed forms are those at f = 0)."""
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
+    return replace(constant_potential([0.0] * period), kind="zero", coefficients=())
 
 
 def _circle_moduli(g: Potential, radii) -> np.ndarray:

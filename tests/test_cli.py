@@ -604,6 +604,30 @@ def test_unwritable_out_exit_one(tmp_path, capsys, command, under):
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize(
+    "command,overrides,csv_name",
+    [
+        ("solve", {"T": 2, "K": 3, "potential": {"kind": "bounded", "coefficients": [[0.5, 0]]}},
+         "solution.csv"),
+        ("steady", {"K": 3, "potential": {"kind": "constant", "coefficients": [[8.0, 0]]}},
+         "steady.csv"),
+    ],
+    ids=["solve", "steady"],
+)
+def test_unwritable_csv_exit_one_before_printing(tmp_path, capsys, command, overrides, csv_name):
+    # the solution CSV is written before the report, so a CSV path that is an
+    # existing directory prints nothing and leaves no report behind
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    (out / csv_name).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot write output: ")
+    assert not (out / "report.json").exists()
+
+
 def test_degree_unforced_parity(tmp_path, capsys):
     cfg = _write_config(tmp_path, samples=400, n_starts=8)
     out = tmp_path / "deg"

@@ -15,6 +15,7 @@ from dnls import (
     power_law,
     zero_potential,
 )
+from dnls.potentials import _circle_moduli
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +161,76 @@ def test_zero_potential_formulas():
     assert_allclose(g.derivative(0, 1.0 + 1j), np.zeros((2, 2)))
 
 
+def test_zero_potential_rejects_empty_period():
+    with pytest.raises(ValueError):
+        zero_potential(0)
+
+
+def test_zero_potential_is_zero_of_the_broadcast_shape():
+    g = zero_potential(3)
+    assert (g.kind, g.coefficients, g.period) == ("zero", (), 3)
+    grid = np.array([[1 + 2j, -3j], [0j, 4.0]])
+    cases = [
+        (2, 1 + 1j, ()),
+        (2, grid, (2, 2)),
+        (np.array([0, 4]), grid, (2, 2)),
+        (np.arange(3)[:, None, None], grid, (3, 2, 2)),
+    ]
+    for t, z, shape in cases:
+        values = np.asarray(g.evaluate(t, z))
+        assert values.dtype == complex and values.shape == shape
+        assert not values.any()
+        blocks = np.asarray(g.derivative(t, z))
+        assert blocks.dtype == float and blocks.shape == shape + (2, 2)
+        assert not blocks.any()
+
+
+# ---------------------------------------------------------------------------
+# closed forms, pinned exactly: |g| = |f(t)| * |z|^r gives the threshold
+# (fmax / coef)^(1 / (3 - r)), or 1 when f = 0, and the sup fmax * R^r
+
+
+_CLOSED_FORM_COEFFS = [[0.0], [0.0, 0.0], [2.0], [2.0, 1 + 1j], [-0.3j, 0.05], [8.0]]
+_CLOSED_FORM_COEFS = [1e-3, 0.3, 1.0, 7.5]
+_CLOSED_FORM_RADII = [0.0, 0.5, 1.0, 3.7, 1e3]
+
+
+def _fmax(f):
+    return max(abs(complex(c)) for c in f)
+
+
+@pytest.mark.parametrize("f", _CLOSED_FORM_COEFFS)
+def test_constant_closed_forms_are_exact(f):
+    g = constant_potential(f)
+    fmax = _fmax(f)
+    for coef in _CLOSED_FORM_COEFS:
+        expected = 1.0 if fmax == 0.0 else (fmax / coef) ** (1.0 / 3.0)
+        assert g.threshold_formula(coef) == expected
+    for radius in _CLOSED_FORM_RADII:
+        assert g.sup_formula(radius) == fmax
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 2.5])
+@pytest.mark.parametrize("f", _CLOSED_FORM_COEFFS)
+def test_power_law_closed_forms_are_exact(f, r):
+    g = power_law(f, r)
+    fmax = _fmax(f)
+    for coef in _CLOSED_FORM_COEFS:
+        expected = 1.0 if fmax == 0.0 else (fmax / coef) ** (1.0 / (3.0 - r))
+        assert g.threshold_formula(coef) == expected
+    for radius in _CLOSED_FORM_RADII:
+        assert g.sup_formula(radius) == fmax * radius**r
+
+
+@pytest.mark.parametrize("period", [1, 2, 5])
+def test_zero_closed_forms_are_exact(period):
+    g = zero_potential(period)
+    for coef in _CLOSED_FORM_COEFS:
+        assert g.threshold_formula(coef) == 1.0
+    for radius in _CLOSED_FORM_RADII + [np.inf]:
+        assert g.sup_formula(radius) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # derivatives against finite differences
 
@@ -202,12 +273,18 @@ _COEFFS = st.lists(
     st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
     min_size=1, max_size=3,
 )
-_FAMILIES = st.one_of(
-    st.builds(power_law, _COEFFS, st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5])),
-    st.builds(bounded_potential, _COEFFS),
-    st.builds(zero_potential, st.integers(1, 3)),
-    st.builds(constant_potential, _COEFFS),
-)
+
+
+def _families(coeffs):
+    return st.one_of(
+        st.builds(power_law, coeffs, st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5])),
+        st.builds(bounded_potential, coeffs),
+        st.builds(zero_potential, st.integers(1, 3)),
+        st.builds(constant_potential, coeffs),
+    )
+
+
+_FAMILIES = _families(_COEFFS)
 
 
 @st.composite
@@ -247,6 +324,40 @@ def test_lattice_calls_match_per_node_calls(g, grid):
             assert block.shape == (2, 2)
             scale = max(1.0, float(np.abs(block).max()))
             assert np.abs(blocks[t, k] - block).max() <= 1e-15 * scale
+
+
+# magnitudes 0 or at least 1e-3 keep the compared moduli normal floats, where
+# a relative slack means something (subnormals round in absolute terms)
+_NORMAL_COEFFS = st.lists(
+    st.just(0j) | st.complex_numbers(min_magnitude=1e-3, max_magnitude=5.0,
+                                     allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=3,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_families(_NORMAL_COEFFS), st.floats(1e-2, 1e2), st.just(0.0) | st.floats(1e-3, 50.0))
+def test_closed_forms_bound_sampled_moduli(g, coef, radius):
+    # the sup over a disk dominates every sampled modulus in it, up to the
+    # relative rounding of the two sides
+    inside = _circle_moduli(g, np.linspace(0.0, radius, 33)).max()
+    assert inside <= g.sup_formula(radius) * (1 + 1e-12)
+    if g.kind == "bounded":
+        # its threshold loses digits to cancellation when max|f| << coef;
+        # see test_bounded_threshold_cancellation
+        return
+    # on circles beyond the threshold |g| stays below coef * rho^3
+    rho = g.threshold_formula(coef) * np.linspace(1.0, 16.0, 16)
+    beyond = _circle_moduli(g, rho).max(axis=(0, 2))
+    assert np.all(beyond <= coef * rho**3 * (1 + 1e-12))
+
+
+@pytest.mark.xfail(strict=True, reason="(-1 + sqrt(1 + 4 fmax/coef)) / 2 cancels for "
+                   "fmax << coef, so the radius comes out 4e-6 (relative) too small here")
+def test_bounded_threshold_cancellation():
+    g = bounded_potential([1e-10])
+    rho = g.threshold_formula(11.0)
+    assert float(np.abs(g.evaluate(0, rho))) <= 11.0 * rho**3
 
 
 # ---------------------------------------------------------------------------
