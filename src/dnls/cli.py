@@ -151,7 +151,8 @@ def _parse_potential(raw: object) -> PotentialSpec:
     if unknown:
         raise ConfigError(f"field 'potential': unknown subfields {unknown}")
     kind = raw.get("kind")
-    if kind not in _POTENTIAL_KINDS:
+    # a list or object kind is unhashable, so test the type before the lookup
+    if not isinstance(kind, str) or kind not in _POTENTIAL_KINDS:
         raise ConfigError(
             f"field 'potential.kind': expected one of {list(_POTENTIAL_KINDS)}, got {kind!r}"
         )

@@ -2,9 +2,12 @@
 
 import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dnls import (
@@ -171,17 +174,63 @@ def test_sphere_samples_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_sphere_samples_bytes_are_pinned():
-    # degree probes and argmin_hash depend on these exact bytes
-    count, T, K, radius = 300, 3, 5, 2.7
-    rng = np.random.default_rng(11)
+def _reference_samples(T, K, radius, count, rng):
+    """The sampler written out: moduli, phases and indices drawn in turn."""
     moduli = rng.uniform(0.0, radius, size=(count, T, K))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(count, T, K))
     flat_idx = rng.integers(0, T * K, size=count)
     moduli.reshape(count, T * K)[np.arange(count), flat_idx] = radius
-    expected = moduli * np.exp(1j * phases)
+    return moduli * np.exp(1j * phases)
+
+
+def test_sphere_samples_bytes_are_pinned():
+    # degree probes and argmin_hash depend on these exact bytes
+    count, T, K, radius = 300, 3, 5, 2.7
+    expected = _reference_samples(T, K, radius, count, np.random.default_rng(11))
     batch = sphere_samples(T, K, radius, count, np.random.default_rng(11))
     assert batch.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+# one earlier integers() call leaves seed 11 holding a buffered 32-bit half
+@example(T=3, K=5, radius=2.7, count=30, seed=11, prior=1, start=7, width=12)
+@given(
+    T=st.integers(1, 4),
+    K=st.integers(1, 5),
+    # a subnormal radius can round a product to a zero of the other sign
+    # than the reference's, so radii are 0 or normal-sized
+    radius=st.just(0.0) | st.floats(1e-3, 10.0),
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    prior=st.integers(0, 3),
+    start=st.integers(0, 39),
+    width=st.integers(1, 40),
+)
+def test_sphere_samples_rows_are_slices_of_the_batch(T, K, radius, count, seed, prior, start,
+                                                     width):
+    # rows=(lo, hi) jumps the stream ahead by one 64-bit draw per double, so
+    # it must agree with the batch drawn in one go, and leave rng untouched
+    lo = start % count
+    hi = min(count, lo + width)
+
+    def generator():
+        rng = np.random.default_rng(seed)
+        for _ in range(prior):
+            rng.integers(0, 7)
+        return rng
+
+    reference_rng = generator()
+    expected = _reference_samples(T, K, radius, count, reference_rng)
+
+    rng = generator()
+    before = rng.bit_generator.state
+    rows = sphere_samples(T, K, radius, count, rng, rows=(lo, hi))
+    assert rows.tobytes() == expected[lo:hi].tobytes()
+    assert rng.bit_generator.state == before
+
+    batch = sphere_samples(T, K, radius, count, rng)
+    assert batch.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +332,18 @@ def _tied_across_chunks(op, g, step):
     worst sample goes, negated, to the same offset of the first chunk and,
     as is, of the third.  The negated copy has the same gap bit for bit
     (the gap is odd-symmetric and each chunk has the same shape), but
-    different bytes, so the reported hash tells the copies apart."""
+    different bytes, so the reported hash tells the copies apart.  The batch
+    is drawn with rows=(0, count), which leaves rng untouched, because
+    verify_boundary draws every chunk from one rng."""
 
-    def samples(T, K, radius, count, rng):
-        batch = sphere_samples(T, K, radius, count, rng)
+    def samples(T, K, radius, count, rng, rows=None):
+        batch = sphere_samples(T, K, radius, count, rng, rows=(0, count))
         worst = int(np.argmin(_direct_gaps(op, g, batch)))
         offset = worst % step
         phi = batch[worst].copy()
         batch[offset] = -phi
         batch[offset + 2 * step] = phi
-        return batch
+        return batch if rows is None else batch[rows[0] : rows[1]]
 
     return samples
 
@@ -333,3 +384,22 @@ def test_verify_boundary_chunks_match_direct_computation(case, monkeypatch):
     assert evidence.count == samples
     assert evidence.min_gap == pytest.approx(gaps[worst], rel=1e-12)
     assert evidence.argmin_hash == _sample_hash(batch[worst])
+
+
+def test_verify_boundary_memory_is_flat_in_the_sample_count():
+    # the samples are drawn chunk by chunk, so past one chunk's working set
+    # only the gaps grow: 8 bytes a sample, against 16 * n for a whole batch
+    params = LatticeParams(T=8, K=8, beta=1.0, epsilon=1.0, gamma=1.0)
+    op = build_shifted(params, shift_factor=1.5)
+    g = power_law([0.5], 2.0)
+    radius = build_certificate(op, g, samples=0).radius
+    peaks = {}
+    for samples in (5000, 20000):
+        tracemalloc.start()
+        try:
+            verify_boundary(radius, op, g, samples=samples, seed=3)
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20000] < 8 * 2**20
+    assert peaks[20000] - peaks[5000] <= 8 * 15000 + 2**15
