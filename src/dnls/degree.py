@@ -150,11 +150,10 @@ def _origin_local_index(
     ]
     phases = np.exp(2j * np.pi * np.arange(16) / 16)
 
-    probes = [sample.ravel() for sample in sphere_samples(params.T, params.K, rho, 256, rng)]
-    for vec in null_dirs:
-        for phase in phases:
-            probes.append(rho * phase * vec)
-    sphere_min = min(_sup(_slice_residual(flat, op, g, tau)) for flat in probes)
+    probes = [sphere_samples(params.T, params.K, rho, 256, rng).reshape(256, op.dim)]
+    probes += [[rho * phase * vec for phase in phases] for vec in null_dirs]
+    # Python's min over the sup norms, as before: np.min would return any NaN
+    sphere_min = min(np.abs(_slice_residual(np.vstack(probes), op, g, tau)).max(axis=1).tolist())
     if sphere_min <= 0.0:
         return None
 
@@ -163,15 +162,14 @@ def _origin_local_index(
     w = (sphere_min / 30.0) * direction
     tol = max(1e-14, _sup(w) * 1e-3)
 
-    starts: list[np.ndarray] = []
-    for vec in null_dirs:
-        for frac in (0.3, 0.6, 0.9):
-            for phase in phases[::2]:
-                starts.append(frac * rho * phase * vec)
-    starts += list(_ball_starts(op, rng, rho, 96))
+    starts = [
+        [frac * rho * phase * vec for frac in (0.3, 0.6, 0.9) for phase in phases[::2]]
+        for vec in null_dirs
+    ]
+    starts.append(_ball_starts(op, rng, rho, 96))
 
     preimages = _collect_zeros(
-        starts, op, g, tau, tol=tol, max_iter=60, radius=rho, converge_on="slice",
+        np.vstack(starts), op, g, tau, tol=tol, max_iter=60, radius=rho, converge_on="slice",
         shift_vec=w, base_tol=1e-9, cap=rho / 4.0,
     )
     if not preimages:
@@ -209,8 +207,10 @@ def estimate_degree(
     _require_valid(cert)
     tau = 0.0 if target == "odd" else 1.0
     params = op.params
-    starts = [np.zeros(op.dim, dtype=complex)]
-    starts += list(_ball_starts(op, np.random.default_rng(seed), cert.radius, n_starts))
+    starts = np.vstack([
+        np.zeros(op.dim, dtype=complex),
+        _ball_starts(op, np.random.default_rng(seed), cert.radius, n_starts),
+    ])
     found = _collect_zeros(
         starts, op, g, tau, tol=ENUM_TOL, max_iter=100, radius=cert.radius, converge_on="slice",
         base_tol=DEDUP_TOL, cap=0.01 * max(1.0, cert.radius),

@@ -112,6 +112,15 @@ class ShiftedOperator:
         spectrum *= self.inverse_symbol[:, :, None]
         return np.fft.ifft2(spectrum, axes=(0, 1)).reshape(rhs.shape)
 
+    def solve_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Apply A^-1 to one vector or to each row of an (m, n) stack, each
+        row with the bits of a one-vector ``solve``: one matrix-vector
+        product per row up to DENSE_APPLY_MAX_DIM nodes (one matrix-matrix
+        product over the stack rounds differently), the FFT above."""
+        if self.dim <= DENSE_APPLY_MAX_DIM:
+            return (self.inverse @ rows[..., None])[..., 0]
+        return self.solve(rows.T).T
+
     @cached_property
     def shifted(self) -> np.ndarray:
         """Dense A."""
@@ -121,13 +130,6 @@ class ShiftedOperator:
     def inverse(self) -> np.ndarray:
         """Dense A^-1, gathered from the inverse DFT of the reciprocal symbol."""
         return _circulant(np.fft.ifft2(_reversed(self.inverse_symbol)))
-
-    @cached_property
-    def inverse_realified(self) -> np.ndarray:
-        """Realified inverse, interleaved (Re, Im) layout, for Jacobians."""
-        from .solver import realified_matrix
-
-        return realified_matrix(self.inverse)
 
 
 def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOperator:

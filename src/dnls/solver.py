@@ -92,6 +92,10 @@ KRYLOV_BREAKDOWN = 1e-12
 PRECOND_MAX_PERIOD = 8
 #: reciprocal condition number below which the preconditioner counts as singular
 PRECOND_RCOND = 1e-12
+#: bytes of realified Jacobians one stack of Newton starts may hold: 32
+#: starts per stack on 4x8, one from 12x12 up, so multi-start memory does
+#: not grow with the start count
+JACOBIAN_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -120,18 +124,19 @@ class SolveReport:
 
 
 def realify(z: np.ndarray) -> np.ndarray:
-    """C^n vector -> R^(2n) vector, interleaved (Re, Im) per entry."""
+    """C^n vector -> R^(2n) vector, interleaved (Re, Im) per entry; an
+    (m, n) stack row by row."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty(2 * z.size)
-    out[0::2] = z.real
-    out[1::2] = z.imag
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
     return out
 
 
 def complexify(x: np.ndarray) -> np.ndarray:
     """Inverse of ``realify``."""
     x = np.asarray(x, dtype=float)
-    return x[0::2] + 1j * x[1::2]
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 def realified_matrix(mat: np.ndarray) -> np.ndarray:
@@ -163,7 +168,8 @@ def _slice_residual(
     tau: float,
     shift_vec: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Fixed-point residual of the tau-slice on a flat vector: the odd part
+    """Fixed-point residual of the tau-slice on a flat vector, or on each row
+    of an (m, n) stack with the bits of a one-vector call: the odd part
     minus tau times the forcing part, the two halves the boundary check
     compares; minus ``shift_vec`` when one is given (the map r_tau - w)."""
     res = _odd_part(flat, op)
@@ -189,16 +195,17 @@ def residual_precond(phi: LatticeField, op: ShiftedOperator, g: Potential) -> La
 
 
 def _cubic_jacobian_blocks(flat: np.ndarray, gamma: float) -> np.ndarray:
-    """(n, 2, 2) realified Jacobian blocks of z -> -gamma |z|^2 z."""
+    """(..., n, 2, 2) realified Jacobian blocks of z -> -gamma |z|^2 z at a
+    flat vector or an (m, n) stack."""
     x, y = flat.real, flat.imag
     return -gamma * _blocks(3.0 * x * x + y * y, 2.0 * x * y, 2.0 * x * y, x * x + 3.0 * y * y)
 
 
 def _forcing_jacobian_blocks(flat: np.ndarray, params: LatticeParams, g: Potential) -> np.ndarray:
-    """(n, 2, 2) realified Jacobian blocks of the nodewise forcing: the
-    potential's derivative when it has one, else central differences with
-    step 1e-6 * (1 + |z|)."""
-    grid = flat.reshape(params.T, params.K)
+    """(..., n, 2, 2) realified Jacobian blocks of the nodewise forcing at a
+    flat vector or an (m, n) stack: the potential's derivative when it has
+    one, else central differences with step 1e-6 * (1 + |z|)."""
+    grid = flat.reshape(flat.shape[:-1] + (params.T, params.K))
     if g.derivative is not None:
         blocks = g.derivative(np.arange(params.T)[:, None], grid)
     else:
@@ -206,30 +213,44 @@ def _forcing_jacobian_blocks(flat: np.ndarray, params: LatticeParams, g: Potenti
         col_x = (g.on_lattice(grid + h) - g.on_lattice(grid - h)) / (2.0 * h)
         col_y = (g.on_lattice(grid + 1j * h) - g.on_lattice(grid - 1j * h)) / (2.0 * h)
         blocks = _blocks(col_x.real, col_y.real, col_x.imag, col_y.imag)
-    return np.asarray(blocks, dtype=float).reshape(flat.size, 2, 2)
+    return np.asarray(blocks, dtype=float).reshape(flat.shape + (2, 2))
 
 
 def _slice_blocks(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float) -> np.ndarray:
-    """(n, 2, 2) realified Jacobian blocks of the nodewise part of the
-    tau-slice, the cubic term plus tau * (forcing - s*phi): the slice
-    Jacobian is I - A_r^-1 blockdiag(blocks)."""
+    """(..., n, 2, 2) realified Jacobian blocks of the nodewise part of the
+    tau-slice, the cubic term plus tau * (forcing - s*phi), at a flat vector
+    or an (m, n) stack: the slice Jacobian is I - A_r^-1 blockdiag(blocks)."""
     blocks = _cubic_jacobian_blocks(flat, op.params.gamma)
     if tau != 0.0:
         blocks = blocks + tau * _forcing_jacobian_blocks(flat, op.params, g)
-        blocks[:, 0, 0] -= tau * op.shift
-        blocks[:, 1, 1] -= tau * op.shift
+        blocks[..., 0, 0] -= tau * op.shift
+        blocks[..., 1, 1] -= tau * op.shift
     return blocks
 
 
 def _slice_jacobian(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float) -> np.ndarray:
     """Dense realified Jacobian of the tau-slice residual at a flat vector,
-    with the blocks of ``_slice_blocks``."""
+    (2n, 2n), or at each row of an (m, n) stack, (m, 2n, 2n), with the
+    blocks of ``_slice_blocks``."""
     blocks = _slice_blocks(flat, op, g, tau)
-    # column pair j of A_r^-1 blockdiag(blocks) is that of A_r^-1 times block j
-    n = flat.size
-    inv = op.inverse_realified.reshape(2 * n, n, 2)
-    product = inv[:, :, :1] * blocks[:, 0] + inv[:, :, 1:] * blocks[:, 1]
-    return np.eye(2 * n) - product.reshape(2 * n, 2 * n)
+    n = op.dim
+    lead = flat.shape[:-1]
+    # entry (2p + a, 2j + c) of A_r^-1 blockdiag(blocks) is row 2p + a of
+    # A_r^-1 against column c of block j.  Rows 2p and 2p + 1 of A_r^-1 hold
+    # (Re, -Im) and (Im, Re) of A^-1's entries, so with each column of Re
+    # and Im repeated and the blocks' rows laid out by column 2j + c, every
+    # term is one long product; the subtraction rounds as the sum with -Im
+    re = np.repeat(op.inverse.real, 2, axis=1)
+    im = np.repeat(op.inverse.imag, 2, axis=1)
+    top = blocks[..., 0, :].reshape(lead + (1, 2 * n))
+    bottom = blocks[..., 1, :].reshape(lead + (1, 2 * n))
+    product = np.empty(lead + (n, 2, 2 * n))
+    scratch = np.empty(lead + (n, 2 * n))
+    even, odd = product[..., 0, :], product[..., 1, :]
+    np.subtract(np.multiply(re, top, out=even), np.multiply(im, bottom, out=scratch), out=even)
+    np.add(np.multiply(im, top, out=odd), np.multiply(re, bottom, out=scratch), out=odd)
+    product = product.reshape(lead + (2 * n, 2 * n))
+    return np.subtract(np.eye(2 * n), product, out=product)
 
 
 def realified_jacobian(
@@ -260,14 +281,16 @@ def _sup(vec: np.ndarray) -> float:
 
 def _measure(
     flat: np.ndarray, slice_res: np.ndarray, op: ShiftedOperator, g: Potential, converge_on: str
-) -> float:
-    """Newton's convergence measure at ``flat``: the sup norm of the slice
-    residual ``slice_res`` ("slice") or of the direct lattice residual
-    ("direct")."""
+) -> np.ndarray:
+    """Newton's convergence measure at each row of an (m, n) stack ``flat``:
+    the sup norm of its slice residual, the row of ``slice_res``
+    ("slice"), or of its direct lattice residual ("direct")."""
     if converge_on == "slice":
-        return _sup(slice_res)
-    field = LatticeField.from_flat(flat, op.params.T, op.params.K)
-    return sup_norm(residual_direct(field, op.params, g))
+        return np.abs(slice_res).max(axis=1)
+    T, K = op.params.T, op.params.K
+    return np.array([
+        sup_norm(residual_direct(LatticeField.from_flat(row, T, K), op.params, g)) for row in flat
+    ])
 
 
 def _jacobian_product(v: np.ndarray, op: ShiftedOperator, blocks: np.ndarray) -> np.ndarray:
@@ -395,17 +418,20 @@ def _newton_step(
 ) -> np.ndarray:
     """Newton step of the tau-slice at ``flat``, whose slice residual is
     ``res``: a solution dx of J dx = -res, where ``tol`` is the Newton
-    tolerance.
+    tolerance.  ``flat`` and ``res`` are flat vectors or (m, n) stacks, one
+    step per row.
 
-    With ``dense`` the 2n x 2n J is assembled and solved exactly; callers
-    that assemble J anyway and start far from a zero take this step.
-    Otherwise the step is inexact: GMRES on J M^-1, M the cell-mean matrix
+    With ``dense`` the 2n x 2n J is assembled and solved exactly, for a
+    stack by one stacked LAPACK call whose rows carry the bits of one call
+    each; callers that assemble J anyway and start far from a zero take
+    this step.  Otherwise the step is inexact, one row at a time: GMRES on
+    J M^-1, M the cell-mean matrix
     of ``_cell_mean_solver``, then dx = M^-1 y.  Each product is one solve
     with M plus one ``_jacobian_product`` (an apply of A^-1, by FFT on large
     lattices), so neither J nor A^-1 is formed.  GMRES stops once
     ||J dx + res||_2 <= max(KRYLOV_RTOL ||res||_2, 1e-2 tol).  A singular
-    dense J or M, and a GMRES run that falls short of that target, raise
-    LinAlgError.
+    dense J or M in any row, and a GMRES run that falls short of that
+    target, raise LinAlgError.
 
     Without M, rounding leaves a residual that varies in space along the
     space-constant zero branch; the spectrum of J surrounds the origin, and
@@ -413,7 +439,12 @@ def _newton_step(
     and over 300 on 6x90, where an exact step needs one.
     """
     if dense:
-        return complexify(np.linalg.solve(_slice_jacobian(flat, op, g, tau), -realify(res)))
+        jacobian = _slice_jacobian(flat, op, g, tau)
+        return complexify(np.linalg.solve(jacobian, -realify(res)[..., None])[..., 0])
+    if flat.ndim == 2:
+        return np.array([
+            _newton_step(row, row_res, op, g, tau, tol, dense) for row, row_res in zip(flat, res)
+        ])
     blocks = _slice_blocks(flat, op, g, tau)
     precondition = _cell_mean_solver(op, blocks, g.period)
     rhs = -realify(res)
@@ -424,7 +455,7 @@ def _newton_step(
 
 @np.errstate(over="ignore", invalid="ignore")
 def _damped_newton(
-    flat0: np.ndarray,
+    starts: np.ndarray,
     op: ShiftedOperator,
     g: Potential,
     tau: float,
@@ -433,8 +464,9 @@ def _damped_newton(
     converge_on: str = "slice",
     shift_vec: np.ndarray | None = None,
     dense_steps: bool = False,
-) -> tuple[np.ndarray, int, str]:
-    """Damped Newton on the (realified) tau-slice.
+) -> tuple[np.ndarray, list[int], list[str]]:
+    """Damped Newton on the (realified) tau-slice from each row of an (m, n)
+    stack of ``starts``, all rows advanced together.
 
     Full steps first, halving up to MAX_HALVINGS times until the slice
     residual sup norm strictly decreases; a failed linear solve, a stalled
@@ -445,32 +477,66 @@ def _damped_newton(
     ``dense_steps`` picks the exact dense Newton step over GMRES (see
     ``_newton_step``); GMRES suits iterates near a zero on the branch that
     homotopy tracks, the dense step random starts.
+
+    Each iteration takes one stacked residual per trial step and one
+    stacked Newton step over the rows still running; a row's trial steps
+    stop at its first decrease.  A step that fails for the stack is retried
+    one row at a time, so that only the rows that fail on their own diverge.
+    Each row ends with the point, iteration count and status of a run from
+    that start alone, bit for bit.  Returns the final (m, n) points, and
+    the iteration count and status of each row.
     """
-    x = np.array(flat0, dtype=complex)
+    x = np.array(starts, dtype=complex)
     r = _slice_residual(x, op, g, tau, shift_vec)
+    iterations = [max_iter] * len(x)
+    status = ["max_iter"] * len(x)
+    running = np.ones(len(x), dtype=bool)
+
+    def finish(rows, how: str) -> None:
+        running[rows] = False
+        for row in rows:
+            iterations[row], status[row] = iteration, how
+
     for iteration in range(max_iter + 1):
-        if _measure(x, r, op, g, converge_on) <= tol:
-            return x, iteration, "converged"
-        if iteration == max_iter:
-            return x, iteration, "max_iter"
+        live = np.flatnonzero(running)
+        finish(live[_measure(x[live], r[live], op, g, converge_on) <= tol], "converged")
+        live = np.flatnonzero(running)
+        if iteration == max_iter or not live.size:
+            break  # the rows still running end at max_iter
         try:
-            step = _newton_step(x, r, op, g, tau, tol, dense_steps)
+            steps = _newton_step(x[live], r[live], op, g, tau, tol, dense_steps)
         except np.linalg.LinAlgError:
-            return x, iteration, "diverged"
-        base = _sup(r)
+            # one failing row fails a stacked step, so retry row by row; a
+            # lone row has failed on its own already
+            ok = np.zeros(live.size, dtype=bool)
+            steps = np.empty((live.size, x.shape[1]), dtype=complex)
+            for k, row in enumerate(live if live.size > 1 else ()):
+                try:
+                    steps[k] = _newton_step(x[row:row + 1], r[row:row + 1], op, g, tau, tol,
+                                            dense_steps)[0]
+                    ok[k] = True
+                except np.linalg.LinAlgError:
+                    pass
+            finish(live[~ok], "diverged")
+            steps, live = steps[ok], live[ok]
+        base = np.abs(r[live]).max(axis=1)
+        searching = np.arange(live.size)  # positions in live still halving
         lam = 1.0
         for _ in range(MAX_HALVINGS + 1):
-            candidate = x + lam * step
-            r_candidate = _slice_residual(candidate, op, g, tau, shift_vec)
-            if not np.isfinite(r_candidate).all():
-                return x, iteration, "diverged"
-            if _sup(r_candidate) < base:
-                x, r = candidate, r_candidate
+            if not searching.size:
                 break
+            rows = live[searching]
+            candidate = x[rows] + lam * steps[searching]
+            r_candidate = _slice_residual(candidate, op, g, tau, shift_vec)
+            finite = np.isfinite(r_candidate).all(axis=1)
+            better = finite & (np.abs(r_candidate).max(axis=1) < base[searching])
+            x[rows[better]] = candidate[better]
+            r[rows[better]] = r_candidate[better]
+            finish(rows[~finite], "diverged")
+            searching = searching[finite & ~better]
             lam *= 0.5
-        else:
-            return x, iteration, "diverged"
-    return x, max_iter, "max_iter"  # pragma: no cover - loop always returns
+        finish(live[searching], "diverged")
+    return x, iterations, status
 
 
 def _report_at(
@@ -515,9 +581,9 @@ def newton_solve(
     steps).
     """
     flat, iterations, status = _damped_newton(
-        initial.flatten(), op, g, tau=1.0, tol=tol, max_iter=max_iter, converge_on="direct"
+        initial.flatten()[None], op, g, tau=1.0, tol=tol, max_iter=max_iter, converge_on="direct"
     )
-    return _report_at(flat, op, g, iterations, status, method="newton")
+    return _report_at(flat[0], op, g, iterations[0], status[0], method="newton")
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +631,8 @@ def homotopy_solve(
             predicted = x
         else:
             predicted = x + (x - x_prev) * ((tau_try - tau) / (tau - tau_prev))
-        corrected, iters, status = _damped_newton(
-            predicted, op, g, tau_try, tol=tol, max_iter=CORRECTOR_ITER,
+        (corrected,), (iters,), (status,) = _damped_newton(
+            predicted[None], op, g, tau_try, tol=tol, max_iter=CORRECTOR_ITER,
         )
         total_iters += iters
         if status == "converged":
@@ -589,7 +655,9 @@ def homotopy_solve(
                 status = "diverged"
                 break
     else:
-        x, iters, status = _damped_newton(x, op, g, 1.0, tol, max_iter, converge_on="direct")
+        (x,), (iters,), (status,) = _damped_newton(
+            x[None], op, g, 1.0, tol, max_iter, converge_on="direct"
+        )
         total_iters += iters
         if status == "converged" and _sup(x) >= cert.radius:
             status = "left_ball"
@@ -646,8 +714,14 @@ def _cluster_representatives(found: list[_Zero], base_tol: float, cap: float) ->
     return reps
 
 
+def _stack_rows(dim: int) -> int:
+    """Starts per Newton stack on n = ``dim`` nodes: as many as have their
+    realified Jacobians within JACOBIAN_STACK_BYTES, at least one."""
+    return max(1, JACOBIAN_STACK_BYTES // (8 * (2 * dim) ** 2))
+
+
 def _collect_zeros(
-    starts: list[np.ndarray],
+    starts: np.ndarray,
     op: ShiftedOperator,
     g: Potential,
     tau: float,
@@ -660,7 +734,8 @@ def _collect_zeros(
     base_tol: float,
     cap: float,
 ) -> list[_Zero]:
-    """Zeros of the (shifted) tau-slice found by damped Newton from each start.
+    """Zeros of the (shifted) tau-slice found by damped Newton from each row
+    of the (m, n) ``starts``.
 
     A converged run is kept when it ends strictly inside the ball of
     ``radius``; its convergence measure there, at most ``tol``, is the
@@ -668,25 +743,36 @@ def _collect_zeros(
     over the smallest singular value of the slice Jacobian, infinite at a
     singular Jacobian; near-degenerate zeros get large values, which the
     clustering uses to merge their halo of pseudo-solutions.  Returns the
-    cluster representatives in first-found order.  Newton takes exact dense
-    steps here: the starts are random, and the SVD needs the dense Jacobian
-    anyway.
+    cluster representatives in first-found order.
+
+    The starts run through one ``_damped_newton`` in stacks of
+    ``_stack_rows`` rows, so that a stack of Jacobians stays within
+    JACOBIAN_STACK_BYTES, and the kept points of a stack take one stacked
+    SVD.  Newton takes exact dense steps: the starts are random, and the
+    SVD needs the dense Jacobian anyway.  Each record has the bits of a run
+    from its start alone.
     """
     found: list[_Zero] = []
-    for start in starts:
+    size = _stack_rows(op.dim)
+    for lo in range(0, len(starts), size):
         x, iterations, status = _damped_newton(
-            start, op, g, tau, tol, max_iter, converge_on, shift_vec, dense_steps=True
+            starts[lo:lo + size], op, g, tau, tol, max_iter, converge_on, shift_vec,
+            dense_steps=True,
         )
-        if status != "converged" or not _sup(x) < radius:
+        kept = [i for i, how in enumerate(status) if how == "converged" and _sup(x[i]) < radius]
+        if not kept:
             continue
+        x = x[kept]
         slice_res = _slice_residual(x, op, g, tau, shift_vec)
-        residual = _measure(x, slice_res, op, g, converge_on)
+        residuals = _measure(x, slice_res, op, g, converge_on)
         svals = np.linalg.svd(_slice_jacobian(x, op, g, tau), compute_uv=False)
-        # svals[0] > 0: J = I - A_r^-1 B = 0 would need A_r = B, but B is
-        # block diagonal and A_r couples neighbours (epsilon > 0)
-        smallest = float(svals[-1])
-        uncertainty = _sup(slice_res) / smallest if smallest > 0.0 else np.inf
-        found.append(_Zero(x, iterations, residual, uncertainty, smallest / float(svals[0])))
+        for i, row in enumerate(kept):
+            # svals[i, 0] > 0: J = I - A_r^-1 B = 0 would need A_r = B, but B
+            # is block diagonal and A_r couples neighbours (epsilon > 0)
+            smallest = float(svals[i, -1])
+            uncertainty = _sup(slice_res[i]) / smallest if smallest > 0.0 else np.inf
+            found.append(_Zero(x[i], iterations[row], float(residuals[i]), uncertainty,
+                               smallest / float(svals[i, 0])))
     return _cluster_representatives(found, base_tol, cap)
 
 
@@ -710,8 +796,9 @@ def multi_start(
     check.
     """
     endpoint = homotopy_solve(op, g, cert, tol=tol, max_iter=max_iter)
-    starts = [endpoint.solution.flatten()] if endpoint.status == "converged" else []
-    starts += list(_ball_starts(op, np.random.default_rng(seed), cert.radius, n_starts))
+    starts = _ball_starts(op, np.random.default_rng(seed), cert.radius, n_starts)
+    if endpoint.status == "converged":
+        starts = np.vstack([endpoint.solution.flatten(), starts])
 
     zeros = _collect_zeros(
         starts, op, g, 1.0, tol=tol, max_iter=max_iter, radius=cert.radius,

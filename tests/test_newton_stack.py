@@ -1,0 +1,234 @@
+"""Damped Newton on a stack of starts against a one-start reference.
+
+``solver._damped_newton`` advances an (m, n) stack of starts together: one
+stacked residual per trial step, one stacked Jacobian and one stacked LAPACK
+solve per iteration.  The reference below is the one-start dense-step loop
+it replaced, with its own one-vector residual and its Jacobian from the
+realified A^-1.  Every row of a stacked run must end with the reference's
+point, bit for bit, its iteration count and its status.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dnls import (
+    LatticeField,
+    LatticeParams,
+    bounded_potential,
+    build_certificate,
+    build_shifted,
+    constant_potential,
+    power_law,
+    sup_norm,
+)
+from dnls import solver
+from dnls.solver import _ball_starts, _slice_blocks, complexify, realified_matrix, realify
+
+
+def _reference_residual(flat, op, g, tau, shift_vec=None):
+    """The tau-slice residual of one flat vector, A^-1 applied to it alone."""
+    res = flat - op.solve(-op.params.gamma * (np.abs(flat) ** 2) * flat)
+    if tau != 0.0:
+        forcing = g.on_lattice(flat.reshape(op.params.T, op.params.K)).reshape(flat.shape)
+        res = res - tau * op.solve(forcing - op.shift * flat)
+    if shift_vec is not None:
+        res = res - shift_vec
+    return res
+
+
+def _reference_jacobian(flat, op, g, tau):
+    """I - A_r^-1 blockdiag(blocks), A_r^-1 the realified dense inverse."""
+    blocks = _slice_blocks(flat, op, g, tau)
+    n = flat.size
+    inv = realified_matrix(op.inverse).reshape(2 * n, n, 2)
+    product = inv[:, :, :1] * blocks[:, 0] + inv[:, :, 1:] * blocks[:, 1]
+    return np.eye(2 * n) - product.reshape(2 * n, 2 * n)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_newton(flat0, op, g, tau, tol, max_iter, converge_on, shift_vec, why):
+    """One-start damped Newton with exact dense steps; appends to ``why``
+    what ended a diverged run."""
+    x = np.array(flat0, dtype=complex)
+    r = _reference_residual(x, op, g, tau, shift_vec)
+    for iteration in range(max_iter + 1):
+        if converge_on == "slice":
+            measure = float(np.abs(r).max())
+        else:
+            field = LatticeField.from_flat(x, op.params.T, op.params.K)
+            measure = sup_norm(solver.residual_direct(field, op.params, g))
+        if measure <= tol:
+            return x, iteration, "converged"
+        if iteration == max_iter:
+            return x, iteration, "max_iter"
+        try:
+            step = complexify(np.linalg.solve(_reference_jacobian(x, op, g, tau), -realify(r)))
+        except np.linalg.LinAlgError:
+            why.append("singular")
+            return x, iteration, "diverged"
+        base = float(np.abs(r).max())
+        lam = 1.0
+        for _ in range(solver.MAX_HALVINGS + 1):
+            candidate = x + lam * step
+            r_candidate = _reference_residual(candidate, op, g, tau, shift_vec)
+            if not np.isfinite(r_candidate).all():
+                why.append("non-finite")
+                return x, iteration, "diverged"
+            if float(np.abs(r_candidate).max()) < base:
+                x, r = candidate, r_candidate
+                break
+            lam *= 0.5
+        else:
+            why.append("stalled")
+            return x, iteration, "diverged"
+    raise AssertionError("unreachable")
+
+
+def _op(T, K, gamma=1.0):
+    return build_shifted(LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=gamma), 1.5)
+
+
+def _degree_starts(op, g, seed, count):
+    """The origin, then ``count`` ball starts, as ``estimate_degree`` draws them."""
+    radius = build_certificate(op, g, samples=0).radius
+    return np.vstack([np.zeros(op.dim, dtype=complex),
+                      _ball_starts(op, np.random.default_rng(seed), radius, count)])
+
+
+#: (lattice, gamma, forcing, tau, convergence measure, starts every stack
+#: includes).  2x4 bounded [[0.5, 0]] at seed 1001, odd route: start 2 meets
+#: an exactly singular Jacobian at iteration 10, starts 1 and 4 take 35 and
+#: 39 iterations.  4x4 constant 1e300: every first trial residual overflows
+_CASES = {
+    "bounded-odd": ((2, 4), 1.0, bounded_potential([0.5]), 0.0, "slice", ("degree", 1001, 6)),
+    "huge-constant": ((4, 4), 1.0, constant_potential([1e300]), 1.0, "slice", ("ball", 0, 2)),
+    "power-full-direct": ((4, 8), 1.0, power_law([0.3], 2.0), 1.0, "direct",
+                          ("degree", 3001, 3)),
+    "power15": ((2, 4), 1.0, power_law([0.3], 1.5), 1.0, "slice", ("degree", 4, 3)),
+    "bounded-half-tau": ((2, 3), -1.0, bounded_potential([0.5, 0.2 + 0.1j]), 0.5, "slice",
+                         ("degree", 7, 3)),
+}
+
+
+def _case_starts(name, seed, count):
+    """The case's operator, forcing, tau and measure, and a stack of
+    ``count`` ball starts drawn from ``seed`` with the case's fixed starts
+    in the middle."""
+    (T, K), gamma, g, tau, converge_on, (kind, fixed_seed, fixed_count) = _CASES[name]
+    op = _op(T, K, gamma)
+    if kind == "degree":
+        fixed = _degree_starts(op, g, fixed_seed, fixed_count - 1)
+    else:
+        fixed = _ball_starts(op, np.random.default_rng(fixed_seed), 1.0, fixed_count)
+    drawn = _ball_starts(op, np.random.default_rng(seed), 3.0, count)
+    return op, g, tau, converge_on, np.vstack([drawn[: count // 2], fixed, drawn[count // 2:]])
+
+
+def _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on, shift_vec):
+    tol = 1e-11
+    x, iterations, status = solver._damped_newton(
+        starts, op, g, tau, tol, max_iter, converge_on, shift_vec, dense_steps=True
+    )
+    why: list[str] = []
+    outcomes = []
+    for row, start in enumerate(starts):
+        ref_x, ref_iterations, ref_status = _reference_newton(
+            start, op, g, tau, tol, max_iter, converge_on, shift_vec, why
+        )
+        assert x[row].tobytes() == ref_x.tobytes(), row
+        assert (iterations[row], status[row]) == (ref_iterations, ref_status), row
+        outcomes.append(ref_status)
+    return outcomes, why
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    name=st.sampled_from(sorted(_CASES)),
+    seed=st.integers(0, 2**16),
+    count=st.integers(0, 6),
+    max_iter=st.sampled_from([3, 30, 100]),
+    shifted=st.booleans(),
+)
+@example(name="bounded-odd", seed=0, count=0, max_iter=30, shifted=False)
+@example(name="huge-constant", seed=0, count=2, max_iter=100, shifted=False)
+@example(name="power-full-direct", seed=1, count=4, max_iter=3, shifted=True)
+def test_stacked_newton_matches_one_start_reference(name, seed, count, max_iter, shifted):
+    op, g, tau, converge_on, starts = _case_starts(name, seed, count)
+    shift_vec = None
+    if shifted:
+        rng = np.random.default_rng(seed + 1)
+        shift_vec = 1e-3 * (rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim))
+    _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on, shift_vec)
+
+
+def test_reference_stacks_cover_singular_non_finite_and_max_iter_rows():
+    # the property's hard rows are really in its stacks: one stack that
+    # converges, hits max_iter and meets a singular Jacobian, and one whose
+    # trial residuals overflow
+    op, g, tau, converge_on, starts = _case_starts("bounded-odd", 0, 0)
+    outcomes, why = _assert_rows_match_reference(op, g, tau, starts, 30, converge_on, None)
+    assert outcomes == ["converged", "max_iter", "diverged", "converged", "max_iter", "converged"]
+    assert why == ["singular"]
+    op, g, tau, converge_on, starts = _case_starts("huge-constant", 0, 2)
+    outcomes, why = _assert_rows_match_reference(op, g, tau, starts, 100, converge_on, None)
+    assert set(outcomes) == {"diverged"} and set(why) == {"non-finite"}
+
+
+@pytest.mark.parametrize("T,K", [(4, 8), (16, 16), (12, 24)])
+@pytest.mark.parametrize("tau", [0.0, 0.7, 1.0])
+def test_stacked_residual_rows_match_one_vector_residual(T, K, tau):
+    # up to 256 nodes A^-1 is one matrix-vector product per row (a
+    # matrix-matrix product would round differently), above it the FFT
+    op = _op(T, K)
+    g = power_law([0.3, 0.2j], 2.0)
+    rng = np.random.default_rng(T * K)
+    stack = 2.0 * (rng.standard_normal((5, op.dim)) + 1j * rng.standard_normal((5, op.dim)))
+    shift_vec = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    for shift in (None, shift_vec):
+        rows = solver._slice_residual(stack, op, g, tau, shift)
+        for row, flat in zip(rows, stack):
+            assert row.tobytes() == solver._slice_residual(flat, op, g, tau, shift).tobytes()
+            assert row.tobytes() == _reference_residual(flat, op, g, tau, shift).tobytes()
+
+
+def _collect(starts, op, g):
+    return solver._collect_zeros(
+        starts, op, g, 1.0, tol=1e-11, max_iter=100, radius=4.0, converge_on="slice",
+        base_tol=solver.DEDUP_TOL, cap=0.04,
+    )
+
+
+def test_collect_zeros_records_do_not_depend_on_the_stack_size(monkeypatch):
+    # stacked SVDs and Newton runs give each record the bits of runs from
+    # one start at a time
+    op, g = _op(4, 8), power_law([0.3], 2.0)
+    starts = _degree_starts(op, g, 4, 40)
+    stacked = _collect(starts, op, g)
+    monkeypatch.setattr(solver, "JACOBIAN_STACK_BYTES", 1)
+    assert solver._stack_rows(op.dim) == 1
+    single = _collect(starts, op, g)
+    assert len(stacked) == len(single) > 1
+    for a, b in zip(stacked, single):
+        assert a.flat.tobytes() == b.flat.tobytes()
+        assert (a.iterations, a.residual, a.uncertainty, a.sigma_ratio) == (
+            b.iterations, b.residual, b.uncertainty, b.sigma_ratio)
+
+
+def test_collect_zeros_memory_is_flat_in_the_start_count():
+    # the stacks hold at most JACOBIAN_STACK_BYTES of Jacobians, so 288
+    # starts on 4x8 (the origin probe's count) peak like 32; one unbounded
+    # stack of 288 Jacobians alone would take 9.4 MB
+    op, g = _op(4, 8), power_law([0.3], 2.0)
+    assert solver._stack_rows(op.dim) == 32
+    peaks = []
+    for count in (32, 288):
+        starts = _degree_starts(op, g, 4, count - 1)
+        tracemalloc.start()
+        _collect(starts, op, g)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1_000_000, peaks

@@ -194,7 +194,7 @@ def test_shift_factor_must_exceed_one(factor):
 
 def test_dense_matrices_are_gathered_on_demand():
     op = build_shifted(_params(T=3, K=4), shift_factor=1.5)
-    assert {"shifted", "inverse", "inverse_realified"}.isdisjoint(vars(op))
+    assert {"shifted", "inverse"}.isdisjoint(vars(op))
     assert np.array_equal(op.shifted, linear_matrix(op.params) - op.shift * np.eye(12))
     assert "shifted" in vars(op) and "inverse" not in vars(op)
 
@@ -207,10 +207,25 @@ def test_degree_lattices_apply_densely():
     assert DEGREE_DIM_CAP // 2 <= operators.DENSE_APPLY_MAX_DIM
 
 
-def test_inverse_realified_matches_complex_inverse():
+def test_slice_jacobian_from_inverse_parts_matches_realified_inverse():
+    # J is built from the real and imaginary parts of A^-1; each entry has
+    # the bits of the product with the realified A^-1, for one field and for
+    # each row of a stack
     op = build_shifted(_params(T=2, K=3), shift_factor=1.5)
-    inv = np.linalg.inv(op.shifted)
-    assert_allclose(op.inverse_realified, realified_matrix(inv), atol=1e-12)
+    g = power_law([0.5, 0.2 + 0.3j], 2.5)
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(3, op.dim)) + 1j * rng.normal(size=(3, op.dim))
+    n = op.dim
+    inv = realified_matrix(op.inverse).reshape(2 * n, n, 2)
+    assert_allclose(realified_matrix(op.inverse), realified_matrix(np.linalg.inv(op.shifted)),
+                    atol=1e-12)
+    jacobians = _slice_jacobian(stack, op, g, 1.0)
+    for flat, jac in zip(stack, jacobians):
+        blocks = _slice_blocks(flat, op, g, 1.0)
+        product = inv[:, :, :1] * blocks[:, 0] + inv[:, :, 1:] * blocks[:, 1]
+        expected = np.eye(2 * n) - product.reshape(2 * n, 2 * n)
+        np.testing.assert_array_equal(_slice_jacobian(flat, op, g, 1.0), expected)
+        np.testing.assert_array_equal(jac, expected)
 
 
 #: lattices up to 7 x 7, including the wrap cases T in {1, 2} and K = 2

@@ -308,7 +308,7 @@ def test_large_lattice_builds_no_dense_operator_matrix():
     cert = build_certificate(op, g, samples=200, seed=0)
     report = homotopy_solve(op, g, cert)
     assert report.status == "converged"
-    assert {"shifted", "inverse", "inverse_realified"}.isdisjoint(vars(op))
+    assert {"shifted", "inverse"}.isdisjoint(vars(op))
 
 
 def test_odd_slice_jacobian_at_origin_is_identity():
