@@ -31,15 +31,20 @@ sampling and records the worst observed gap.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import math
+import os
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CertificateInvalid, CertificateOverflow, NoThresholdFound
 from .lattice import check_period
-from .operators import ShiftedOperator
+from .operators import DENSE_APPLY_MAX_DIM, ShiftedOperator
 from .potentials import CIRCLE_PHASES, Potential, _circle_moduli
 
 __all__ = [
@@ -64,11 +69,17 @@ SCAN_MAX_RADIUS = 2.0**24
 SUP_SAFETY = 1.05
 #: absolute bisection tolerance of the certified ball radius
 RADIUS_TOL = 1e-9
-#: complex values per chunk of the boundary check.  The samples are drawn
-#: chunk by chunk too, so this bounds the check's working memory and only the
-#: gaps (8 bytes a sample) grow with the sample count: on 8x8 the check's
-#: tracemalloc peak is 3.2 MB at 5000 samples and 3.3 MB at 20000
+#: complex values in flight in the boundary check, shared by its workers:
+#: each has fixed buffers for a chunk of CHUNK_VALUES / workers values, and
+#: only the gaps (8 bytes a sample) grow with the sample count
 CHUNK_VALUES = 2**15
+#: most workers of the boundary check, one per CPU, so that a worker's chunk
+#: keeps at least a quarter of CHUNK_VALUES (measured on 2 cores only)
+MAX_WORKERS = 4
+#: dense-path chunks are cut at multiples of this many samples: a BLAS GEMM
+#: runs the columns past a multiple of its kernel's width (4 in OpenBLAS's
+#: x86-64 complex kernels) through other code, which rounds differently
+GEMM_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -206,7 +217,8 @@ def compute_ball_radius(
 
 def _stream_at(rng: np.random.Generator, draws: int) -> np.random.Generator:
     """A copy of ``rng`` moved ``draws`` 64-bit outputs ahead; ``rng`` is left
-    as it was.  Needs a bit generator with ``advance``, such as PCG64."""
+    as it was.  Needs a bit generator with ``advance``, such as PCG64, and a
+    Python int ``draws``: ``PCG64.advance`` overflows on an ``np.int64``."""
     state = rng.bit_generator.state
     bits = type(rng.bit_generator)(0)
     bits.state = state
@@ -223,6 +235,8 @@ def sphere_samples(
     count: int,
     rng: np.random.Generator,
     rows: tuple[int, int] | None = None,
+    indices: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """(count, T, K) batch of fields with sup norm exactly ``radius``.
 
@@ -237,22 +251,40 @@ def sphere_samples(
     by chunk without holding it.  Each double costs one 64-bit draw, so the
     moduli and phases of a chunk are reached by jumping ahead; the indices
     use rejection sampling, which cannot be jumped, so their first ``hi``
-    are drawn.  ``rng`` must be PCG64-backed, as ``default_rng`` gives.
+    are drawn, unless the caller passes the chunk's ``indices``: the next
+    hi - lo draws of ``integers(0, T*K)`` from the index stream, which
+    starts 2*count*T*K draws in.  ``rng`` must be PCG64-backed, as
+    ``default_rng`` gives.
+
+    ``out``, one float and two complex buffers of at least (hi - lo, T*K),
+    holds every array of the draw, and the samples are a view of its first
+    complex buffer.
     """
     n = T * K
     lo, hi = (0, count) if rows is None else rows
-    moduli = _stream_at(rng, lo * n).uniform(0.0, radius, size=(hi - lo, T, K))
-    phases = _stream_at(rng, (count + lo) * n).uniform(0.0, 2.0 * np.pi, size=(hi - lo, T, K))
-    index_rng = _stream_at(rng, 2 * count * n)
-    flat_idx = index_rng.integers(0, n, size=hi)[lo:]
-    if rows is None:
-        rng.bit_generator.state = index_rng.bit_generator.state
-    moduli.reshape(hi - lo, n)[np.arange(hi - lo), flat_idx] = radius
-    # moduli * exp(1j * phases), bit for bit, without full-size temporaries
-    z = 1j * phases
+    m = hi - lo
+    moduli_rng, phases_rng = _stream_at(rng, lo * n), _stream_at(rng, (count + lo) * n)
+    if indices is None:
+        index_rng = _stream_at(rng, 2 * count * n)
+        indices = index_rng.integers(0, n, size=hi)[lo:]
+        if rows is None:
+            rng.bit_generator.state = index_rng.bit_generator.state
+    if out is None:
+        out = (np.empty((m, n)), np.empty((m, n), complex), np.empty((m, n), complex))
+    real, z, moduli = (buf[:m] for buf in out)
+    # moduli * exp(1j * phases), bit for bit: uniform(0, b) is b times
+    # random(), and a float times a complex goes through a complex cast
+    phases_rng.random(out=real)
+    real *= 2.0 * np.pi
+    np.copyto(z, real)
+    z *= 1j
     np.exp(z, out=z)
+    moduli_rng.random(out=real)
+    real *= radius
+    real[np.arange(m), indices] = radius
+    np.copyto(moduli, real)
     z *= moduli
-    return z
+    return z.reshape(m, T, K)
 
 
 def _require_valid(cert: ExistenceCertificate) -> None:
@@ -263,29 +295,144 @@ def _require_valid(cert: ExistenceCertificate) -> None:
         )
 
 
-def _apply_inverse(rows: np.ndarray, op: ShiftedOperator, columns: bool) -> np.ndarray:
+def _apply_inverse(rows: np.ndarray, op: ShiftedOperator, block: np.ndarray | None) -> np.ndarray:
     """A^-1 applied to one flat field or to each row of an (m, n) stack: row
     by row (``ShiftedOperator.solve_rows``), each row with the bits of a
-    one-field call, or with ``columns`` to the stack as one (n, m) block,
-    whose dense product rounds differently."""
-    return op.solve(rows.T).T if columns else op.solve_rows(rows)
+    one-field call, or, given a complex ``block`` of the stack's shape, to
+    the stack as one (n, m) block, whose dense product rounds differently.
+    With a block the result is C-contiguous and ``rows`` is scratch: the
+    dense product fills ``block`` as the C-contiguous (n, m) array BLAS
+    needs and is copied back into ``rows``, because a ufunc over operands
+    of mixed layouts allocates a buffer and a copy does not; the FFT fills
+    the rows of ``block``."""
+    if block is None:
+        return op.solve_rows(rows)
+    if op.dim <= DENSE_APPLY_MAX_DIM:
+        np.copyto(rows, op.solve(rows.T, out=block.reshape(rows.shape[::-1])).T)
+        return rows
+    return op.solve(rows.T, out=block.T).T
 
 
-def _odd_part(flat: np.ndarray, op: ShiftedOperator, columns: bool = False) -> np.ndarray:
-    """phi - A^-1 F(phi) for one flat field or an (m, n) stack of them, A^-1
-    applied as ``_apply_inverse`` says."""
-    cubic = -op.params.gamma * (np.abs(flat) ** 2) * flat
-    return flat - _apply_inverse(cubic, op, columns)
+def _odd_part(flat: np.ndarray, op: ShiftedOperator, work: tuple | None = None) -> np.ndarray:
+    """phi - A^-1 F(phi) for one flat field or an (m, n) stack of them.
+    ``work``, (float, complex, complex) buffers of flat's shape, holds every
+    large array, the result is its first complex buffer, and A^-1 goes to
+    the stack as one block (``_apply_inverse`` with the last buffer);
+    without it A^-1 goes row by row."""
+    real, term, block = work or (np.empty(flat.shape), np.empty(flat.shape, complex), None)
+    # -gamma * |phi|^2 * phi, bit for bit: a float times a complex goes
+    # through a complex cast
+    np.square(np.abs(flat, out=real), out=real)
+    real *= -op.params.gamma
+    np.copyto(term, real)
+    term *= flat
+    return np.subtract(flat, _apply_inverse(term, op, block), out=term)
 
 
 def _forcing_part(
-    flat: np.ndarray, op: ShiftedOperator, g: Potential, columns: bool = False
+    flat: np.ndarray,
+    op: ShiftedOperator,
+    g: Potential,
+    work: tuple | None = None,
+    lock: threading.Lock | None = None,
 ) -> np.ndarray:
     """A^-1 (G(phi) - s*phi) for one flat field or an (m, n) stack of them,
-    A^-1 applied as ``_apply_inverse`` says."""
+    with ``work`` as for ``_odd_part``; the result is one of its complex
+    buffers.  G, the one step that allocates, runs holding ``lock``:
+    workers that share it keep one forcing evaluation alive at a time and
+    never call a forcing from two threads at once."""
+    _, term, block = work or (None, np.empty(flat.shape, complex), None)
     fields = flat.reshape(flat.shape[:-1] + (op.params.T, op.params.K))
-    forcing = g.on_lattice(fields).reshape(flat.shape)
-    return _apply_inverse(forcing - op.shift * flat, op, columns)
+    with lock or contextlib.nullcontext():
+        np.multiply(flat, op.shift, out=term)
+        np.subtract(g.on_lattice(fields).reshape(flat.shape), term, out=term)
+    return _apply_inverse(term, op, block)
+
+
+def _chunks(samples: int, dim: int, workers: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) bounds of the boundary check's chunks, in sample order, when
+    ``workers`` share the CHUNK_VALUES budget.
+
+    The samples fall into blocks of CHUNK_VALUES // dim, the chunks of a
+    serial check, and each block is cut every 1/workers of it.  On the dense
+    path a cut falls on a multiple of GEMM_ROWS samples, and a shorter rest
+    joins the chunk before it, so each sample keeps the bits its block gives
+    it.
+    """
+    block = max(1, CHUNK_VALUES // dim)
+    align = GEMM_ROWS if dim <= DENSE_APPLY_MAX_DIM else 1
+    rows = max(align, block // (workers * align) * align)
+    for start in range(0, samples, block):
+        stop = min(start + block, samples)
+        cuts = list(range(start, stop, rows))
+        if len(cuts) > 1 and stop - cuts[-1] < align:
+            cuts.pop()
+        yield from zip(cuts, cuts[1:] + [stop])
+
+
+def _boundary_gaps(
+    radius: float, op: ShiftedOperator, g: Potential, samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The gap of each of ``samples`` sphere samples drawn from ``rng``,
+    computed by the workers that ``verify_boundary`` describes."""
+    T, K, n = op.params.T, op.params.K, op.dim
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    share = min(cores, MAX_WORKERS)
+    count = rows = 0
+    for lo, hi in _chunks(samples, n, share):
+        count, rows = count + 1, max(rows, hi - lo)
+    # per worker: a float buffer (moduli and phases, |phi|^2, each half's
+    # moduli) and three complex ones (the samples; the cast moduli, then each
+    # half's term and result; the A^-1 apply's product or spectrum)
+    scratch = [
+        [np.empty((rows, n))] + [np.empty((rows, n), complex) for _ in range(3)]
+        for _ in range(min(share, count))
+    ]
+    if n <= DENSE_APPLY_MAX_DIM:
+        op.inverse  # a cached_property, which has no lock: built before the workers start
+    chunks = _chunks(samples, n, share)
+    index_rng = _stream_at(rng, 2 * samples * n)
+    take, forcing = threading.Lock(), threading.Lock()
+    errors: list[BaseException] = []
+    gaps = np.empty(samples)
+
+    def work(buffers: list[np.ndarray]) -> None:
+        try:
+            # once a chunk has failed, no worker takes another
+            while not errors:
+                # chunks are taken in order, and each takes the next indices
+                with take:
+                    bounds = next(chunks, None)
+                    if bounds is None:
+                        return
+                    lo, hi = bounds
+                    indices = index_rng.integers(0, n, size=hi - lo)
+                real, draw, term, block = (buf[: hi - lo] for buf in buffers)
+                flat = sphere_samples(
+                    T, K, radius, samples, rng, (lo, hi), indices, (real, draw, term)
+                ).reshape(-1, n)
+                halves = (real, term, block)
+                odd = np.abs(_odd_part(flat, op, halves), out=real).max(axis=1)
+                forced = np.abs(_forcing_part(flat, op, g, halves, forcing), out=real)
+                gaps[lo:hi] = odd - forced.max(axis=1)
+        except BaseException as exc:  # raised below, once every helper has ended
+            errors.append(exc)
+
+    # each helper runs in a copy of the caller's context, so that the
+    # caller's np.errstate holds there too
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work, buffers))
+        for buffers in scratch[1:]
+    ]
+    for helper in helpers:
+        helper.start()
+    work(scratch[0])
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return gaps
 
 
 def verify_boundary(
@@ -303,30 +450,19 @@ def verify_boundary(
 
     which the certificate constants promise to be positive.  Evidence with a
     nonpositive minimum gap (or an empty sample set) marks the certificate
-    invalid.  Deterministic for a fixed seed; the samples are drawn and
-    evaluated in chunks of about CHUNK_VALUES complex values, and the batch
-    is never held whole.
+    invalid.  The batch is never held whole: the calling thread and up to
+    MAX_WORKERS - 1 helper threads, one per CPU, take chunks (``_chunks``)
+    from one iterator, and each draws and evaluates its chunks in buffers
+    allocated once.  The evidence has the bits of a serial check whatever
+    the schedule, and an error in one chunk stops the others and is raised
+    here once every helper has ended.
     """
     if samples <= 0:
         return BoundaryEvidence(count=0, min_gap=None, argmin_hash=None)
-    T, K = op.params.T, op.params.K
     rng = np.random.default_rng(seed)
-
-    gaps = np.empty(samples)
-    step = max(1, CHUNK_VALUES // op.dim)
-    for lo in range(0, samples, step):
-        hi = min(lo + step, samples)
-        flat = sphere_samples(T, K, radius, samples, rng, rows=(lo, hi)).reshape(-1, op.dim)
-        # two names: one expression frees the first half before the second is
-        # allocated, which made this loop 40% slower on 24x24.  A^-1 goes to
-        # the chunk as one block of columns, to whose rounding the
-        # certificate's bytes are pinned
-        odd = _odd_part(flat, op, columns=True)
-        forced = _forcing_part(flat, op, g, columns=True)
-        gaps[lo:hi] = np.abs(odd).max(axis=1) - np.abs(forced).max(axis=1)
-
+    gaps = _boundary_gaps(radius, op, g, samples, rng)
     worst = int(np.argmin(gaps))
-    phi = sphere_samples(T, K, radius, samples, rng, rows=(worst, worst + 1))
+    phi = sphere_samples(op.params.T, op.params.K, radius, samples, rng, rows=(worst, worst + 1))
     digest = hashlib.sha256(phi.tobytes()).hexdigest()[:16]
     return BoundaryEvidence(count=samples, min_gap=float(gaps[worst]), argmin_hash=digest)
 

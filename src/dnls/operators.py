@@ -102,15 +102,37 @@ class ShiftedOperator:
     norm_shifted: float
     norm_shifted_inv: float
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply A^-1 to one vector or to an (n, m) stack of column vectors:
-        a dense product up to DENSE_APPLY_MAX_DIM nodes, an FFT above."""
+        a dense product up to DENSE_APPLY_MAX_DIM nodes, an FFT above.
+
+        ``out``, a complex array of rhs's shape, receives the result, and then
+        a complex ``rhs`` is scratch that the FFT overwrites: its transforms
+        alternate between the two, because one with its input as ``out``
+        copies the input.  numpy's matmul calls BLAS only for a C-contiguous
+        ``out``.  Each transform runs along one axis of the (m, T, K) view,
+        in the order of ``numpy.fft.fft2``, with the same bits.
+        """
         if self.dim <= DENSE_APPLY_MAX_DIM:
-            return self.inverse @ rhs
+            return np.matmul(self.inverse, rhs, out=out)
         T, K = self.params.T, self.params.K
-        spectrum = np.fft.fft2(rhs.reshape(T, K, -1), axes=(0, 1))
-        spectrum *= self.inverse_symbol[:, :, None]
-        return np.fft.ifft2(spectrum, axes=(0, 1)).reshape(rhs.shape)
+
+        def fields(a: np.ndarray) -> np.ndarray:
+            return a.reshape(T, K, -1).transpose(2, 0, 1)
+
+        src = fields(rhs)
+        if out is None:
+            # laid out so that every transform runs along contiguous memory
+            out, work = np.empty(rhs.shape[::-1], complex).T, np.empty(src.shape, complex)
+        else:
+            work = src
+        dst = fields(out)
+        np.fft.fft(src, axis=2, out=dst)
+        np.fft.fft(dst, axis=1, out=work)
+        np.multiply(work, self.inverse_symbol, out=dst)
+        np.fft.ifft(dst, axis=2, out=work)
+        np.fft.ifft(work, axis=1, out=dst)
+        return out
 
     def solve_rows(self, rows: np.ndarray) -> np.ndarray:
         """Apply A^-1 to one vector or to each row of an (m, n) stack, each

@@ -1,8 +1,14 @@
 """Certificate constant chain, threshold scans, ball radius, boundary sampling."""
 
+import dataclasses
 import hashlib
+import os
+import sys
+import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -327,31 +333,33 @@ def _direct_gaps(op, g, batch):
     return np.array(gaps)
 
 
-def _tied_across_chunks(op, g, step):
+def _tied_across_chunks(op, g, bounds):
     """A sphere_samples stand-in whose batch ties for the minimum gap: the
     worst sample goes, negated, to the same offset of the first chunk and,
-    as is, of the third.  The negated copy has the same gap bit for bit
-    (the gap is odd-symmetric and each chunk has the same shape), but
-    different bytes, so the reported hash tells the copies apart.  The batch
-    is drawn with rows=(0, count), which leaves rng untouched, because
-    verify_boundary draws every chunk from one rng."""
+    as is, of the third (``bounds`` are the chunks' (lo, hi)).  The negated
+    copy has the same gap bit for bit (the gap is odd-symmetric and the two
+    chunks have the same shape), but different bytes, so the reported hash
+    tells the copies apart.  The batch is drawn with rows=(0, count), which
+    leaves rng untouched, because verify_boundary draws every chunk from one
+    rng; the chunk's indices and buffers are not needed for that."""
 
-    def samples(T, K, radius, count, rng, rows=None):
+    def samples(T, K, radius, count, rng, rows=None, indices=None, out=None):
         batch = sphere_samples(T, K, radius, count, rng, rows=(0, count))
         worst = int(np.argmin(_direct_gaps(op, g, batch)))
-        offset = worst % step
+        offset = worst % (bounds[0][1] - bounds[0][0])
         phi = batch[worst].copy()
         batch[offset] = -phi
-        batch[offset + 2 * step] = phi
+        batch[bounds[2][0] + offset] = phi
         return batch if rows is None else batch[rows[0] : rows[1]]
 
     return samples
 
 
-#: (T, K, samples, chunk budget in complex values or None for the default)
+#: (T, K, samples, chunk budget in complex values or None for the default);
+#: the chunks are those of 2 workers
 _CHUNK_CASES = {
     "partial-last-chunk": (1, 2, 64, 20),     # 10 samples a chunk: 7 chunks, last of 4
-    "above-crossover": (12, 24, 300, None),   # FFT apply; 113 a chunk, last of 74
+    "above-crossover": (12, 24, 300, None),   # FFT apply; blocks of 113 cut into 56s
     "tie-across-chunks": (2, 3, 48, 6 * 8),   # 8 samples a chunk, tie in chunks 1 and 3
 }
 
@@ -361,19 +369,20 @@ def test_verify_boundary_chunks_match_direct_computation(case, monkeypatch):
     T, K, samples, budget = _CHUNK_CASES[case]
     if budget is not None:
         monkeypatch.setattr(certificate, "CHUNK_VALUES", budget)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     params = LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=1.0)
     op = build_shifted(params, shift_factor=1.5)
     g = power_law([0.5], 2.0)
     cert = build_certificate(op, g, samples=0)
-    step = max(1, certificate.CHUNK_VALUES // op.dim)
-    chunks = -(-samples // step)
+    bounds = list(certificate._chunks(samples, op.dim, 2))
+    step, chunks = bounds[0][1] - bounds[0][0], len(bounds)
     if case == "partial-last-chunk":
         assert chunks >= 3 and samples % step != 0
     if case == "above-crossover":
         assert op.dim > operators.DENSE_APPLY_MAX_DIM and chunks >= 3
     if case == "tie-across-chunks":
         assert chunks >= 3
-        monkeypatch.setattr(certificate, "sphere_samples", _tied_across_chunks(op, g, step))
+        monkeypatch.setattr(certificate, "sphere_samples", _tied_across_chunks(op, g, bounds))
 
     evidence = verify_boundary(cert.radius, op, g, samples=samples, seed=5)
     batch = certificate.sphere_samples(T, K, cert.radius, samples, np.random.default_rng(5))
@@ -403,3 +412,201 @@ def test_verify_boundary_memory_is_flat_in_the_sample_count():
             tracemalloc.stop()
     assert peaks[20000] < 8 * 2**20
     assert peaks[20000] - peaks[5000] <= 8 * 15000 + 2**15
+
+
+# ---------------------------------------------------------------------------
+# the boundary check on several threads
+
+
+@contextmanager
+def _cores(count):
+    """Report ``count`` CPUs to the boundary check."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count))):
+        yield
+
+
+def _reference_solve(op, rhs):
+    """A^-1 applied to an (n, m) block as the serial check applied it: the
+    dense product, or fft2, the symbol and ifft2 over the (T, K, m) block."""
+    if op.dim <= operators.DENSE_APPLY_MAX_DIM:
+        return op.inverse @ rhs
+    T, K = op.params.T, op.params.K
+    spectrum = np.fft.fft2(rhs.reshape(T, K, -1), axes=(0, 1))
+    spectrum *= op.inverse_symbol[:, :, None]
+    return np.fft.ifft2(spectrum, axes=(0, 1)).reshape(rhs.shape)
+
+
+def _serial_evidence(radius, op, g, samples, seed):
+    """(count, min_gap bits, argmin_hash) of the serial boundary check: one
+    loop over chunks of CHUNK_VALUES // n samples, each evaluated whole."""
+    T, K, n = op.params.T, op.params.K, op.dim
+    batch = _reference_samples(T, K, radius, samples, np.random.default_rng(seed))
+    flat_batch = batch.reshape(samples, n)
+    step = max(1, certificate.CHUNK_VALUES // n)
+    gaps = np.empty(samples)
+    for lo in range(0, samples, step):
+        flat = flat_batch[lo : lo + step]
+        cubic = -op.params.gamma * (np.abs(flat) ** 2) * flat
+        odd = flat - _reference_solve(op, cubic.T).T
+        forcing = g.on_lattice(flat.reshape(-1, T, K)).reshape(flat.shape)
+        forced = _reference_solve(op, (forcing - op.shift * flat).T).T
+        gaps[lo : lo + step] = np.abs(odd).max(axis=1) - np.abs(forced).max(axis=1)
+    worst = int(np.argmin(gaps))
+    return samples, float(gaps[worst]).hex(), _sample_hash(batch[worst])
+
+
+def _evidence_key(evidence):
+    return evidence.count, evidence.min_gap.hex(), evidence.argmin_hash
+
+
+#: lattices on both sides of DENSE_APPLY_MAX_DIM = 256 nodes
+_ORACLE_LATTICES = [(1, 2), (2, 3), (3, 5), (4, 4), (12, 12), (16, 16), (17, 16), (12, 24)]
+_ORACLE_FORCINGS = {
+    "power_law": power_law([0.5, 0.2j], 2.0),
+    "bounded": bounded_potential([0.5]),
+    "constant": constant_potential([2.0, 1.0 + 1.0j]),
+}
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    lattice=st.sampled_from(_ORACLE_LATTICES),
+    forcing=st.sampled_from(sorted(_ORACLE_FORCINGS)),
+    gamma=st.sampled_from([1.0, -0.7]),
+    block=st.integers(1, 120),
+    samples_per_block=st.floats(0.0, 4.0),
+    radius=st.floats(0.5, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_verify_boundary_matches_the_serial_check_on_any_core_count(
+    lattice, forcing, gamma, block, samples_per_block, radius, seed
+):
+    # samples from 1 (fewer than the workers) to 4 blocks, rarely a multiple
+    # of one; block sizes from 1 to 120 samples, so dense blocks are cut on
+    # and off the GEMM_ROWS grid
+    T, K = lattice
+    op = build_shifted(LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=gamma), 1.5)
+    g = _ORACLE_FORCINGS[forcing]
+    samples = max(1, int(samples_per_block * block))
+    with mock.patch.object(certificate, "CHUNK_VALUES", block * op.dim):
+        expected = _serial_evidence(radius, op, g, samples, seed)
+        for cores in (1, 2, 3):
+            with _cores(cores):
+                evidence = verify_boundary(radius, op, g, samples=samples, seed=seed)
+            assert _evidence_key(evidence) == expected, f"{cores} cores"
+
+
+def test_verify_boundary_starts_at_most_four_threads(monkeypatch):
+    params = LatticeParams(T=8, K=8, beta=1.0, epsilon=1.0, gamma=1.0)
+    op = build_shifted(params, shift_factor=1.5)
+    g = power_law([0.5], 2.0)
+    with _cores(1):
+        serial = verify_boundary(3.0, op, g, samples=5000, seed=2)
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    baseline = threading.active_count()
+    with _cores(64):
+        evidence = verify_boundary(3.0, op, g, samples=5000, seed=2)
+    # the calling thread is the fourth
+    assert len(started) <= certificate.MAX_WORKERS - 1 == 3
+    assert threading.active_count() == baseline
+    assert evidence == serial
+
+
+def test_verify_boundary_draws_each_chunk_once_under_contention(monkeypatch):
+    # 4 workers on fewer CPUs, switching threads every microsecond: every
+    # chunk is drawn exactly once, with its slice of the one index stream
+    params = LatticeParams(T=4, K=4, beta=1.0, epsilon=1.0, gamma=1.0)
+    op = build_shifted(params, shift_factor=1.5)
+    g = power_law([0.5], 2.0)
+    samples, seed = 3000, 6
+    drawn = []
+    draw = certificate.sphere_samples
+
+    def recorded(T, K, radius, count, rng, rows=None, indices=None, out=None):
+        if indices is not None:
+            drawn.append((rows, indices.copy()))
+        return draw(T, K, radius, count, rng, rows, indices, out)
+
+    monkeypatch.setattr(certificate, "CHUNK_VALUES", 64 * op.dim)
+    monkeypatch.setattr(certificate, "sphere_samples", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _cores(4):
+            evidence = verify_boundary(3.0, op, g, samples=samples, seed=seed)
+    finally:
+        sys.setswitchinterval(interval)
+    # the reference draws the moduli and phases first, one 64-bit draw a double
+    rng = np.random.default_rng(seed)
+    rng.random(2 * samples * op.dim)
+    expected = rng.integers(0, op.dim, size=samples)
+    assert sorted(rows for rows, _ in drawn) == list(certificate._chunks(samples, op.dim, 4))
+    for (lo, hi), indices in drawn:
+        assert np.array_equal(indices, expected[lo:hi])
+    assert _evidence_key(evidence) == _serial_evidence(3.0, op, g, samples, seed)
+
+
+class _ThirdCallFails(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_verify_boundary_error_in_a_chunk_is_raised_once_the_helpers_end(cores):
+    # 8x8 with 5000 samples makes 10 to 20 chunks, so the third forcing call
+    # comes while the other workers still have chunks to take
+    params = LatticeParams(T=8, K=8, beta=1.0, epsilon=1.0, gamma=1.0)
+    op = build_shifted(params, shift_factor=1.5)
+    base = power_law([0.5], 2.0)
+    calls = []
+
+    def evaluate(t, z):
+        calls.append(threading.get_ident())
+        if len(calls) == 3:
+            raise _ThirdCallFails("the third forcing call fails")
+        return base.evaluate(t, z)
+
+    g = dataclasses.replace(base, evaluate=evaluate)
+    baseline = threading.active_count()
+    with _cores(cores), pytest.raises(_ThirdCallFails):
+        verify_boundary(3.0, op, g, samples=5000, seed=2)
+    assert threading.active_count() == baseline
+    # a chunk in flight may still finish, but no worker takes a new one
+    assert len(calls) <= 3 + (cores - 1)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_verify_boundary_overflow_raises_under_the_callers_errstate(cores):
+    params = LatticeParams(T=4, K=4, beta=1.0, epsilon=1.0, gamma=1.0)
+    op = build_shifted(params, shift_factor=1.5)
+    base = power_law([0.5], 2.0)
+    g = dataclasses.replace(base, evaluate=lambda t, z: base.evaluate(t, z) * 1e308 * 10.0)
+    with _cores(cores), np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        verify_boundary(3.0, op, g, samples=5000, seed=2)
+
+
+def test_verify_boundary_helpers_run_in_the_callers_context(monkeypatch):
+    # each worker's first draw waits for the other's, so both take a chunk;
+    # each records the overflow mode it runs under
+    params = LatticeParams(T=4, K=4, beta=1.0, epsilon=1.0, gamma=1.0)
+    op = build_shifted(params, shift_factor=1.5)
+    barrier = threading.Barrier(2, timeout=30)
+    modes = {}
+    draw = certificate.sphere_samples
+
+    def sampled(*args, **kwargs):
+        if threading.get_ident() not in modes:
+            modes[threading.get_ident()] = np.geterr()["over"]
+            barrier.wait()
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(certificate, "sphere_samples", sampled)
+    with _cores(2), np.errstate(over="raise"):
+        verify_boundary(3.0, op, power_law([0.5], 2.0), samples=5000, seed=2)
+    assert list(modes.values()) == ["raise", "raise"]
