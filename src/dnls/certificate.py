@@ -137,7 +137,11 @@ def compute_threshold_radius(g: Potential, coef: float) -> tuple[float, str]:
     candidate = 2.0**-4
     while candidate <= SCAN_MAX_RADIUS:
         radii = np.geomspace(candidate, candidate * SCAN_SPAN, SCAN_RADII)
-        if (_circle_moduli(g, radii) / radii[:, None] ** 3).max() < coef / SCAN_SAFETY:
+        # a forcing that overflows gives an infinite or NaN ratio, which is
+        # never below the coefficient: the scan goes on, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = (_circle_moduli(g, radii) / radii[:, None] ** 3).max()
+        if ratio < coef / SCAN_SAFETY:
             return float(candidate), "sampled"
         candidate *= 2.0
     raise NoThresholdFound(

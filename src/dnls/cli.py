@@ -158,6 +158,11 @@ def _parse_potential(raw: object) -> PotentialSpec:
         )
     if "coefficients" in raw:
         coeffs = _parse_coefficients(raw["coefficients"], "potential.coefficients")
+        if kind == "zero" and any(coeffs):
+            raise ConfigError(
+                "field 'potential.coefficients': kind 'zero' takes only zero coefficients, "
+                f"got {raw['coefficients']!r}"
+            )
     elif kind == "zero":
         coeffs = ()
     else:

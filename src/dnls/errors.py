@@ -8,7 +8,6 @@ __all__ = [
     "SingularShift",
     "NoThresholdFound",
     "CertificateOverflow",
-    "MissingDerivative",
     "DegenerateZero",
     "CertificateInvalid",
     "SolveFailed",
@@ -47,10 +46,6 @@ class NoThresholdFound(DnlsError):
 class CertificateOverflow(DnlsError):
     """A certificate constant left the floating-point range: it overflowed,
     or a cubic constant underflowed to 0."""
-
-
-class MissingDerivative(DnlsError):
-    """Analytic Jacobian requested but the potential carries none."""
 
 
 class DegenerateZero(DnlsError):

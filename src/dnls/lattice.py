@@ -34,7 +34,6 @@ __all__ = [
     "apply_cubic",
     "apply_forcing",
     "check_period",
-    "random_field",
 ]
 
 
@@ -223,9 +222,3 @@ def apply_forcing(phi: LatticeField, potential) -> LatticeField:
     check_period(phi.T, potential)
     return LatticeField(potential.on_lattice(phi._values))
 
-
-def random_field(T: int, K: int, rng: np.random.Generator, radius: float = 1.0) -> LatticeField:
-    """Field with independent entries of modulus uniform in [0, radius] and uniform phase."""
-    moduli = rng.uniform(0.0, radius, size=(T, K))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(T, K))
-    return LatticeField(moduli * np.exp(1j * phases))

@@ -7,8 +7,8 @@ exceeds the sup-induced norm, so the symbol (2-D DFT of the kernel) of
 A = L - sI has no zero, and A^-1 is the circulant whose kernel is the inverse
 DFT of the reciprocal symbol.  Each row of a circulant permutes its kernel,
 so the sup-induced norms are l1 norms of kernels.  Above DENSE_APPLY_MAX_DIM
-nodes A^-1 is applied by FFT; the dense n x n matrices are gathered from the
-kernels only when something asks for them.
+nodes A^-1 is applied by FFT; the dense n x n A^-1 is gathered from its
+kernel only when something asks for it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import SingularShift
 from .lattice import LatticeParams
 
-__all__ = ["linear_matrix", "operator_norm_sup", "ShiftedOperator", "build_shifted"]
+__all__ = ["ShiftedOperator", "build_shifted"]
 
 #: largest lattice size n = T*K whose A^-1 applies are dense products; above
 #: it they go through the FFT (measured crossover, README)
@@ -64,24 +64,6 @@ def _circulant(kernel: np.ndarray) -> np.ndarray:
     return kernel[(t - t[:, None]) % T, (k - k[:, None]) % K]
 
 
-def linear_matrix(params: LatticeParams) -> np.ndarray:
-    """Dense matrix of the linear operator on row-major flattened fields."""
-    return _circulant(_stencil(params))
-
-
-def operator_norm_sup(matrix: np.ndarray) -> float:
-    """Operator norm induced by the entrywise sup norm: max row sum of moduli.
-
-    For the sup norm on complex vectors the induced norm of a matrix is the
-    maximum over rows of the sum of entry moduli (the max-row-sum formula,
-    attained by aligning the input phases against one row).
-    """
-    mat = np.asarray(matrix)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return float(np.abs(mat).sum(axis=1).max())
-
-
 @dataclass
 class ShiftedOperator:
     """The shifted operator A = L - sI, its inverse, and the certificate norms.
@@ -90,8 +72,8 @@ class ShiftedOperator:
     ``norm_linear`` strictly, which keeps A invertible.  The norms are the l1
     norms of the kernels of L, A and A^-1: actual values, not bounds, because
     the certificate constants need them.  ``inverse_symbol`` multiplies the
-    2-D DFT of a field to apply A^-1; the dense matrices are gathered on
-    first use.
+    2-D DFT of a field to apply A^-1; the dense A^-1 is gathered on first
+    use.
     """
 
     params: LatticeParams
@@ -142,11 +124,6 @@ class ShiftedOperator:
         if self.dim <= DENSE_APPLY_MAX_DIM:
             return (self.inverse @ rows[..., None])[..., 0]
         return self.solve(rows.T).T
-
-    @cached_property
-    def shifted(self) -> np.ndarray:
-        """Dense A."""
-        return _circulant(_shifted_stencil(self.params, self.shift))
 
     @cached_property
     def inverse(self) -> np.ndarray:

@@ -37,8 +37,6 @@ __all__ = [
     "bounded_potential",
     "zero_potential",
     "constant_potential",
-    "growth_check",
-    "GrowthReport",
 ]
 
 #: phase samples per circle of the polar scans
@@ -251,34 +249,3 @@ def _circle_moduli(g: Potential, radii) -> np.ndarray:
     grid = np.asarray(radii)[:, None] * phases[None, :]
     return np.abs(np.asarray(g.evaluate(np.arange(g.period)[:, None, None], grid)))
 
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Sampled growth ratios max_t max_{|z|=rho} |g(t, z)| / rho^3 per radius."""
-
-    radii: tuple[float, ...]
-    ratios: tuple[float, ...]
-    monotone_decay: bool
-
-
-def growth_check(g: Potential, radii) -> GrowthReport:
-    """Sample the cubic growth ratio of g on circles of the given radii.
-
-    ``radii`` must be positive and strictly increasing.  The monotone-decay
-    flag is set when the ratios over the second half of the radii strictly
-    decrease, the numerical signature of genuinely subcubic growth; a family
-    with exactly cubic growth produces a constant tail and no flag.
-    """
-    rho = np.asarray(radii, dtype=float)
-    if rho.ndim != 1 or rho.size == 0:
-        raise ValueError("radii must be a nonempty 1-d sequence")
-    if not np.all(rho > 0.0):
-        raise ValueError("radii must be positive")
-    if not np.all(np.diff(rho) > 0.0):
-        raise ValueError("radii must be strictly increasing")
-
-    ratios = _circle_moduli(g, rho).max(axis=(0, 2)) / rho**3
-
-    tail = ratios[rho.size // 2 :]
-    decay = bool(np.all(np.diff(tail) < 0.0)) if tail.size >= 2 else False
-    return GrowthReport(tuple(rho), tuple(float(x) for x in ratios), decay)

@@ -24,7 +24,7 @@ an R-linear map becomes a 2n x 2n real matrix built from 2x2 blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .certificate import (
     _require_valid,
     build_certificate,
 )
-from .errors import MissingDerivative, SolveFailed
+from .errors import SolveFailed
 from .lattice import (
     LatticeField,
     LatticeParams,
@@ -52,15 +52,11 @@ __all__ = [
     "SolveReport",
     "realify",
     "complexify",
-    "realified_matrix",
     "residual_direct",
-    "residual_precond",
-    "realified_jacobian",
     "newton_solve",
     "homotopy_solve",
     "multi_start",
     "steady_state_solve",
-    "tile_steady",
 ]
 
 #: default convergence tolerance on the sup norm of the direct residual
@@ -139,18 +135,6 @@ def complexify(x: np.ndarray) -> np.ndarray:
     return x[..., 0::2] + 1j * x[..., 1::2]
 
 
-def realified_matrix(mat: np.ndarray) -> np.ndarray:
-    """Complex n x n matrix -> real 2n x 2n matrix in the interleaved layout."""
-    mat = np.asarray(mat, dtype=complex)
-    n = mat.shape[0]
-    out = np.empty((2 * n, 2 * n))
-    out[0::2, 0::2] = mat.real
-    out[0::2, 1::2] = -mat.imag
-    out[1::2, 0::2] = mat.imag
-    out[1::2, 1::2] = mat.real
-    return out
-
-
 # ---------------------------------------------------------------------------
 # residuals
 
@@ -178,16 +162,6 @@ def _slice_residual(
     if shift_vec is not None:
         res = res - shift_vec
     return res
-
-
-def residual_precond(phi: LatticeField, op: ShiftedOperator, g: Potential) -> LatticeField:
-    """Fixed-point residual phi - A^-1 F(phi) - A^-1 (G(phi) - s*phi).
-
-    Equals the direct residual pushed through A^-1; the two routes agree to
-    rounding, which the tests use as a consistency check.
-    """
-    flat = _slice_residual(phi.flatten(), op, g, 1.0)
-    return LatticeField.from_flat(flat, phi.T, phi.K)
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +225,6 @@ def _slice_jacobian(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: fl
     np.add(np.multiply(im, top, out=odd), np.multiply(re, bottom, out=scratch), out=odd)
     product = product.reshape(lead + (2 * n, 2 * n))
     return np.subtract(np.eye(2 * n), product, out=product)
-
-
-def realified_jacobian(
-    phi: LatticeField, op: ShiftedOperator, g: Potential, mode: str = "analytic"
-) -> np.ndarray:
-    """Realified Jacobian of the full fixed-point residual at ``phi``.
-
-    ``mode`` selects how the forcing blocks are obtained: "analytic" requires
-    the potential to carry a derivative (MissingDerivative otherwise),
-    "finite_diff" uses central differences with step 1e-6 * (1 + |z|).
-    """
-    if mode == "finite_diff":
-        g = replace(g, derivative=None)
-    elif mode != "analytic":
-        raise ValueError(f"mode must be 'analytic' or 'finite_diff', got {mode!r}")
-    elif g.derivative is None:
-        raise MissingDerivative(f"potential kind {g.kind!r} carries no analytic derivative")
-    return _slice_jacobian(phi.flatten(), op, g, tau=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -809,12 +765,6 @@ def multi_start(
 
 # ---------------------------------------------------------------------------
 # steady states
-
-
-def tile_steady(u: np.ndarray, T: int) -> LatticeField:
-    """Lift a K-entry spatial profile to a time-constant (T, K) field."""
-    u = np.asarray(u, dtype=complex)
-    return LatticeField(np.tile(u, (T, 1)))
 
 
 def steady_state_solve(

@@ -118,10 +118,11 @@ def test_parse_config_rejects_non_object_root():
         ({"kind": "zero", "sigma": 1}, "sigma"),
         ({"kind": [1.0], "coefficients": [[0.0, 0.0]]}, "kind"),
         ({"kind": {}}, "kind"),
+        ({"kind": "zero", "coefficients": [[0, 0], [5, 0]]}, "only zero coefficients"),
     ],
     ids=["bad-kind", "no-exponent", "exponent-zero", "exponent-neg",
          "exponent-on-bounded", "no-coeffs", "empty-coeffs", "short-pair",
-         "string-pair", "unknown-subfield", "list-kind", "object-kind"],
+         "string-pair", "unknown-subfield", "list-kind", "object-kind", "zero-nonzero"],
 )
 def test_parse_potential_rejections(potential, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -764,6 +765,8 @@ def _cli_cases(draw):
 @settings(deadline=None, max_examples=60)
 @example(case=("certify", _doc(slack=1.5, samples=10), None))
 @example(case=("certify", _doc(potential={"kind": [1.0], "coefficients": [[0.0, 0.0]]}), None))
+@example(case=("certify", _doc(potential={"kind": "power_law", "coefficients": [[0.3, 0.0]],
+                                         "exponent": 60}), None))
 @given(case=_cli_cases())
 def test_main_exit_contract(case):
     # any config and solution file ends in a documented exit code with at

@@ -21,12 +21,12 @@ from dnls import (
     estimate_degree,
     homotopy_solve,
     power_law,
-    random_field,
     spatial_laplacian,
     sup_norm,
     zero_potential,
 )
 from dnls import certificate, solver
+from oracles import random_field
 
 RNG = np.random.default_rng(20240817)
 

@@ -26,7 +26,8 @@ from dnls import (
     sup_norm,
 )
 from dnls import solver
-from dnls.solver import _ball_starts, _slice_blocks, complexify, realified_matrix, realify
+from dnls.solver import _ball_starts, _slice_blocks, complexify, realify
+from oracles import realified_matrix
 
 
 def _reference_residual(flat, op, g, tau, shift_vec=None):

@@ -9,16 +9,15 @@ from numpy.testing import assert_allclose
 from dnls import (
     LatticeField,
     LatticeParams,
+    ShiftedOperator,
     apply_linear,
     build_shifted,
-    linear_matrix,
-    operator_norm_sup,
     power_law,
-    random_field,
     sup_norm,
 )
 from dnls import operators
-from dnls.solver import _jacobian_product, _slice_blocks, _slice_jacobian, realified_matrix
+from dnls.solver import _jacobian_product, _slice_blocks, _slice_jacobian
+from oracles import linear_matrix, operator_norm_sup, random_field, realified_matrix, shifted
 
 RNG = np.random.default_rng(42)
 
@@ -144,16 +143,17 @@ def test_shifted_operator_frozen_values():
     assert op.norm_shifted == pytest.approx(15.0)
     # frozen from an independent inverse: max row sum of |(L - 9I)^-1| is 1/7
     assert op.norm_shifted_inv == pytest.approx(1.0 / 7.0, rel=1e-9)
-    indep = operator_norm_sup(np.linalg.inv(op.shifted))
+    indep = operator_norm_sup(np.linalg.inv(shifted(op)))
     assert op.norm_shifted_inv == pytest.approx(indep, rel=1e-12)
 
 
 def test_shifted_solve_roundtrip():
     op = build_shifted(_params(T=5, K=3, beta=0.6, epsilon=0.9), shift_factor=2.0)
+    dense = shifted(op)
     for _ in range(20):
         b = RNG.normal(size=15) + 1j * RNG.normal(size=15)
         x = op.solve(b)
-        back = op.shifted @ x
+        back = dense @ x
         assert np.max(np.abs(back - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
 
 
@@ -169,9 +169,10 @@ def test_shifted_operator_bounded_below():
     op = build_shifted(_params(T=3, K=3, beta=0.5, epsilon=1.5), shift_factor=1.7)
     rng = np.random.default_rng(5)
     floor = 1.0 / op.norm_shifted_inv
+    dense = shifted(op)
     for _ in range(1000):
         psi = rng.normal(size=9) + 1j * rng.normal(size=9)
-        lhs = np.max(np.abs(op.shifted @ psi))
+        lhs = np.max(np.abs(dense @ psi))
         rhs = floor * np.max(np.abs(psi))
         assert lhs >= rhs * (1 - 1e-12)
 
@@ -181,9 +182,10 @@ def test_shifted_triangle_bound():
     op = build_shifted(_params(T=4, K=5), shift_factor=1.5)
     rng = np.random.default_rng(6)
     cap = op.norm_linear + op.shift
+    dense = shifted(op)
     for _ in range(1000):
         phi = rng.normal(size=20) + 1j * rng.normal(size=20)
-        assert np.max(np.abs(op.shifted @ phi)) <= cap * np.max(np.abs(phi)) * (1 + 1e-12)
+        assert np.max(np.abs(dense @ phi)) <= cap * np.max(np.abs(phi)) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("factor", [1.0, 0.5, 0.0, -2.0])
@@ -194,9 +196,11 @@ def test_shift_factor_must_exceed_one(factor):
 
 def test_dense_matrices_are_gathered_on_demand():
     op = build_shifted(_params(T=3, K=4), shift_factor=1.5)
-    assert {"shifted", "inverse"}.isdisjoint(vars(op))
-    assert np.array_equal(op.shifted, linear_matrix(op.params) - op.shift * np.eye(12))
-    assert "shifted" in vars(op) and "inverse" not in vars(op)
+    assert not hasattr(ShiftedOperator, "shifted")
+    assert "inverse" not in vars(op)
+    assert np.array_equal(shifted(op), linear_matrix(op.params) - op.shift * np.eye(12))
+    assert_allclose(op.inverse @ shifted(op), np.eye(12), atol=1e-12)
+    assert "inverse" in vars(op)
 
 
 def test_degree_lattices_apply_densely():
@@ -217,7 +221,7 @@ def test_slice_jacobian_from_inverse_parts_matches_realified_inverse():
     stack = rng.normal(size=(3, op.dim)) + 1j * rng.normal(size=(3, op.dim))
     n = op.dim
     inv = realified_matrix(op.inverse).reshape(2 * n, n, 2)
-    assert_allclose(realified_matrix(op.inverse), realified_matrix(np.linalg.inv(op.shifted)),
+    assert_allclose(realified_matrix(op.inverse), realified_matrix(np.linalg.inv(shifted(op))),
                     atol=1e-12)
     jacobians = _slice_jacobian(stack, op, g, 1.0)
     for flat, jac in zip(stack, jacobians):
@@ -258,8 +262,9 @@ def test_circulant_operator_matches_dense_oracles(T, K, beta, epsilon, factor):
     )
 
     assert op.norm_linear == pytest.approx(operator_norm_sup(mat), rel=1e-12)
-    assert op.norm_shifted == pytest.approx(operator_norm_sup(op.shifted), rel=1e-12)
-    dense_inv = np.linalg.inv(op.shifted)
+    dense = shifted(op)
+    assert op.norm_shifted == pytest.approx(operator_norm_sup(dense), rel=1e-12)
+    dense_inv = np.linalg.inv(dense)
     assert op.norm_shifted_inv == pytest.approx(operator_norm_sup(dense_inv), rel=1e-12)
     assert np.max(np.abs(op.inverse - dense_inv)) <= 1e-12
 
@@ -279,7 +284,7 @@ def test_circulant_operator_matches_dense_oracles(T, K, beta, epsilon, factor):
             assert np.max(np.abs(product - jac_v)) <= 1e-12 * max(1.0, np.max(np.abs(jac_v)))
             for rhs in (stack[:, 0], stack):
                 applied = op.solve(rhs)
-                back = op.shifted @ applied
+                back = dense @ applied
                 assert back.shape == rhs.shape
                 scale = max(1.0, np.max(np.abs(rhs)))
                 assert np.max(np.abs(back - rhs)) <= 1e-12 * scale

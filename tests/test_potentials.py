@@ -1,4 +1,4 @@
-"""Forcing potentials: evaluation, bounds, derivatives, growth classification."""
+"""Forcing potentials: evaluation, bounds, derivatives."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from dnls import (
     InvalidExponent,
     bounded_potential,
     constant_potential,
-    growth_check,
     power_law,
     zero_potential,
 )
@@ -358,40 +357,3 @@ def test_bounded_threshold_cancellation():
     g = bounded_potential([1e-10])
     rho = g.threshold_formula(11.0)
     assert float(np.abs(g.evaluate(0, rho))) <= 11.0 * rho**3
-
-
-# ---------------------------------------------------------------------------
-# growth classification by circle sampling
-
-
-def test_growth_check_subcubic_ratio_decreases():
-    report = growth_check(power_law([1.0], 2.0), [1.0, 2.0, 4.0, 8.0])
-    assert report.monotone_decay
-    assert np.all(np.diff(report.ratios) < 0)
-    # for r = 2 the exact ratio is 1 / rho
-    assert_allclose(report.ratios, [1.0, 0.5, 0.25, 0.125], rtol=1e-12)
-
-
-def test_growth_check_flags_cubic_growth():
-    # exactly cubic growth keeps a constant ratio, which never decays
-    from dnls.potentials import _power_law_unchecked
-
-    report = growth_check(_power_law_unchecked([1.0], 3.0), [1.0, 2.0, 4.0, 8.0])
-    assert not report.monotone_decay
-    assert_allclose(report.ratios, report.ratios[0], rtol=1e-9)
-
-
-def test_growth_check_bounded_decays():
-    report = growth_check(bounded_potential([2.0]), [1.0, 2.0, 4.0, 8.0, 16.0])
-    assert report.monotone_decay
-    assert np.all(np.diff(report.ratios) < 0)
-
-
-def test_growth_check_validates_radii():
-    g = power_law([1.0], 2.0)
-    with pytest.raises(ValueError):
-        growth_check(g, [2.0, 1.0])
-    with pytest.raises(ValueError):
-        growth_check(g, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        growth_check(g, [])

@@ -13,7 +13,6 @@ from dnls import (
     CertificateInvalid,
     LatticeField,
     LatticeParams,
-    MissingDerivative,
     SolveFailed,
     apply_cubic,
     apply_forcing,
@@ -27,18 +26,15 @@ from dnls import (
     multi_start,
     newton_solve,
     power_law,
-    random_field,
-    realified_jacobian,
     realify,
     residual_direct,
-    residual_precond,
     steady_state_solve,
     sup_norm,
-    tile_steady,
     zero_potential,
 )
 from dnls import operators, solver
-from dnls.solver import _newton_step, _slice_jacobian, _slice_residual, realified_matrix
+from dnls.solver import _newton_step, _slice_jacobian, _slice_residual
+from oracles import random_field, realified_matrix, shifted, tile_steady
 
 RNG = np.random.default_rng(2024)
 
@@ -100,7 +96,7 @@ def test_residual_precond_is_preconditioned_direct():
     g = bounded_potential([1.0])
     for _ in range(100):
         phi = random_field(2, 3, RNG, 3.0)
-        pre = residual_precond(phi, op, g).flatten()
+        pre = _slice_residual(phi.flatten(), op, g, 1.0)
         direct = residual_direct(phi, params, g).flatten()
         expected = op.solve(direct)
         scale = max(np.max(np.abs(expected)), 1.0)
@@ -116,13 +112,12 @@ def _fd_jacobian(phi, op, g, h=1e-7):
     base = realify(phi.flatten())
     n = base.size
     jac = np.empty((n, n))
-    T, K = phi.shape
     for j in range(n):
         bump = np.zeros(n)
         bump[j] = h
-        fp = residual_precond(LatticeField.from_flat(complexify(base + bump), T, K), op, g)
-        fm = residual_precond(LatticeField.from_flat(complexify(base - bump), T, K), op, g)
-        jac[:, j] = (realify(fp.flatten()) - realify(fm.flatten())) / (2 * h)
+        fp = _slice_residual(complexify(base + bump), op, g, 1.0)
+        fm = _slice_residual(complexify(base - bump), op, g, 1.0)
+        jac[:, j] = (realify(fp) - realify(fm)) / (2 * h)
     return jac
 
 
@@ -141,7 +136,7 @@ def test_realified_jacobian_matches_finite_differences(make_g):
     T = 2 if g.period == 2 else 1
     params, op, _, _ = _setup(T=T, K=3, g=g, samples=0)
     phi = random_field(T, 3, np.random.default_rng(77), 1.5)
-    analytic = realified_jacobian(phi, op, g, mode="analytic")
+    analytic = _slice_jacobian(phi.flatten(), op, g, 1.0)
     fd = _fd_jacobian(phi, op, g)
     denom = max(np.max(np.abs(fd)), 1.0)
     assert np.max(np.abs(analytic - fd)) / denom <= 1e-6
@@ -151,27 +146,9 @@ def test_realified_jacobian_internal_fd_mode_agrees():
     g = power_law([1.0], 2.0)
     params, op, _, _ = _setup(T=1, K=3, g=g, samples=0)
     phi = random_field(1, 3, np.random.default_rng(8), 1.0)
-    analytic = realified_jacobian(phi, op, g, mode="analytic")
-    numeric = realified_jacobian(phi, op, g, mode="finite_diff")
+    analytic = _slice_jacobian(phi.flatten(), op, g, 1.0)
+    numeric = _slice_jacobian(phi.flatten(), op, replace(g, derivative=None), 1.0)
     assert np.max(np.abs(analytic - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(analytic)))
-
-
-def test_realified_jacobian_requires_derivative_in_analytic_mode():
-    g = power_law([1.0], 2.0)
-    params, op, _, _ = _setup(T=1, K=2, g=g, samples=0)
-    stripped = replace(g, derivative=None)
-    phi = random_field(1, 2, RNG, 1.0)
-    with pytest.raises(MissingDerivative):
-        realified_jacobian(phi, op, stripped, mode="analytic")
-    # finite-diff mode shrugs it off
-    realified_jacobian(phi, op, stripped, mode="finite_diff")
-
-
-def test_realified_jacobian_rejects_unknown_mode():
-    g = power_law([1.0], 2.0)
-    params, op, _, _ = _setup(T=1, K=2, g=g, samples=0)
-    with pytest.raises(ValueError, match="mode"):
-        realified_jacobian(random_field(1, 2, RNG, 1.0), op, g, mode="bogus")
 
 
 @pytest.mark.parametrize("T,K", [(1, 2), (2, 3), (3, 4)])
@@ -191,16 +168,16 @@ def test_slice_jacobian_matches_dense_oracle(T, K):
     diag = np.zeros((2 * n, 2 * n))
     for j in range(n):
         diag[2 * j:2 * j + 2, 2 * j:2 * j + 2] = blocks[j]
-    oracle = np.eye(2 * n) - realified_matrix(np.linalg.inv(op.shifted)) @ diag
+    oracle = np.eye(2 * n) - realified_matrix(np.linalg.inv(shifted(op))) @ diag
     jac = _slice_jacobian(flat, op, g, tau=1.0)
     assert np.max(np.abs(jac - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
 @pytest.mark.parametrize("T,K", [(8, 10), (12, 12)])
 @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("shifted", [False, True], ids=["plain", "shift_vec"])
+@pytest.mark.parametrize("offset", [False, True], ids=["plain", "shift_vec"])
 @pytest.mark.parametrize("mode", ["analytic", "finite_diff"])
-def test_sparse_newton_step_matches_dense_solve(T, K, tau, shifted, mode):
+def test_sparse_newton_step_matches_dense_solve(T, K, tau, offset, mode):
     # the GMRES step is an inexact solve of J dx = -r on matrix-free
     # products of J, held to the contract against dense J; the random field
     # is far from constant in space, so the preconditioner is only rough
@@ -211,7 +188,7 @@ def test_sparse_newton_step_matches_dense_solve(T, K, tau, shifted, mode):
         g = replace(g, derivative=None)
     rng = np.random.default_rng(T * K)
     flat = random_field(T, K, rng, 1.5).flatten()
-    shift_vec = random_field(T, K, rng, 0.5).flatten() if shifted else None
+    shift_vec = random_field(T, K, rng, 0.5).flatten() if offset else None
     res = _slice_residual(flat, op, g, tau, shift_vec)
     tol = solver.DEFAULT_TOL
     step = _newton_step(flat, res, op, g, tau, tol, False)
@@ -272,7 +249,7 @@ def test_cell_mean_solver_inverts_its_matrix(T, K, period):
     diag = np.zeros((2 * T * K, 2 * T * K))
     for node in range(T * K):
         diag[2 * node:2 * node + 2, 2 * node:2 * node + 2] = mean[(node // K) % q]
-    matrix = np.eye(2 * T * K) - realified_matrix(np.linalg.inv(op.shifted)) @ diag
+    matrix = np.eye(2 * T * K) - realified_matrix(np.linalg.inv(shifted(op))) @ diag
     solve = solver._cell_mean_solver(op, blocks, period)
     rhs = rng.standard_normal(2 * T * K)
     assert np.max(np.abs(matrix @ solve(rhs) - rhs)) <= 1e-12 * np.linalg.cond(matrix)
@@ -308,7 +285,7 @@ def test_large_lattice_builds_no_dense_operator_matrix():
     cert = build_certificate(op, g, samples=200, seed=0)
     report = homotopy_solve(op, g, cert)
     assert report.status == "converged"
-    assert {"shifted", "inverse"}.isdisjoint(vars(op))
+    assert "inverse" not in vars(op)
 
 
 def test_odd_slice_jacobian_at_origin_is_identity():
