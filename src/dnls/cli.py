@@ -414,28 +414,15 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_steady(config: RunConfig, out_dir: Path) -> int:
     """Steady-state solve (T forced to 1); dump the profile as CSV."""
-    g = build_potential(config.potential)
-    profile, report = steady_state_solve(
-        K=config.params.K,
-        epsilon=config.params.epsilon,
-        gamma=config.params.gamma,
-        h=g,
-        tol=config.tolerance,
-        beta=config.params.beta,
-        shift_factor=config.shift_factor,
-        slack=config.slack,
-        samples=config.samples,
-        n_starts=config.n_starts,
-        seed=config.seed,
-        max_iter=config.max_iter,
-        full_output=True,
-    )
+    g, op, cert = _certified_pipeline(replace(config, params=replace(config.params, T=1)))
+    report = steady_state_solve(op, g, cert, n_starts=config.n_starts, seed=config.seed,
+                                tol=config.tolerance, max_iter=config.max_iter)
     csv_name = "steady.csv"
     _emit(
         {"command": "steady", "report": _solve_payload(report, csv_name)},
         out_dir,
         "report.json",
-        (csv_name, write_steady_csv, profile),
+        (csv_name, write_steady_csv, report.solution.values[0]),
     )
     return 0
 

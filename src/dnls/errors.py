@@ -34,8 +34,8 @@ class EmptyCoefficients(DnlsError):
 
 
 class SingularShift(DnlsError):
-    """The symbol of the shifted operator has a numerical zero; the shift
-    did not clear the spectrum (internal error, should not occur for factor > 1)."""
+    """A^-1's symbol or kernel is not finite: the shift is so small (subnormal
+    beta and epsilon) that the reciprocal symbol overflows."""
 
 
 class NoThresholdFound(DnlsError):

@@ -136,7 +136,12 @@ def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOp
 
     The shift is ``shift_factor * norm_linear`` (or ``shift_factor`` itself in
     the degenerate case of a zero linear norm), so any factor > 1 places the
-    shift strictly beyond the operator norm and the spectrum.
+    shift strictly beyond the operator norm and the spectrum: every entry of
+    A's symbol has modulus between shift - norm_linear > 0 and
+    shift + norm_linear, however small beta and epsilon are.  What can fail
+    is the floating-point range: for subnormal beta and epsilon the
+    reciprocal symbol overflows.  Raises SingularShift exactly when A^-1's
+    symbol or kernel is not finite.
     """
     if not shift_factor > 1.0:
         raise ValueError(f"shift_factor must exceed 1, got {shift_factor}")
@@ -144,11 +149,16 @@ def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOp
     shift = shift_factor * norm_linear if norm_linear > 0.0 else float(shift_factor)
     shifted_kernel = _shifted_stencil(params, shift)
     symbol = np.fft.fft2(shifted_kernel)
-    modulus = np.abs(symbol)
-    if modulus.min() <= 1e3 * np.finfo(float).eps * max(modulus.max(), 1.0):  # pragma: no cover
-        raise SingularShift("shifted operator is numerically singular despite shift > norm")
-    reciprocal = 1.0 / symbol
-    inverse_kernel = np.fft.ifft2(reciprocal)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        reciprocal = 1.0 / symbol
+        inverse_kernel = np.fft.ifft2(reciprocal)
+    # the kernel's entry at offset 0 is the mean of the reciprocal symbol, so
+    # a non-finite symbol leaves the kernel non-finite too
+    if not np.isfinite(inverse_kernel).all():
+        raise SingularShift(
+            f"A^-1 overflows the floating-point range at shift {shift!r}: its symbol or "
+            "kernel is not finite"
+        )
     return ShiftedOperator(
         params=params,
         dim=params.dim,

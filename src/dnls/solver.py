@@ -13,8 +13,8 @@ where F is the cubic term and G the forcing.  The solvers treat the family
 whose tau = 0 slice is the odd map driving the degree argument (its only
 small zero is the origin, with identity Jacobian) and whose tau = 1 slice is
 the full problem.  ``homotopy_solve`` tracks the zero curve from (0, 0) to
-tau = 1 with a secant predictor and damped Newton corrector; ``newton_solve``
-is the corrector run directly on the tau = 1 slice.
+tau = 1 with a secant predictor and damped Newton corrector, then polishes
+the endpoint against the direct residual.
 
 Complex fields are realified for the linear algebra: a vector in C^n becomes
 a vector in R^(2n) with interleaved layout (Re z_0, Im z_0, Re z_1, ...), and
@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import (
-    ExistenceCertificate,
-    _forcing_part,
-    _odd_part,
-    _require_valid,
-    build_certificate,
-)
+from .certificate import ExistenceCertificate, _forcing_part, _odd_part, _require_valid
 from .errors import SolveFailed
 from .lattice import (
     LatticeField,
@@ -45,7 +39,7 @@ from .lattice import (
     check_period,
     sup_norm,
 )
-from .operators import ShiftedOperator, build_shifted
+from .operators import ShiftedOperator
 from .potentials import Potential, _blocks
 
 __all__ = [
@@ -53,7 +47,6 @@ __all__ = [
     "realify",
     "complexify",
     "residual_direct",
-    "newton_solve",
     "homotopy_solve",
     "multi_start",
     "steady_state_solve",
@@ -518,30 +511,6 @@ def _report_at(
     )
 
 
-def newton_solve(
-    initial: LatticeField,
-    op: ShiftedOperator,
-    g: Potential,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 100,
-) -> SolveReport:
-    """Damped Newton on the full fixed-point system from a given start.
-
-    Converged means the direct lattice residual has sup norm at most ``tol``
-    at the reported field; the line search itself is driven by the
-    fixed-point residual.  The forcing Jacobian is analytic when the
-    potential has a derivative, else finite differences.  Steps are
-    preconditioned GMRES (see ``_newton_step``), built for starts near a
-    zero such as the homotopy endpoint; from far starts a step can run out
-    of products and end the run as "diverged" (``multi_start`` takes exact
-    steps).
-    """
-    flat, iterations, status = _damped_newton(
-        initial.flatten()[None], op, g, tau=1.0, tol=tol, max_iter=max_iter, converge_on="direct"
-    )
-    return _report_at(flat[0], op, g, iterations[0], status[0], method="newton")
-
-
 # ---------------------------------------------------------------------------
 # homotopy continuation
 
@@ -561,7 +530,7 @@ def homotopy_solve(
     status "left_ball" when an accepted iterate (or the polished endpoint)
     has sup norm at least the certified radius, since the certificate only
     controls the zero set strictly inside the ball.  The tau = 1 endpoint is
-    polished by Newton against the direct residual, as in ``newton_solve``.
+    polished by Newton against the direct residual.
     The run is deterministic.  Raises CertificateInvalid for a certificate
     that failed its boundary check.
     """
@@ -768,41 +737,32 @@ def multi_start(
 
 
 def steady_state_solve(
-    K: int,
-    epsilon: float,
-    gamma: float,
-    h: Potential,
-    tol: float = DEFAULT_TOL,
-    beta: float = 1.0,
-    shift_factor: float = 1.5,
-    slack: float = 0.1,
-    samples: int = 10000,
+    op: ShiftedOperator,
+    g: Potential,
+    cert: ExistenceCertificate,
     n_starts: int = 16,
     seed: int = 0,
+    tol: float = DEFAULT_TOL,
     max_iter: int = 100,
-    full_output: bool = False,
-):
-    """Solve the time-independent lattice equation on K spatial nodes.
+) -> SolveReport:
+    """Solve the time-independent lattice equation: the T = 1 problem, where
+    the time-difference part of the operator vanishes identically, so the
+    solution's one row is the spatial profile.
 
-    Instantiates the full machinery with T = 1 (where the time-difference
-    part of the operator vanishes identically) and projects the solution to
-    its spatial row.  Tries homotopy continuation first and falls back to
-    multi-start Newton when the tracked branch fails to reach tau = 1 (a real
-    possibility for forcings with nonzero mean, whose constant-mode branch
-    folds); raises SolveFailed when no route converges, PeriodMismatch
-    (from the certificate at T = 1) for a forcing whose period is not 1, and
+    Tries homotopy continuation first and falls back to multi-start Newton
+    when the tracked branch fails to reach tau = 1 (a real possibility for
+    forcings with nonzero mean, whose constant-mode branch folds), keeping
+    the candidate with the smallest direct residual.  Raises ValueError for
+    an operator with T != 1, SolveFailed when no route converges,
+    PeriodMismatch for a forcing whose period is not 1, and
     CertificateInvalid (from ``homotopy_solve``) when the certificate fails
     its boundary check.
-
-    Returns the K-entry complex profile, or ``(profile, report)`` when
-    ``full_output`` is set.
     """
-    params = LatticeParams(T=1, K=K, beta=beta, epsilon=epsilon, gamma=gamma)
-    op = build_shifted(params, shift_factor)
-    cert = build_certificate(op, h, slack=slack, samples=samples, seed=seed)
-    report = homotopy_solve(op, h, cert, tol=tol, max_iter=max_iter)
+    if op.params.T != 1:
+        raise ValueError(f"steady states need an operator with T = 1, got T = {op.params.T}")
+    report = homotopy_solve(op, g, cert, tol=tol, max_iter=max_iter)
     if report.status != "converged":
-        candidates = multi_start(op, h, cert, n_starts=n_starts, seed=seed, tol=tol,
+        candidates = multi_start(op, g, cert, n_starts=n_starts, seed=seed, tol=tol,
                                  max_iter=max_iter)
         if not candidates:
             raise SolveFailed(
@@ -810,7 +770,4 @@ def steady_state_solve(
                 "produced a converged steady state"
             )
         report = min(candidates, key=lambda r: r.residual_direct)
-    profile = report.solution.values[0, :].copy()
-    if full_output:
-        return profile, report
-    return profile
+    return report

@@ -301,8 +301,9 @@ def test_criterion_5_solver_soundness(tmp_path, capsys):
 def test_criterion_6_steady_state_oracle(tmp_path, capsys):
     failures = []
     for K in (2, 3, 5, 8):
-        profile = steady_state_solve(K, epsilon=1.0, gamma=1.0,
-                                     h=constant_potential([8.0]))
+        h = constant_potential([8.0])
+        op = build_shifted(LatticeParams(T=1, K=K, beta=1.0, epsilon=1.0, gamma=1.0))
+        profile = steady_state_solve(op, h, build_certificate(op, h)).solution.values[0]
         # direct substitution into the spatial equation, no package code
         lap = np.roll(profile, -1) - 2.0 * profile + np.roll(profile, 1)
         res = np.abs(lap + np.abs(profile) ** 2 * profile - 8.0)

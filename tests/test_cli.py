@@ -571,6 +571,44 @@ def test_steady_invalid_certificate_exit_two(tmp_path, capsys):
     assert "failed its boundary check" in err
 
 
+def test_steady_forces_one_time_slice(tmp_path, capsys):
+    # steady certifies and solves at T = 1 whatever the config's T, so
+    # T = 4 and T = 1 write the same bytes
+    def run(T):
+        cfg = _write_config(tmp_path, name=f"T{T}.json", T=T, K=5, samples=300,
+                            potential={"kind": "constant", "coefficients": [[2.0, 1.0]]})
+        out = tmp_path / f"T{T}"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        return (capsys.readouterr(), (out / "report.json").read_bytes(),
+                (out / "steady.csv").read_bytes())
+
+    assert run(4) == run(1)
+
+
+@pytest.mark.parametrize(
+    "scale,code", [(1e-14, 0), (1e-100, 0), (1e-300, 0), (1e-310, 3), (5e-324, 3)]
+)
+@pytest.mark.parametrize("command", ["certify", "solve", "steady", "degree"])
+def test_tiny_beta_and_epsilon_run_until_the_inverse_overflows(tmp_path, capsys, command,
+                                                               scale, code):
+    # A's symbol stays between shift - ||L|| and shift + ||L|| at any scale,
+    # so only a reciprocal symbol beyond the float range (subnormal beta and
+    # epsilon) stops the run, with one line and no warnings
+    cfg = _write_config(tmp_path, T=4, K=4, beta=scale, epsilon=scale, samples=500,
+                        n_starts=4, potential={"kind": "bounded", "coefficients": [[0.5, 0.0]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured.err.startswith("solver error: ") and captured.err.count("\n") == 1
+        assert "not finite" in captured.err
+        return
+    assert captured.err == ""
+    if scale == 1e-14 and command != "steady":
+        assert json.loads(captured.out)["certificate"]["radius"] == 1.0940515853678061
+
+
 @pytest.mark.parametrize("command,name", [("solve", "report.json"), ("degree", "degree.json")])
 def test_invalid_certificate_is_reported_with_exit_two(tmp_path, capsys, command, name):
     # no boundary samples leave the certificate invalid

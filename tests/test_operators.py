@@ -194,6 +194,23 @@ def test_shift_factor_must_exceed_one(factor):
         build_shifted(_params(), shift_factor=factor)
 
 
+@settings(deadline=None, max_examples=60)
+@given(shape=st.sampled_from([(4, 4), (3, 5), (24, 24)]), exponent=st.floats(-300.0, 300.0))
+@example(shape=(4, 4), exponent=-14.0)
+@example(shape=(24, 24), exponent=-300.0)
+@example(shape=(3, 5), exponent=300.0)
+def test_norm_product_is_invariant_when_beta_and_epsilon_scale(shape, exponent):
+    # scaling beta and epsilon by lam scales A by lam and A^-1 by 1 / lam, so
+    # ||A|| ||A^-1|| stays put, and no scale in the float range is singular
+    T, K = shape
+    lam = 10.0**exponent
+    ref = build_shifted(_params(T=T, K=K))
+    op = build_shifted(_params(T=T, K=K, beta=lam, epsilon=lam))
+    assert op.norm_shifted * op.norm_shifted_inv == pytest.approx(
+        ref.norm_shifted * ref.norm_shifted_inv, rel=1e-12
+    )
+
+
 def test_dense_matrices_are_gathered_on_demand():
     op = build_shifted(_params(T=3, K=4), shift_factor=1.5)
     assert not hasattr(ShiftedOperator, "shifted")

@@ -29,7 +29,7 @@ PUBLIC = {
     # potentials
     "Potential", "bounded_potential", "constant_potential", "power_law", "zero_potential",
     # solver
-    "SolveReport", "complexify", "homotopy_solve", "multi_start", "newton_solve", "realify",
+    "SolveReport", "complexify", "homotopy_solve", "multi_start", "realify",
     "residual_direct", "steady_state_solve",
 }
 
@@ -42,8 +42,8 @@ def test_package_exports_each_module_all():
             assert getattr(dnls, name) is getattr(module, name), (module.__name__, name)
 
 
-def test_public_names_are_exactly_the_listed_fifty():
-    assert len(PUBLIC) == 50
+def test_public_names_are_exactly_the_listed_forty_nine():
+    assert len(PUBLIC) == 49
     assert set(dnls.__all__) == PUBLIC
 
 

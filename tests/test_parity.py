@@ -1,0 +1,53 @@
+"""The output-parity tool's comparison of two runs, and its corpus."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+_spec = importlib.util.spec_from_file_location("parity", TOOLS / "parity.py")
+parity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(parity)
+
+
+def _result(code=0, stdout="", stderr="", **files):
+    return {"runs": [{"args": ["certify", "--config", "config.json"], "exit": code,
+                      "stdout": stdout, "stderr": stderr}],
+            "files": {name: text.encode() for name, text in files.items()}}
+
+
+def test_json_differences_are_named_by_key_path():
+    base = {"certificate": {"radius": 1.0, "boundary": {"n": 3}}, "zeros": [{"sign": 1}]}
+    head = {"certificate": {"radius": 1.0000000000000002, "boundary": {}},
+            "zeros": [{"sign": -1}]}
+    assert parity.json_diff(base, head) == [
+        "certificate.boundary.n: only in base",
+        "certificate.radius: 1.0 -> 1.0000000000000002",
+        "zeros[0].sign: 1 -> -1",
+    ]
+    assert parity.json_diff({"x": 1}, {"x": 1.0}) == ["x: 1 -> 1.0"]
+    assert parity.json_diff([1, 2], [1]) == ["<root>: length 2 -> 1"]
+
+
+def test_every_stream_file_and_exit_code_is_compared():
+    doc = json.dumps({"radius": 2.5})
+    base = _result(0, doc, "", **{"out/steady.csv": "k,re,im\n0,1,0\n1,2,0\n"})
+    assert parity.compare(base, base) == []
+    head = _result(2, json.dumps({"radius": 2.25}), "certificate error: x\n",
+                   **{"out/steady.csv": "k,re,im\n0,1,0\n1,2,1e-17\n", "out/extra.json": "{}"})
+    assert parity.compare(base, head) == [
+        "certify: exit code 0 -> 2",
+        "certify stdout: radius: 2.5 -> 2.25",
+        "certify stderr: line 1: None -> 'certificate error: x'",
+        "out/extra.json: only in head",
+        "out/steady.csv: row 2 (1...) im: 0 -> 1e-17",
+    ]
+
+
+def test_corpus_covers_every_command_at_two_seeds():
+    corpus = json.loads((TOOLS / "parity_corpus.json").read_text())
+    assert corpus["seeds"] == [4, 1001]
+    names = [entry["name"] for entry in corpus["entries"]]
+    assert len(names) == len(set(names))
+    commands = {cmd[0] for entry in corpus["entries"] for cmd in entry["commands"]}
+    assert commands == {"certify", "solve", "steady", "verify", "degree"}

@@ -24,7 +24,6 @@ from dnls import (
     constant_potential,
     homotopy_solve,
     multi_start,
-    newton_solve,
     power_law,
     realify,
     residual_direct,
@@ -299,13 +298,21 @@ def test_odd_slice_jacobian_at_origin_is_identity():
 # Newton
 
 
+def _direct_newton(start, op, g, tol=solver.DEFAULT_TOL):
+    """The homotopy's polish on its own: damped Newton on the tau = 1 slice
+    from one start, converged on the direct residual."""
+    x, iterations, status = solver._damped_newton(
+        start.flatten()[None], op, g, 1.0, tol, 100, converge_on="direct"
+    )
+    return solver._report_at(x[0], op, g, iterations[0], status[0], "newton")
+
+
 def test_newton_unforced_origin_is_instant():
     params, op, g, _ = _setup(samples=0)
-    report = newton_solve(LatticeField.zeros(1, 2), op, g)
+    report = _direct_newton(LatticeField.zeros(1, 2), op, g)
     assert report.status == "converged"
     assert report.newton_iterations == 0
     assert report.residual_direct == 0.0
-    assert report.method == "newton"
 
 
 def test_newton_converged_means_residual_below_tol():
@@ -314,7 +321,7 @@ def test_newton_converged_means_residual_below_tol():
     # the origin itself is a singular start here (the unshifted operator kills
     # constants), so begin from a nearby constant field
     start = LatticeField(np.full((1, 3), 0.5 + 0j))
-    report = newton_solve(start, op, g, tol=1e-12)
+    report = _direct_newton(start, op, g, tol=1e-12)
     assert report.status == "converged"
     assert report.residual_direct <= 1e-12
     # the report's residual is really the lattice equation's, recomputed
@@ -450,7 +457,7 @@ def test_multi_start_deterministic():
     (12, 12, constant_potential([2.0, 1.0 + 1.0j]), 1.0, 2),
 ])
 def test_multi_start_counts_match_exact_steps(T, K, potential, gamma, count):
-    # counts found with an exact sparse LU Newton step; GMRES steps from the
+    # counts found with exact dense Newton steps; GMRES steps from the
     # random starts found fewer (6 at 8x10), so enumeration takes dense steps
     params = LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=gamma)
     op = build_shifted(params, shift_factor=1.5)
@@ -476,19 +483,26 @@ def test_tile_steady_shapes_and_values():
         assert_allclose(phi.values[t], u)
 
 
+def _steady(K, epsilon, gamma, h, n_starts=16):
+    """steady_state_solve on the T = 1 operator and certificate of a config
+    with K nodes and the CLI's defaults; returns the profile and report."""
+    params = LatticeParams(T=1, K=K, beta=1.0, epsilon=epsilon, gamma=gamma)
+    op = build_shifted(params, shift_factor=1.5)
+    report = steady_state_solve(op, h, build_certificate(op, h), n_starts=n_starts)
+    return report.solution.values[0], report
+
+
 @pytest.mark.parametrize("K", [2, 3, 5, 8])
 def test_steady_constant_forcing_eight(K):
     # epsilon-coupling cancels on constant profiles, so gamma u^3 = h gives u = 2
-    profile, report = steady_state_solve(
-        K, epsilon=1.0, gamma=1.0, h=constant_potential([8.0]), full_output=True
-    )
+    profile, report = _steady(K, epsilon=1.0, gamma=1.0, h=constant_potential([8.0]))
     assert_allclose(profile, 2.0, atol=1e-9)
     assert report.residual_direct <= 1e-10
 
 
 def test_steady_profile_solves_spatial_equation():
     K = 5
-    profile = steady_state_solve(K, epsilon=0.7, gamma=1.3, h=constant_potential([2.0]))
+    profile, _ = _steady(K, epsilon=0.7, gamma=1.3, h=constant_potential([2.0]))
     # independent check: eps*(roll-2+roll) + gamma|u|^2 u = h at every node
     lap = np.roll(profile, -1) - 2.0 * profile + np.roll(profile, 1)
     res = 0.7 * lap + 1.3 * np.abs(profile) ** 2 * profile - 2.0
@@ -496,14 +510,12 @@ def test_steady_profile_solves_spatial_equation():
 
 
 def test_steady_unforced_is_zero():
-    profile = steady_state_solve(3, epsilon=1.0, gamma=1.0, h=zero_potential())
+    profile, _ = _steady(3, epsilon=1.0, gamma=1.0, h=zero_potential())
     assert_allclose(profile, 0.0, atol=1e-12)
 
 
 def test_steady_profile_lifts_to_periodic_solution():
-    profile, report = steady_state_solve(
-        4, epsilon=1.0, gamma=1.0, h=constant_potential([8.0]), full_output=True
-    )
+    profile, report = _steady(4, epsilon=1.0, gamma=1.0, h=constant_potential([8.0]))
     lifted = tile_steady(profile, 5)
     params = LatticeParams(T=5, K=4, beta=1.0, epsilon=1.0, gamma=1.0)
     res = residual_direct(lifted, params, constant_potential([8.0]))
@@ -512,8 +524,15 @@ def test_steady_profile_lifts_to_periodic_solution():
 
 
 def test_steady_rejects_time_varying_forcing():
+    _, op, _, cert = _setup(T=1, K=3, g=constant_potential([1.0]), samples=100)
     with pytest.raises(ValueError):
-        steady_state_solve(3, 1.0, 1.0, constant_potential([1.0, 2.0]))
+        steady_state_solve(op, constant_potential([1.0, 2.0]), cert)
+
+
+def test_steady_rejects_an_operator_with_more_than_one_time_slice():
+    _, op, g, cert = _setup(T=2, K=3, samples=100)
+    with pytest.raises(ValueError, match="T = 1, got T = 2"):
+        steady_state_solve(op, g, cert)
 
 
 def _diverged_homotopy(op, g, cert, **kwargs):
@@ -524,9 +543,7 @@ def _diverged_homotopy(op, g, cert, **kwargs):
 def test_steady_falls_back_to_multi_start(monkeypatch):
     monkeypatch.setattr(solver, "homotopy_solve", _diverged_homotopy)
     h = constant_potential([2.0])
-    profile, report = steady_state_solve(
-        6, epsilon=1.0, gamma=1.0, h=h, n_starts=8, full_output=True
-    )
+    profile, report = _steady(6, epsilon=1.0, gamma=1.0, h=h, n_starts=8)
     assert report.method == "multi_start"
     assert report.status == "converged"
     params = LatticeParams(T=1, K=6, beta=1.0, epsilon=1.0, gamma=1.0)
@@ -536,4 +553,4 @@ def test_steady_falls_back_to_multi_start(monkeypatch):
 def test_steady_without_starts_fails_when_homotopy_does(monkeypatch):
     monkeypatch.setattr(solver, "homotopy_solve", _diverged_homotopy)
     with pytest.raises(SolveFailed, match="diverged"):
-        steady_state_solve(6, 1.0, 1.0, constant_potential([2.0]), n_starts=0)
+        _steady(6, 1.0, 1.0, constant_potential([2.0]), n_starts=0)

@@ -1,0 +1,172 @@
+"""Compare the CLI outputs of this working tree with those of a git revision.
+
+Usage::
+
+    python tools/parity.py --base REV
+
+REV is checked out into a temporary ``git worktree``.  Every entry of
+``tools/parity_corpus.json`` then runs at each of the corpus's seeds, once
+with REV's ``src`` and once with this tree's, in directories of the same
+layout, so relative paths in messages agree.  An entry is one config plus a list of commands, each run
+as ``python -m dnls.cli COMMAND [ARGS] --config config.json --out out
+--seed SEED`` in the entry's directory; the optional ``files`` are written
+next to the config first (a solution CSV for ``verify``, say).
+
+The two runs are compared on exit codes, stdout, stderr and every file left
+in the directory.  JSON documents (stdout and ``*.json``) are compared value
+by value and each differing key path is named; CSV files cell by cell.
+Exits 0 when nothing differs and 1 otherwise.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: differences listed per compared document before the rest are counted
+MAX_LISTED = 12
+
+
+def run_entry(src: Path, entry: dict, seed: int, where: Path) -> dict:
+    """Run one corpus entry at one seed with the package under ``src``;
+    returns each command's exit code, stdout and stderr, and every file the
+    entry's directory holds afterwards."""
+    where.mkdir(parents=True)
+    (where / "config.json").write_text(json.dumps(entry["config"]))
+    for name, text in entry.get("files", {}).items():
+        (where / name).write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    runs = []
+    for command in entry["commands"]:
+        args = [*command, "--config", "config.json", "--out", "out", "--seed", str(seed)]
+        done = subprocess.run([sys.executable, "-m", "dnls.cli", *args], cwd=where, env=env,
+                              capture_output=True, text=True, timeout=600)
+        runs.append({"args": args, "exit": done.returncode, "stdout": done.stdout,
+                     "stderr": done.stderr})
+    files = {str(p.relative_to(where)): p.read_bytes() for p in sorted(where.rglob("*"))
+             if p.is_file()}
+    return {"runs": runs, "files": files}
+
+
+def json_diff(a, b, path: str = "") -> list[str]:
+    """Key paths at which two decoded JSON documents differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(set(a) | set(b)):
+            sub = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                out.append(f"{sub}: only in {'base' if key in a else 'head'}")
+            else:
+                out.extend(json_diff(a[key], b[key], sub))
+        return out
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return [f"{path or '<root>'}: length {len(a)} -> {len(b)}"]
+        return [line for i, (x, y) in enumerate(zip(a, b))
+                for line in json_diff(x, y, f"{path}[{i}]")]
+    # dumps tells 1 from 1.0 and matches NaN with NaN
+    if json.dumps(a) != json.dumps(b):
+        return [f"{path or '<root>'}: {json.dumps(a)} -> {json.dumps(b)}"]
+    return []
+
+
+def text_diff(name: str, a: str, b: str) -> list[str]:
+    """Differences of two texts: JSON by key path, CSV by cell, else the
+    first differing line."""
+    if a == b:
+        return []
+    if name.endswith(".csv"):
+        return csv_diff(a, b)
+    try:
+        return json_diff(json.loads(a), json.loads(b)) or ["same JSON values, different bytes"]
+    except ValueError:
+        pass
+    la, lb = a.splitlines(), b.splitlines()
+    for i in range(max(len(la), len(lb))):
+        x, y = (lines[i] if i < len(lines) else None for lines in (la, lb))
+        if x != y:
+            return [f"line {i + 1}: {x!r} -> {y!r}"]
+    return ["same lines, different bytes"]
+
+
+def csv_diff(a: str, b: str) -> list[str]:
+    ra, rb = a.splitlines(), b.splitlines()
+    if not ra or not rb or ra[0] != rb[0]:
+        return [f"header {ra[:1]} -> {rb[:1]}"]
+    if len(ra) != len(rb):
+        return [f"{len(ra) - 1} rows -> {len(rb) - 1} rows"]
+    header = ra[0].split(",")
+    out = []
+    for i, (x, y) in enumerate(zip(ra[1:], rb[1:])):
+        for col, u, v in zip(header, x.split(","), y.split(",")):
+            if u != v:
+                out.append(f"row {i + 1} ({x.split(',')[0]}...) {col}: {u} -> {v}")
+    return out or ["same cells, different bytes"]
+
+
+def compare(base: dict, head: dict) -> list[str]:
+    """Every difference between two results of ``run_entry``."""
+    out: list[str] = []
+
+    def note(where: str, lines: list[str]) -> None:
+        out.extend(f"{where}: {line}" for line in lines[:MAX_LISTED])
+        if len(lines) > MAX_LISTED:
+            out.append(f"{where}: ... and {len(lines) - MAX_LISTED} more")
+
+    for a, b in zip(base["runs"], head["runs"]):
+        label = " ".join(a["args"][:1])
+        if a["exit"] != b["exit"]:
+            note(label, [f"exit code {a['exit']} -> {b['exit']}"])
+        for stream in ("stdout", "stderr"):
+            note(f"{label} {stream}", text_diff(stream, a[stream], b[stream]))
+    for name in sorted(set(base["files"]) | set(head["files"])):
+        if name not in base["files"] or name not in head["files"]:
+            note(name, [f"only in {'base' if name in base['files'] else 'head'}"])
+            continue
+        a, b = base["files"][name], head["files"][name]
+        if a != b:
+            note(name, text_diff(name, a.decode(errors="replace"), b.decode(errors="replace")))
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+    corpus = json.loads((ROOT / "tools" / "parity_corpus.json").read_text())
+
+    differing = runs = 0
+    with tempfile.TemporaryDirectory(prefix="dnls-parity-") as tmp:
+        tree = Path(tmp) / "base"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(tree), args.base], check=True)
+        try:
+            for entry in corpus["entries"]:
+                for seed in corpus["seeds"]:
+                    results = [
+                        run_entry(src, entry, seed, Path(tmp) / side / entry["name"] / str(seed))
+                        for side, src in (("run-base", tree / "src"), ("run-head", ROOT / "src"))
+                    ]
+                    diffs = compare(*results)
+                    runs += 1
+                    differing += bool(diffs)
+                    codes = " ".join(str(r["exit"]) for r in results[1]["runs"])
+                    print(f"{'DIFF' if diffs else 'same'}  {entry['name']}  seed {seed}  "
+                          f"exit {codes}", flush=True)
+                    for line in diffs:
+                        print(f"    {line}", flush=True)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                           check=False)
+    print(f"{differing} of {runs} runs differ from {args.base}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
