@@ -146,8 +146,17 @@ def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOp
     if not shift_factor > 1.0:
         raise ValueError(f"shift_factor must exceed 1, got {shift_factor}")
     norm_linear = float(np.abs(_stencil(params)).sum())
-    shift = shift_factor * norm_linear if norm_linear > 0.0 else float(shift_factor)
-    shifted_kernel = _shifted_stencil(params, shift)
+    return _build_shifted(params, shift_factor * norm_linear if norm_linear > 0.0
+                          else float(shift_factor))
+
+
+def _build_shifted(params: LatticeParams, shift: float) -> ShiftedOperator:
+    """The shifted operator at a given shift, which must exceed the l1 norm of
+    the stencil (``build_shifted`` picks it).  Raises SingularShift exactly
+    when A^-1's symbol or kernel is not finite."""
+    shifted_kernel = _stencil(params)
+    norm_linear = float(np.abs(shifted_kernel).sum())
+    shifted_kernel[0, 0] -= shift
     symbol = np.fft.fft2(shifted_kernel)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         reciprocal = 1.0 / symbol

@@ -14,17 +14,19 @@ whose tau = 0 slice is the odd map driving the degree argument (its only
 small zero is the origin, with identity Jacobian) and whose tau = 1 slice is
 the full problem.  ``homotopy_solve`` tracks the zero curve from (0, 0) to
 tau = 1 with a secant predictor and damped Newton corrector, then polishes
-the endpoint against the direct residual.
+the endpoint against the direct residual.  It tracks on the symmetry
+quotient: the curve stays in the fields that are constant in space and
+periodic in time like the forcing, a lattice of two nodes per forcing period.
 
 Complex fields are realified for the linear algebra: a vector in C^n becomes
 a vector in R^(2n) with interleaved layout (Re z_0, Im z_0, Re z_1, ...), and
-an R-linear map becomes a 2n x 2n real matrix built from 2x2 blocks.
+an R-linear map becomes a 2n x 2n real matrix built from 2x2 blocks.  Every
+Newton step solves the dense realified Jacobian exactly.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .lattice import (
     check_period,
     sup_norm,
 )
-from .operators import ShiftedOperator
+from .operators import ShiftedOperator, _build_shifted
 from .potentials import Potential, _blocks
 
 __all__ = [
@@ -62,25 +64,6 @@ STEP_FLOOR = 1e-6
 CORRECTOR_ITER = 25
 #: base deduplication radius for distinct solutions (sup distance)
 DEDUP_TOL = 1e-6
-#: relative tolerance of a GMRES Newton step on ||J dx + r||_2, floored at
-#: 1e-2 * tol: a step near convergence need not go far below the Newton
-#: tolerance
-KRYLOV_RTOL = 1e-8
-#: Jacobian products one GMRES Newton step may take before it gives up.
-#: Preconditioned homotopy steps take 1 or 2 (README, numerics); steps from
-#: random starts took a median of 59 to 200 on 8x10 to 24x24.  The basis
-#: holds up to cap + 1 vectors of 2n floats, 210 MB at 256x256
-KRYLOV_MAX_PRODUCTS = 200
-#: the product J v = v - A_r^-1 B v of a unit v carries rounding of order
-#: eps (1 + ||J v||); a new Arnoldi direction below this multiple of that
-#: scale is rounding, so the Krylov space stopped growing
-KRYLOV_BREAKDOWN = 1e-12
-#: largest time period the GMRES preconditioner resolves; its symbol,
-#: frequency matrices and inverses take about 100 n q bytes (50 MB at
-#: 256x256 with q = 8)
-PRECOND_MAX_PERIOD = 8
-#: reciprocal condition number below which the preconditioner counts as singular
-PRECOND_RCOND = 1e-12
 #: bytes of realified Jacobians one stack of Newton starts may hold: 32
 #: starts per stack on 4x8, one from 12x12 up, so multi-start memory does
 #: not grow with the start count
@@ -242,164 +225,17 @@ def _measure(
     ])
 
 
-def _jacobian_product(v: np.ndarray, op: ShiftedOperator, blocks: np.ndarray) -> np.ndarray:
-    """J v for the slice Jacobian J = I - A_r^-1 blockdiag(``blocks``) and a
-    realified v: the 2x2 blocks, then one apply of A^-1."""
-    pairs = np.einsum("nij,nj->ni", blocks, v.reshape(-1, 2))
-    return v - realify(op.solve(pairs[:, 0] + 1j * pairs[:, 1]))
-
-
-def _cell_mean_solver(op: ShiftedOperator, blocks: np.ndarray, period: int):
-    """Solver for M = I - A_r^-1 blockdiag(C), where C replaces each of the
-    slice ``blocks`` by their mean over the nodes with the same time index
-    modulo q = gcd(T, ``period``) (q = 1 above PRECOND_MAX_PERIOD).
-
-    M commutes with time shifts by q and with all space shifts, so a real
-    DFT over those shifts splits it into one 2q x 2q matrix per frequency:
-    I - P C, where P is the DFT of A_r^-1 in 2x2 blocks, from one apply of
-    A^-1 to the unit impulse at node 0.  M equals J at a field that is
-    constant in space and q-periodic in time, as the slice's zero branch
-    from the origin is, so an M whose condition number may exceed
-    1 / PRECOND_RCOND raises LinAlgError, like a singular J.  Returns a
-    function of a realified vector.
-    """
-    T, K = op.params.T, op.params.K
-    q = math.gcd(T, period)
-    if q > PRECOND_MAX_PERIOD:
-        q = 1
-    cells, m = T // q, 2 * q
-    impulse = np.zeros(T * K, dtype=complex)
-    impulse[0] = 1.0
-    response = op.solve(impulse).reshape(T, K)
-    # the block from in-cell row s to row s' is the response at time offset
-    # s' - s, read at every q-th time
-    offsets = [np.roll(response, -d, axis=0)[::q] for d in range(1 - q, q)]
-    re, im = np.fft.rfft2(np.real(offsets)), np.fft.rfft2(np.imag(offsets))
-    pick = np.subtract.outer(np.arange(q), np.arange(q)) + q - 1
-    symbol = np.empty((q, 2, q, 2) + re.shape[1:], dtype=complex)
-    symbol[:, 0, :, 0] = symbol[:, 1, :, 1] = re[pick]
-    symbol[:, 1, :, 0] = im[pick]
-    symbol[:, 0, :, 1] = -im[pick]
-    symbol = symbol.reshape(m, m, *re.shape[1:])
-    mean = np.zeros((q, 2, q, 2))
-    mean[np.arange(q), :, np.arange(q), :] = blocks.reshape(cells, q, K, 2, 2).mean(axis=(0, 2))
-    matrices = np.eye(m)[:, :, None, None] - np.einsum("ikab,kj->ijab", symbol, mean.reshape(m, m))
-    matrices = np.moveaxis(matrices, (0, 1), (2, 3))
-    inverse = np.linalg.inv(matrices)
-    # Frobenius norms bound the condition number of M from above
-    cond = np.linalg.norm(matrices, axis=(2, 3)).max() * np.linalg.norm(inverse, axis=(2, 3)).max()
-    if not cond < 1.0 / PRECOND_RCOND:  # also catches NaN
-        raise np.linalg.LinAlgError("the cell-mean preconditioner is singular")
-    inverse = np.moveaxis(inverse, (2, 3), (0, 1))
-
-    def solve(v: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfft2(v.reshape(cells, q, K, 2).transpose(1, 3, 0, 2).reshape(m, cells, K))
-        spectrum = np.einsum("ijab,jab->iab", inverse, spectrum)
-        out = np.fft.irfft2(spectrum, s=(cells, K))
-        return out.reshape(q, 2, cells, K).transpose(2, 0, 3, 1).reshape(-1)
-
-    return solve
-
-
-def _gmres(product, rhs: np.ndarray, target: float) -> np.ndarray:
-    """Unrestarted GMRES from x = 0 for ``product(x) = rhs``, stopping at the
-    first iterate with ||product(x) - rhs||_2 <= ``target``.
-
-    A zero ``rhs`` gives x = 0; any other takes at least one product.
-    Raises LinAlgError after
-    KRYLOV_MAX_PRODUCTS products short of the target, or when the Krylov
-    space stops growing (a singular system) short of it.
-    """
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-    cap = KRYLOV_MAX_PRODUCTS
-    # Arnoldi basis rows are written as the space grows, and untouched rows
-    # of np.empty hold no memory; each Hessenberg column is brought to
-    # triangular form by the Givens rotations as it arrives
-    basis = np.empty((cap + 1, rhs.size))
-    basis[0] = rhs / rhs_norm
-    tri = np.zeros((cap + 1, cap))
-    cos = np.empty(cap)
-    sin = np.empty(cap)
-    rotated = np.zeros(cap + 1)  # the rotations applied to rhs_norm * e_1
-    rotated[0] = rhs_norm
-    for j in range(cap):
-        w = product(basis[j])
-        w_norm = float(np.linalg.norm(w))
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            coef = basis[: j + 1] @ w
-            w -= coef @ basis[: j + 1]
-            tri[: j + 1, j] += coef
-        h_next = float(np.linalg.norm(w))
-        col = tri[:, j]
-        for i in range(j):
-            col[i], col[i + 1] = (cos[i] * col[i] + sin[i] * col[i + 1],
-                                  cos[i] * col[i + 1] - sin[i] * col[i])
-        diag = float(np.hypot(col[j], h_next))
-        if diag == 0.0:
-            raise np.linalg.LinAlgError("GMRES met a singular system")
-        cos[j], sin[j] = col[j] / diag, h_next / diag
-        col[j] = diag
-        rotated[j + 1] = -sin[j] * rotated[j]
-        rotated[j] *= cos[j]
-        if abs(rotated[j + 1]) <= target:
-            coeffs = np.linalg.solve(tri[: j + 1, : j + 1], rotated[: j + 1])
-            return coeffs @ basis[: j + 1]
-        if not h_next > KRYLOV_BREAKDOWN * (1.0 + w_norm):  # also catches NaN
-            raise np.linalg.LinAlgError(
-                f"GMRES broke down after {j + 1} products at residual {abs(rotated[j + 1]):.3g}"
-            )
-        basis[j + 1] = w / h_next
-    raise np.linalg.LinAlgError(
-        f"GMRES took {cap} products, residual {abs(rotated[cap]):.3g} above {target:.3g}"
-    )
-
-
 def _newton_step(
-    flat: np.ndarray,
-    res: np.ndarray,
-    op: ShiftedOperator,
-    g: Potential,
-    tau: float,
-    tol: float,
-    dense: bool,
+    flat: np.ndarray, res: np.ndarray, op: ShiftedOperator, g: Potential, tau: float
 ) -> np.ndarray:
     """Newton step of the tau-slice at ``flat``, whose slice residual is
-    ``res``: a solution dx of J dx = -res, where ``tol`` is the Newton
-    tolerance.  ``flat`` and ``res`` are flat vectors or (m, n) stacks, one
-    step per row.
-
-    With ``dense`` the 2n x 2n J is assembled and solved exactly, for a
-    stack by one stacked LAPACK call whose rows carry the bits of one call
-    each; callers that assemble J anyway and start far from a zero take
-    this step.  Otherwise the step is inexact, one row at a time: GMRES on
-    J M^-1, M the cell-mean matrix
-    of ``_cell_mean_solver``, then dx = M^-1 y.  Each product is one solve
-    with M plus one ``_jacobian_product`` (an apply of A^-1, by FFT on large
-    lattices), so neither J nor A^-1 is formed.  GMRES stops once
-    ||J dx + res||_2 <= max(KRYLOV_RTOL ||res||_2, 1e-2 tol).  A singular
-    dense J or M in any row, and a GMRES run that falls short of that
-    target, raise LinAlgError.
-
-    Without M, rounding leaves a residual that varies in space along the
-    space-constant zero branch; the spectrum of J surrounds the origin, and
-    the steps that must remove that residual took up to 189 products on 6x30
-    and over 300 on 6x90, where an exact step needs one.
+    ``res``: the solution dx of J dx = -res, with the 2n x 2n J assembled and
+    solved exactly.  ``flat`` and ``res`` are flat vectors or (m, n) stacks,
+    one step per row; a stack takes one stacked LAPACK call whose rows carry
+    the bits of one call each.  A singular J in any row raises LinAlgError.
     """
-    if dense:
-        jacobian = _slice_jacobian(flat, op, g, tau)
-        return complexify(np.linalg.solve(jacobian, -realify(res)[..., None])[..., 0])
-    if flat.ndim == 2:
-        return np.array([
-            _newton_step(row, row_res, op, g, tau, tol, dense) for row, row_res in zip(flat, res)
-        ])
-    blocks = _slice_blocks(flat, op, g, tau)
-    precondition = _cell_mean_solver(op, blocks, g.period)
-    rhs = -realify(res)
-    target = max(KRYLOV_RTOL * float(np.linalg.norm(rhs)), 1e-2 * tol)
-    y = _gmres(lambda v: _jacobian_product(precondition(v), op, blocks), rhs, target)
-    return complexify(precondition(y))
+    jacobian = _slice_jacobian(flat, op, g, tau)
+    return complexify(np.linalg.solve(jacobian, -realify(res)[..., None])[..., 0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -412,24 +248,22 @@ def _damped_newton(
     max_iter: int,
     converge_on: str = "slice",
     shift_vec: np.ndarray | None = None,
-    dense_steps: bool = False,
 ) -> tuple[np.ndarray, list[int], list[str]]:
     """Damped Newton on the (realified) tau-slice from each row of an (m, n)
     stack of ``starts``, all rows advanced together.
 
     Full steps first, halving up to MAX_HALVINGS times until the slice
-    residual sup norm strictly decreases; a failed linear solve, a stalled
+    residual sup norm strictly decreases; a singular Jacobian, a stalled
     line search, or a non-finite trial residual (from a non-finite step or an
     overflow) counts as divergence.  ``converge_on`` picks the convergence
     measure (see ``_measure``).  ``shift_vec`` subtracts a constant from the
     slice map (used to solve r_tau(phi) = w when estimating local indices).
-    ``dense_steps`` picks the exact dense Newton step over GMRES (see
-    ``_newton_step``); GMRES suits iterates near a zero on the branch that
-    homotopy tracks, the dense step random starts.
 
     Each iteration takes one stacked residual per trial step and one
-    stacked Newton step over the rows still running; a row's trial steps
-    stop at its first decrease.  A step that fails for the stack is retried
+    stacked exact Newton step (``_newton_step``, one 2n x 2n Jacobian per
+    row) over the rows still running; a row's trial steps stop at its first
+    decrease.  Homotopy passes one row on its quotient lattice, the
+    enumeration stacks of ``_stack_rows`` rows.  A step that fails for the stack is retried
     one row at a time, so that only the rows that fail on their own diverge.
     Each row ends with the point, iteration count and status of a run from
     that start alone, bit for bit.  Returns the final (m, n) points, and
@@ -453,7 +287,7 @@ def _damped_newton(
         if iteration == max_iter or not live.size:
             break  # the rows still running end at max_iter
         try:
-            steps = _newton_step(x[live], r[live], op, g, tau, tol, dense_steps)
+            steps = _newton_step(x[live], r[live], op, g, tau)
         except np.linalg.LinAlgError:
             # one failing row fails a stacked step, so retry row by row; a
             # lone row has failed on its own already
@@ -461,8 +295,7 @@ def _damped_newton(
             steps = np.empty((live.size, x.shape[1]), dtype=complex)
             for k, row in enumerate(live if live.size > 1 else ()):
                 try:
-                    steps[k] = _newton_step(x[row:row + 1], r[row:row + 1], op, g, tau, tol,
-                                            dense_steps)[0]
+                    steps[k] = _newton_step(x[row:row + 1], r[row:row + 1], op, g, tau)[0]
                     ok[k] = True
                 except np.linalg.LinAlgError:
                     pass
@@ -522,7 +355,35 @@ def homotopy_solve(
     tol: float = DEFAULT_TOL,
     max_iter: int = 100,
 ) -> SolveReport:
-    """Track the slice family from the origin at tau = 0 to the full problem.
+    """Track the slice family from the origin at tau = 0 to the full problem,
+    on the symmetry quotient of the lattice.
+
+    The forcing acts on each node alone and repeats with its period q in t,
+    so the equation commutes with every space shift and with time shifts by
+    q, and the zero branch from the origin stays in the fields that are
+    constant in space and q-periodic in time.  On those fields A acts as the
+    operator of the q x 2 lattice with the same shift.  So ``_track`` runs
+    there, on 2q nodes with exact Newton steps, and its endpoint is tiled to
+    the T x K lattice.  ``apply_linear`` is a stencil and the cubic term and
+    forcing act node by node, so the direct residual of the tiled field is
+    the tiled quotient residual bit for bit: a quotient run that converges
+    has converged on the full lattice.  The report's residuals are those of
+    ``op``.  The run is deterministic.  Raises CertificateInvalid for a
+    certificate that failed its boundary check.
+    """
+    check_period(op.params.T, g)
+    _require_valid(cert)
+    q = g.period
+    quotient = _build_shifted(replace(op.params, T=q, K=2), op.shift)
+    x, iterations, status, path = _track(quotient, g, cert, tol, max_iter)
+    field = np.tile(x.reshape(q, 2)[:, :1], (op.params.T // q, op.params.K))
+    return _report_at(field.ravel(), op, g, iterations, status, "homotopy", len(path) - 1, path)
+
+
+def _track(
+    op: ShiftedOperator, g: Potential, cert: ExistenceCertificate, tol: float, max_iter: int
+) -> tuple[np.ndarray, int, str, tuple[tuple[float, float], ...]]:
+    """The tracking loop of ``homotopy_solve`` on the lattice of ``op``.
 
     Secant predictor, damped Newton corrector, adaptive steps from 1: halve
     on corrector failure (divergence when the step falls below STEP_FLOOR),
@@ -530,12 +391,10 @@ def homotopy_solve(
     status "left_ball" when an accepted iterate (or the polished endpoint)
     has sup norm at least the certified radius, since the certificate only
     controls the zero set strictly inside the ball.  The tau = 1 endpoint is
-    polished by Newton against the direct residual.
-    The run is deterministic.  Raises CertificateInvalid for a certificate
-    that failed its boundary check.
+    polished by Newton against the direct residual.  Returns the flat
+    endpoint, the Newton iterations of the run, its status and its path of
+    (tau, sup norm) pairs.
     """
-    check_period(op.params.T, g)
-    _require_valid(cert)
     step = 1.0
 
     x = np.zeros(op.dim, dtype=complex)
@@ -587,7 +446,7 @@ def homotopy_solve(
         if status == "converged" and _sup(x) >= cert.radius:
             status = "left_ball"
         path[-1] = (1.0, _sup(x))
-    return _report_at(x, op, g, total_iters, status, "homotopy", len(path) - 1, tuple(path))
+    return x, total_iters, status, tuple(path)
 
 
 # ---------------------------------------------------------------------------
@@ -673,16 +532,14 @@ def _collect_zeros(
     The starts run through one ``_damped_newton`` in stacks of
     ``_stack_rows`` rows, so that a stack of Jacobians stays within
     JACOBIAN_STACK_BYTES, and the kept points of a stack take one stacked
-    SVD.  Newton takes exact dense steps: the starts are random, and the
-    SVD needs the dense Jacobian anyway.  Each record has the bits of a run
-    from its start alone.
+    SVD of the same dense slice Jacobians that Newton's steps solve.  Each
+    record has the bits of a run from its start alone.
     """
     found: list[_Zero] = []
     size = _stack_rows(op.dim)
     for lo in range(0, len(starts), size):
         x, iterations, status = _damped_newton(
-            starts[lo:lo + size], op, g, tau, tol, max_iter, converge_on, shift_vec,
-            dense_steps=True,
+            starts[lo:lo + size], op, g, tau, tol, max_iter, converge_on, shift_vec
         )
         kept = [i for i, how in enumerate(status) if how == "converged" and _sup(x[i]) < radius]
         if not kept:

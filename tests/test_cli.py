@@ -374,7 +374,8 @@ def test_solve_overflowing_newton_exit_three(tmp_path, capsys):
     assert json.loads(captured.out)["report"]["status"] == "diverged"
 
 
-#: constant forcing on a 12 x 12 lattice: realified dimension 288, GMRES steps
+#: a period-2 constant forcing on a 12 x 12 lattice: the homotopy tracks on
+#: its 2 x 2 quotient, and the full lattice takes 288 x 288 Jacobians
 _SPARSE_SOLVE = dict(
     T=12, K=12, potential={"kind": "constant", "coefficients": [[2.0, 0.0], [1.0, 1.0]]},
     samples=200,
@@ -382,9 +383,12 @@ _SPARSE_SOLVE = dict(
 
 
 def test_solve_krylov_budget_exhausted_exit_three(tmp_path, capsys, monkeypatch):
-    # with no products allowed every GMRES Newton step fails, so the homotopy
-    # halves its step down to the floor and reports divergence
-    monkeypatch.setattr(solver, "KRYLOV_MAX_PRODUCTS", 0)
+    # when every Newton step fails, the homotopy halves its step down to the
+    # floor and reports divergence quietly
+    def failing_step(*args):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(solver, "_newton_step", failing_step)
     cfg = _write_config(tmp_path, **_SPARSE_SOLVE)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -397,8 +401,9 @@ def test_solve_krylov_budget_exhausted_exit_three(tmp_path, capsys, monkeypatch)
 def test_newton_step_singular_jacobian_raises():
     # at the origin on the tau = 1 slice, J = A^-1 L, and L's symbol vanishes
     # at time frequencies 0 and pi; the period-2 forcing puts the residual
-    # there, so J r = 0; the preconditioner equals J at this space-constant
-    # field, so it is singular too
+    # there, so J r = 0.  The dense solve of this J returns a step of 3.6e15
+    # rather than raising, no halving of it lowers the residual, and the
+    # Newton run ends as diverged at iteration 0
     params = LatticeParams(T=12, K=12, beta=1.0, epsilon=1.0, gamma=1.0)
     op = dnls.build_shifted(params, shift_factor=1.5)
     g = dnls.constant_potential([2.0, 1.0 + 1.0j])
@@ -406,11 +411,14 @@ def test_newton_step_singular_jacobian_raises():
     res = solver._slice_residual(flat, op, g, 1.0)
     jac = solver._slice_jacobian(flat, op, g, 1.0)
     assert np.max(np.abs(jac @ solver.realify(res))) <= 1e-15
-    with pytest.raises(np.linalg.LinAlgError):
-        solver._newton_step(flat, res, op, g, 1.0, solver.DEFAULT_TOL, False)
+    x, iterations, status = solver._damped_newton(flat[None], op, g, 1.0, solver.DEFAULT_TOL, 25)
+    assert (iterations, status) == ([0], ["diverged"])
+    assert not x.any()
 
 
 def test_solve_sparse_and_dense_newton_steps_agree(tmp_path, capsys, monkeypatch):
+    # the solve tracks on the quotient; tracking on the full lattice with
+    # its dense steps writes the same report counts and the same field
     cfg = _write_config(tmp_path, **_SPARSE_SOLVE)
 
     def solve_and_verify(subdir):
@@ -423,13 +431,16 @@ def test_solve_sparse_and_dense_newton_steps_agree(tmp_path, capsys, monkeypatch
         values = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
         return report, values
 
-    krylov_report, krylov = solve_and_verify("krylov")
-    newton_step = solver._newton_step
-    monkeypatch.setattr(solver, "_newton_step", lambda *args: newton_step(*args[:-1], True))
-    dense_report, dense = solve_and_verify("dense")
+    def full_lattice(op, g, cert, tol, max_iter):
+        x, iterations, status, path = solver._track(op, g, cert, tol, max_iter)
+        return solver._report_at(x, op, g, iterations, status, "homotopy", len(path) - 1, path)
+
+    quotient_report, quotient = solve_and_verify("quotient")
+    monkeypatch.setattr(dnls.cli, "homotopy_solve", full_lattice)
+    full_report, full = solve_and_verify("full")
     for key in ("status", "newton_iterations", "homotopy_steps"):
-        assert krylov_report[key] == dense_report[key]
-    assert np.max(np.abs(krylov - dense)) <= 1e-10
+        assert quotient_report[key] == full_report[key]
+    assert np.max(np.abs(quotient - full)) <= 1e-10
 
 
 def test_commands_do_not_import_scipy(tmp_path):

@@ -132,7 +132,7 @@ def _case_starts(name, seed, count):
 def _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on, shift_vec):
     tol = 1e-11
     x, iterations, status = solver._damped_newton(
-        starts, op, g, tau, tol, max_iter, converge_on, shift_vec, dense_steps=True
+        starts, op, g, tau, tol, max_iter, converge_on, shift_vec
     )
     why: list[str] = []
     outcomes = []

@@ -16,7 +16,7 @@ from dnls import (
     sup_norm,
 )
 from dnls import operators
-from dnls.solver import _jacobian_product, _slice_blocks, _slice_jacobian
+from dnls.solver import _slice_blocks, _slice_jacobian
 from oracles import linear_matrix, operator_norm_sup, random_field, realified_matrix, shifted
 
 RNG = np.random.default_rng(42)
@@ -285,20 +285,11 @@ def test_circulant_operator_matches_dense_oracles(T, K, beta, epsilon, factor):
     assert op.norm_shifted_inv == pytest.approx(operator_norm_sup(dense_inv), rel=1e-12)
     assert np.max(np.abs(op.inverse - dense_inv)) <= 1e-12
 
-    # a Newton step's matrix-free Jacobian product against the dense J
-    g = power_law([0.5, 0.2 + 0.3j], 2.5)
-    flat = phi.flatten()
-    blocks = _slice_blocks(flat, op, g, 1.0)
-    v = rng.normal(size=2 * params.dim)
-    jac_v = _slice_jacobian(flat, op, g, 1.0) @ v
-
     # both apply paths: the dense product, and the FFT with the crossover at 0
     stack = rng.normal(size=(params.dim, 3)) + 1j * rng.normal(size=(params.dim, 3))
     for max_dim in (operators.DENSE_APPLY_MAX_DIM, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operators, "DENSE_APPLY_MAX_DIM", max_dim)
-            product = _jacobian_product(v, op, blocks)
-            assert np.max(np.abs(product - jac_v)) <= 1e-12 * max(1.0, np.max(np.abs(jac_v)))
             for rhs in (stack[:, 0], stack):
                 applied = op.solve(rhs)
                 back = dense @ applied

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 _spec = importlib.util.spec_from_file_location("parity", TOOLS / "parity.py")
 parity = importlib.util.module_from_spec(_spec)
@@ -51,3 +53,52 @@ def test_corpus_covers_every_command_at_two_seeds():
     assert len(names) == len(set(names))
     commands = {cmd[0] for entry in corpus["entries"] for cmd in entry["commands"]}
     assert commands == {"certify", "solve", "steady", "verify", "degree"}
+
+
+def _undeclared(lines):
+    return [line for line in lines if not line.startswith(parity.MOVED)]
+
+
+def test_a_declared_run_may_move_stdout_and_files():
+    base = _result(0, json.dumps({"radius": 2.5}), **{"out/report.json": '{"x": 1}'})
+    head = _result(0, json.dumps({"radius": 2.25}), **{"out/report.json": '{"x": 2}'})
+    lines = parity.compare(base, head, declared=True)
+    assert lines == [
+        "moved (declared) certify stdout: radius: 2.5 -> 2.25",
+        "moved (declared) out/report.json: x: 1 -> 2",
+    ]
+    assert _undeclared(lines) == []
+
+
+def test_an_undeclared_run_that_moves_is_a_difference():
+    base = _result(0, json.dumps({"radius": 2.5}))
+    head = _result(0, json.dumps({"radius": 2.25}))
+    assert _undeclared(parity.compare(base, head)) == ["certify stdout: radius: 2.5 -> 2.25"]
+
+
+def test_a_declared_run_keeps_its_exit_code_and_stderr():
+    base = _result(0, json.dumps({"radius": 2.5}))
+    head = _result(2, json.dumps({"radius": 2.25}), "certificate error: x\n")
+    assert _undeclared(parity.compare(base, head, declared=True)) == [
+        "certify: exit code 0 -> 2",
+        "certify stderr: line 1: None -> 'certificate error: x'",
+    ]
+
+
+def test_moves_hold_only_against_their_base_commit(tmp_path):
+    path = tmp_path / "parity_moves.json"
+    assert parity.declared_moves(path, "a" * 40) == set()
+    path.write_text(json.dumps({"base": "a" * 40, "runs": [["bench-solve-32x32", 4]]}))
+    assert parity.declared_moves(path, "a" * 40) == {("bench-solve-32x32", 4)}
+    assert parity.declared_moves(path, "b" * 40) == set()
+
+
+def test_committed_moves_name_corpus_runs():
+    path = TOOLS / "parity_moves.json"
+    if not path.exists():
+        pytest.skip("no moves declared")
+    moves = json.loads(path.read_text())
+    corpus = json.loads((TOOLS / "parity_corpus.json").read_text())
+    runs = {(entry["name"], seed) for entry in corpus["entries"] for seed in corpus["seeds"]}
+    assert len(moves["base"]) == 40
+    assert {tuple(run) for run in moves["runs"]} <= runs

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -172,34 +172,44 @@ def test_slice_jacobian_matches_dense_oracle(T, K):
     assert np.max(np.abs(jac - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
+def _quotient(op, period):
+    """The operator of the period x 2 lattice with ``op``'s shift, on which
+    ``homotopy_solve`` tracks."""
+    return operators._build_shifted(replace(op.params, T=period, K=2), op.shift)
+
+
+def _tiled(quotient_flat, period, T, K):
+    """A flat field of the period x 2 quotient, constant in space, tiled to T x K."""
+    return np.tile(quotient_flat.reshape(period, 2)[:, :1], (T // period, K)).ravel()
+
+
 @pytest.mark.parametrize("T,K", [(8, 10), (12, 12)])
 @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("offset", [False, True], ids=["plain", "shift_vec"])
 @pytest.mark.parametrize("mode", ["analytic", "finite_diff"])
 def test_sparse_newton_step_matches_dense_solve(T, K, tau, offset, mode):
-    # the GMRES step is an inexact solve of J dx = -r on matrix-free
-    # products of J, held to the contract against dense J; the random field
-    # is far from constant in space, so the preconditioner is only rough
+    # at a field constant in space and periodic in time like the forcing,
+    # the Newton step on the 2-node-per-period quotient, tiled, is the dense
+    # step of the full lattice: J maps those fields to themselves and acts
+    # on them as the quotient's J
     params = LatticeParams(T=T, K=K, beta=0.7, epsilon=1.3, gamma=-1.2)
     op = build_shifted(params, shift_factor=1.7)
     g = power_law([0.5, 0.2 + 0.3j], 2.5)
     if mode == "finite_diff":
         g = replace(g, derivative=None)
+    quotient = _quotient(op, g.period)
     rng = np.random.default_rng(T * K)
-    flat = random_field(T, K, rng, 1.5).flatten()
-    shift_vec = random_field(T, K, rng, 0.5).flatten() if offset else None
-    res = _slice_residual(flat, op, g, tau, shift_vec)
-    tol = solver.DEFAULT_TOL
-    step = _newton_step(flat, res, op, g, tau, tol, False)
-    left = _slice_jacobian(flat, op, g, tau) @ realify(step) + realify(res)
-    bound = max(solver.KRYLOV_RTOL * np.linalg.norm(realify(res)), 1e-2 * tol)
-    assert np.linalg.norm(left) <= bound
+    flat = np.repeat(random_field(g.period, 1, rng, 1.5).flatten(), 2)
+    shift_vec = np.repeat(random_field(g.period, 1, rng, 0.5).flatten(), 2) if offset else None
+    step = _newton_step(flat, _slice_residual(flat, quotient, g, tau, shift_vec), quotient, g, tau)
+    full = _tiled(flat, g.period, T, K)
+    full_shift = _tiled(shift_vec, g.period, T, K) if offset else None
+    dense = _newton_step(full, _slice_residual(full, op, g, tau, full_shift), op, g, tau)
+    assert np.max(np.abs(_tiled(step, g.period, T, K) - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
-#: constant forcings whose Krylov and dense homotopy runs must agree, with
-#: (Newton iterations, homotopy steps).  Without the preconditioner, rounding
-#: left a residual that varies in space, and the steps that had to remove it
-#: took up to 189 products on 6x30 and over 300 on 6x90
+#: constant forcings whose quotient and full-lattice homotopy runs must
+#: agree, with (Newton iterations, homotopy steps)
 _PARITY = [
     ((12, 12, 1.0, 1.0), [3j, -1.0, 0.7], (18, 2)),
     ((6, 30, 1.0, 1.0), [3j, -1.0, 0.7], (18, 2)),
@@ -214,76 +224,100 @@ _PARITY = [
 
 @pytest.mark.parametrize("lattice,coefficients,counts", _PARITY, ids=[
     f"{T}x{K}-beta{beta}-eps{eps}-period{len(c)}" for (T, K, beta, eps), c, _ in _PARITY])
-def test_krylov_homotopy_matches_dense_outcome(lattice, coefficients, counts, monkeypatch):
+def test_krylov_homotopy_matches_dense_outcome(lattice, coefficients, counts):
+    # homotopy_solve tracks on the quotient; the same loop with dense steps
+    # on the full lattice reaches the same zero with the same counts
     T, K, beta, epsilon = lattice
     params = LatticeParams(T=T, K=K, beta=beta, epsilon=epsilon, gamma=1.0)
     op = build_shifted(params, shift_factor=1.5)
     g = constant_potential(coefficients)
     cert = build_certificate(op, g, samples=200, seed=0)
-    krylov = homotopy_solve(op, g, cert)
-    newton_step = solver._newton_step
-    monkeypatch.setattr(solver, "_newton_step", lambda *args: newton_step(*args[:-1], True))
-    dense = homotopy_solve(op, g, cert)
-    for report in (krylov, dense):
-        assert (report.status, report.newton_iterations, report.homotopy_steps) == (
-            "converged", *counts)
-    assert np.max(np.abs(krylov.solution.values - dense.solution.values)) <= 1e-10
+    report = homotopy_solve(op, g, cert)
+    x, iterations, status, path = solver._track(op, g, cert, solver.DEFAULT_TOL, 100)
+    assert (report.status, report.newton_iterations, report.homotopy_steps) == (
+        "converged", *counts)
+    assert (status, iterations, len(path) - 1) == ("converged", *counts)
+    assert np.max(np.abs(report.solution.flatten() - x)) <= 1e-10
 
 
-@pytest.mark.parametrize("T,K,period", [
-    (6, 5, 3), (4, 4, 2), (3, 7, 1), (5, 4, 3), (12, 4, 12), (20, 20, 2)])
-def test_cell_mean_solver_inverts_its_matrix(T, K, period):
-    # M = I - A_r^-1 blockdiag(C), C the mean of the blocks over the nodes
-    # with equal time index modulo q = gcd(T, period); q = 1 for (5, 4, 3),
-    # and for (12, 4, 12) because 12 > PRECOND_MAX_PERIOD; 20x20 applies
-    # A^-1 by FFT
-    params = LatticeParams(T=T, K=K, beta=0.7, epsilon=1.3, gamma=-1.2)
-    op = build_shifted(params, shift_factor=1.7)
-    rng = np.random.default_rng(T * K + period)
-    g = constant_potential(list(rng.standard_normal(period) + 1j * rng.standard_normal(period)))
-    flat = random_field(T, K, rng, 1.5).flatten()
-    blocks = solver._slice_blocks(flat, op, g, 0.8)
-    q = int(np.gcd(T, period)) if np.gcd(T, period) <= solver.PRECOND_MAX_PERIOD else 1
-    mean = blocks.reshape(T // q, q, K, 2, 2).mean(axis=(0, 2))
-    diag = np.zeros((2 * T * K, 2 * T * K))
-    for node in range(T * K):
-        diag[2 * node:2 * node + 2, 2 * node:2 * node + 2] = mean[(node // K) % q]
-    matrix = np.eye(2 * T * K) - realified_matrix(np.linalg.inv(shifted(op))) @ diag
-    solve = solver._cell_mean_solver(op, blocks, period)
-    rhs = rng.standard_normal(2 * T * K)
-    assert np.max(np.abs(matrix @ solve(rhs) - rhs)) <= 1e-12 * np.linalg.cond(matrix)
+_KINDS = {
+    "constant": lambda c: constant_potential(list(c)),
+    "power_law": lambda c: power_law(list(0.25 * c), 2.0),
+    "bounded": lambda c: bounded_potential(list(0.5 * c)),
+}
 
 
-def test_krylov_step_on_space_constant_field_takes_one_product(monkeypatch):
-    # at a field constant in space and periodic in time like the forcing,
-    # the preconditioner is J itself, so GMRES needs a single product
-    params = LatticeParams(T=12, K=30, beta=0.5, epsilon=2.0, gamma=1.0)
+@settings(deadline=None, max_examples=30)
+@given(
+    period=st.integers(1, 4),
+    cells=st.integers(1, 3),
+    K=st.integers(2, 12),
+    beta=st.floats(0.3, 3.0),
+    epsilon=st.floats(0.3, 3.0),
+    gamma=st.sampled_from([1.0, -1.0]),
+    kind=st.sampled_from(sorted(_KINDS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quotient_homotopy_matches_full_lattice_tracking(
+    period, cells, K, beta, epsilon, gamma, kind, seed
+):
+    # the zero branch from the origin stays constant in space and periodic
+    # in time like the forcing, so tracking it on the quotient and on the
+    # full lattice finds the same field whenever both converge
+    T = period * cells
+    params = LatticeParams(T=T, K=K, beta=beta, epsilon=epsilon, gamma=gamma)
     op = build_shifted(params, shift_factor=1.5)
-    g = constant_potential([3j, -1.0, 0.7])
-    rng = np.random.default_rng(7)
-    row = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    flat = np.repeat(np.tile(row, 4), 30)
-    res = _slice_residual(flat, op, g, 1.0)
-    products = []
-    jacobian_product = solver._jacobian_product
-    monkeypatch.setattr(solver, "_jacobian_product",
-                        lambda *args: products.append(1) or jacobian_product(*args))
-    step = _newton_step(flat, res, op, g, 1.0, solver.DEFAULT_TOL, False)
-    assert len(products) == 1
-    exact = np.linalg.solve(_slice_jacobian(flat, op, g, 1.0), -realify(res))
-    assert np.max(np.abs(realify(step) - exact)) <= 1e-10 * np.max(np.abs(exact))
+    rng = np.random.default_rng(seed)
+    g = _KINDS[kind](rng.standard_normal(period) + 1j * rng.standard_normal(period))
+    cert = build_certificate(op, g, samples=20, seed=0)
+    assume(cert.valid)
+    report = homotopy_solve(op, g, cert)
+    values = report.solution.values
+    assert np.array_equal(values, np.tile(values[:period, :1], (cells, K)))
+    x, _, status, _ = solver._track(op, g, cert, solver.DEFAULT_TOL, 100)
+    if report.status == status == "converged":
+        assert np.max(np.abs(values.ravel() - x)) <= 1e-10
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    period=st.integers(1, 4),
+    cells=st.integers(1, 3),
+    K=st.integers(2, 12),
+    gamma=st.sampled_from([1.0, -1.0]),
+    kind=st.sampled_from(sorted(_KINDS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_direct_residual_of_a_tiled_field_is_the_tiled_quotient_residual(
+    period, cells, K, gamma, kind, seed
+):
+    # the stencil and the nodewise terms meet the same operands at every
+    # node of the tile, so the bits agree and the quotient's convergence
+    # test holds on the full lattice
+    T = period * cells
+    params = LatticeParams(T=T, K=K, beta=0.8, epsilon=1.7, gamma=gamma)
+    rng = np.random.default_rng(seed)
+    g = _KINDS[kind](rng.standard_normal(period) + 1j * rng.standard_normal(period))
+    row = random_field(period, 1, rng, 3.0).flatten()
+    quotient = LatticeField.from_flat(np.repeat(row, 2), period, 2)
+    full = LatticeField.from_flat(_tiled(np.repeat(row, 2), period, T, K), T, K)
+    residual = residual_direct(quotient, replace(params, T=period, K=2), g).values
+    assert np.array_equal(residual_direct(full, params, g).values,
+                          np.tile(residual[:, :1], (cells, K)))
 
 
 def test_large_lattice_builds_no_dense_operator_matrix():
-    # above the crossover the certificate applies A^-1 by FFT and Newton
-    # takes matrix-free GMRES steps, so no dense n x n matrix is gathered
-    params = LatticeParams(T=12, K=24, beta=1.0, epsilon=1.0, gamma=1.0)
+    # above the crossover the certificate applies A^-1 by FFT and the
+    # homotopy tracks on the 2 x 2 quotient, so no dense n x n matrix is
+    # gathered, and the tiled endpoint meets the tolerance on 65536 nodes
+    params = LatticeParams(T=256, K=256, beta=1.0, epsilon=1.0, gamma=1.0)
     assert params.dim > operators.DENSE_APPLY_MAX_DIM
     op = build_shifted(params, shift_factor=1.5)
     g = constant_potential([2.0, 1.0 + 1.0j])
-    cert = build_certificate(op, g, samples=200, seed=0)
+    cert = build_certificate(op, g, samples=20, seed=0)
     report = homotopy_solve(op, g, cert)
     assert report.status == "converged"
+    assert report.residual_direct <= solver.DEFAULT_TOL
     assert "inverse" not in vars(op)
 
 
@@ -457,8 +491,8 @@ def test_multi_start_deterministic():
     (12, 12, constant_potential([2.0, 1.0 + 1.0j]), 1.0, 2),
 ])
 def test_multi_start_counts_match_exact_steps(T, K, potential, gamma, count):
-    # counts found with exact dense Newton steps; GMRES steps from the
-    # random starts found fewer (6 at 8x10), so enumeration takes dense steps
+    # counts found with exact dense Newton steps; inexact Krylov steps from
+    # the random starts found fewer (6 at 8x10)
     params = LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=gamma)
     op = build_shifted(params, shift_factor=1.5)
     cert = build_certificate(op, potential, samples=100, seed=0)

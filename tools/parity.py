@@ -15,7 +15,15 @@ next to the config first (a solution CSV for ``verify``, say).
 The two runs are compared on exit codes, stdout, stderr and every file left
 in the directory.  JSON documents (stdout and ``*.json``) are compared value
 by value and each differing key path is named; CSV files cell by cell.
-Exits 0 when nothing differs and 1 otherwise.  Standard library only.
+
+A change that moves bytes on purpose declares the runs it moves in
+``tools/parity_moves.json``: ``{"base": "<full commit id>", "runs":
+[["entry", seed], ...]}``.  The declaration holds only when REV is that
+commit, so it lapses with the next commit.  A declared run may differ in
+stdout and in its files, and those differences are printed marked
+"moved (declared)"; its exit codes and stderr must still match.  Exits 0
+when no undeclared difference is left and 1 otherwise.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: differences listed per compared document before the rest are counted
 MAX_LISTED = 12
+#: prefix of a difference that a declared move allows
+MOVED = "moved (declared)"
 
 
 def run_entry(src: Path, entry: dict, seed: int, where: Path) -> dict:
@@ -110,11 +120,14 @@ def csv_diff(a: str, b: str) -> list[str]:
     return out or ["same cells, different bytes"]
 
 
-def compare(base: dict, head: dict) -> list[str]:
-    """Every difference between two results of ``run_entry``."""
+def compare(base: dict, head: dict, declared: bool = False) -> list[str]:
+    """Every difference between two results of ``run_entry``.  For a
+    ``declared`` run, those in stdout and in files start with MOVED."""
     out: list[str] = []
 
-    def note(where: str, lines: list[str]) -> None:
+    def note(where: str, lines: list[str], movable: bool = True) -> None:
+        if declared and movable:
+            where = f"{MOVED} {where}"
         out.extend(f"{where}: {line}" for line in lines[:MAX_LISTED])
         if len(lines) > MAX_LISTED:
             out.append(f"{where}: ... and {len(lines) - MAX_LISTED} more")
@@ -122,9 +135,10 @@ def compare(base: dict, head: dict) -> list[str]:
     for a, b in zip(base["runs"], head["runs"]):
         label = " ".join(a["args"][:1])
         if a["exit"] != b["exit"]:
-            note(label, [f"exit code {a['exit']} -> {b['exit']}"])
+            note(label, [f"exit code {a['exit']} -> {b['exit']}"], movable=False)
         for stream in ("stdout", "stderr"):
-            note(f"{label} {stream}", text_diff(stream, a[stream], b[stream]))
+            note(f"{label} {stream}", text_diff(stream, a[stream], b[stream]),
+                 movable=stream == "stdout")
     for name in sorted(set(base["files"]) | set(head["files"])):
         if name not in base["files"] or name not in head["files"]:
             note(name, [f"only in {'base' if name in base['files'] else 'head'}"])
@@ -135,13 +149,29 @@ def compare(base: dict, head: dict) -> list[str]:
     return out
 
 
+def declared_moves(path: Path, base_commit: str) -> set[tuple[str, int]]:
+    """The (entry, seed) runs that ``path`` declares moved against
+    ``base_commit``, a full commit id; none when the file is absent or
+    declares them against another commit."""
+    if not path.exists():
+        return set()
+    moves = json.loads(path.read_text())
+    if moves["base"] != base_commit:
+        return set()
+    return {(name, seed) for name, seed in moves["runs"]}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     args = parser.parse_args(argv)
     corpus = json.loads((ROOT / "tools" / "parity_corpus.json").read_text())
+    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify",
+                             f"{args.base}^{{commit}}"], check=True, capture_output=True,
+                            text=True).stdout.strip()
+    moves = declared_moves(ROOT / "tools" / "parity_moves.json", commit)
 
-    differing = runs = 0
+    differing = moved = runs = 0
     with tempfile.TemporaryDirectory(prefix="dnls-parity-") as tmp:
         tree = Path(tmp) / "base"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
@@ -153,18 +183,21 @@ def main(argv: list[str] | None = None) -> int:
                         run_entry(src, entry, seed, Path(tmp) / side / entry["name"] / str(seed))
                         for side, src in (("run-base", tree / "src"), ("run-head", ROOT / "src"))
                     ]
-                    diffs = compare(*results)
+                    diffs = compare(*results, declared=(entry["name"], seed) in moves)
+                    undeclared = any(not line.startswith(MOVED) for line in diffs)
                     runs += 1
-                    differing += bool(diffs)
+                    differing += undeclared
+                    moved += bool(diffs) and not undeclared
                     codes = " ".join(str(r["exit"]) for r in results[1]["runs"])
-                    print(f"{'DIFF' if diffs else 'same'}  {entry['name']}  seed {seed}  "
-                          f"exit {codes}", flush=True)
+                    mark = "DIFF" if undeclared else "moved" if diffs else "same"
+                    print(f"{mark}  {entry['name']}  seed {seed}  exit {codes}", flush=True)
                     for line in diffs:
                         print(f"    {line}", flush=True)
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
                            check=False)
-    print(f"{differing} of {runs} runs differ from {args.base}")
+    print(f"{differing} of {runs} runs differ from {args.base}, "
+          f"{moved} more moved as declared")
     return 1 if differing else 0
 
 
