@@ -80,6 +80,17 @@ MAX_WORKERS = 4
 #: runs the columns past a multiple of its kernel's width (4 in OpenBLAS's
 #: x86-64 complex kernels) through other code, which rounds differently
 GEMM_ROWS = 16
+#: relative slack of the bounds ||A^-1 v|| <= ||A^-1|| * ||v|| that let the
+#: boundary check skip a sample's forcing half: it covers the rounding of the
+#: FFT apply and of the l1 sum of A^-1's kernel (norm_shifted_inv), which
+#: drift by about 6e-14
+BOUND_SLACK = 1e-6
+#: most complex values per forcing call on the rows a sup bound leaves.
+#: glibc keeps freed blocks below its trim threshold resident, so forcing
+#: temporaries whose size varies from chunk to chunk hold memory: with one
+#: call for all those rows certify-24x24 peaked 0.4 MB above a check that
+#: evaluates whole chunks, and in calls of this size 0.03 MB (2-core host)
+FORCING_VALUES = 2**12
 
 
 @dataclass(frozen=True)
@@ -333,6 +344,24 @@ def _odd_part(flat: np.ndarray, op: ShiftedOperator, work: tuple | None = None) 
     return np.subtract(flat, _apply_inverse(term, op, block), out=term)
 
 
+def _forcing_term(
+    flat: np.ndarray,
+    op: ShiftedOperator,
+    g: Potential,
+    out: np.ndarray,
+    lock: threading.Lock | None = None,
+) -> np.ndarray:
+    """G(phi) - s*phi for one flat field or an (m, n) stack of them, written
+    to and returned in the complex ``out`` of flat's shape.  G, the one step
+    that allocates, runs holding ``lock``: workers that share it keep one
+    forcing evaluation alive at a time and never call a forcing from two
+    threads at once."""
+    fields = flat.reshape(flat.shape[:-1] + (op.params.T, op.params.K))
+    with lock or contextlib.nullcontext():
+        np.multiply(flat, op.shift, out=out)
+        return np.subtract(g.on_lattice(fields).reshape(flat.shape), out, out=out)
+
+
 def _forcing_part(
     flat: np.ndarray,
     op: ShiftedOperator,
@@ -341,16 +370,61 @@ def _forcing_part(
     lock: threading.Lock | None = None,
 ) -> np.ndarray:
     """A^-1 (G(phi) - s*phi) for one flat field or an (m, n) stack of them,
-    with ``work`` as for ``_odd_part``; the result is one of its complex
-    buffers.  G, the one step that allocates, runs holding ``lock``:
-    workers that share it keep one forcing evaluation alive at a time and
-    never call a forcing from two threads at once."""
+    with ``work`` as for ``_odd_part`` and ``lock`` as for
+    ``_forcing_term``; the result is one of its complex buffers."""
     _, term, block = work or (None, np.empty(flat.shape, complex), None)
-    fields = flat.reshape(flat.shape[:-1] + (op.params.T, op.params.K))
-    with lock or contextlib.nullcontext():
-        np.multiply(flat, op.shift, out=term)
-        np.subtract(g.on_lattice(fields).reshape(flat.shape), term, out=term)
-    return _apply_inverse(term, op, block)
+    return _apply_inverse(_forcing_term(flat, op, g, term, lock), op, block)
+
+
+def _inverse_bound(op: ShiftedOperator, sup):
+    """Bound on ||A^-1 v|| for the v with ||v|| <= ``sup``: ||A^-1|| * sup,
+    raised by BOUND_SLACK for rounding; inf or NaN where that overflows."""
+    with np.errstate(all="ignore"):
+        return op.norm_shifted_inv * (1.0 + BOUND_SLACK) * sup
+
+
+def _excluded(odd: np.ndarray, bound, low: float) -> np.ndarray:
+    """Mask of the rows whose gap provably exceeds a finite ``low``:
+    odd - bound > low with odd and the bound on the forcing half finite."""
+    with np.errstate(all="ignore"):
+        return np.isfinite(odd) & np.isfinite(bound) & (odd - bound > low)
+
+
+def _kept_halves(
+    flat: np.ndarray,
+    odd: np.ndarray,
+    low: float,
+    bound: float,
+    op: ShiftedOperator,
+    g: Potential,
+    buffers: list[np.ndarray],
+    lock: threading.Lock,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of an (m, n) stack ``flat``, whose odd halves have the sup
+    norms ``odd``, that no bound excludes against ``low``, and the sup norms
+    of their forcing halves.  ``bound`` covers every row; G is evaluated on
+    the rows it leaves, FORCING_VALUES complex values at a time, and their
+    own forcing terms bound them again.  The rows left are gathered, and
+    every large array is held, in the worker's ``buffers`` (float, samples,
+    term, block), of which ``flat`` is the samples; ``lock`` is held while
+    G runs."""
+    real, draw, term, block = buffers
+    left = np.flatnonzero(~_excluded(odd, bound, low))
+    if left.size:
+        # in the default mode "raise", take copies through a buffer
+        phi = np.take(flat, left, axis=0, out=term[: left.size], mode="clip")
+        rhs = block[: left.size]
+        step = max(1, FORCING_VALUES // op.dim)
+        for start in range(0, left.size, step):
+            _forcing_term(phi[start : start + step], op, g, rhs[start : start + step], lock)
+        sup = np.abs(rhs, out=real[: left.size]).max(axis=1)
+        keep = np.flatnonzero(~_excluded(odd[left], _inverse_bound(op, sup), low))
+        left = left[keep]
+        if keep.size:
+            kept = np.take(rhs, keep, axis=0, out=draw[: keep.size], mode="clip")
+            forced = _apply_inverse(kept, op, term[: keep.size])
+            return left, np.abs(forced, out=real[: keep.size]).max(axis=1)
+    return left, np.empty(0)
 
 
 def _chunks(samples: int, dim: int, workers: int) -> Iterator[tuple[int, int]]:
@@ -378,7 +452,8 @@ def _boundary_gaps(
     radius: float, op: ShiftedOperator, g: Potential, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """The gap of each of ``samples`` sphere samples drawn from ``rng``,
-    computed by the workers that ``verify_boundary`` describes."""
+    computed by the workers that ``verify_boundary`` describes; +inf for a
+    sample whose bound shows it cannot set the minimum."""
     T, K, n = op.params.T, op.params.K, op.dim
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -387,19 +462,53 @@ def _boundary_gaps(
     for lo, hi in _chunks(samples, n, share):
         count, rows = count + 1, max(rows, hi - lo)
     # per worker: a float buffer (moduli and phases, |phi|^2, each half's
-    # moduli) and three complex ones (the samples; the cast moduli, then each
-    # half's term and result; the A^-1 apply's product or spectrum)
+    # moduli) and three complex ones (the samples, then the kept forcing
+    # terms; the cast moduli, then each half's term and result; the A^-1
+    # apply's product or spectrum)
     scratch = [
         [np.empty((rows, n))] + [np.empty((rows, n), complex) for _ in range(3)]
         for _ in range(min(share, count))
     ]
     if n <= DENSE_APPLY_MAX_DIM:
         op.inverse  # a cached_property, which has no lock: built before the workers start
-    chunks = _chunks(samples, n, share)
+    chunks = enumerate(_chunks(samples, n, share))
     index_rng = _stream_at(rng, 2 * samples * n)
     take, forcing = threading.Lock(), threading.Lock()
     errors: list[BaseException] = []
     gaps = np.empty(samples)
+    # only the FFT apply gives a row the same bits whatever rows share it
+    skip = n > DENSE_APPLY_MAX_DIM
+    bound = math.inf  # on every sample's forcing half, from the forcing's sup
+    if skip and g.sup_formula is not None:
+        with np.errstate(all="ignore"):  # a bound that overflows skips nothing
+            try:
+                bound = _inverse_bound(op, g.sup_formula(radius) + op.shift * radius)
+            except OverflowError:  # a power of a Python float
+                pass
+    # chunk c may skip against the minimum gap of chunks 0..c - lag, which
+    # are done before it starts unless one of them is slow: a schedule-free m
+    lag = len(scratch)
+    minima = np.empty(count)  # the chunks' gap minima, then their running minima
+    done = np.zeros(count, dtype=bool)
+    settled = 0  # chunks 0..settled-1 are done and hold running minima
+    ready = threading.Condition()
+
+    def lagged_min(chunk: int) -> float:
+        if chunk < lag:
+            return math.nan
+        with ready:
+            ready.wait_for(lambda: settled > chunk - lag or errors)
+            return float(minima[chunk - lag])
+
+    def settle(chunk: int, lo: int, hi: int) -> None:
+        nonlocal settled
+        with ready:
+            minima[chunk], done[chunk] = gaps[lo:hi].min(), True
+            while settled < count and done[settled]:
+                if settled:  # min propagates NaN
+                    minima[settled] = minima[settled - 1 : settled + 1].min()
+                settled += 1
+            ready.notify_all()
 
     def work(buffers: list[np.ndarray]) -> None:
         try:
@@ -407,21 +516,35 @@ def _boundary_gaps(
             while not errors:
                 # chunks are taken in order, and each takes the next indices
                 with take:
-                    bounds = next(chunks, None)
+                    chunk, bounds = next(chunks, (None, None))
                     if bounds is None:
                         return
                     lo, hi = bounds
                     indices = index_rng.integers(0, n, size=hi - lo)
-                real, draw, term, block = (buf[: hi - lo] for buf in buffers)
+                chunk_buffers = [buf[: hi - lo] for buf in buffers]
+                real, draw, term, block = chunk_buffers
                 flat = sphere_samples(
                     T, K, radius, samples, rng, (lo, hi), indices, (real, draw, term)
                 ).reshape(-1, n)
                 halves = (real, term, block)
                 odd = np.abs(_odd_part(flat, op, halves), out=real).max(axis=1)
-                forced = np.abs(_forcing_part(flat, op, g, halves, forcing), out=real)
-                gaps[lo:hi] = odd - forced.max(axis=1)
+                low = lagged_min(chunk) if skip else math.nan
+                if errors:  # set while this worker waited
+                    return
+                if math.isfinite(low):
+                    kept, forced = _kept_halves(
+                        flat, odd, low, bound, op, g, chunk_buffers, forcing
+                    )
+                    gaps[lo:hi] = math.inf
+                    gaps[lo + kept] = odd[kept] - forced
+                else:
+                    forced = np.abs(_forcing_part(flat, op, g, halves, forcing), out=real)
+                    gaps[lo:hi] = odd - forced.max(axis=1)
+                settle(chunk, lo, hi)
         except BaseException as exc:  # raised below, once every helper has ended
-            errors.append(exc)
+            with ready:  # wakes the workers that wait for a chunk this one held
+                errors.append(exc)
+                ready.notify_all()
 
     # each helper runs in a copy of the caller's context, so that the
     # caller's np.errstate holds there too
@@ -460,6 +583,23 @@ def verify_boundary(
     allocated once.  The evidence has the bits of a serial check whatever
     the schedule, and an error in one chunk stops the others and is raised
     here once every helper has ended.
+
+    Only the minimum gap is reported, so above DENSE_APPLY_MAX_DIM nodes a
+    sample's forcing half is skipped when a bound shows that its gap exceeds
+    m, the minimum gap of the chunks at least one per worker before its own
+    (a worker waits for them in the rare case that one is still running).
+    With ||A^-1 v|| <= ||A^-1|| * ||v|| and ||A^-1|| = ``norm_shifted_inv``,
+    the half is at most ||A^-1|| * (sup|g| + s*radius) * (1 + BOUND_SLACK)
+    when the forcing has a ``sup_formula``, and otherwise, once G is
+    evaluated, ||A^-1|| * ||G(phi) - s*phi|| * (1 + BOUND_SLACK); A^-1 is
+    applied to the rows neither bound excludes.  A sample is skipped only
+    when its odd half, the bound and m are finite and odd - bound > m, so
+    its gap exceeds m >= the final minimum and the minimum and its argmin
+    keep their bits.  Dense lattices keep every row: a BLAS product over a
+    subset of the columns rounds some of them differently, where an FFT
+    gives a row the same bits whatever rows share it.  Which samples are
+    skipped depends on the chunks, and so on the core count, but not on the
+    schedule; the evidence depends on neither.
     """
     if samples <= 0:
         return BoundaryEvidence(count=0, min_gap=None, argmin_hash=None)

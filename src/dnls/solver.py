@@ -199,8 +199,11 @@ def _slice_jacobian(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: fl
     even, odd = product[..., 0, :], product[..., 1, :]
     np.subtract(np.multiply(re, top, out=even), np.multiply(im, bottom, out=scratch), out=even)
     np.add(np.multiply(im, top, out=odd), np.multiply(re, bottom, out=scratch), out=odd)
-    product = product.reshape(lead + (2 * n, 2 * n))
-    return np.subtract(np.eye(2 * n), product, out=product)
+    # I - product in place, with the bits of np.eye(2n) - product: 0 - p is
+    # the off-diagonal entry, and 1 + (0 - p) rounds as 1 - p
+    np.subtract(0.0, product, out=product)
+    product.reshape(lead + (4 * n * n,))[..., :: 2 * n + 1] += 1.0
+    return product.reshape(lead + (2 * n, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +581,20 @@ def multi_start(
     check.
     """
     endpoint = homotopy_solve(op, g, cert, tol=tol, max_iter=max_iter)
+    return _multi_start_from(endpoint, op, g, cert, n_starts, seed, tol, max_iter)
+
+
+def _multi_start_from(
+    endpoint: SolveReport,
+    op: ShiftedOperator,
+    g: Potential,
+    cert: ExistenceCertificate,
+    n_starts: int,
+    seed: int,
+    tol: float,
+    max_iter: int,
+) -> list[SolveReport]:
+    """``multi_start`` after its homotopy run, whose report is ``endpoint``."""
     starts = _ball_starts(op, np.random.default_rng(seed), cert.radius, n_starts)
     if endpoint.status == "converged":
         starts = np.vstack([endpoint.solution.flatten(), starts])
@@ -619,8 +636,8 @@ def steady_state_solve(
         raise ValueError(f"steady states need an operator with T = 1, got T = {op.params.T}")
     report = homotopy_solve(op, g, cert, tol=tol, max_iter=max_iter)
     if report.status != "converged":
-        candidates = multi_start(op, g, cert, n_starts=n_starts, seed=seed, tol=tol,
-                                 max_iter=max_iter)
+        # multi_start would first rerun the same deterministic homotopy
+        candidates = _multi_start_from(report, op, g, cert, n_starts, seed, tol, max_iter)
         if not candidates:
             raise SolveFailed(
                 f"neither homotopy (status {report.status!r}) nor {n_starts} Newton starts "

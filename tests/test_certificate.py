@@ -440,6 +440,13 @@ def _reference_solve(op, rhs):
 def _serial_evidence(radius, op, g, samples, seed):
     """(count, min_gap bits, argmin_hash) of the serial boundary check: one
     loop over chunks of CHUNK_VALUES // n samples, each evaluated whole."""
+    batch, gaps = _serial_gaps(radius, op, g, samples, seed)
+    worst = int(np.argmin(gaps))
+    return samples, float(gaps[worst]).hex(), _sample_hash(batch[worst])
+
+
+def _serial_gaps(radius, op, g, samples, seed):
+    """The batch and every gap of the serial boundary check."""
     T, K, n = op.params.T, op.params.K, op.dim
     batch = _reference_samples(T, K, radius, samples, np.random.default_rng(seed))
     flat_batch = batch.reshape(samples, n)
@@ -452,8 +459,7 @@ def _serial_evidence(radius, op, g, samples, seed):
         forcing = g.on_lattice(flat.reshape(-1, T, K)).reshape(flat.shape)
         forced = _reference_solve(op, (forcing - op.shift * flat).T).T
         gaps[lo : lo + step] = np.abs(odd).max(axis=1) - np.abs(forced).max(axis=1)
-    worst = int(np.argmin(gaps))
-    return samples, float(gaps[worst]).hex(), _sample_hash(batch[worst])
+    return batch, gaps
 
 
 def _evidence_key(evidence):
@@ -495,6 +501,234 @@ def test_verify_boundary_matches_the_serial_check_on_any_core_count(
             with _cores(cores):
                 evidence = verify_boundary(radius, op, g, samples=samples, seed=seed)
             assert _evidence_key(evidence) == expected, f"{cores} cores"
+
+
+# ---------------------------------------------------------------------------
+# skipped forcing halves above the dense crossover
+
+
+@contextmanager
+def _columns():
+    """Count the columns that ShiftedOperator.solve applies A^-1 to."""
+    applied = [0]
+    solve = operators.ShiftedOperator.solve
+
+    def counted(self, rhs, out=None):
+        applied[0] += rhs.shape[1] if rhs.ndim == 2 else 1
+        return solve(self, rhs, out)
+
+    with mock.patch.object(operators.ShiftedOperator, "solve", counted):
+        yield applied
+
+
+def _certified_radius(op, g):
+    """The certificate's ball radius for ``op``'s lattice, computed on a
+    torus whose T the forcing period divides (the norms agree on both)."""
+    params = dataclasses.replace(op.params, T=op.params.T * g.period)
+    return build_certificate(build_shifted(params, 1.5), g, samples=0).radius
+
+
+#: lattices above DENSE_APPLY_MAX_DIM = 256 nodes
+_FFT_LATTICES = [(17, 16), (12, 24), (24, 24)]
+_SKIP_FORCINGS = {
+    **_ORACLE_FORCINGS,
+    # only each row's own forcing term can bound its half
+    "no_sup_formula": dataclasses.replace(power_law([0.5, 0.2j], 2.0), sup_formula=None),
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    lattice=st.sampled_from(_FFT_LATTICES),
+    forcing=st.sampled_from(sorted(_SKIP_FORCINGS)),
+    gamma=st.sampled_from([1.0, -1.0]),
+    block=st.integers(6, 40),
+    blocks=st.integers(4, 6),
+    extra=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_skipped_forcing_halves_keep_the_serial_evidence(lattice, forcing, gamma, block, blocks,
+                                                         extra, seed):
+    # at the certified radius most forcing halves are provably too small to
+    # set the minimum gap: A^-1 is applied to fewer than two columns a
+    # sample, and the evidence keeps the serial check's bits
+    T, K = lattice
+    op = build_shifted(LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=gamma), 1.5)
+    g = _SKIP_FORCINGS[forcing]
+    radius = _certified_radius(op, g)
+    samples = blocks * block + extra
+    with mock.patch.object(certificate, "CHUNK_VALUES", block * op.dim):
+        expected = _serial_evidence(radius, op, g, samples, seed)
+        for cores in (1, 2, 3):
+            with _cores(cores), _columns() as applied:
+                evidence = verify_boundary(radius, op, g, samples=samples, seed=seed)
+            assert _evidence_key(evidence) == expected, f"{cores} cores"
+            assert applied[0] < 2 * samples, f"{cores} cores"
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("forcing", sorted(_SKIP_FORCINGS))
+def test_a_skipped_sample_is_never_below_the_lagged_minimum(forcing, cores, monkeypatch):
+    # the gaps the check computes have the serial bits, and each skipped
+    # sample's serial gap is at least the minimum of the chunks `workers`
+    # or more before its own
+    op = build_shifted(LatticeParams(T=24, K=24, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
+    g = _SKIP_FORCINGS[forcing]
+    radius = _certified_radius(op, g)
+    samples, seed = 1500, 12
+    monkeypatch.setattr(certificate, "CHUNK_VALUES", 40 * op.dim)
+    _, serial = _serial_gaps(radius, op, g, samples, seed)
+    with _cores(cores):
+        gaps = certificate._boundary_gaps(radius, op, g, samples, np.random.default_rng(seed))
+    skipped = np.isinf(gaps)
+    assert skipped.mean() > 0.5
+    assert gaps[~skipped].tobytes() == serial[~skipped].tobytes()
+    bounds = list(certificate._chunks(samples, op.dim, cores))
+    lag = min(cores, len(bounds))
+    for chunk, (lo, hi) in enumerate(bounds):
+        if chunk < lag:
+            assert not skipped[lo:hi].any()
+        else:
+            low = serial[: bounds[chunk - lag][1]].min()
+            assert (serial[lo:hi][skipped[lo:hi]] >= low).all()
+
+
+def test_skipped_forcing_halves_do_not_depend_on_the_schedule(monkeypatch):
+    # each chunk skips against the chunks at least `workers` before it, so
+    # the applied columns repeat however the chunks finish: draws delayed at
+    # random and a thread switch every microsecond make the workers wait
+    op = build_shifted(LatticeParams(T=17, K=16, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
+    g = power_law([0.5, 0.2j], 2.0)
+    radius = _certified_radius(op, g)
+    samples, seed = 2000, 9
+    monkeypatch.setattr(certificate, "CHUNK_VALUES", 20 * op.dim)
+    expected = _serial_evidence(radius, op, g, samples, seed)
+    delays = np.random.default_rng()
+    draw = certificate.sphere_samples
+
+    def delayed(*args, **kwargs):
+        time.sleep(delays.uniform(0.0, 1e-3))
+        return draw(*args, **kwargs)
+
+    def run(cores):
+        with _cores(cores), _columns() as applied:
+            evidence = verify_boundary(radius, op, g, samples=samples, seed=seed)
+        assert _evidence_key(evidence) == expected
+        return applied[0]
+
+    first = run(2)
+    assert first < 2 * samples
+    monkeypatch.setattr(certificate, "sphere_samples", delayed)
+    assert run(2) == first
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = {run(4) for _ in range(2)}
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(counts) == 1
+
+
+def test_dense_lattices_keep_every_forcing_half():
+    # a BLAS GEMM over a subset of the columns rounds some of them
+    # differently, so below the crossover no sample is skipped
+    op = build_shifted(LatticeParams(T=16, K=16, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
+    g = power_law([0.5, 0.2j], 2.0)
+    radius = _certified_radius(op, g)
+    samples, seed = 2000, 5
+    with _cores(2), _columns() as applied:
+        evidence = verify_boundary(radius, op, g, samples=samples, seed=seed)
+    assert applied[0] == 2 * samples
+    assert _evidence_key(evidence) == _serial_evidence(radius, op, g, samples, seed)
+
+
+def _l1_extremal(op):
+    """The unit-sup field whose A^-1 image reaches ||A^-1|| at node 0: the
+    phases of A^-1's kernel, conjugated (row 0 of the circulant is the
+    kernel)."""
+    kernel = np.fft.ifft2(operators._reversed(op.inverse_symbol)).ravel()
+    size = np.abs(kernel)
+    return np.where(size > 0.0, np.conj(kernel) / np.where(size > 0.0, size, 1.0), 1.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    lattice=st.sampled_from(_FFT_LATTICES + [(16, 32), (9, 40)]),
+    beta=st.floats(1e-3, 1e3),
+    epsilon=st.floats(1e-3, 1e3),
+    scale=st.floats(-100.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+    subset=st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
+)
+def test_fft_apply_is_bounded_by_the_inverse_norm_and_row_independent(lattice, beta, epsilon,
+                                                                      scale, seed, subset):
+    # the two facts the skip rests on: ||A^-1 v|| <= ||A^-1|| ||v|| (1 +
+    # BOUND_SLACK) for the computed apply, including the extremal v, and a
+    # row's apply has the same bits whatever rows share the FFT
+    T, K = lattice
+    op = build_shifted(LatticeParams(T=T, K=K, beta=beta, epsilon=epsilon, gamma=1.0), 1.5)
+    assert op.dim > operators.DENSE_APPLY_MAX_DIM
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(6, op.dim)) + 1j * rng.normal(size=(6, op.dim))
+    stack[0] = _l1_extremal(op)
+    stack[1] = np.sign(stack[1].real)
+    stack *= 10.0**scale
+    whole = certificate._apply_inverse(stack.copy(), op, np.empty_like(stack))
+    sup = np.abs(stack).max(axis=1)
+    assert (np.abs(whole).max(axis=1) <= op.norm_shifted_inv * sup
+            * (1.0 + certificate.BOUND_SLACK)).all()
+    # the extremal field reaches the bound up to rounding
+    assert np.abs(whole[0]).max() >= op.norm_shifted_inv * sup[0] * (1.0 - 1e-9)
+    rows = stack[subset]
+    part = certificate._apply_inverse(rows, op, np.empty_like(rows))
+    assert part.tobytes() == np.ascontiguousarray(whole[subset]).tobytes()
+
+
+def test_nan_forcing_row_gives_the_serial_nan_evidence():
+    # a forcing without a closed-form sup that is NaN on one sample of a
+    # late chunk: that sample's bound is NaN, so it is never skipped, and
+    # the NaN gap is the evidence, as in the serial check
+    op = build_shifted(LatticeParams(T=12, K=24, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
+    base = power_law([0.5, 0.2j], 2.0)
+    radius = build_certificate(op, base, samples=0).radius
+    samples, seed, target = 1200, 3, 1000
+    batch = certificate.sphere_samples(12, 24, radius, samples, np.random.default_rng(seed))
+    marker = batch[target, 0, 0]
+
+    def evaluate(t, z):
+        value = base.evaluate(t, z)
+        if np.ndim(z) == 3:
+            value = np.where(z[:, :1, :1] == marker, np.nan, value)
+        return value
+
+    g = dataclasses.replace(base, evaluate=evaluate, sup_formula=None)
+    expected = _serial_evidence(radius, op, g, samples, seed)
+    assert expected[1] == "nan" and expected[2] == _sample_hash(batch[target])
+    for cores in (1, 2, 3):
+        with _cores(cores):
+            evidence = verify_boundary(radius, op, g, samples=samples, seed=seed)
+        assert (evidence.count, evidence.min_gap.hex(), evidence.argmin_hash) == expected
+
+
+def test_verify_boundary_memory_is_flat_on_the_fft_path():
+    # skipping gathers the rows it keeps into the worker's buffers: past one
+    # chunk's working set only the gaps and the chunk minima grow.  One
+    # worker, so that the peak does not depend on how two workers' ufunc
+    # buffers overlap, after a first check has built the FFT plans
+    op = build_shifted(LatticeParams(T=17, K=16, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
+    g = power_law([0.5], 2.0)
+    radius = build_certificate(op, g, samples=0).radius
+    peaks = {}
+    with _cores(1):
+        verify_boundary(radius, op, g, samples=500, seed=3)
+        for samples in (3000, 12000):
+            tracemalloc.start()
+            try:
+                verify_boundary(radius, op, g, samples=samples, seed=3)
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[12000] - peaks[3000] <= 8 * 9000 + 2**15
 
 
 def test_verify_boundary_starts_at_most_four_threads(monkeypatch):
@@ -562,7 +796,18 @@ class _ThirdCallFails(RuntimeError):
 def test_verify_boundary_error_in_a_chunk_is_raised_once_the_helpers_end(cores):
     # 8x8 with 5000 samples makes 10 to 20 chunks, so the third forcing call
     # comes while the other workers still have chunks to take
-    params = LatticeParams(T=8, K=8, beta=1.0, epsilon=1.0, gamma=1.0)
+    _check_third_forcing_call_fails(8, 8, cores)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_verify_boundary_error_in_an_fft_chunk_is_raised_once_the_helpers_end(cores):
+    # 17x16 with 5000 samples makes 42 to 126 chunks on the FFT path, where
+    # a worker may wait for the chunk whose forcing call fails
+    _check_third_forcing_call_fails(17, 16, cores)
+
+
+def _check_third_forcing_call_fails(T, K, cores):
+    params = LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=1.0)
     op = build_shifted(params, shift_factor=1.5)
     base = power_law([0.5], 2.0)
     calls = []

@@ -596,6 +596,24 @@ def test_steady_forces_one_time_slice(tmp_path, capsys):
     assert run(4) == run(1)
 
 
+def test_steady_runs_its_homotopy_once_before_the_starts(tmp_path, capsys, monkeypatch):
+    # the parity corpus's exit3-steady-no-route: the homotopy diverges and
+    # the 8 starts find nothing; the fallback reuses the failed report
+    calls = []
+    homotopy = solver.homotopy_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return homotopy(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "homotopy_solve", counted)
+    cfg = _write_config(tmp_path, K=3, samples=300, n_starts=8, tolerance=1e-15,
+                        potential={"kind": "constant", "coefficients": [[8.0, 1.0]]})
+    assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "4"]) == 3
+    assert "diverged" in capsys.readouterr().err
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "scale,code", [(1e-14, 0), (1e-100, 0), (1e-300, 0), (1e-310, 3), (5e-324, 3)]
 )

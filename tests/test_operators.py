@@ -14,6 +14,7 @@ from dnls import (
     build_shifted,
     power_law,
     sup_norm,
+    zero_potential,
 )
 from dnls import operators
 from dnls.solver import _slice_blocks, _slice_jacobian
@@ -247,6 +248,28 @@ def test_slice_jacobian_from_inverse_parts_matches_realified_inverse():
         expected = np.eye(2 * n) - product.reshape(2 * n, 2 * n)
         np.testing.assert_array_equal(_slice_jacobian(flat, op, g, 1.0), expected)
         np.testing.assert_array_equal(jac, expected)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_slice_jacobian_has_the_bytes_of_eye_minus_product(tau):
+    # J = I - product is formed in place; every entry, signed zeros
+    # included, has the bytes of np.eye(2n) - product, on stacks whose zero
+    # nodes and zero forcing give +0 and -0 products
+    op = build_shifted(_params(T=2, K=3), shift_factor=1.5)
+    n = op.dim
+    inv = realified_matrix(op.inverse).reshape(2 * n, n, 2)
+    rng = np.random.default_rng(11)
+    for g in (power_law([0.5, 0.2 + 0.3j], 2.5), zero_potential(2)):
+        stack = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+        stack[rng.random(stack.shape) < 0.4] = 0.0
+        stack[0] = 0.0
+        stack[1, ::2] = -0.0
+        for flat, jac in zip(stack, _slice_jacobian(stack, op, g, tau)):
+            blocks = _slice_blocks(flat, op, g, tau)
+            product = inv[:, :, :1] * blocks[:, 0] + inv[:, :, 1:] * blocks[:, 1]
+            expected = np.eye(2 * n) - product.reshape(2 * n, 2 * n)
+            assert jac.tobytes() == expected.tobytes()
+            assert _slice_jacobian(flat, op, g, tau).tobytes() == expected.tobytes()
 
 
 #: lattices up to 7 x 7, including the wrap cases T in {1, 2} and K = 2

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from dnls.operators import DENSE_APPLY_MAX_DIM
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 _spec = importlib.util.spec_from_file_location("parity", TOOLS / "parity.py")
 parity = importlib.util.module_from_spec(_spec)
@@ -53,6 +55,22 @@ def test_corpus_covers_every_command_at_two_seeds():
     assert len(names) == len(set(names))
     commands = {cmd[0] for entry in corpus["entries"] for cmd in entry["commands"]}
     assert commands == {"certify", "solve", "steady", "verify", "degree"}
+
+
+def test_corpus_checks_the_boundary_skip_for_every_kind():
+    # the boundary check skips forcing halves on FFT lattices only, by the
+    # forcing's closed-form sup or, for a sampled power law, by each
+    # sample's own forcing term; the corpus covers each kind there
+    corpus = json.loads((TOOLS / "parity_corpus.json").read_text())
+    covered = set()
+    for entry in corpus["entries"]:
+        config = entry["config"]
+        if isinstance(config, dict) and config["T"] * config["K"] > DENSE_APPLY_MAX_DIM and any(
+                command[0] in ("certify", "solve") for command in entry["commands"]):
+            potential = config["potential"]
+            covered.add((potential["kind"], potential.get("exponent", 0) >= 3))
+    assert covered >= {("bounded", False), ("zero", False), ("constant", False),
+                       ("power_law", False), ("power_law", True)}
 
 
 def _undeclared(lines):
