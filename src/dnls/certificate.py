@@ -362,18 +362,11 @@ def _forcing_term(
         return np.subtract(g.on_lattice(fields).reshape(flat.shape), out, out=out)
 
 
-def _forcing_part(
-    flat: np.ndarray,
-    op: ShiftedOperator,
-    g: Potential,
-    work: tuple | None = None,
-    lock: threading.Lock | None = None,
-) -> np.ndarray:
+def _forcing_part(flat: np.ndarray, op: ShiftedOperator, g: Potential) -> np.ndarray:
     """A^-1 (G(phi) - s*phi) for one flat field or an (m, n) stack of them,
-    with ``work`` as for ``_odd_part`` and ``lock`` as for
-    ``_forcing_term``; the result is one of its complex buffers."""
-    _, term, block = work or (None, np.empty(flat.shape, complex), None)
-    return _apply_inverse(_forcing_term(flat, op, g, term, lock), op, block)
+    A^-1 row by row.  The boundary check forms it only on the rows it keeps
+    (``_kept_halves``)."""
+    return op.solve_rows(_forcing_term(flat, op, g, np.empty(flat.shape, complex)))
 
 
 def _inverse_bound(op: ShiftedOperator, sup):
@@ -399,15 +392,17 @@ def _kept_halves(
     g: Potential,
     buffers: list[np.ndarray],
     lock: threading.Lock,
+    failed: list[BaseException],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of an (m, n) stack ``flat``, whose odd halves have the sup
-    norms ``odd``, that no bound excludes against ``low``, and the sup norms
-    of their forcing halves.  ``bound`` covers every row; G is evaluated on
-    the rows it leaves, FORCING_VALUES complex values at a time, and their
-    own forcing terms bound them again.  The rows left are gathered, and
-    every large array is held, in the worker's ``buffers`` (float, samples,
-    term, block), of which ``flat`` is the samples; ``lock`` is held while
-    G runs."""
+    norms ``odd``, that no bound excludes against ``low`` (a NaN ``low``
+    excludes none), and the sup norms of their forcing halves.  ``bound``
+    covers every row; G is evaluated on the rows it leaves, FORCING_VALUES
+    complex values at a time, and their own forcing terms bound them again.
+    The rows left are gathered, and every large array is held, in the
+    worker's ``buffers`` (float, samples, term, block), of which ``flat`` is
+    the samples; ``lock`` is held while G runs.  Once ``failed`` holds
+    another worker's error, no further G call starts and no row is kept."""
     real, draw, term, block = buffers
     left = np.flatnonzero(~_excluded(odd, bound, low))
     if left.size:
@@ -416,6 +411,8 @@ def _kept_halves(
         rhs = block[: left.size]
         step = max(1, FORCING_VALUES // op.dim)
         for start in range(0, left.size, step):
+            if failed:
+                return left[:0], np.empty(0)
             _forcing_term(phi[start : start + step], op, g, rhs[start : start + step], lock)
         sup = np.abs(rhs, out=real[: left.size]).max(axis=1)
         keep = np.flatnonzero(~_excluded(odd[left], _inverse_bound(op, sup), low))
@@ -526,20 +523,15 @@ def _boundary_gaps(
                 flat = sphere_samples(
                     T, K, radius, samples, rng, (lo, hi), indices, (real, draw, term)
                 ).reshape(-1, n)
-                halves = (real, term, block)
-                odd = np.abs(_odd_part(flat, op, halves), out=real).max(axis=1)
+                odd = np.abs(_odd_part(flat, op, (real, term, block)), out=real).max(axis=1)
                 low = lagged_min(chunk) if skip else math.nan
                 if errors:  # set while this worker waited
                     return
-                if math.isfinite(low):
-                    kept, forced = _kept_halves(
-                        flat, odd, low, bound, op, g, chunk_buffers, forcing
-                    )
-                    gaps[lo:hi] = math.inf
-                    gaps[lo + kept] = odd[kept] - forced
-                else:
-                    forced = np.abs(_forcing_part(flat, op, g, halves, forcing), out=real)
-                    gaps[lo:hi] = odd - forced.max(axis=1)
+                kept, forced = _kept_halves(
+                    flat, odd, low, bound, op, g, chunk_buffers, forcing, errors
+                )
+                gaps[lo:hi] = math.inf
+                gaps[lo + kept] = odd[kept] - forced
                 settle(chunk, lo, hi)
         except BaseException as exc:  # raised below, once every helper has ended
             with ready:  # wakes the workers that wait for a chunk this one held
