@@ -1,4 +1,5 @@
-"""Compare the CLI outputs of this working tree with those of a git revision.
+"""Compare the CLI outputs of this working tree with those of a git revision,
+and check this tree's outputs against what the corpus expects of them.
 
 Usage::
 
@@ -10,11 +11,25 @@ with REV's ``src`` and once with this tree's, in directories of the same
 layout, so relative paths in messages agree.  An entry is one config plus a list of commands, each run
 as ``python -m dnls.cli COMMAND [ARGS] --config config.json --out out
 --seed SEED`` in the entry's directory; the optional ``files`` are written
-next to the config first (a solution CSV for ``verify``, say).
+under that directory first (a solution CSV for ``verify``, say).
 
 The two runs are compared on exit codes, stdout, stderr and every file left
 in the directory.  JSON documents (stdout and ``*.json``) are compared value
 by value and each differing key path is named; CSV files cell by cell.
+
+Each entry's ``expect`` block states what this tree's run must give,
+whatever REV gives:
+
+- ``exit``, ``stderr_lines`` and optionally ``stdout_lines``: one exit code
+  and one line count per command;
+- ``absent``: paths that must not exist after the run;
+- ``values``: ``{file: {key path: value}}``, with key paths as the
+  comparison prints them (``odd.degree_estimate``, ``zeros[0].sign``);
+- ``rerun: true``: the entry runs once more with the child held to one CPU,
+  and the two runs must not differ.
+
+Each unmet expectation prints one ``FAIL`` line.  ``--base HEAD`` checks the
+whole contract of the working tree.
 
 A change that moves bytes on purpose declares the runs it moves in
 ``tools/parity_moves.json``: ``{"base": "<full commit id>", "runs":
@@ -22,8 +37,8 @@ A change that moves bytes on purpose declares the runs it moves in
 commit, so it lapses with the next commit.  A declared run may differ in
 stdout and in its files, and those differences are printed marked
 "moved (declared)"; its exit codes and stderr must still match.  Exits 0
-when no undeclared difference is left and 1 otherwise.  Standard library
-only.
+when no undeclared difference and no failed expectation is left and 1
+otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,20 +59,28 @@ MAX_LISTED = 12
 MOVED = "moved (declared)"
 
 
-def run_entry(src: Path, entry: dict, seed: int, where: Path) -> dict:
+def pin_to_one_cpu() -> None:
+    """Hold the calling process to the lowest CPU it may run on."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_entry(src: Path, entry: dict, seed: int, where: Path, one_cpu: bool = False) -> dict:
     """Run one corpus entry at one seed with the package under ``src``;
     returns each command's exit code, stdout and stderr, and every file the
-    entry's directory holds afterwards."""
+    entry's directory holds afterwards.  With ``one_cpu`` the commands run
+    on one CPU where the platform can say so."""
     where.mkdir(parents=True)
     (where / "config.json").write_text(json.dumps(entry["config"]))
     for name, text in entry.get("files", {}).items():
+        (where / name).parent.mkdir(parents=True, exist_ok=True)
         (where / name).write_text(text)
     env = {**os.environ, "PYTHONPATH": str(src)}
+    pin = pin_to_one_cpu if one_cpu and hasattr(os, "sched_setaffinity") else None
     runs = []
     for command in entry["commands"]:
         args = [*command, "--config", "config.json", "--out", "out", "--seed", str(seed)]
         done = subprocess.run([sys.executable, "-m", "dnls.cli", *args], cwd=where, env=env,
-                              capture_output=True, text=True, timeout=600)
+                              capture_output=True, text=True, timeout=600, preexec_fn=pin)
         runs.append({"args": args, "exit": done.returncode, "stdout": done.stdout,
                      "stderr": done.stderr})
     files = {str(p.relative_to(where)): p.read_bytes() for p in sorted(where.rglob("*"))
@@ -161,6 +185,58 @@ def declared_moves(path: Path, base_commit: str) -> set[tuple[str, int]]:
     return {(name, seed) for name, seed in moves["runs"]}
 
 
+def lookup(doc, path: str):
+    """The value at a key path such as ``odd.degree_estimate`` or
+    ``zeros[0].sign``; raises LookupError when there is none."""
+    for index, key in re.findall(r"\[(\d+)\]|([^.\[]+)", path):
+        try:
+            doc = doc[int(index)] if index else doc[key]
+        except (IndexError, KeyError, TypeError) as exc:
+            raise LookupError(path) from exc
+    return doc
+
+
+def check(expect: dict, result: dict, again: dict | None = None) -> list[str]:
+    """Every expectation of an ``expect`` block that a result of
+    ``run_entry`` misses, one ``KEY: expected ... got ...`` line each.
+    ``again`` is the same run on one CPU, which ``rerun`` compares."""
+    runs = result["runs"]
+    got = {"exit": [run["exit"] for run in runs],
+           "stderr_lines": [len(run["stderr"].splitlines()) for run in runs],
+           "stdout_lines": [len(run["stdout"].splitlines()) for run in runs]}
+    out = [f"{key}: expected {expect[key]} got {got[key]}"
+           for key in got if key in expect and expect[key] != got[key]]
+    for name in expect.get("absent", []):
+        if any(f == name or f.startswith(f"{name}/") for f in result["files"]):
+            out.append(f"{name}: expected absent got present")
+    for name, values in expect.get("values", {}).items():
+        if name not in result["files"]:
+            out.append(f"{name}: expected a file got none")
+            continue
+        doc = json.loads(result["files"][name])
+        for path, value in values.items():
+            try:
+                actual = json.dumps(lookup(doc, path))
+            except LookupError:
+                actual = "nothing"
+            if actual != json.dumps(value):
+                out.append(f"{name} {path}: expected {json.dumps(value)} got {actual}")
+    if expect.get("rerun"):
+        out.extend(f"rerun on one CPU: {line}" for line in compare(result, again))
+    return out
+
+
+def run_checked(src: Path, entry: dict, seed: int, where: Path) -> tuple[dict, list[str]]:
+    """``run_entry`` and the ``check`` of its result against the entry's
+    ``expect`` block; a ``rerun`` runs once more next to ``where``."""
+    result = run_entry(src, entry, seed, where)
+    again = None
+    if entry["expect"].get("rerun"):
+        again = run_entry(src, entry, seed, where.with_name(f"{where.name}-one-cpu"),
+                          one_cpu=True)
+    return result, check(entry["expect"], result, again)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -171,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
                             text=True).stdout.strip()
     moves = declared_moves(ROOT / "tools" / "parity_moves.json", commit)
 
-    differing = moved = runs = 0
+    differing = moved = runs = failed = 0
     with tempfile.TemporaryDirectory(prefix="dnls-parity-") as tmp:
         tree = Path(tmp) / "base"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
@@ -179,26 +255,30 @@ def main(argv: list[str] | None = None) -> int:
         try:
             for entry in corpus["entries"]:
                 for seed in corpus["seeds"]:
-                    results = [
-                        run_entry(src, entry, seed, Path(tmp) / side / entry["name"] / str(seed))
-                        for side, src in (("run-base", tree / "src"), ("run-head", ROOT / "src"))
-                    ]
-                    diffs = compare(*results, declared=(entry["name"], seed) in moves)
+                    name = entry["name"]
+                    base = run_entry(tree / "src", entry, seed,
+                                     Path(tmp) / "run-base" / name / str(seed))
+                    head, failures = run_checked(ROOT / "src", entry, seed,
+                                                 Path(tmp) / "run-head" / name / str(seed))
+                    diffs = compare(base, head, declared=(name, seed) in moves)
                     undeclared = any(not line.startswith(MOVED) for line in diffs)
                     runs += 1
                     differing += undeclared
                     moved += bool(diffs) and not undeclared
-                    codes = " ".join(str(r["exit"]) for r in results[1]["runs"])
+                    failed += len(failures)
+                    codes = " ".join(str(r["exit"]) for r in head["runs"])
                     mark = "DIFF" if undeclared else "moved" if diffs else "same"
-                    print(f"{mark}  {entry['name']}  seed {seed}  exit {codes}", flush=True)
+                    print(f"{mark}  {name}  seed {seed}  exit {codes}", flush=True)
                     for line in diffs:
                         print(f"    {line}", flush=True)
+                    for line in failures:
+                        print(f"FAIL  {name}  seed {seed}  {line}", flush=True)
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
                            check=False)
     print(f"{differing} of {runs} runs differ from {args.base}, "
-          f"{moved} more moved as declared")
-    return 1 if differing else 0
+          f"{moved} more moved as declared; {failed} failed expectations")
+    return 1 if differing or failed else 0
 
 
 if __name__ == "__main__":
