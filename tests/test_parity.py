@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -196,10 +197,20 @@ _FAILING = [entry for entry in CORPUS["entries"]
             if all(entry["expect"]["exit"]) or entry["name"].startswith("exit")]
 
 
+@pytest.fixture(scope="module")
+def contract_failures(tmp_path_factory):
+    # each run is mostly an interpreter and numpy start-up, so two at a time
+    # halve the wait on two cores
+    where = tmp_path_factory.mktemp("contract")
+    with ThreadPoolExecutor(2) as pool:
+        runs = {entry["name"]: pool.submit(parity.run_checked, ROOT / "src", entry, 4,
+                                           where / entry["name"] / "4") for entry in _FAILING}
+    return {name: run.result()[1] for name, run in runs.items()}
+
+
 @pytest.mark.parametrize("entry", _FAILING, ids=[entry["name"] for entry in _FAILING])
-def test_corpus_exit_contract(entry, tmp_path):
-    _, failures = parity.run_checked(ROOT / "src", entry, 4, tmp_path / "4")
-    assert failures == []
+def test_corpus_exit_contract(entry, contract_failures):
+    assert contract_failures[entry["name"]] == []
 
 
 def test_rerun_runs_the_entry_again_on_one_cpu(tmp_path):
