@@ -44,13 +44,6 @@ def _stencil(params: LatticeParams) -> np.ndarray:
     return kernel
 
 
-def _shifted_stencil(params: LatticeParams, shift: float) -> np.ndarray:
-    """(T, K) kernel of A = L - sI."""
-    kernel = _stencil(params)
-    kernel[0, 0] -= shift
-    return kernel
-
-
 def _reversed(kernel: np.ndarray) -> np.ndarray:
     """``kernel`` at negated offsets (indices modulo T and K)."""
     return np.roll(kernel[::-1, ::-1], (1, 1), axis=(0, 1))

@@ -7,13 +7,16 @@ certificate and solver consume:
 * ``evaluate``           -- (t, z) -> g(t, z), elementwise; ``t`` is an int or
   an integer array that broadcasts against the complex array ``z``, and the
   coefficient at ``t`` is the one at ``t % period``,
-* ``derivative``         -- optional realified Jacobian of z = x + i*y -> g(t, z)
-  with the same broadcasting, as blocks of shape ``z.shape + (2, 2)`` (the
+* ``derivative``         -- realified Jacobian of z = x + i*y -> g(t, z) with
+  the same broadcasting, as blocks of shape ``z.shape + (2, 2)`` (the
   broadcast shape of t and z, if t adds axes): rows (Re g, Im g), columns
   (d/dx, d/dy),
-* ``threshold_formula``  -- optional closed form mapping the certificate's
+* ``threshold_formula``  -- closed form mapping the certificate's
   cubic-threshold coefficient to a radius beyond which |g(t, z)| <= coef*|z|^3,
-* ``sup_formula``        -- optional closed form for sup |g| over a disk.
+  or None,
+* ``sup_formula``        -- closed form for sup |g| over a disk, or None.
+
+Every field is required, so a family always carries its Jacobian.
 
 ``Potential.on_lattice`` applies g at every node of a (..., T, K) stack of
 fields in one call, so no caller loops over time slices or nodes.
@@ -25,7 +28,7 @@ numeric scans, at the price of a "sampled" rigor tag on the result.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,11 +52,11 @@ class Potential:
 
     period: int
     evaluate: Callable[[int | np.ndarray, np.ndarray], np.ndarray]
-    kind: str = "custom"
-    derivative: Callable[[int | np.ndarray, np.ndarray], np.ndarray] | None = None
-    threshold_formula: Callable[[float], float] | None = None
-    sup_formula: Callable[[float], float] | None = None
-    coefficients: tuple[complex, ...] = field(default=())
+    kind: str
+    derivative: Callable[[int | np.ndarray, np.ndarray], np.ndarray]
+    threshold_formula: Callable[[float], float] | None
+    sup_formula: Callable[[float], float] | None
+    coefficients: tuple[complex, ...]
 
     def on_lattice(self, values) -> np.ndarray:
         """g(t, phi(t, k)) at every node of a (..., T, K) stack of fields."""

@@ -144,35 +144,19 @@ def _slice_residual(
 # Jacobians
 
 
-def _cubic_jacobian_blocks(flat: np.ndarray, gamma: float) -> np.ndarray:
-    """(..., n, 2, 2) realified Jacobian blocks of z -> -gamma |z|^2 z at a
-    flat vector or an (m, n) stack."""
-    x, y = flat.real, flat.imag
-    return -gamma * _blocks(3.0 * x * x + y * y, 2.0 * x * y, 2.0 * x * y, x * x + 3.0 * y * y)
-
-
-def _forcing_jacobian_blocks(flat: np.ndarray, params: LatticeParams, g: Potential) -> np.ndarray:
-    """(..., n, 2, 2) realified Jacobian blocks of the nodewise forcing at a
-    flat vector or an (m, n) stack: the potential's derivative when it has
-    one, else central differences with step 1e-6 * (1 + |z|)."""
-    grid = flat.reshape(flat.shape[:-1] + (params.T, params.K))
-    if g.derivative is not None:
-        blocks = g.derivative(np.arange(params.T)[:, None], grid)
-    else:
-        h = 1e-6 * (1.0 + np.abs(grid))
-        col_x = (g.on_lattice(grid + h) - g.on_lattice(grid - h)) / (2.0 * h)
-        col_y = (g.on_lattice(grid + 1j * h) - g.on_lattice(grid - 1j * h)) / (2.0 * h)
-        blocks = _blocks(col_x.real, col_y.real, col_x.imag, col_y.imag)
-    return np.asarray(blocks, dtype=float).reshape(flat.shape + (2, 2))
-
-
 def _slice_blocks(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float) -> np.ndarray:
     """(..., n, 2, 2) realified Jacobian blocks of the nodewise part of the
-    tau-slice, the cubic term plus tau * (forcing - s*phi), at a flat vector
-    or an (m, n) stack: the slice Jacobian is I - A_r^-1 blockdiag(blocks)."""
-    blocks = _cubic_jacobian_blocks(flat, op.params.gamma)
+    tau-slice, the cubic term -gamma |z|^2 z plus tau * (forcing - s*phi),
+    at a flat vector or an (m, n) stack: the slice Jacobian is
+    I - A_r^-1 blockdiag(blocks)."""
+    x, y = flat.real, flat.imag
+    blocks = -op.params.gamma * _blocks(
+        3.0 * x * x + y * y, 2.0 * x * y, 2.0 * x * y, x * x + 3.0 * y * y
+    )
     if tau != 0.0:
-        blocks = blocks + tau * _forcing_jacobian_blocks(flat, op.params, g)
+        T, K = op.params.T, op.params.K
+        forcing = g.derivative(np.arange(T)[:, None], flat.reshape(flat.shape[:-1] + (T, K)))
+        blocks = blocks + tau * np.asarray(forcing, dtype=float).reshape(flat.shape + (2, 2))
         blocks[..., 0, 0] -= tau * op.shift
         blocks[..., 1, 1] -= tau * op.shift
     return blocks

@@ -10,7 +10,7 @@ the tests check the package's kernels, norms and Jacobians against them.
 import numpy as np
 
 from dnls import LatticeField, LatticeParams, ShiftedOperator
-from dnls.operators import _circulant, _shifted_stencil, _stencil
+from dnls.operators import _circulant, _stencil
 
 
 def linear_matrix(params: LatticeParams) -> np.ndarray:
@@ -20,7 +20,9 @@ def linear_matrix(params: LatticeParams) -> np.ndarray:
 
 def shifted(op: ShiftedOperator) -> np.ndarray:
     """Dense A = L - sI of a shifted operator."""
-    return _circulant(_shifted_stencil(op.params, op.shift))
+    kernel = _stencil(op.params)
+    kernel[0, 0] -= op.shift
+    return _circulant(kernel)
 
 
 def operator_norm_sup(matrix: np.ndarray) -> float:

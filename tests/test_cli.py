@@ -376,20 +376,20 @@ def test_solve_overflowing_newton_exit_three(tmp_path, capsys):
 
 #: a period-2 constant forcing on a 12 x 12 lattice: the homotopy tracks on
 #: its 2 x 2 quotient, and the full lattice takes 288 x 288 Jacobians
-_SPARSE_SOLVE = dict(
+_QUOTIENT_SOLVE = dict(
     T=12, K=12, potential={"kind": "constant", "coefficients": [[2.0, 0.0], [1.0, 1.0]]},
     samples=200,
 )
 
 
-def test_solve_krylov_budget_exhausted_exit_three(tmp_path, capsys, monkeypatch):
+def test_solve_every_newton_step_failing_exit_three(tmp_path, capsys, monkeypatch):
     # when every Newton step fails, the homotopy halves its step down to the
     # floor and reports divergence quietly
     def failing_step(*args):
         raise np.linalg.LinAlgError("singular")
 
     monkeypatch.setattr(solver, "_newton_step", failing_step)
-    cfg = _write_config(tmp_path, **_SPARSE_SOLVE)
+    cfg = _write_config(tmp_path, **_QUOTIENT_SOLVE)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -416,10 +416,10 @@ def test_newton_step_singular_jacobian_raises():
     assert not x.any()
 
 
-def test_solve_sparse_and_dense_newton_steps_agree(tmp_path, capsys, monkeypatch):
+def test_solve_quotient_and_full_lattice_tracking_agree(tmp_path, capsys, monkeypatch):
     # the solve tracks on the quotient; tracking on the full lattice with
     # its dense steps writes the same report counts and the same field
-    cfg = _write_config(tmp_path, **_SPARSE_SOLVE)
+    cfg = _write_config(tmp_path, **_QUOTIENT_SOLVE)
 
     def solve_and_verify(subdir):
         out = tmp_path / subdir

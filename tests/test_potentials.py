@@ -9,12 +9,13 @@ from numpy.testing import assert_allclose
 from dnls import (
     EmptyCoefficients,
     InvalidExponent,
+    Potential,
     bounded_potential,
     constant_potential,
     power_law,
     zero_potential,
 )
-from dnls.potentials import _circle_moduli
+from dnls.potentials import _circle_moduli, _power_law_unchecked
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +244,12 @@ def test_zero_closed_forms_are_exact(period):
         bounded_potential([2.0]),
         bounded_potential([1.0, 3.0]),
         constant_potential([8.0]),
+        zero_potential(2),
+        # the CLI's route for power_law with r >= 3
+        _power_law_unchecked([0.1], 3.0),
     ],
     ids=["quadratic", "linear-2period", "sqrt", "bounded", "bounded-2period",
-         "constant"],
+         "constant", "zero-2period", "cubic-unchecked"],
 )
 def test_derivative_matches_central_differences(g):
     rng = np.random.default_rng(11)
@@ -262,6 +266,12 @@ def test_derivative_matches_central_differences(g):
             fd[0, j] = diff.real
             fd[1, j] = diff.imag
         assert_allclose(block, fd, rtol=1e-5, atol=1e-7)
+
+
+def test_potential_requires_a_derivative():
+    # the Newton steps take the forcing's Jacobian from the family itself
+    with pytest.raises(TypeError):
+        Potential(period=1, evaluate=lambda t, z: np.zeros_like(z))
 
 
 # ---------------------------------------------------------------------------
