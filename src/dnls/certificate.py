@@ -42,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateInvalid, CertificateOverflow, NoThresholdFound
+from .errors import CertificateInvalid, CertificateOverflow
 from .lattice import check_period
 from .operators import DENSE_APPLY_MAX_DIM, ShiftedOperator
-from .potentials import CIRCLE_PHASES, Potential, _circle_moduli
+from .potentials import Potential
 
 __all__ = [
     "BoundaryEvidence",
@@ -58,15 +58,6 @@ __all__ = [
     "build_certificate",
 ]
 
-#: per-candidate radial span and resolution of the threshold scan
-SCAN_SPAN = 16.0
-SCAN_RADII = 48
-#: safety factor demanded of the sampled ratio before accepting a threshold
-SCAN_SAFETY = 1.25
-#: largest candidate threshold radius tried before giving up
-SCAN_MAX_RADIUS = 2.0**24
-#: safety factor applied to the sampled forcing sup
-SUP_SAFETY = 1.05
 #: absolute bisection tolerance of the certified ball radius
 RADIUS_TOL = 1e-9
 #: complex values in flight in the boundary check, shared by its workers:
@@ -109,9 +100,9 @@ class ExistenceCertificate:
     """Constants of the existence argument plus the sampled boundary evidence.
 
     ``rigor`` records how the threshold radius and forcing sup were obtained:
-    "closed_form" when the potential carried exact formulas, "sampled" when
-    polar-grid scans stood in for them.  ``valid`` requires a strictly
-    positive observed minimum gap over at least one boundary sample.
+    "closed_form", from the potential's exact formulas, for every forcing.
+    ``valid`` requires a strictly positive observed minimum gap over at
+    least one boundary sample.
     """
 
     shift: float
@@ -131,65 +122,20 @@ class ExistenceCertificate:
     valid: bool
 
 
-def compute_threshold_radius(g: Potential, coef: float) -> tuple[float, str]:
-    """Radius beyond which |g(t, z)| <= coef * |z|^3, with its rigor tag.
-
-    Uses the potential's closed form when present.  Otherwise scans a ladder
-    of candidate radii; a candidate R is accepted when the sampled ratio
-    max |g| / |z|^3 over the polar grid [R, R*SCAN_SPAN] x CIRCLE_PHASES stays
-    below coef / SCAN_SAFETY.  Raises NoThresholdFound when the ladder is
-    exhausted, the signature of growth that is cubic or worse.
-    """
+def compute_threshold_radius(g: Potential, coef: float) -> float:
+    """Radius beyond which |g(t, z)| <= coef * |z|^3, from the potential's
+    closed form, which raises NoThresholdFound when there is none."""
     if not coef > 0.0:
         raise ValueError(f"threshold coefficient must be positive, got {coef}")
-    if g.threshold_formula is not None:
-        return float(g.threshold_formula(coef)), "closed_form"
-
-    candidate = 2.0**-4
-    while candidate <= SCAN_MAX_RADIUS:
-        radii = np.geomspace(candidate, candidate * SCAN_SPAN, SCAN_RADII)
-        # a forcing that overflows gives an infinite or NaN ratio, which is
-        # never below the coefficient: the scan goes on, without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio = (_circle_moduli(g, radii) / radii[:, None] ** 3).max()
-        if ratio < coef / SCAN_SAFETY:
-            return float(candidate), "sampled"
-        candidate *= 2.0
-    raise NoThresholdFound(
-        f"sampled growth ratio never dropped below {coef:.6g} for radii up to "
-        f"{SCAN_MAX_RADIUS:.3g}; the forcing is not subcubic"
-    )
+    return float(g.threshold_formula(coef))
 
 
 def compute_forcing_sup(g: Potential, radius: float) -> float:
-    """Sup of |g(t, z)| over t and the disk |z| <= radius.
-
-    Closed form when available; otherwise a polar grid with one local
-    refinement pass around the running maximum, inflated by SUP_SAFETY.
-    """
+    """Sup of |g(t, z)| over t and the disk |z| <= radius, from the
+    potential's closed form."""
     if radius < 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    if g.sup_formula is not None:
-        return float(g.sup_formula(radius))
-    if radius == 0.0:
-        return float(np.abs(np.asarray(g.evaluate(np.arange(g.period), 0.0))).max())
-
-    n_radii = 96
-    radii = np.linspace(0.0, radius, n_radii)
-
-    def grid_max(rads: np.ndarray) -> tuple[float, float]:
-        # flat argmax over (t, radius, phase): the first t, then the first
-        # grid index attaining the maximum
-        vals = _circle_moduli(g, rads)
-        _, at, _ = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        return float(vals.max()), float(rads[at])
-
-    coarse, at = grid_max(radii)
-    step = radius / (n_radii - 1)
-    lo = max(0.0, at - step)
-    hi = min(radius, at + step)
-    fine, _ = grid_max(np.linspace(lo, hi, 4 * CIRCLE_PHASES))
-    return float(max(coarse, fine) * SUP_SAFETY)
+    return float(g.sup_formula(radius))
 
 
 def compute_ball_radius(
@@ -476,7 +422,7 @@ def _boundary_gaps(
     # only the FFT apply gives a row the same bits whatever rows share it
     skip = n > DENSE_APPLY_MAX_DIM
     bound = math.inf  # on every sample's forcing half, from the forcing's sup
-    if skip and g.sup_formula is not None:
+    if skip:
         with np.errstate(all="ignore"):  # a bound that overflows skips nothing
             try:
                 bound = _inverse_bound(op, g.sup_formula(radius) + op.shift * radius)
@@ -581,8 +527,8 @@ def verify_boundary(
     m, the minimum gap of the chunks at least one per worker before its own
     (a worker waits for them in the rare case that one is still running).
     With ||A^-1 v|| <= ||A^-1|| * ||v|| and ||A^-1|| = ``norm_shifted_inv``,
-    the half is at most ||A^-1|| * (sup|g| + s*radius) * (1 + BOUND_SLACK)
-    when the forcing has a ``sup_formula``, and otherwise, once G is
+    the half is at most ||A^-1|| * (sup|g| + s*radius) * (1 + BOUND_SLACK),
+    with sup|g| from the forcing's ``sup_formula``, and, once G is
     evaluated, ||A^-1|| * ||G(phi) - s*phi|| * (1 + BOUND_SLACK); A^-1 is
     applied to the rows neither bound excludes.  A sample is skipped only
     when its odd half, the bound and m are finite and odd - bound > m, so
@@ -613,7 +559,7 @@ def build_certificate(
     """Run the full constant chain and boundary check for one instance.
 
     Raises PeriodMismatch up front when the forcing period does not divide T,
-    NoThresholdFound (via the threshold scan) when the forcing is not
+    NoThresholdFound (from the forcing's threshold formula) when it is not
     subcubic and CertificateOverflow when a constant leaves the floating-point
     range, or when |gamma| is so small that the cubic constants are 0;
     otherwise always returns a certificate, whose ``valid`` flag reflects the
@@ -628,7 +574,7 @@ def build_certificate(
             f"certificate constants underflow to 0 for gamma = {op.params.gamma!r}"
         )
     try:
-        threshold_radius, rigor = compute_threshold_radius(g, coef)
+        threshold_radius = compute_threshold_radius(g, coef)
         forcing_sup = compute_forcing_sup(g, threshold_radius)
         const_bound = op.norm_shifted_inv * forcing_sup
         linear_bound = op.norm_shifted_inv * op.shift
@@ -657,7 +603,7 @@ def build_certificate(
         cubic_bound=float(cubic_bound),
         radius=float(radius),
         margin=float(margin),
-        rigor=rigor,
+        rigor="closed_form",
         boundary=evidence,
         # min_gap is None exactly when no samples were drawn
         valid=evidence.min_gap is not None and evidence.min_gap > 0.0,

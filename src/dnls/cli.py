@@ -18,9 +18,9 @@ bytes.
 Exit codes: 0 success, 1 config or dimension errors (including a forcing
 period that does not divide T, a config too large for the available
 memory, and an ``--out`` path that cannot be written), 2 certificate failures
-(no subcubic threshold, constants beyond the floating-point range, or an
-invalid boundary check), 3 solver failures, 4 degree estimates that failed
-their parity or agreement checks.
+(no subcubic threshold, constants beyond the floating-point range, an A^-1
+that overflows, or an invalid boundary check), 3 solver failures, 4 degree
+estimates that failed their parity or agreement checks.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ from .errors import (
     DnlsError,
     NoThresholdFound,
     PeriodMismatch,
+    SingularShift,
 )
 from .lattice import LatticeField, LatticeParams, sup_norm
 from .operators import build_shifted
 from .potentials import (
     Potential,
-    _power_law_unchecked,
     bounded_potential,
     constant_potential,
     power_law,
@@ -134,9 +134,7 @@ def _parse_coefficients(raw: object, field: str) -> tuple[complex, ...]:
 
 #: constructor of each forcing kind, in the order the config error lists them
 _POTENTIAL_KINDS = {
-    "power_law": lambda spec: (power_law if spec.exponent < 3 else _power_law_unchecked)(
-        list(spec.coefficients), spec.exponent
-    ),
+    "power_law": lambda spec: power_law(list(spec.coefficients), spec.exponent),
     "bounded": lambda spec: bounded_potential(list(spec.coefficients)),
     "zero": lambda spec: zero_potential(period=max(1, len(spec.coefficients))),
     "constant": lambda spec: constant_potential(list(spec.coefficients)),
@@ -250,11 +248,10 @@ def _reject_constant(token: str) -> None:
 def build_potential(spec: PotentialSpec) -> Potential:
     """Instantiate the forcing described by a PotentialSpec.
 
-    Power-law exponents at or beyond the cubic rate are deliberately let
-    through (via the formula-free constructor) so that the certificate scan
-    rejects them with NoThresholdFound, which is the contract for
-    hypothesis-violating potentials; nonpositive exponents never reach this
-    point (config validation rejects them).
+    Power-law exponents at or beyond the cubic rate build like any other:
+    the certificate rejects a forcing that breaks the growth hypothesis with
+    NoThresholdFound (exit 2); nonpositive exponents never reach this point
+    (config validation rejects them).
     """
     try:
         return _POTENTIAL_KINDS[spec.kind](spec)
@@ -546,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         # numpy's message names the size and shape of the array that did not fit
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    except (NoThresholdFound, CertificateInvalid, CertificateOverflow) as exc:
+    except (NoThresholdFound, CertificateInvalid, CertificateOverflow, SingularShift) as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
         return 2
     except DnlsError as exc:

@@ -26,7 +26,7 @@ class PeriodMismatch(DnlsError, ValueError):
 
 
 class InvalidExponent(DnlsError):
-    """Power-law exponent outside the subcubic range (0, 3)."""
+    """Power-law exponent that is not positive."""
 
 
 class EmptyCoefficients(DnlsError):
@@ -39,8 +39,8 @@ class SingularShift(DnlsError):
 
 
 class NoThresholdFound(DnlsError):
-    """The growth scan exhausted its radius budget without the sampled
-    ratio max |g| / |z|^3 dropping below the cubic threshold."""
+    """No radius exists beyond which |g(t, z)| <= coef * |z|^3: the forcing
+    grows cubically with max|f| >= coef, or faster than cubically."""
 
 
 class CertificateOverflow(DnlsError):

@@ -12,17 +12,15 @@ certificate and solver consume:
   broadcast shape of t and z, if t adds axes): rows (Re g, Im g), columns
   (d/dx, d/dy),
 * ``threshold_formula``  -- closed form mapping the certificate's
-  cubic-threshold coefficient to a radius beyond which |g(t, z)| <= coef*|z|^3,
-  or None,
-* ``sup_formula``        -- closed form for sup |g| over a disk, or None.
+  cubic-threshold coefficient to a radius beyond which |g(t, z)| <= coef*|z|^3;
+  raises NoThresholdFound when no radius exists,
+* ``sup_formula``        -- closed form for sup |g| over a disk.
 
-Every field is required, so a family always carries its Jacobian.
+Every field is required, so a family always carries its Jacobian and the
+two certificate bounds.
 
 ``Potential.on_lattice`` applies g at every node of a (..., T, K) stack of
 fields in one call, so no caller loops over time slices or nodes.
-
-Families without the closed forms are handled by the certificate module's
-numeric scans, at the price of a "sampled" rigor tag on the result.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyCoefficients, InvalidExponent
+from .errors import EmptyCoefficients, InvalidExponent, NoThresholdFound
 
 __all__ = [
     "Potential",
@@ -42,10 +40,6 @@ __all__ = [
     "constant_potential",
 ]
 
-#: phase samples per circle of the polar scans
-CIRCLE_PHASES = 64
-
-
 @dataclass(frozen=True)
 class Potential:
     """One forcing family; see the module docstring for field semantics."""
@@ -54,8 +48,8 @@ class Potential:
     evaluate: Callable[[int | np.ndarray, np.ndarray], np.ndarray]
     kind: str
     derivative: Callable[[int | np.ndarray, np.ndarray], np.ndarray]
-    threshold_formula: Callable[[float], float] | None
-    sup_formula: Callable[[float], float] | None
+    threshold_formula: Callable[[float], float]
+    sup_formula: Callable[[float], float]
     coefficients: tuple[complex, ...]
 
     def on_lattice(self, values) -> np.ndarray:
@@ -94,12 +88,24 @@ def _coefficient_family(
 
 def _power_formulas(fmax: float, r: float):
     """Closed forms for a forcing of modulus |f(t)| * |z|^r with max|f| = fmax:
-    the radius beyond which |g| <= coef*|z|^3, and sup |g| over a disk."""
+    the radius beyond which |g| <= coef*|z|^3, and sup |g| over a disk.
+
+    For r = 3 the bound holds at every radius when fmax < coef (the strict
+    form is the one taken), so the radius is 0, and for r > 3 with f != 0 it
+    fails on every large enough circle; without a radius NoThresholdFound
+    is raised."""
 
     def threshold_formula(coef: float) -> float:
         if fmax == 0.0:
             return 1.0
-        return float((fmax / coef) ** (1.0 / (3.0 - r)))
+        if r < 3.0:
+            return float((fmax / coef) ** (1.0 / (3.0 - r)))
+        if r == 3.0 and fmax < coef:
+            return 0.0
+        raise NoThresholdFound(
+            f"|g| = |f(t)| |z|^{r:g} with max|f| = {fmax:.6g} never stays below "
+            f"{coef:.6g} |z|^3 beyond any radius; the forcing is not subcubic"
+        )
 
     def sup_formula(radius: float) -> float:
         return float(fmax * radius**r)
@@ -152,27 +158,19 @@ def _make_power_law(f, r: float) -> Potential:
 
 
 def power_law(f, r: float) -> Potential:
-    """Family g(t, z) = f(t) * |z|^(r-1) * z with subcubic exponent 0 < r < 3.
+    """Family g(t, z) = f(t) * |z|^(r-1) * z with exponent r > 0.
 
     The modulus is |f(t)| * |z|^r and the map is odd and continuous in z,
-    including at z = 0.  Exponents outside (0, 3) are rejected with
-    InvalidExponent; for r >= 3 the certificate's growth hypothesis fails for
-    any nonzero f, and r <= 0 would make the map discontinuous at the origin.
+    including at z = 0.  Exponents r <= 0 are rejected with InvalidExponent,
+    since they would make the map discontinuous at the origin.  The
+    certificate's growth hypothesis holds for every r < 3, for r = 3 when
+    max|f| < coef, and for r > 3 only when f = 0; otherwise
+    ``threshold_formula`` raises NoThresholdFound.
     """
     g = _make_power_law(f, r)  # an empty f raises before the exponent is checked
-    if not 0.0 < float(r) < 3.0:
-        raise InvalidExponent(f"growth exponent must lie strictly between 0 and 3, got {r}")
+    if not float(r) > 0.0:
+        raise InvalidExponent(f"growth exponent must be positive, got {r}")
     return g
-
-
-def _power_law_unchecked(f, r: float) -> Potential:
-    """Power-law family without the exponent guard and without closed-form
-    certificate bounds, so the numeric scan sees the raw growth.
-
-    Exists so negative tests (and deliberately out-of-range configs) exercise
-    the certificate's rejection path instead of the constructor's.
-    """
-    return replace(_make_power_law(f, r), threshold_formula=None, sup_formula=None)
 
 
 def bounded_potential(f) -> Potential:
@@ -243,12 +241,3 @@ def zero_potential(period: int = 1) -> Potential:
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     return replace(constant_potential([0.0] * period), kind="zero", coefficients=())
-
-
-def _circle_moduli(g: Potential, radii) -> np.ndarray:
-    """|g(t, rho e^{i theta})| over the times of one period, the radii and
-    CIRCLE_PHASES equally spaced phases from 0: shape (period, radii, phases)."""
-    phases = np.exp(2j * np.pi * np.arange(CIRCLE_PHASES) / CIRCLE_PHASES)
-    grid = np.asarray(radii)[:, None] * phases[None, :]
-    return np.abs(np.asarray(g.evaluate(np.arange(g.period)[:, None, None], grid)))
-

@@ -9,7 +9,7 @@ the tests check the package's kernels, norms and Jacobians against them.
 
 import numpy as np
 
-from dnls import LatticeField, LatticeParams, ShiftedOperator
+from dnls import LatticeField, LatticeParams, Potential, ShiftedOperator
 from dnls.operators import _circulant, _stencil
 
 
@@ -62,3 +62,11 @@ def tile_steady(u: np.ndarray, T: int) -> LatticeField:
     """Lift a K-entry spatial profile to a time-constant (T, K) field."""
     u = np.asarray(u, dtype=complex)
     return LatticeField(np.tile(u, (T, 1)))
+
+
+def circle_moduli(g: Potential, radii, phases: int = 64) -> np.ndarray:
+    """|g(t, rho e^{i theta})| over the times of one period, the radii and
+    ``phases`` equally spaced phases from 0: shape (period, radii, phases)."""
+    circle = np.exp(2j * np.pi * np.arange(phases) / phases)
+    grid = np.asarray(radii)[:, None] * circle[None, :]
+    return np.abs(np.asarray(g.evaluate(np.arange(g.period)[:, None, None], grid)))

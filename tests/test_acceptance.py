@@ -35,7 +35,6 @@ from dnls import (
     complexify,
 )
 from dnls.cli import main
-from dnls.potentials import _power_law_unchecked
 from dnls.solver import _slice_jacobian, _slice_residual
 from oracles import linear_matrix, operator_norm_sup, random_field
 
@@ -237,11 +236,11 @@ def test_criterion_4_certificates_validate(tmp_path, capsys):
             if elapsed >= 30.0:
                 failures.append(f"{name}: runtime {elapsed:.1f}s exceeds 30s")
 
-    # the r = 3 violator is rejected by the threshold scan
+    # the r = 3 violator (max|f| above the threshold coefficient) has no threshold
     params = LatticeParams(T=2, K=3, beta=1.0, epsilon=1.0, gamma=1.0)
     op = build_shifted(params, 1.5)
     try:
-        build_certificate(op, _power_law_unchecked([1.0], 3.0), samples=10)
+        build_certificate(op, power_law([1.0], 3.0), samples=10)
         failures.append("r=3 forcing was not rejected")
     except NoThresholdFound:
         pass

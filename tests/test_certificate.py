@@ -1,7 +1,8 @@
-"""Certificate constant chain, threshold scans, ball radius, boundary sampling."""
+"""Certificate constant chain, closed-form bounds, ball radius, boundary sampling."""
 
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 import threading
@@ -32,7 +33,6 @@ from dnls import (
     zero_potential,
 )
 from dnls import certificate, operators
-from dnls.potentials import _power_law_unchecked
 from oracles import shifted
 
 
@@ -47,33 +47,15 @@ def _small_op():
 
 def test_threshold_closed_form_power_law():
     # |z|^2 <= coef * |z|^3 from radius 1 / coef onward
-    radius, rigor = compute_threshold_radius(power_law([1.0], 2.0), 0.5)
-    assert rigor == "closed_form"
-    assert radius == pytest.approx(2.0)
+    assert compute_threshold_radius(power_law([1.0], 2.0), 0.5) == pytest.approx(2.0)
 
 
 def test_threshold_zero_potential():
-    radius, rigor = compute_threshold_radius(zero_potential(), 0.3)
-    assert rigor == "closed_form"
-    assert radius == pytest.approx(1.0)
-
-
-def test_threshold_scan_is_safe_and_valid():
-    # strip the closed form so the polar scan has to do the work
-    g = _power_law_unchecked([1.0], 2.0)
-    coef = 0.3
-    sampled, rigor = compute_threshold_radius(g, coef)
-    assert rigor == "sampled"
-    closed, _ = compute_threshold_radius(power_law([1.0], 2.0), coef)
-    # the scan must land at or beyond the exact threshold ...
-    assert sampled >= closed
-    # ... where the defining inequality genuinely holds
-    for rho in np.geomspace(sampled, 100 * sampled, 50):
-        assert rho * rho <= coef * rho**3 * (1 + 1e-12)
+    assert compute_threshold_radius(zero_potential(), 0.3) == pytest.approx(1.0)
 
 
 def test_threshold_scan_rejects_cubic_growth():
-    g = _power_law_unchecked([1.0], 3.0)
+    g = power_law([1.0], 3.0)
     with pytest.raises(NoThresholdFound):
         compute_threshold_radius(g, 0.3)
 
@@ -94,17 +76,10 @@ def test_forcing_sup_closed_forms():
     assert compute_forcing_sup(constant_potential([8.0]), 0.5) == pytest.approx(8.0)
 
 
-def test_forcing_sup_scan_brackets_true_value():
-    g = _power_law_unchecked([1.0], 2.0)
-    sup = compute_forcing_sup(g, 2.0)
-    # true sup is 4; the scan may only overshoot, and only by its safety factor
-    assert 4.0 <= sup <= 4.0 * 1.06
-
-
 def test_forcing_sup_validates_radius():
     with pytest.raises(ValueError):
         compute_forcing_sup(zero_potential(), -1.0)
-    assert compute_forcing_sup(_power_law_unchecked([1.0], 2.0), 0.0) == 0.0
+    assert compute_forcing_sup(power_law([1.0], 2.0), 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +267,21 @@ def test_certificate_without_samples_is_invalid():
 
 def test_certificate_rejects_cubic_forcing():
     with pytest.raises(NoThresholdFound):
-        build_certificate(_small_op(), _power_law_unchecked([1.0], 3.0), samples=10)
+        build_certificate(_small_op(), power_law([1.0], 3.0), samples=10)
+
+
+def test_cubic_forcing_below_the_coefficient_certifies_like_zero():
+    # on 4x4 with beta = epsilon = gamma = 1, coef = 7/30; a cubic forcing
+    # with max|f| < coef satisfies the growth bound at every radius, so its
+    # threshold and sup are 0 and the ball is the unforced one
+    op = build_shifted(LatticeParams(T=4, K=4, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
+    cert = build_certificate(op, power_law([0.2], 3.0), samples=500, seed=4)
+    assert cert.threshold_coef == pytest.approx(7.0 / 30.0, rel=1e-12)
+    assert (cert.threshold_radius, cert.forcing_sup) == (0.0, 0.0)
+    assert cert.rigor == "closed_form" and cert.valid
+    assert cert.radius == build_certificate(op, zero_potential(), samples=0).radius
+    with pytest.raises(NoThresholdFound):
+        build_certificate(op, power_law([0.25], 3.0), samples=500)
 
 
 def _sample_hash(sample):
@@ -521,10 +510,23 @@ def _columns():
         yield applied
 
 
+def _no_sup(radius):
+    # a sup that bounds nothing: only each row's own forcing term can bound
+    # its half, as in the per-row re-bound of _kept_halves
+    return math.inf
+
+
+#: the forcing that "no_sup_formula" wraps
+_NO_SUP_BASE = power_law([0.5, 0.2j], 2.0)
+
+
 def _certified_radius(op, g):
     """The certificate's ball radius for ``op``'s lattice, computed on a
-    torus whose T the forcing period divides (the norms agree on both)."""
+    torus whose T the forcing period divides (the norms agree on both).  A
+    forcing whose sup is ``_no_sup`` takes its base forcing's radius."""
     params = dataclasses.replace(op.params, T=op.params.T * g.period)
+    if g.sup_formula is _no_sup:
+        g = _NO_SUP_BASE
     return build_certificate(build_shifted(params, 1.5), g, samples=0).radius
 
 
@@ -532,8 +534,7 @@ def _certified_radius(op, g):
 _FFT_LATTICES = [(17, 16), (12, 24), (24, 24)]
 _SKIP_FORCINGS = {
     **_ORACLE_FORCINGS,
-    # only each row's own forcing term can bound its half
-    "no_sup_formula": dataclasses.replace(power_law([0.5, 0.2j], 2.0), sup_formula=None),
+    "no_sup_formula": dataclasses.replace(_NO_SUP_BASE, sup_formula=_no_sup),
 }
 
 
@@ -685,7 +686,7 @@ def test_fft_apply_is_bounded_by_the_inverse_norm_and_row_independent(lattice, b
 
 
 def test_nan_forcing_row_gives_the_serial_nan_evidence():
-    # a forcing without a closed-form sup that is NaN on one sample of a
+    # a forcing whose sup bounds nothing, and that is NaN on one sample of a
     # late chunk: that sample's bound is NaN, so it is never skipped, and
     # the NaN gap is the evidence, as in the serial check
     op = build_shifted(LatticeParams(T=12, K=24, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
@@ -701,7 +702,7 @@ def test_nan_forcing_row_gives_the_serial_nan_evidence():
             value = np.where(z[:, :1, :1] == marker, np.nan, value)
         return value
 
-    g = dataclasses.replace(base, evaluate=evaluate, sup_formula=None)
+    g = dataclasses.replace(base, evaluate=evaluate, sup_formula=_no_sup)
     expected = _serial_evidence(radius, op, g, samples, seed)
     assert expected[1] == "nan" and expected[2] == _sample_hash(batch[target])
     for cores in (1, 2, 3):

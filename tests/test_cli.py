@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dnls
-from dnls import DimensionMismatch, LatticeField, LatticeParams, solver
+from dnls import DimensionMismatch, LatticeField, LatticeParams, NoThresholdFound, solver
 from dnls.cli import (
     ConfigError,
     PotentialSpec,
@@ -138,17 +138,16 @@ def test_load_config_bad_json_and_missing_file(tmp_path):
         load_config(tmp_path / "absent.json")
 
 
-def test_build_potential_cubic_exponent_loses_closed_forms():
-    # r >= 3 must reach the certificate scan (and fail there), not explode here
-    spec = PotentialSpec(kind="power_law", coefficients=(1.0,), exponent=3.0)
-    g = build_potential(spec)
-    assert g.threshold_formula is None
-    assert g.sup_formula is None
-
-    checked = build_potential(
-        PotentialSpec(kind="power_law", coefficients=(1.0,), exponent=2.0)
-    )
-    assert checked.threshold_formula is not None
+def test_build_potential_cubic_exponent_carries_closed_forms():
+    # r >= 3 builds like any exponent; its threshold formula, not the
+    # constructor, rejects growth that breaks the hypothesis
+    for r in (3.0, 3.5):
+        g = build_potential(PotentialSpec(kind="power_law", coefficients=(1.0,), exponent=r))
+        assert g.sup_formula(2.0) == 2.0**r
+        with pytest.raises(NoThresholdFound):
+            g.threshold_formula(0.5)
+    cubic = build_potential(PotentialSpec(kind="power_law", coefficients=(0.2,), exponent=3.0))
+    assert cubic.threshold_formula(0.5) == 0.0
 
 
 def test_build_potential_zero_with_period():
@@ -615,27 +614,46 @@ def test_steady_runs_its_homotopy_once_before_the_starts(tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize(
-    "scale,code", [(1e-14, 0), (1e-100, 0), (1e-300, 0), (1e-310, 3), (5e-324, 3)]
+    "scale,code", [(1e-14, 0), (1e-100, 0), (1e-300, 0), (1e-310, 2), (5e-324, 2)]
 )
 @pytest.mark.parametrize("command", ["certify", "solve", "steady", "degree"])
 def test_tiny_beta_and_epsilon_run_until_the_inverse_overflows(tmp_path, capsys, command,
                                                                scale, code):
     # A's symbol stays between shift - ||L|| and shift + ||L|| at any scale,
     # so only a reciprocal symbol beyond the float range (subnormal beta and
-    # epsilon) stops the run, with one line and no warnings
+    # epsilon) stops the run, as a certificate failure with one line and no
+    # warnings
     cfg = _write_config(tmp_path, T=4, K=4, beta=scale, epsilon=scale, samples=500,
                         n_starts=4, potential={"kind": "bounded", "coefficients": [[0.5, 0.0]]})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
     captured = capsys.readouterr()
-    if code == 3:
-        assert captured.err.startswith("solver error: ") and captured.err.count("\n") == 1
-        assert "not finite" in captured.err
+    if code == 2:
+        assert captured.err.startswith("certificate error: ") and captured.err.count("\n") == 1
+        assert "not finite" in captured.err and captured.out == ""
         return
     assert captured.err == ""
     if scale == 1e-14 and command != "steady":
         assert json.loads(captured.out)["certificate"]["radius"] == 1.0940515853678061
+
+
+@pytest.mark.parametrize("scale", [1e-310, 5e-324])
+def test_verify_at_subnormal_beta_and_epsilon_needs_no_inverse(tmp_path, capsys, scale):
+    # verify recomputes the residual from the stencil alone, so the A^-1 that
+    # stops the other commands at this scale never arises: the exact zero
+    # solution of an odd forcing passes
+    cfg = _write_config(tmp_path, T=4, K=4, beta=scale, epsilon=scale,
+                        potential={"kind": "bounded", "coefficients": [[0.5, 0.0]]})
+    solution = tmp_path / "zero.csv"
+    write_field_csv(solution, LatticeField(np.zeros((4, 4), dtype=complex)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify", "--config", cfg, "--solution", str(solution),
+                     "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["max_residual"] == 0.0
 
 
 @pytest.mark.parametrize("command,name", [("solve", "report.json"), ("degree", "degree.json")])

@@ -66,8 +66,9 @@ def test_corpus_covers_every_command_at_two_seeds():
 
 def test_corpus_checks_the_boundary_skip_for_every_kind():
     # the boundary check skips forcing halves on FFT lattices only, by the
-    # forcing's closed-form sup or, for a sampled power law, by each
-    # sample's own forcing term; the corpus covers each kind there
+    # forcing's closed-form sup and then by each sample's own forcing term;
+    # the corpus covers each kind there, and a power law of exponent 3,
+    # whose sup is 0 inside its threshold of 0
     corpus = json.loads((TOOLS / "parity_corpus.json").read_text())
     covered = set()
     for entry in corpus["entries"]:

@@ -9,13 +9,14 @@ from numpy.testing import assert_allclose
 from dnls import (
     EmptyCoefficients,
     InvalidExponent,
+    NoThresholdFound,
     Potential,
     bounded_potential,
     constant_potential,
     power_law,
     zero_potential,
 )
-from dnls.potentials import _circle_moduli, _power_law_unchecked
+from oracles import circle_moduli
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,7 @@ def test_power_law_sup_formula():
     assert g.sup_formula(3.0) == pytest.approx(2.0 * 9.0)
 
 
-@pytest.mark.parametrize("r", [3.0, 3.5, 0.0, -1.0])
+@pytest.mark.parametrize("r", [0.0, -1.0])
 def test_power_law_rejects_bad_exponents(r):
     with pytest.raises(InvalidExponent):
         power_law([1.0], r)
@@ -222,6 +223,23 @@ def test_power_law_closed_forms_are_exact(f, r):
         assert g.sup_formula(radius) == fmax * radius**r
 
 
+@pytest.mark.parametrize("r", [3.0, 3.5, 6.0])
+@pytest.mark.parametrize("f", _CLOSED_FORM_COEFFS)
+def test_cubic_and_steeper_power_law_closed_forms_are_exact(f, r):
+    # beyond r = 3 only f = 0 has a threshold; at r = 3 every radius works
+    # exactly when max|f| < coef, and none otherwise
+    g = power_law(f, r)
+    fmax = _fmax(f)
+    for coef in _CLOSED_FORM_COEFS + [fmax]:
+        if fmax == 0.0 or (r == 3.0 and fmax < coef):
+            assert g.threshold_formula(coef) == (1.0 if fmax == 0.0 else 0.0)
+        elif coef > 0.0:
+            with pytest.raises(NoThresholdFound):
+                g.threshold_formula(coef)
+    for radius in _CLOSED_FORM_RADII:
+        assert g.sup_formula(radius) == fmax * radius**r
+
+
 @pytest.mark.parametrize("period", [1, 2, 5])
 def test_zero_closed_forms_are_exact(period):
     g = zero_potential(period)
@@ -245,8 +263,8 @@ def test_zero_closed_forms_are_exact(period):
         bounded_potential([1.0, 3.0]),
         constant_potential([8.0]),
         zero_potential(2),
-        # the CLI's route for power_law with r >= 3
-        _power_law_unchecked([0.1], 3.0),
+        # id kept from the constructor without closed forms that r = 3 once needed
+        power_law([0.1], 3.0),
     ],
     ids=["quadratic", "linear-2period", "sqrt", "bounded", "bounded-2period",
          "constant", "zero-2period", "cubic-unchecked"],
@@ -344,20 +362,37 @@ _NORMAL_COEFFS = st.lists(
 )
 
 
-@settings(deadline=None, max_examples=60)
-@given(_families(_NORMAL_COEFFS), st.floats(1e-2, 1e2), st.just(0.0) | st.floats(1e-3, 50.0))
+@settings(deadline=None, max_examples=80)
+@given(
+    _families(_NORMAL_COEFFS)
+    | st.builds(power_law, _NORMAL_COEFFS, st.sampled_from([3.0, 3.25, 3.5, 4.0, 5.0, 6.0])),
+    st.floats(1e-2, 1e2),
+    st.just(0.0) | st.floats(1e-3, 50.0),
+)
 def test_closed_forms_bound_sampled_moduli(g, coef, radius):
     # the sup over a disk dominates every sampled modulus in it, up to the
     # relative rounding of the two sides
-    inside = _circle_moduli(g, np.linspace(0.0, radius, 33)).max()
+    inside = circle_moduli(g, np.linspace(0.0, radius, 33)).max()
     assert inside <= g.sup_formula(radius) * (1 + 1e-12)
     if g.kind == "bounded":
         # its threshold loses digits to cancellation when max|f| << coef;
         # see test_bounded_threshold_cancellation
         return
-    # on circles beyond the threshold |g| stays below coef * rho^3
-    rho = g.threshold_formula(coef) * np.linspace(1.0, 16.0, 16)
-    beyond = _circle_moduli(g, rho).max(axis=(0, 2))
+    try:
+        threshold = g.threshold_formula(coef)
+    except NoThresholdFound:
+        # no radius exists: |g| reaches coef * rho^3 on some sampled circle
+        rho = np.geomspace(1.0, 1e30, 61)
+        reached = circle_moduli(g, rho).max(axis=(0, 2))
+        assert np.any(reached >= coef * rho**3 * (1 - 1e-12))
+        return
+    # on circles beyond the threshold |g| stays below coef * rho^3; a
+    # threshold of 0 claims every circle
+    if threshold == 0.0:
+        rho = np.geomspace(1e-3, 1e3, 16)
+    else:
+        rho = threshold * np.linspace(1.0, 16.0, 16)
+    beyond = circle_moduli(g, rho).max(axis=(0, 2))
     assert np.all(beyond <= coef * rho**3 * (1 + 1e-12))
 
 
