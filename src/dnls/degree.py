@@ -33,13 +33,14 @@ import numpy as np
 
 from .certificate import ExistenceCertificate, _require_valid, sphere_samples
 from .errors import DegenerateZero
-from .lattice import LatticeField, check_period
+from .lattice import check_period
 from .operators import ShiftedOperator
 from .potentials import Potential
 from .solver import (
     DEDUP_TOL,
     _ball_starts,
     _collect_zeros,
+    _field,
     _slice_jacobian,
     _slice_residual,
     _sup,
@@ -61,26 +62,28 @@ SIGMA_RATIO_DEGENERATE = 1e-8
 ENUM_TOL = 1e-11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroRecord:
-    """A regular zero: location, residual, Jacobian sign, singular value ratio."""
+    """A regular zero: location (a read-only (T, K) array), residual,
+    Jacobian sign, singular value ratio."""
 
-    field: LatticeField
+    field: np.ndarray
     residual: float
     sign: int
     sigma_ratio: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegenerateRecord:
-    """A zero whose Jacobian is numerically singular.
+    """A zero whose Jacobian is numerically singular, located at the
+    read-only (T, K) array ``field``.
 
     ``local_index`` is the perturbation-recovered Brouwer index when one was
     computed (only attempted at the origin), None when the zero was excluded
     from the degree sum.
     """
 
-    field: LatticeField
+    field: np.ndarray
     residual: float
     sigma_ratio: float
     local_index: int | None
@@ -222,7 +225,7 @@ def estimate_degree(
     origin_perturbed = False
     origin_tol = 1e-6 * max(1.0, cert.radius)
     for z in found:
-        field = LatticeField.from_flat(z.flat, params.T, params.K)
+        field = _field(z.flat, params)
         if z.sigma_ratio > SIGMA_RATIO_DEGENERATE:
             sign = zero_sign(_slice_jacobian(z.flat, op, g, tau))
             zeros.append(ZeroRecord(field, z.residual, sign, z.sigma_ratio))

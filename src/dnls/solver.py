@@ -32,15 +32,7 @@ import numpy as np
 
 from .certificate import ExistenceCertificate, _forcing_part, _odd_part, _require_valid
 from .errors import SolveFailed
-from .lattice import (
-    LatticeField,
-    LatticeParams,
-    apply_cubic,
-    apply_forcing,
-    apply_linear,
-    check_period,
-    sup_norm,
-)
+from .lattice import LatticeParams, _linear, check_period, sup_norm
 from .operators import ShiftedOperator, _build_shifted
 from .potentials import Potential, _blocks
 
@@ -70,18 +62,19 @@ DEDUP_TOL = 1e-6
 JACOBIAN_STACK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of one solver run.
 
-    ``residual_direct`` is the sup norm of the lattice equation residual at
-    the reported field; ``residual_precond`` is the sup norm of the
-    fixed-point residual (the direct residual pushed through A^-1).  ``path``
-    holds (tau, sup norm) pairs for homotopy runs, None otherwise.  ``status``
-    is one of "converged", "diverged", "left_ball", "max_iter".
+    ``solution`` is a read-only (T, K) complex array.  ``residual_direct``
+    is the sup norm of the lattice equation residual at the reported field;
+    ``residual_precond`` is the sup norm of the fixed-point residual (the
+    direct residual pushed through A^-1).  ``path`` holds (tau, sup norm)
+    pairs for homotopy runs, None otherwise.  ``status`` is one of
+    "converged", "diverged", "left_ball", "max_iter".
     """
 
-    solution: LatticeField
+    solution: np.ndarray
     residual_direct: float
     residual_precond: float
     newton_iterations: int
@@ -115,10 +108,26 @@ def complexify(x: np.ndarray) -> np.ndarray:
 # residuals
 
 
-def residual_direct(phi: LatticeField, params: LatticeParams, g: Potential) -> LatticeField:
-    """Residual of the lattice equation itself, nodewise:
-    linear part minus cubic term minus forcing."""
-    return apply_linear(phi, params) - apply_cubic(phi, params) - apply_forcing(phi, g)
+def residual_direct(values, params: LatticeParams, g: Potential) -> np.ndarray:
+    """Residual of the lattice equation itself, nodewise, on a (T, K) field
+    or a (..., T, K) stack of them: the linear part minus the cubic term
+    -gamma |phi|^2 phi minus the forcing g(t, phi).  Each field of a stack
+    has the bits of a call on it alone.  Raises ValueError for a trailing
+    shape other than (T, K) and PeriodMismatch (``check_period``) for a
+    forcing period that does not divide T."""
+    v = np.asarray(values, dtype=complex)
+    if v.shape[-2:] != (params.T, params.K):
+        raise ValueError(f"field shape {v.shape} does not match lattice ({params.T}, {params.K})")
+    check_period(params.T, g)
+    cubic = -params.gamma * (v.real * v.real + v.imag * v.imag) * v
+    return _linear(v, params) - cubic - g.on_lattice(v)
+
+
+def _field(flat: np.ndarray, params: LatticeParams) -> np.ndarray:
+    """Read-only (T, K) copy of a flat field, as reports and records hold it."""
+    field = flat.reshape(params.T, params.K).copy()
+    field.flags.writeable = False
+    return field
 
 
 def _slice_residual(
@@ -206,10 +215,8 @@ def _measure(
     ("slice"), or of its direct lattice residual ("direct")."""
     if converge_on == "slice":
         return np.abs(slice_res).max(axis=1)
-    T, K = op.params.T, op.params.K
-    return np.array([
-        sup_norm(residual_direct(LatticeField.from_flat(row, T, K), op.params, g)) for row in flat
-    ])
+    fields = flat.reshape(len(flat), op.params.T, op.params.K)
+    return np.abs(residual_direct(fields, op.params, g)).max(axis=(1, 2))
 
 
 def _newton_step(
@@ -318,7 +325,7 @@ def _report_at(
     homotopy_steps: int = 0,
     path: tuple[tuple[float, float], ...] | None = None,
 ) -> SolveReport:
-    field = LatticeField.from_flat(flat, op.params.T, op.params.K)
+    field = _field(flat, op.params)
     return SolveReport(
         solution=field,
         residual_direct=sup_norm(residual_direct(field, op.params, g)),
@@ -351,7 +358,7 @@ def homotopy_solve(
     constant in space and q-periodic in time.  On those fields A acts as the
     operator of the q x 2 lattice with the same shift.  So ``_track`` runs
     there, on 2q nodes with exact Newton steps, and its endpoint is tiled to
-    the T x K lattice.  ``apply_linear`` is a stencil and the cubic term and
+    the T x K lattice.  The linear part is a stencil and the cubic term and
     forcing act node by node, so the direct residual of the tiled field is
     the tiled quotient residual bit for bit: a quotient run that converges
     has converged on the full lattice.  The report's residuals are those of
@@ -554,15 +561,18 @@ def multi_start(
     tol: float = DEFAULT_TOL,
     max_iter: int = 100,
 ) -> list[SolveReport]:
-    """Enumerate distinct solutions inside the certified ball.
+    """Converged Newton zeros strictly inside the certified ball.
 
     Runs Newton on the full system from the homotopy endpoint (when that run
     converges) and from ``n_starts`` fields sampled uniformly in the ball,
     keeps the converged results strictly inside the ball (Newton is free to
-    wander out to zeros the certificate says nothing about), then
-    deduplicates.  Deterministic for a fixed seed.  Raises CertificateInvalid
-    (from ``homotopy_solve``) for a certificate that failed its boundary
-    check.
+    wander out to zeros the certificate says nothing about), then merges
+    those within a sup distance of one another (``_cluster_representatives``).
+    The merge is not modulo phase rotation or lattice shifts, so one orbit
+    of solutions can come back as many reports, and nothing claims that
+    every zero in the ball is found.  Deterministic for a fixed seed.
+    Raises CertificateInvalid (from ``homotopy_solve``) for a certificate
+    that failed its boundary check.
     """
     endpoint = homotopy_solve(op, g, cert, tol=tol, max_iter=max_iter)
     return _multi_start_from(endpoint, op, g, cert, n_starts, seed, tol, max_iter)
@@ -581,7 +591,7 @@ def _multi_start_from(
     """``multi_start`` after its homotopy run, whose report is ``endpoint``."""
     starts = _ball_starts(op, np.random.default_rng(seed), cert.radius, n_starts)
     if endpoint.status == "converged":
-        starts = np.vstack([endpoint.solution.flatten(), starts])
+        starts = np.vstack([endpoint.solution.ravel(), starts])
 
     zeros = _collect_zeros(
         starts, op, g, 1.0, tol=tol, max_iter=max_iter, radius=cert.radius,

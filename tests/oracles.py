@@ -9,7 +9,7 @@ the tests check the package's kernels, norms and Jacobians against them.
 
 import numpy as np
 
-from dnls import LatticeField, LatticeParams, Potential, ShiftedOperator
+from dnls import LatticeParams, Potential, ShiftedOperator
 from dnls.operators import _circulant, _stencil
 
 
@@ -51,17 +51,17 @@ def realified_matrix(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_field(T: int, K: int, rng: np.random.Generator, radius: float = 1.0) -> LatticeField:
-    """Field with independent entries of modulus uniform in [0, radius] and uniform phase."""
+def random_field(T: int, K: int, rng: np.random.Generator, radius: float = 1.0) -> np.ndarray:
+    """(T, K) field with independent entries of modulus uniform in [0, radius]
+    and uniform phase."""
     moduli = rng.uniform(0.0, radius, size=(T, K))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(T, K))
-    return LatticeField(moduli * np.exp(1j * phases))
+    return moduli * np.exp(1j * phases)
 
 
-def tile_steady(u: np.ndarray, T: int) -> LatticeField:
+def tile_steady(u: np.ndarray, T: int) -> np.ndarray:
     """Lift a K-entry spatial profile to a time-constant (T, K) field."""
-    u = np.asarray(u, dtype=complex)
-    return LatticeField(np.tile(u, (T, 1)))
+    return np.tile(np.asarray(u, dtype=complex), (T, 1))
 
 
 def circle_moduli(g: Potential, radii, phases: int = 64) -> np.ndarray:

@@ -14,27 +14,23 @@ import numpy as np
 import pytest
 
 from dnls import (
-    LatticeField,
     LatticeParams,
     NoThresholdFound,
-    apply_cubic,
-    apply_forcing,
-    apply_linear,
     bounded_potential,
     build_certificate,
     build_shifted,
-    central_time_diff,
     constant_potential,
     estimate_degree,
     power_law,
     realify,
-    spatial_laplacian,
+    residual_direct,
     steady_state_solve,
     sup_norm,
     zero_potential,
     complexify,
 )
 from dnls.cli import main
+from dnls.lattice import _linear
 from dnls.solver import _slice_jacobian, _slice_residual
 from oracles import linear_matrix, operator_norm_sup, random_field
 
@@ -47,7 +43,7 @@ def _announce(number: int, label: str, failures: list) -> None:
 def _field_with_moduli(T, K, rng, lo, hi):
     moduli = rng.uniform(lo, hi, size=(T, K))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(T, K))
-    return LatticeField(moduli * np.exp(1j * phases))
+    return moduli * np.exp(1j * phases)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +56,10 @@ def test_criterion_1_operator_identities():
     op = build_shifted(params, shift_factor=1.5)
     rng = np.random.default_rng(101)
     g = power_law([0.7], 2.0)
+    matrix = linear_matrix(params)
+
+    def unforced(fields):
+        return residual_direct(fields, params, zero_potential())
 
     for i in range(100):
         phi = random_field(8, 8, rng, 2.0)
@@ -67,22 +67,28 @@ def test_criterion_1_operator_identities():
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
 
-        # stencil identity: L = i*beta*(forward - backward in t) + eps*laplacian
-        lhs = apply_linear(phi, params)
-        rhs = (1j * params.beta) * central_time_diff(phi) + params.epsilon * spatial_laplacian(phi)
+        # stencil identity: the stencil is the circulant of the dense oracle
+        lhs = _linear(phi, params)
+        rhs = (matrix @ phi.ravel()).reshape(8, 8)
         if sup_norm(lhs - rhs) > 1e-13 * max(1.0, sup_norm(lhs)):
             failures.append(f"stencil identity violated on field {i}")
 
         # linearity of L
-        combo = apply_linear(a * phi + b * psi, params)
-        split = a * apply_linear(phi, params) + b * apply_linear(psi, params)
+        combo = _linear(a * phi + b * psi, params)
+        split = a * _linear(phi, params) + b * _linear(psi, params)
         if sup_norm(combo - split) > 1e-12 * max(1.0, sup_norm(combo)):
             failures.append(f"linearity violated on pair {i}")
 
-        # oddness of the cubic and of the odd fixed-point map
-        if sup_norm(apply_cubic(-phi, params) + apply_cubic(phi, params)) > 1e-13 * max(
-            1.0, sup_norm(apply_cubic(phi, params))
-        ):
+        # the cubic term at each node value c is minus the unforced residual
+        # of the constant field c, which L annihilates
+        constants = np.broadcast_to(phi.reshape(64, 1, 1), (64, 8, 8))
+        cubic = -unforced(constants)[:, 0, 0]
+
+        # oddness of the unforced residual, of its cubic term and of the odd
+        # fixed-point map
+        if sup_norm(unforced(-phi) + unforced(phi)) > 1e-13 * max(1.0, sup_norm(unforced(phi))):
+            failures.append(f"residual not odd on field {i}")
+        if sup_norm(unforced(-constants)[:, 0, 0] - cubic) > 1e-13 * max(1.0, sup_norm(cubic)):
             failures.append(f"cubic not odd on field {i}")
         flat = phi.flatten()
         s_plus = flat - op.solve(-params.gamma * np.abs(flat) ** 2 * flat)
@@ -92,13 +98,13 @@ def test_criterion_1_operator_identities():
 
         # norm law of the cubic
         expect = abs(params.gamma) * sup_norm(phi) ** 3
-        if abs(sup_norm(apply_cubic(phi, params)) - expect) > 1e-12 * max(expect, 1.0):
+        if abs(sup_norm(cubic) - expect) > 1e-12 * max(expect, 1.0):
             failures.append(f"cubic norm law violated on field {i}")
 
         # forcing respects pointwise substitution
-        forced = apply_forcing(phi, g)
+        forced = unforced(phi) - residual_direct(phi, params, g)
         t0, k0 = int(rng.integers(0, 8)), int(rng.integers(0, 8))
-        if abs(forced.at(t0, k0) - complex(g.evaluate(t0, phi.at(t0, k0)))) > 1e-13:
+        if abs(forced[t0, k0] - complex(g.evaluate(t0, phi[t0, k0]))) > 1e-13:
             failures.append(f"forcing substitution violated on field {i}")
 
     elapsed = time.monotonic() - start
@@ -186,7 +192,7 @@ def test_criterion_3_proof_inequalities():
 
             # (sublin): preconditioned forcing stays under B + C r + D r^3
             forcing = np.concatenate(
-                [np.asarray(g.evaluate(t, phi.values[t]), dtype=complex) for t in range(4)]
+                [np.asarray(g.evaluate(t, phi[t]), dtype=complex) for t in range(4)]
             )
             pre = np.max(np.abs(op.solve(forcing - op.shift * flat)))
             if pre > (B + C * norm + D * norm**3) * (1 + 1e-12) + 1e-15:
@@ -302,7 +308,7 @@ def test_criterion_6_steady_state_oracle(tmp_path, capsys):
     for K in (2, 3, 5, 8):
         h = constant_potential([8.0])
         op = build_shifted(LatticeParams(T=1, K=K, beta=1.0, epsilon=1.0, gamma=1.0))
-        profile = steady_state_solve(op, h, build_certificate(op, h)).solution.values[0]
+        profile = steady_state_solve(op, h, build_certificate(op, h)).solution[0]
         # direct substitution into the spatial equation, no package code
         lap = np.roll(profile, -1) - 2.0 * profile + np.roll(profile, 1)
         res = np.abs(lap + np.abs(profile) ** 2 * profile - 8.0)

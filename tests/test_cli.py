@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dnls
-from dnls import DimensionMismatch, LatticeField, LatticeParams, NoThresholdFound, solver
+from dnls import DimensionMismatch, LatticeParams, NoThresholdFound, solver
 from dnls.cli import (
     ConfigError,
     PotentialSpec,
@@ -162,11 +162,11 @@ def test_build_potential_zero_with_period():
 def test_field_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(13)
     vals = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-12, 12, size=(3, 4))
-    field = LatticeField(vals + 1j * rng.normal(size=(3, 4)))
+    field = vals + 1j * rng.normal(size=(3, 4))
     path = tmp_path / "field.csv"
     write_field_csv(path, field)
     back = read_solution_csv(path, LatticeParams(T=3, K=4, beta=1, epsilon=1, gamma=1))
-    assert np.array_equal(back.values, field.values)  # bitwise, thanks to %.17g
+    assert np.array_equal(back, field)  # bitwise, thanks to %.17g
 
 
 def test_steady_csv_lifts_to_all_time_slices(tmp_path):
@@ -177,7 +177,7 @@ def test_steady_csv_lifts_to_all_time_slices(tmp_path):
     back = read_solution_csv(path, params)
     assert back.shape == (4, 3)
     for t in range(4):
-        assert np.array_equal(back.values[t], profile)
+        assert np.array_equal(back[t], profile)
 
 
 @pytest.mark.parametrize(
@@ -263,7 +263,7 @@ def test_period_mismatch_exit_one(tmp_path, capsys, command):
         potential={"kind": "constant", "coefficients": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]},
     )
     solution = tmp_path / "zeros.csv"
-    write_field_csv(solution, LatticeField.zeros(4, 4))
+    write_field_csv(solution, np.zeros((4, 4), dtype=complex))
     argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
     if command == "verify":
         argv += ["--solution", str(solution)]
@@ -371,6 +371,26 @@ def test_solve_overflowing_newton_exit_three(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["report"]["status"] == "diverged"
+
+
+@pytest.mark.parametrize("command", ["certify", "solve", "degree", "steady"])
+def test_forcing_overflow_in_the_sampler_warns_nothing(tmp_path, capsys, command):
+    # |g| overflows at every boundary sample, so the evidence is invalid
+    # (exit 2); the report says so, and numpy adds no warning lines
+    cfg = _write_config(
+        tmp_path, T=4, K=4, potential={"kind": "bounded", "coefficients": [[1e300, 0.0]]},
+        samples=10,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    if command == "steady":
+        assert captured.out == ""
+        assert captured.err.startswith("certificate error: ") and captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+        assert json.loads(captured.out)["certificate"]["valid"] is False
 
 
 #: a period-2 constant forcing on a 12 x 12 lattice: the homotopy tracks on
@@ -646,7 +666,7 @@ def test_verify_at_subnormal_beta_and_epsilon_needs_no_inverse(tmp_path, capsys,
     cfg = _write_config(tmp_path, T=4, K=4, beta=scale, epsilon=scale,
                         potential={"kind": "bounded", "coefficients": [[0.5, 0.0]]})
     solution = tmp_path / "zero.csv"
-    write_field_csv(solution, LatticeField(np.zeros((4, 4), dtype=complex)))
+    write_field_csv(solution, np.zeros((4, 4), dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["verify", "--config", cfg, "--solution", str(solution),

@@ -73,14 +73,14 @@ def test_unforced_odd_route_enumeration():
     # the origin is the only regular zero and carries sign +1
     assert len(report.zeros) == 1
     origin = report.zeros[0]
-    assert np.max(np.abs(origin.field.values)) <= 1e-9
+    assert np.max(np.abs(origin.field)) <= 1e-9
     assert origin.sign == 1
     assert origin.residual <= 1e-9
 
     # every degenerate record sits on one of the three known circles
     assert report.degenerate
     for rec in report.degenerate:
-        sup = np.max(np.abs(rec.field.values))
+        sup = np.max(np.abs(rec.field))
         assert min(abs(sup - known) for known in ODD_CIRCLE_SUPS) <= 1e-6
         assert rec.residual <= degree.ENUM_TOL
         assert rec.sigma_ratio <= 1e-8
@@ -96,7 +96,7 @@ def test_unforced_full_route_uses_origin_local_index():
     assert report.parity_ok is None
     # the origin is singular for the full route, so no regular zeros exist
     assert len(report.zeros) == 0
-    sups = sorted(np.max(np.abs(rec.field.values)) for rec in report.degenerate)
+    sups = sorted(np.max(np.abs(rec.field)) for rec in report.degenerate)
     assert sups[0] <= 1e-9  # the origin itself
     for sup in sups[1:]:
         assert min(abs(sup - known) for known in FULL_CIRCLE_SUPS) <= 1e-6

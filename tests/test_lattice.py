@@ -1,5 +1,7 @@
 """Lattice fields and the pointwise operators: stencils, periodicity, norms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,24 +10,20 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from dnls import (
-    LatticeField,
     LatticeParams,
     PeriodMismatch,
-    apply_cubic,
-    apply_forcing,
-    apply_linear,
     build_certificate,
     build_shifted,
-    central_time_diff,
     constant_potential,
     estimate_degree,
     homotopy_solve,
     power_law,
-    spatial_laplacian,
+    residual_direct,
     sup_norm,
     zero_potential,
 )
 from dnls import certificate, solver
+from dnls.lattice import _linear
 from oracles import random_field
 
 RNG = np.random.default_rng(20240817)
@@ -56,6 +54,17 @@ def test_params_rejects_bad_values(kwargs):
         LatticeParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("T", True), ("K", True), ("beta", np.inf), ("epsilon", np.inf), ("gamma", np.nan),
+     ("gamma", -np.inf)],
+)
+def test_params_rejects_bool_periods_and_non_finite_coefficients(field, value):
+    kwargs = dict(T=2, K=4, beta=1.0, epsilon=1.0, gamma=1.0)
+    with pytest.raises(ValueError, match=f"{field} must be (an integer|finite)"):
+        LatticeParams(**{**kwargs, field: value})
+
+
 def test_params_dim_and_normalization():
     p = LatticeParams(T=3, K=5, beta=2, epsilon=1, gamma=-1)
     assert p.dim == 15
@@ -63,41 +72,31 @@ def test_params_dim_and_normalization():
 
 
 # ---------------------------------------------------------------------------
-# field mechanics
-
-
-def test_field_wraparound_reads():
-    phi = LatticeField(RNG.normal(size=(3, 4)) + 1j * RNG.normal(size=(3, 4)))
-    for t in range(-3, 7):
-        for k in range(-4, 9):
-            assert phi.at(t, k) == phi.at(t % 3, k % 4)
-            assert phi.at(t + 3, k) == phi.at(t, k)
-            assert phi.at(t, k + 4) == phi.at(t, k)
+# fields are read-only (T, K) arrays in reports and records
 
 
 def test_field_values_are_immutable():
-    phi = LatticeField.zeros(2, 3)
-    with pytest.raises(ValueError):
-        phi.values[0, 0] = 1.0
+    op = build_shifted(_params(T=2, K=3), shift_factor=1.5)
+    g = power_law([0.5], 2.0)
+    cert = build_certificate(op, g, samples=10)
+    report = homotopy_solve(op, g, cert)
+    degree = estimate_degree("full", op, g, cert, n_starts=2)
+    records = degree.zeros + degree.degenerate
+    assert records
+    for field in [report.solution] + [rec.field for rec in records]:
+        assert field.shape == (2, 3) and field.dtype == complex
+        with pytest.raises(ValueError):
+            field[0, 0] = 1.0
 
 
 def test_flat_roundtrip_is_row_major():
-    vals = np.arange(6, dtype=float).reshape(2, 3) + 0j
-    phi = LatticeField(vals)
-    flat = phi.flatten()
+    flat = np.arange(6, dtype=float) + 0j
+    field = solver._field(flat, _params(T=2, K=3))
     # node (t, k) lives at flat index t*K + k
-    assert flat[1 * 3 + 2] == vals[1, 2]
-    back = LatticeField.from_flat(flat, 2, 3)
-    assert_allclose(back.values, vals)
-
-
-def test_field_arithmetic():
-    a = random_field(3, 3, RNG, 1.0)
-    b = random_field(3, 3, RNG, 1.0)
-    assert_allclose((a + b).values, a.values + b.values)
-    assert_allclose((a - b).values, a.values - b.values)
-    assert_allclose((-a).values, -a.values)
-    assert_allclose((2j * a).values, 2j * a.values)
+    assert field[1, 2] == flat[1 * 3 + 2]
+    assert np.array_equal(field.ravel(), flat)
+    flat[0] = 9.0  # the field is a copy
+    assert field[0, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -105,72 +104,73 @@ def test_field_arithmetic():
 
 
 def test_sup_norm_zero_field():
-    assert sup_norm(LatticeField.zeros(5, 7)) == 0.0
+    assert sup_norm(np.zeros((5, 7), dtype=complex)) == 0.0
 
 
 def test_sup_norm_single_entry():
     vals = np.zeros((2, 3), dtype=complex)
     vals[1, 2] = 3 + 4j
-    assert sup_norm(LatticeField(vals)) == pytest.approx(5.0)
+    assert sup_norm(vals) == pytest.approx(5.0)
 
 
 def test_sup_norm_matches_bruteforce_max():
     phi = random_field(6, 5, RNG, 3.0)
-    brute = max(abs(phi.at(t, k)) for t in range(6) for k in range(5))
+    brute = max(abs(phi[t, k]) for t in range(6) for k in range(5))
     assert sup_norm(phi) == pytest.approx(brute, rel=0, abs=0)
 
 
 # ---------------------------------------------------------------------------
-# difference stencils
+# difference stencils, through the linear part ``lattice._linear``: a field
+# constant in k has no Laplacian and one with T in {1, 2} no time difference
 
 
 def test_central_time_diff_annihilates_constants():
-    phi = LatticeField(np.full((5, 4), 2.5 - 1j))
-    assert sup_norm(central_time_diff(phi)) == 0.0
+    phi = np.full((5, 4), 2.5 - 1j)
+    assert sup_norm(_linear(phi, _params(T=5))) == 0.0
 
 
 @pytest.mark.parametrize("T", [1, 2])
 def test_central_time_diff_vanishes_for_short_periods(T):
-    # T = 1: t+1 and t-1 both wrap to t; T = 2: they wrap to the same slice
+    # T = 1: t+1 and t-1 both wrap to t; T = 2: they wrap to the same slice,
+    # so beta drops out bit for bit
     phi = random_field(T, 5, RNG, 2.0)
-    assert sup_norm(central_time_diff(phi)) == 0.0
+    params = _params(T=T, K=5)
+    assert np.array_equal(_linear(phi, params), _linear(phi, replace(params, beta=3.0)))
 
 
 def test_central_time_diff_matches_shifted_reads():
-    phi = random_field(5, 3, RNG, 2.0)
-    out = central_time_diff(phi)
+    phi = np.repeat(random_field(5, 1, RNG, 2.0), 3, axis=1)
+    out = _linear(phi, _params(T=5, K=3))
     for t in range(5):
         for k in range(3):
-            assert out.at(t, k) == phi.at(t + 1, k) - phi.at(t - 1, k)
+            assert out[t, k] == 1j * (phi[(t + 1) % 5, k] - phi[(t - 1) % 5, k])
 
 
 def test_spatial_laplacian_annihilates_constants():
-    phi = LatticeField(np.full((3, 6), -0.5 + 2j))
-    assert sup_norm(spatial_laplacian(phi)) == 0.0
+    phi = np.full((3, 6), -0.5 + 2j)
+    assert sup_norm(_linear(phi, _params(T=3, K=6))) == 0.0
 
 
 def test_spatial_laplacian_stencil_exact():
-    phi = random_field(3, 7, RNG, 2.0)
-    out = spatial_laplacian(phi)
-    for t in range(3):
-        for k in range(7):
-            assert out.at(t, k) == phi.at(t, k + 1) - 2 * phi.at(t, k) + phi.at(t, k - 1)
+    phi = random_field(1, 7, RNG, 2.0)
+    out = _linear(phi, _params(T=1, K=7))
+    for k in range(7):
+        assert out[0, k] == phi[0, (k + 1) % 7] - 2 * phi[0, k] + phi[0, k - 1]
 
 
 def test_spatial_laplacian_k2_collapse():
     # k+1 and k-1 are the same neighbor mod 2, so the stencil is 2(other - self)
     vals = np.array([[1 + 2j, -3 + 0.5j]])
-    out = spatial_laplacian(LatticeField(vals))
+    out = _linear(vals, _params(T=1, K=2))
     a, b = vals[0]
-    assert out.at(0, 0) == 2 * (b - a)
-    assert out.at(0, 1) == 2 * (a - b)
+    assert out[0, 0] == 2 * (b - a)
+    assert out[0, 1] == 2 * (a - b)
 
 
 def test_spatial_laplacian_fourth_root_pattern():
     # phi(t, k) = i^k on K = 4 is an eigenvector with eigenvalue -2
     vals = np.tile(1j ** np.arange(4), (3, 1))
-    phi = LatticeField(vals)
-    assert_allclose(spatial_laplacian(phi).values, -2.0 * vals, atol=1e-15)
+    assert_allclose(_linear(vals, _params(T=3, K=4)), -2.0 * vals, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +178,15 @@ def test_spatial_laplacian_fourth_root_pattern():
 
 
 def test_apply_linear_annihilates_constants():
-    phi = LatticeField(np.full((4, 4), 1.5 + 0.5j))
-    assert sup_norm(apply_linear(phi, _params())) == 0.0
+    phi = np.full((4, 4), 1.5 + 0.5j)
+    assert sup_norm(_linear(phi, _params())) == 0.0
 
 
 def test_apply_linear_delta_stencil():
     params = _params(T=4, K=4, beta=1.0, epsilon=1.0)
     vals = np.zeros((4, 4), dtype=complex)
     vals[0, 0] = 1.0
-    out = apply_linear(LatticeField(vals), params)
+    out = _linear(vals, params)
     expect = np.zeros((4, 4), dtype=complex)
     # i*beta moves mass to the time neighbors of the source, with opposite signs
     expect[1, 0] = -1j
@@ -194,7 +194,7 @@ def test_apply_linear_delta_stencil():
     expect[0, 1] = 1.0
     expect[0, 3] = 1.0
     expect[0, 0] = -2.0
-    assert_allclose(out.values, expect, atol=1e-15)
+    assert_allclose(out, expect, atol=1e-15)
 
 
 def test_apply_linear_is_complex_linear():
@@ -205,23 +205,31 @@ def test_apply_linear_is_complex_linear():
         b = complex(RNG.normal(), RNG.normal())
         phi = random_field(3, 5, RNG, 2.0)
         psi = random_field(3, 5, RNG, 2.0)
-        combo = apply_linear(a * phi + b * psi, params)
-        split = a * apply_linear(phi, params) + b * apply_linear(psi, params)
+        combo = _linear(a * phi + b * psi, params)
+        split = a * _linear(phi, params) + b * _linear(psi, params)
         scale = max(sup_norm(combo), 1.0)
         scale_errs.append(sup_norm(combo - split) / scale)
     assert max(scale_errs) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
-# the cubic term
+# the cubic term: the linear part annihilates a constant field, so without
+# forcing its residual is minus the cubic term, gamma |c|^2 c
+
+
+def _cubic(values, params):
+    """-gamma |c|^2 c at each entry c, as minus the residual of the constant
+    field c on the lattice of ``params`` without forcing (one stacked call)."""
+    c = np.asarray(values, dtype=complex)
+    stack = np.broadcast_to(c[..., None, None], c.shape + (params.T, params.K))
+    return -residual_direct(stack, params, zero_potential())[..., 0, 0]
 
 
 def test_apply_cubic_pointwise_value():
     params = _params(T=1, K=2, gamma=2.0)
-    vals = np.array([[1 + 1j, 0.0]])
-    out = apply_cubic(LatticeField(vals), params)
-    assert out.at(0, 0) == pytest.approx(-4 - 4j)
-    assert out.at(0, 1) == 0
+    out = _cubic([1 + 1j, 0.0], params)
+    assert out[0] == pytest.approx(-4 - 4j)
+    assert out[1] == 0
 
 
 @settings(deadline=None, max_examples=50)
@@ -233,48 +241,54 @@ def test_apply_cubic_pointwise_value():
 )
 def test_apply_cubic_is_odd_and_obeys_norm_law(vals, gamma):
     params = _params(T=3, K=4, gamma=gamma)
-    phi = LatticeField(vals)
-    plus = apply_cubic(phi, params)
-    minus = apply_cubic(-phi, params)
-    assert np.max(np.abs(plus.values + minus.values)) <= 1e-14 * max(1.0, sup_norm(plus))
-    expected = abs(gamma) * sup_norm(phi) ** 3
+    plus = _cubic(vals, params)
+    minus = _cubic(-vals, params)
+    assert np.max(np.abs(plus + minus)) <= 1e-14 * max(1.0, sup_norm(plus))
+    expected = abs(gamma) * sup_norm(vals) ** 3
     assert abs(sup_norm(plus) - expected) <= 1e-12 * max(expected, 1e-300)
+    # without forcing the whole residual is odd too, bit for bit
+    assert np.array_equal(residual_direct(-vals, params, zero_potential()),
+                          -residual_direct(vals, params, zero_potential()))
 
 
 # ---------------------------------------------------------------------------
-# the forcing term
+# the forcing term: what it adds to the unforced residual
+
+
+def _forcing(phi, g):
+    params = _params(T=phi.shape[0], K=phi.shape[1])
+    return residual_direct(phi, params, zero_potential()) - residual_direct(phi, params, g)
 
 
 def test_apply_forcing_zero_potential():
     phi = random_field(4, 3, RNG, 2.0)
-    out = apply_forcing(phi, zero_potential())
-    assert sup_norm(out) == 0.0
+    assert sup_norm(_forcing(phi, zero_potential())) == 0.0
 
 
 def test_apply_forcing_alternating_linear():
     # g(t, z) = f(t) * z with f = [1, -1]: flips the sign on odd time slices
     g = power_law([1.0, -1.0], 1.0)
     phi = random_field(4, 3, RNG, 2.0)
-    out = apply_forcing(phi, g)
-    assert_allclose(out.values[0], phi.values[0])
-    assert_allclose(out.values[1], -phi.values[1])
-    assert_allclose(out.values[2], phi.values[2])
-    assert_allclose(out.values[3], -phi.values[3])
+    out = _forcing(phi, g)
+    assert_allclose(out[0], phi[0], atol=1e-14)
+    assert_allclose(out[1], -phi[1], atol=1e-14)
+    assert_allclose(out[2], phi[2], atol=1e-14)
+    assert_allclose(out[3], -phi[3], atol=1e-14)
 
 
 def test_apply_forcing_rejects_incompatible_period():
     g = power_law([1.0, -1.0], 1.0)  # period 2
     phi = random_field(3, 3, RNG, 1.0)
     with pytest.raises(PeriodMismatch):
-        apply_forcing(phi, g)
+        residual_direct(phi, _params(T=3, K=3), g)
 
 
 def test_apply_forcing_accepts_dividing_period():
     g = power_law([2.0, 3.0], 1.0)  # period 2 divides T = 4
     phi = random_field(4, 2, RNG, 1.0)
-    out = apply_forcing(phi, g)
-    assert_allclose(out.values[2], 2.0 * phi.values[2])
-    assert_allclose(out.values[3], 3.0 * phi.values[3])
+    out = _forcing(phi, g)
+    assert_allclose(out[2], 2.0 * phi[2], atol=1e-14)
+    assert_allclose(out[3], 3.0 * phi[3], atol=1e-14)
 
 
 @pytest.mark.parametrize("entry", ["build_certificate", "homotopy_solve", "estimate_degree"])

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnls import (
-    LatticeField,
     LatticeParams,
     bounded_potential,
     build_certificate,
@@ -60,7 +59,7 @@ def _reference_newton(flat0, op, g, tau, tol, max_iter, converge_on, shift_vec, 
         if converge_on == "slice":
             measure = float(np.abs(r).max())
         else:
-            field = LatticeField.from_flat(x, op.params.T, op.params.K)
+            field = x.reshape(op.params.T, op.params.K)
             measure = sup_norm(solver.residual_direct(field, op.params, g))
         if measure <= tol:
             return x, iteration, "converged"

@@ -22,8 +22,7 @@ PUBLIC = {
     "DimensionMismatch", "DimensionTooLarge", "DnlsError", "EmptyCoefficients",
     "InvalidExponent", "NoThresholdFound", "PeriodMismatch", "SingularShift", "SolveFailed",
     # lattice
-    "LatticeField", "LatticeParams", "apply_cubic", "apply_forcing", "apply_linear",
-    "central_time_diff", "check_period", "spatial_laplacian", "sup_norm",
+    "LatticeParams", "check_period", "sup_norm",
     # operators
     "ShiftedOperator", "build_shifted",
     # potentials
@@ -42,8 +41,8 @@ def test_package_exports_each_module_all():
             assert getattr(dnls, name) is getattr(module, name), (module.__name__, name)
 
 
-def test_public_names_are_exactly_the_listed_forty_nine():
-    assert len(PUBLIC) == 49
+def test_public_names_are_exactly_the_listed_forty_three():
+    assert len(PUBLIC) == 43
     assert set(dnls.__all__) == PUBLIC
 
 

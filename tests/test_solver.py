@@ -11,12 +11,9 @@ from numpy.testing import assert_allclose
 
 from dnls import (
     CertificateInvalid,
-    LatticeField,
     LatticeParams,
+    PeriodMismatch,
     SolveFailed,
-    apply_cubic,
-    apply_forcing,
-    apply_linear,
     bounded_potential,
     build_certificate,
     build_shifted,
@@ -75,18 +72,75 @@ def test_realified_matrix_reproduces_complex_action():
 # residuals
 
 
+def _reference_residual(v, params, g):
+    """The lattice equation's residual at one (T, K) field, as the five
+    per-field operators once computed it: linear part, then minus the cubic
+    term, then minus the forcing, each step a new array."""
+    tdiff = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
+    lap = np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)
+    linear = np.array(1j * params.beta * tdiff + params.epsilon * lap)
+    cubic = np.array(-params.gamma * (v.real * v.real + v.imag * v.imag) * v)
+    forcing = np.array(g.on_lattice(v), dtype=complex)
+    return (linear - cubic) - forcing
+
+
 def test_residual_direct_is_the_equation():
     params, _, _, _ = _setup(T=3, K=4, g=power_law([0.5], 2.0), samples=0)
     g = power_law([0.5], 2.0)
     phi = random_field(3, 4, RNG, 2.0)
     res = residual_direct(phi, params, g)
-    rebuilt = apply_linear(phi, params) - apply_cubic(phi, params) - apply_forcing(phi, g)
-    assert_allclose(res.values, rebuilt.values, atol=1e-15)
+    assert np.array_equal(res, _reference_residual(phi, params, g))
+
+
+#: forcings of a given period from complex coefficients c
+_KINDS = {
+    "constant": lambda c: constant_potential(list(c)),
+    "power_law": lambda c: power_law(list(0.25 * c), 2.0),
+    "bounded": lambda c: bounded_potential(list(0.5 * c)),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    m=st.integers(1, 5),
+    period=st.integers(1, 3),
+    cells=st.integers(1, 3),
+    K=st.integers(2, 7),
+    beta=st.floats(0.1, 5.0),
+    epsilon=st.floats(0.1, 5.0),
+    gamma=st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 1e-3),
+    kind=st.sampled_from(sorted(_KINDS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_residual_direct_is_each_field_alone_bit_for_bit(
+    m, period, cells, K, beta, epsilon, gamma, kind, seed
+):
+    T = period * cells
+    params = LatticeParams(T=T, K=K, beta=beta, epsilon=epsilon, gamma=gamma)
+    rng = np.random.default_rng(seed)
+    g = _KINDS[kind](rng.standard_normal(period) + 1j * rng.standard_normal(period))
+    stack = np.stack([random_field(T, K, rng, 3.0) for _ in range(m)])
+    stacked = residual_direct(stack, params, g)
+    assert stacked.shape == (m, T, K)
+    for field, res in zip(stack, stacked):
+        assert np.array_equal(res, residual_direct(field, params, g))
+        assert np.array_equal(res, _reference_residual(field, params, g))
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4), (4, 3, 2)])
+def test_residual_direct_checks_the_trailing_shape(shape):
+    params = LatticeParams(T=4, K=3, beta=1.0, epsilon=1.0, gamma=1.0)
+    # the shape is checked before the forcing period
+    period_three = constant_potential([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"field shape \(.*\) does not match lattice \(4, 3\)"):
+        residual_direct(np.zeros(shape, dtype=complex), params, period_three)
+    with pytest.raises(PeriodMismatch):
+        residual_direct(np.zeros((2, 4, 3)), params, period_three)
 
 
 def test_residual_direct_zero_field_unforced():
     params, _, g, _ = _setup(T=2, K=3, samples=0)
-    res = residual_direct(LatticeField.zeros(2, 3), params, g)
+    res = residual_direct(np.zeros((2, 3), dtype=complex), params, g)
     assert sup_norm(res) == 0.0
 
 
@@ -231,13 +285,6 @@ def test_krylov_homotopy_matches_dense_outcome(lattice, coefficients, counts):
     assert np.max(np.abs(report.solution.flatten() - x)) <= 1e-10
 
 
-_KINDS = {
-    "constant": lambda c: constant_potential(list(c)),
-    "power_law": lambda c: power_law(list(0.25 * c), 2.0),
-    "bounded": lambda c: bounded_potential(list(0.5 * c)),
-}
-
-
 @settings(deadline=None, max_examples=30)
 @given(
     period=st.integers(1, 4),
@@ -263,7 +310,7 @@ def test_quotient_homotopy_matches_full_lattice_tracking(
     cert = build_certificate(op, g, samples=20, seed=0)
     assume(cert.valid)
     report = homotopy_solve(op, g, cert)
-    values = report.solution.values
+    values = report.solution
     assert np.array_equal(values, np.tile(values[:period, :1], (cells, K)))
     x, _, status, _ = solver._track(op, g, cert, solver.DEFAULT_TOL, 100)
     if report.status == status == "converged":
@@ -290,11 +337,10 @@ def test_direct_residual_of_a_tiled_field_is_the_tiled_quotient_residual(
     rng = np.random.default_rng(seed)
     g = _KINDS[kind](rng.standard_normal(period) + 1j * rng.standard_normal(period))
     row = random_field(period, 1, rng, 3.0).flatten()
-    quotient = LatticeField.from_flat(np.repeat(row, 2), period, 2)
-    full = LatticeField.from_flat(_tiled(np.repeat(row, 2), period, T, K), T, K)
-    residual = residual_direct(quotient, replace(params, T=period, K=2), g).values
-    assert np.array_equal(residual_direct(full, params, g).values,
-                          np.tile(residual[:, :1], (cells, K)))
+    quotient = np.repeat(row, 2).reshape(period, 2)
+    full = _tiled(np.repeat(row, 2), period, T, K).reshape(T, K)
+    residual = residual_direct(quotient, replace(params, T=period, K=2), g)
+    assert np.array_equal(residual_direct(full, params, g), np.tile(residual[:, :1], (cells, K)))
 
 
 def test_large_lattice_builds_no_dense_operator_matrix():
@@ -334,7 +380,7 @@ def _direct_newton(start, op, g, tol=solver.DEFAULT_TOL):
 
 def test_newton_unforced_origin_is_instant():
     params, op, g, _ = _setup(samples=0)
-    report = _direct_newton(LatticeField.zeros(1, 2), op, g)
+    report = _direct_newton(np.zeros((1, 2), dtype=complex), op, g)
     assert report.status == "converged"
     assert report.newton_iterations == 0
     assert report.residual_direct == 0.0
@@ -345,7 +391,7 @@ def test_newton_converged_means_residual_below_tol():
     params, op, _, _ = _setup(T=1, K=3, g=g, samples=0)
     # the origin itself is a singular start here (the unshifted operator kills
     # constants), so begin from a nearby constant field
-    start = LatticeField(np.full((1, 3), 0.5 + 0j))
+    start = np.full((1, 3), 0.5 + 0j)
     report = _direct_newton(start, op, g, tol=1e-12)
     assert report.status == "converged"
     assert report.residual_direct <= 1e-12
@@ -472,7 +518,7 @@ def test_multi_start_deterministic():
     b = multi_start(op, forcing, cert, n_starts=8, seed=11)
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
-        assert np.array_equal(ra.solution.values, rb.solution.values)
+        assert np.array_equal(ra.solution, rb.solution)
         assert ra.residual_direct == rb.residual_direct
         assert ra.status == rb.status
 
@@ -505,7 +551,7 @@ def test_tile_steady_shapes_and_values():
     phi = tile_steady(u, 4)
     assert phi.shape == (4, 3)
     for t in range(4):
-        assert_allclose(phi.values[t], u)
+        assert_allclose(phi[t], u)
 
 
 def _steady(K, epsilon, gamma, h, n_starts=16):
@@ -514,7 +560,7 @@ def _steady(K, epsilon, gamma, h, n_starts=16):
     params = LatticeParams(T=1, K=K, beta=1.0, epsilon=epsilon, gamma=gamma)
     op = build_shifted(params, shift_factor=1.5)
     report = steady_state_solve(op, h, build_certificate(op, h), n_starts=n_starts)
-    return report.solution.values[0], report
+    return report.solution[0], report
 
 
 @pytest.mark.parametrize("K", [2, 3, 5, 8])
