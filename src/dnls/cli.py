@@ -264,36 +264,30 @@ def build_potential(spec: PotentialSpec) -> Potential:
 
 
 def _emit(payload: dict, out_dir: Path, name: str, csv: tuple | None = None) -> None:
-    """Write the optional CSV ``(file name, writer, data)`` and then the JSON
-    report into ``out_dir``, then print the report; a path that cannot be
-    written raises OSError before anything is printed."""
+    """Write the optional solution CSV ``(file name, values)`` and then the
+    JSON report into ``out_dir``, then print the report; a path that cannot
+    be written raises OSError before anything is printed."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     out_dir.mkdir(parents=True, exist_ok=True)
     if csv is not None:
-        csv_name, write, data = csv
-        write(out_dir / csv_name, data)
+        csv_name, values = csv
+        write_solution_csv(out_dir / csv_name, values)
     (out_dir / name).write_text(text, newline="\n")
     sys.stdout.write(text)
 
 
-def _write_csv(path: Path, header: str, values: np.ndarray) -> None:
-    """One row per entry in row-major order: the indices, then the real and
-    imaginary parts with 17 significant digits."""
-    lines = [header]
+def write_solution_csv(path: Path, values: np.ndarray) -> None:
+    """Row-major dump of a (T, K) field under the `t,k,re,im` header, or of a
+    (K,) steady profile under `k,re,im`: one row per node, its indices, then
+    the real and imaginary parts with 17 significant digits."""
+    values = np.asarray(values)
+    headers = {2: CSV_FIELD_HEADER, 1: CSV_STEADY_HEADER}
+    if values.ndim not in headers:
+        raise ValueError(f"a solution is a (T, K) field or a (K,) profile, got {values.shape}")
+    lines = [headers[values.ndim]]
     for index, z in np.ndenumerate(values):
         lines.append(",".join(map(str, index)) + f",{z.real:.17g},{z.imag:.17g}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def write_field_csv(path: Path, field: np.ndarray) -> None:
-    """Row-major `t,k,re,im` dump of a (T, K) field with 17 significant
-    digits per component."""
-    _write_csv(path, CSV_FIELD_HEADER, np.asarray(field))
-
-
-def write_steady_csv(path: Path, profile: np.ndarray) -> None:
-    """`k,re,im` dump of a spatial profile, 17 significant digits."""
-    _write_csv(path, CSV_STEADY_HEADER, np.asarray(profile))
 
 
 def read_solution_csv(path: str | Path, params: LatticeParams) -> np.ndarray:
@@ -409,7 +403,7 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> int:
     report = homotopy_solve(op, g, cert, tol=config.tolerance, max_iter=config.max_iter)
     converged = report.status == "converged"
     csv_name = "solution.csv" if converged else None
-    csv = (csv_name, write_field_csv, report.solution) if converged else None
+    csv = (csv_name, report.solution) if converged else None
     _emit({**payload, "report": _solve_payload(report, csv_name)}, out_dir, "report.json", csv)
     return 0 if converged else 3
 
@@ -424,7 +418,7 @@ def cmd_steady(config: RunConfig, out_dir: Path) -> int:
         {"command": "steady", "report": _solve_payload(report, csv_name)},
         out_dir,
         "report.json",
-        (csv_name, write_steady_csv, report.solution[0]),
+        (csv_name, report.solution[0]),
     )
     return 0
 

@@ -32,18 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import ExistenceCertificate, _require_valid, sphere_samples
-from .errors import DegenerateZero
-from .lattice import check_period
+from .lattice import check_period, sup_norm
 from .operators import ShiftedOperator
 from .potentials import Potential
 from .solver import (
     DEDUP_TOL,
+    _Zero,
     _ball_starts,
     _collect_zeros,
     _field,
     _slice_jacobian,
     _slice_residual,
-    _sup,
     complexify,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "ZeroRecord",
     "DegenerateRecord",
     "DegreeReport",
-    "zero_sign",
     "estimate_degree",
 ]
 
@@ -109,16 +107,19 @@ class DegreeReport:
     origin_perturbed: bool
 
 
-def zero_sign(jacobian: np.ndarray) -> int:
-    """Sign of the determinant of a realified Jacobian, as +1 or -1.
+def _signs(zeros: list[_Zero], op: ShiftedOperator, g: Potential, tau: float) -> list[int]:
+    """Determinant sign of the tau-slice Jacobian at each of the regular
+    ``zeros``, as +1 or -1.
 
-    Raises DegenerateZero on a numerically singular matrix, since a zero with
-    vanishing determinant has no countable sign.
+    The Jacobians are stacked and their signs read from one ``slogdet``;
+    each stacked matrix has the bits of a one-zero ``_slice_jacobian`` and
+    takes its own LU.  A sigma ratio above SIGMA_RATIO_DEGENERATE keeps
+    every determinant away from zero.
     """
-    sign, _ = np.linalg.slogdet(jacobian)
-    if sign == 0.0:
-        raise DegenerateZero("Jacobian determinant vanished; the zero has no sign")
-    return 1 if sign > 0 else -1
+    if not zeros:
+        return []
+    flats = np.stack([z.flat for z in zeros])
+    return [int(sign) for sign in np.linalg.slogdet(_slice_jacobian(flats, op, g, tau))[0]]
 
 
 def _origin_local_index(
@@ -147,7 +148,7 @@ def _origin_local_index(
     svals_0, rows_0 = np.linalg.svd(_slice_jacobian(origin, op, g, tau))[1:]
     # the rows are unit vectors, so their sup norms are positive
     null_dirs = [
-        complexify(row) / _sup(complexify(row))
+        complexify(row) / sup_norm(complexify(row))
         for sval, row in zip(svals_0, rows_0)
         if sval <= 1e-6 * svals_0[0]
     ]
@@ -161,9 +162,9 @@ def _origin_local_index(
         return None
 
     direction = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    direction /= _sup(direction)
+    direction /= sup_norm(direction)
     w = (sphere_min / 30.0) * direction
-    tol = max(1e-14, _sup(w) * 1e-3)
+    tol = max(1e-14, sup_norm(w) * 1e-3)
 
     starts = [
         [frac * rho * phase * vec for frac in (0.3, 0.6, 0.9) for phase in phases[::2]]
@@ -175,14 +176,9 @@ def _origin_local_index(
         np.vstack(starts), op, g, tau, tol=tol, max_iter=60, radius=rho, converge_on="slice",
         shift_vec=w, base_tol=1e-9, cap=rho / 4.0,
     )
-    if not preimages:
+    if not preimages or any(z.sigma_ratio <= SIGMA_RATIO_DEGENERATE for z in preimages):
         return None
-    index = 0
-    for z in preimages:
-        if z.sigma_ratio <= SIGMA_RATIO_DEGENERATE:
-            return None
-        index += zero_sign(_slice_jacobian(z.flat, op, g, tau))
-    return index
+    return sum(_signs(preimages, op, g, tau))
 
 
 def estimate_degree(
@@ -219,25 +215,27 @@ def estimate_degree(
         base_tol=DEDUP_TOL, cap=0.01 * max(1.0, cert.radius),
     )
 
-    zeros: list[ZeroRecord] = []
+    regular = [z for z in found if z.sigma_ratio > SIGMA_RATIO_DEGENERATE]
+    zeros = [
+        ZeroRecord(_field(z.flat, params), z.residual, sign, z.sigma_ratio)
+        for z, sign in zip(regular, _signs(regular, op, g, tau))
+    ]
     degenerate: list[DegenerateRecord] = []
-    degree = 0
+    degree = sum(z.sign for z in zeros)
     origin_perturbed = False
     origin_tol = 1e-6 * max(1.0, cert.radius)
     for z in found:
-        field = _field(z.flat, params)
         if z.sigma_ratio > SIGMA_RATIO_DEGENERATE:
-            sign = zero_sign(_slice_jacobian(z.flat, op, g, tau))
-            zeros.append(ZeroRecord(field, z.residual, sign, z.sigma_ratio))
-            degree += sign
             continue
         local_index: int | None = None
-        if _sup(z.flat) <= origin_tol:
+        if sup_norm(z.flat) <= origin_tol:
             local_index = _origin_local_index(op, g, tau, cert.radius, seed)
             if local_index is not None:
                 degree += local_index
                 origin_perturbed = True
-        degenerate.append(DegenerateRecord(field, z.residual, z.sigma_ratio, local_index))
+        degenerate.append(
+            DegenerateRecord(_field(z.flat, params), z.residual, z.sigma_ratio, local_index)
+        )
 
     parity_ok: bool | None = None
     if target == "odd":

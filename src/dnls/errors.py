@@ -8,7 +8,6 @@ __all__ = [
     "SingularShift",
     "NoThresholdFound",
     "CertificateOverflow",
-    "DegenerateZero",
     "CertificateInvalid",
     "SolveFailed",
     "DimensionMismatch",
@@ -46,10 +45,6 @@ class NoThresholdFound(DnlsError):
 class CertificateOverflow(DnlsError):
     """A certificate constant left the floating-point range: it overflowed,
     or a cubic constant underflowed to 0."""
-
-
-class DegenerateZero(DnlsError):
-    """Jacobian too close to singular for a trustworthy determinant sign."""
 
 
 class CertificateInvalid(DnlsError):

@@ -40,7 +40,11 @@ class LatticeParams:
     def __post_init__(self) -> None:
         for name in ("T", "K"):
             value = getattr(self, name)
-            if isinstance(value, bool) or int(value) != value:
+            try:
+                whole = not isinstance(value, bool) and int(value) == value
+            except (OverflowError, ValueError):  # int() of inf, nan or a non-numeric string
+                whole = False
+            if not whole:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name in ("beta", "epsilon", "gamma"):

@@ -126,8 +126,19 @@ def _rotation(c) -> np.ndarray:
     return _blocks(c.real, -c.imag, c.imag, c.real)
 
 
-def _make_power_law(f, r: float) -> Potential:
-    coeffs, coeff, fmax = _coefficients(f)
+def power_law(f, r: float) -> Potential:
+    """Family g(t, z) = f(t) * |z|^(r-1) * z with exponent r > 0.
+
+    The modulus is |f(t)| * |z|^r and the map is odd and continuous in z,
+    including at z = 0.  Exponents r <= 0 are rejected with InvalidExponent,
+    since they would make the map discontinuous at the origin.  The
+    certificate's growth hypothesis holds for every r < 3, for r = 3 when
+    max|f| < coef, and for r > 3 only when f = 0; otherwise
+    ``threshold_formula`` raises NoThresholdFound.
+    """
+    coeffs, coeff, fmax = _coefficients(f)  # an empty f raises before the exponent is checked
+    if not float(r) > 0.0:
+        raise InvalidExponent(f"growth exponent must be positive, got {r}")
     r = float(r)
 
     def evaluate(t, z):
@@ -155,22 +166,6 @@ def _make_power_law(f, r: float) -> Potential:
         return _rotation(coeff(t)) @ inner
 
     return _coefficient_family(coeffs, "power_law", evaluate, derivative, _power_formulas(fmax, r))
-
-
-def power_law(f, r: float) -> Potential:
-    """Family g(t, z) = f(t) * |z|^(r-1) * z with exponent r > 0.
-
-    The modulus is |f(t)| * |z|^r and the map is odd and continuous in z,
-    including at z = 0.  Exponents r <= 0 are rejected with InvalidExponent,
-    since they would make the map discontinuous at the origin.  The
-    certificate's growth hypothesis holds for every r < 3, for r = 3 when
-    max|f| < coef, and for r > 3 only when f = 0; otherwise
-    ``threshold_formula`` raises NoThresholdFound.
-    """
-    g = _make_power_law(f, r)  # an empty f raises before the exponent is checked
-    if not float(r) > 0.0:
-        raise InvalidExponent(f"growth exponent must be positive, got {r}")
-    return g
 
 
 def bounded_potential(f) -> Potential:

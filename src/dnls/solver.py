@@ -203,10 +203,6 @@ def _slice_jacobian(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: fl
 # damped Newton core
 
 
-def _sup(vec: np.ndarray) -> float:
-    return float(np.abs(vec).max())
-
-
 def _measure(
     flat: np.ndarray, slice_res: np.ndarray, op: ShiftedOperator, g: Potential, converge_on: str
 ) -> np.ndarray:
@@ -329,7 +325,7 @@ def _report_at(
     return SolveReport(
         solution=field,
         residual_direct=sup_norm(residual_direct(field, op.params, g)),
-        residual_precond=_sup(_slice_residual(flat, op, g, 1.0)),
+        residual_precond=sup_norm(_slice_residual(flat, op, g, 1.0)),
         newton_iterations=iterations,
         homotopy_steps=homotopy_steps,
         path=path,
@@ -416,7 +412,7 @@ def _track(
         if status == "converged":
             x_prev, tau_prev = x, tau
             x, tau = corrected, tau_try
-            norm = _sup(x)
+            norm = sup_norm(x)
             path.append((tau, norm))
             if norm >= cert.radius:
                 status = "left_ball"
@@ -437,9 +433,9 @@ def _track(
             x[None], op, g, 1.0, tol, max_iter, converge_on="direct"
         )
         total_iters += iters
-        if status == "converged" and _sup(x) >= cert.radius:
+        if status == "converged" and sup_norm(x) >= cert.radius:
             status = "left_ball"
-        path[-1] = (1.0, _sup(x))
+        path[-1] = (1.0, sup_norm(x))
     return x, total_iters, status, tuple(path)
 
 
@@ -483,7 +479,7 @@ def _cluster_representatives(found: list[_Zero], base_tol: float, cap: float) ->
     for cand in found:
         for slot, rep in enumerate(reps):
             unc = 10.0 * max(cand.uncertainty, rep.uncertainty)
-            if _sup(cand.flat - rep.flat) <= max(base_tol, min(cap, unc)):
+            if sup_norm(cand.flat - rep.flat) <= max(base_tol, min(cap, unc)):
                 if cand.residual < rep.residual:
                     reps[slot] = cand
                 break
@@ -535,7 +531,7 @@ def _collect_zeros(
         x, iterations, status = _damped_newton(
             starts[lo:lo + size], op, g, tau, tol, max_iter, converge_on, shift_vec
         )
-        kept = [i for i, how in enumerate(status) if how == "converged" and _sup(x[i]) < radius]
+        kept = [i for i, how in enumerate(status) if how == "converged" and sup_norm(x[i]) < radius]
         if not kept:
             continue
         x = x[kept]
@@ -546,7 +542,7 @@ def _collect_zeros(
             # svals[i, 0] > 0: J = I - A_r^-1 B = 0 would need A_r = B, but B
             # is block diagonal and A_r couples neighbours (epsilon > 0)
             smallest = float(svals[i, -1])
-            uncertainty = _sup(slice_res[i]) / smallest if smallest > 0.0 else np.inf
+            uncertainty = sup_norm(slice_res[i]) / smallest if smallest > 0.0 else np.inf
             found.append(_Zero(x[i], iterations[row], float(residuals[i]), uncertainty,
                                smallest / float(svals[i, 0])))
     return _cluster_representatives(found, base_tol, cap)

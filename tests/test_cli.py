@@ -27,8 +27,7 @@ from dnls.cli import (
     main,
     parse_config,
     read_solution_csv,
-    write_field_csv,
-    write_steady_csv,
+    write_solution_csv,
 )
 
 BASE = {
@@ -164,7 +163,7 @@ def test_field_csv_roundtrip_is_exact(tmp_path):
     vals = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-12, 12, size=(3, 4))
     field = vals + 1j * rng.normal(size=(3, 4))
     path = tmp_path / "field.csv"
-    write_field_csv(path, field)
+    write_solution_csv(path, field)
     back = read_solution_csv(path, LatticeParams(T=3, K=4, beta=1, epsilon=1, gamma=1))
     assert np.array_equal(back, field)  # bitwise, thanks to %.17g
 
@@ -172,12 +171,20 @@ def test_field_csv_roundtrip_is_exact(tmp_path):
 def test_steady_csv_lifts_to_all_time_slices(tmp_path):
     profile = np.array([1.25 - 3j, 0.0, 7e-3 + 1e-15j])
     path = tmp_path / "steady.csv"
-    write_steady_csv(path, profile)
+    write_solution_csv(path, profile)
     params = LatticeParams(T=4, K=3, beta=1, epsilon=1, gamma=1)
     back = read_solution_csv(path, params)
     assert back.shape == (4, 3)
     for t in range(4):
         assert np.array_equal(back[t], profile)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+def test_solution_csv_is_a_field_or_a_profile(tmp_path, shape):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="a solution is a"):
+        write_solution_csv(path, np.zeros(shape, dtype=complex))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -263,7 +270,7 @@ def test_period_mismatch_exit_one(tmp_path, capsys, command):
         potential={"kind": "constant", "coefficients": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]},
     )
     solution = tmp_path / "zeros.csv"
-    write_field_csv(solution, np.zeros((4, 4), dtype=complex))
+    write_solution_csv(solution, np.zeros((4, 4), dtype=complex))
     argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
     if command == "verify":
         argv += ["--solution", str(solution)]
@@ -666,7 +673,7 @@ def test_verify_at_subnormal_beta_and_epsilon_needs_no_inverse(tmp_path, capsys,
     cfg = _write_config(tmp_path, T=4, K=4, beta=scale, epsilon=scale,
                         potential={"kind": "bounded", "coefficients": [[0.5, 0.0]]})
     solution = tmp_path / "zero.csv"
-    write_field_csv(solution, np.zeros((4, 4), dtype=complex))
+    write_solution_csv(solution, np.zeros((4, 4), dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["verify", "--config", cfg, "--solution", str(solution),
@@ -702,7 +709,7 @@ def test_unwritable_out_exit_one(tmp_path, capsys, command, under):
     argv = [command, "--config", cfg, "--out", str(out)]
     if command == "verify":
         solution = tmp_path / "zero.csv"
-        write_steady_csv(solution, np.zeros(2, dtype=complex))
+        write_solution_csv(solution, np.zeros(2, dtype=complex))
         argv += ["--solution", str(solution)]
     assert main(argv) == 1
     captured = capsys.readouterr()

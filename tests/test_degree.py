@@ -9,12 +9,15 @@ plus one circle of sup norm 2.  Every circle is a continuum, hence degenerate;
 only the origin carries a well-defined sign or local index.
 """
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dnls import (
     CertificateInvalid,
-    DegenerateZero,
     LatticeParams,
     build_certificate,
     build_shifted,
@@ -23,9 +26,21 @@ from dnls import (
     multi_start,
     power_law,
     zero_potential,
-    zero_sign,
 )
-from dnls import degree
+from dnls import cli, degree
+from dnls.solver import _slice_jacobian
+
+CORPUS = json.loads(
+    (Path(__file__).resolve().parents[1] / "tools" / "parity_corpus.json").read_text()
+)
+#: degree command configs: two corpus entries, whose zeros all sign +1, and a
+#: forcing without phase symmetry, whose full map has zeros of both signs
+SIGN_CONFIGS = {
+    **{e["name"]: e["config"] for e in CORPUS["entries"]
+       if e["name"] in ("bench-degree-4x8", "degree-bounded-2x4")},
+    "constant-2x2": {"T": 2, "K": 2, "beta": 1.0, "epsilon": 1.0, "gamma": 1.0,
+                     "potential": {"kind": "constant", "coefficients": [[2.0, 0.0]]}},
+}
 
 ODD_CIRCLE_SUPS = (np.sqrt(6.0), np.sqrt(10.0), np.sqrt(3.0) + 1.0)
 FULL_CIRCLE_SUPS = (2.0,)
@@ -44,17 +59,49 @@ def _setup(g=None, seed=0):
 # signs
 
 
-def test_zero_sign_of_definite_jacobians():
-    assert zero_sign(np.eye(6)) == 1
-    flipped = np.diag([1.0, 1.0, -1.0, 1.0])
-    assert zero_sign(flipped) == -1
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # det +1, no real eigenvalues
-    assert zero_sign(rot) == 1
+def _alone(flat, op, g, tau):
+    # the determinant sign of the slice Jacobian built for one zero alone
+    return int(np.linalg.slogdet(_slice_jacobian(flat, op, g, tau))[0])
 
 
-def test_zero_sign_rejects_singular():
-    with pytest.raises(DegenerateZero):
-        zero_sign(np.diag([1.0, 0.0]))
+@pytest.mark.parametrize("seed", CORPUS["seeds"])
+@pytest.mark.parametrize("name", list(SIGN_CONFIGS))
+def test_stacked_signs_are_each_zero_alone(monkeypatch, name, seed):
+    # the degree command's pipeline; every stacked sign pass is recorded, so
+    # the origin's preimages can be checked one by one
+    config = replace(cli.parse_config(SIGN_CONFIGS[name]), seed=seed)
+    g, op, cert = cli._certified_pipeline(config)
+    passes, stacked = [], degree._signs
+
+    def recording(zeros, op, g, tau):
+        signs = stacked(zeros, op, g, tau)
+        passes.append((zeros, tau, signs))
+        return signs
+
+    monkeypatch.setattr(degree, "_signs", recording)
+    indices, signs_seen = 0, set()
+    for target, tau in (("odd", 0.0), ("full", 1.0)):
+        passes.clear()
+        report = estimate_degree(target, op, g, cert, n_starts=config.n_starts, seed=seed)
+        signs_seen.update(z.sign for z in report.zeros)
+        for z in report.zeros:
+            assert z.sign in (-1, 1)
+            assert z.sign == _alone(z.field.ravel(), op, g, tau)
+        # the first pass signs the regular zeros, each later one an origin's
+        # preimages, in the order of the degenerate records with an index
+        origins = [d.local_index for d in report.degenerate if d.local_index is not None]
+        assert len(passes) == 1 + len(origins)
+        for (zeros, at, signs), local_index in zip(passes[1:], origins):
+            assert at == tau
+            assert signs == [_alone(z.flat, op, g, tau) for z in zeros]
+            assert local_index == sum(signs)
+        indices += len(origins)
+    if name == "bench-degree-4x8":
+        # r = 2 has a zero derivative at 0, so the full map's origin is
+        # degenerate and its index comes from the preimages
+        assert indices >= 1
+    if name == "constant-2x2":
+        assert signs_seen == {-1, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,14 @@ def test_params_rejects_bool_periods_and_non_finite_coefficients(field, value):
         LatticeParams(**{**kwargs, field: value})
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field", ["T", "K"])
+def test_params_rejects_non_finite_periods(field, value):
+    kwargs = dict(T=2, K=4, beta=1.0, epsilon=1.0, gamma=1.0)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        LatticeParams(**{**kwargs, field: value})
+
+
 def test_params_dim_and_normalization():
     p = LatticeParams(T=3, K=5, beta=2, epsilon=1, gamma=-1)
     assert p.dim == 15

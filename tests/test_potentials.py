@@ -90,6 +90,8 @@ def test_power_law_rejects_bad_exponents(r):
 def test_power_law_rejects_empty_coefficients():
     with pytest.raises(EmptyCoefficients):
         power_law([], 1.0)
+    with pytest.raises(EmptyCoefficients):  # before the exponent is checked
+        power_law([], 0.0)
 
 
 # ---------------------------------------------------------------------------
