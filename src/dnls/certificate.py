@@ -256,30 +256,12 @@ def _require_valid(cert: ExistenceCertificate) -> None:
         )
 
 
-def _apply_inverse(rows: np.ndarray, op: ShiftedOperator, block: np.ndarray | None) -> np.ndarray:
-    """A^-1 applied to one flat field or to each row of an (m, n) stack: row
-    by row (``ShiftedOperator.solve_rows``), each row with the bits of a
-    one-field call, or, given a complex ``block`` of the stack's shape, to
-    the stack as one (n, m) block, whose dense product rounds differently.
-    With a block the result is C-contiguous and ``rows`` is scratch: the
-    dense product fills ``block`` as the C-contiguous (n, m) array BLAS
-    needs and is copied back into ``rows``, because a ufunc over operands
-    of mixed layouts allocates a buffer and a copy does not; the FFT fills
-    the rows of ``block``."""
-    if block is None:
-        return op.solve_rows(rows)
-    if op.dim <= DENSE_APPLY_MAX_DIM:
-        np.copyto(rows, op.solve(rows.T, out=block.reshape(rows.shape[::-1])).T)
-        return rows
-    return op.solve(rows.T, out=block.T).T
-
-
 def _odd_part(flat: np.ndarray, op: ShiftedOperator, work: tuple | None = None) -> np.ndarray:
     """phi - A^-1 F(phi) for one flat field or an (m, n) stack of them.
     ``work``, (float, complex, complex) buffers of flat's shape, holds every
     large array, the result is its first complex buffer, and A^-1 goes to
-    the stack as one block (``_apply_inverse`` with the last buffer);
-    without it A^-1 goes row by row."""
+    the stack as one block (``ShiftedOperator.solve_rows`` with the last
+    buffer); without it A^-1 goes row by row."""
     real, term, block = work or (np.empty(flat.shape), np.empty(flat.shape, complex), None)
     # -gamma * |phi|^2 * phi, bit for bit: a float times a complex goes
     # through a complex cast
@@ -287,7 +269,7 @@ def _odd_part(flat: np.ndarray, op: ShiftedOperator, work: tuple | None = None) 
     real *= -op.params.gamma
     np.copyto(term, real)
     term *= flat
-    return np.subtract(flat, _apply_inverse(term, op, block), out=term)
+    return np.subtract(flat, op.solve_rows(term, block), out=term)
 
 
 def _forcing_term(
@@ -365,7 +347,7 @@ def _kept_halves(
         left = left[keep]
         if keep.size:
             kept = np.take(rhs, keep, axis=0, out=draw[: keep.size], mode="clip")
-            forced = _apply_inverse(kept, op, term[: keep.size])
+            forced = op.solve_rows(kept, term[: keep.size])
             return left, np.abs(forced, out=real[: keep.size]).max(axis=1)
     return left, np.empty(0)
 
@@ -401,9 +383,8 @@ def _boundary_gaps(
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     share = min(cores, MAX_WORKERS)
-    count = rows = 0
-    for lo, hi in _chunks(samples, n, share):
-        count, rows = count + 1, max(rows, hi - lo)
+    plan = list(_chunks(samples, n, share))
+    count, rows = len(plan), max(hi - lo for lo, hi in plan)
     # per worker: a float buffer (moduli and phases, |phi|^2, each half's
     # moduli) and three complex ones (the samples, then the kept forcing
     # terms; the cast moduli, then each half's term and result; the A^-1
@@ -414,7 +395,7 @@ def _boundary_gaps(
     ]
     if n <= DENSE_APPLY_MAX_DIM:
         op.inverse  # a cached_property, which has no lock: built before the workers start
-    chunks = enumerate(_chunks(samples, n, share))
+    chunks = enumerate(plan)
     index_rng = _stream_at(rng, 2 * samples * n)
     take, forcing = threading.Lock(), threading.Lock()
     errors: list[BaseException] = []

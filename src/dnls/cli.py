@@ -41,7 +41,6 @@ from .errors import (
     CertificateOverflow,
     ConfigError,
     DimensionMismatch,
-    DimensionTooLarge,
     DnlsError,
     NoThresholdFound,
     PeriodMismatch,
@@ -63,8 +62,9 @@ __all__ = ["RunConfig", "PotentialSpec", "load_config", "build_potential", "main
 #: largest realified dimension the degree command accepts
 DEGREE_DIM_CAP = 64
 
-CSV_FIELD_HEADER = "t,k,re,im"
-CSV_STEADY_HEADER = "k,re,im"
+#: solution CSV header by the solution's rank: a (T, K) field or a (K,)
+#: steady profile
+CSV_HEADERS = {2: "t,k,re,im", 1: "k,re,im"}
 
 
 @dataclass(frozen=True)
@@ -281,10 +281,9 @@ def write_solution_csv(path: Path, values: np.ndarray) -> None:
     (K,) steady profile under `k,re,im`: one row per node, its indices, then
     the real and imaginary parts with 17 significant digits."""
     values = np.asarray(values)
-    headers = {2: CSV_FIELD_HEADER, 1: CSV_STEADY_HEADER}
-    if values.ndim not in headers:
+    if values.ndim not in CSV_HEADERS:
         raise ValueError(f"a solution is a (T, K) field or a (K,) profile, got {values.shape}")
-    lines = [headers[values.ndim]]
+    lines = [CSV_HEADERS[values.ndim]]
     for index, z in np.ndenumerate(values):
         lines.append(",".join(map(str, index)) + f",{z.real:.17g},{z.imag:.17g}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
@@ -306,13 +305,13 @@ def read_solution_csv(path: str | Path, params: LatticeParams) -> np.ndarray:
     if not lines:
         raise DimensionMismatch(f"solution file {path} is empty")
     header, rows = lines[0], lines[1:]
-    shapes = {CSV_FIELD_HEADER: (params.T, params.K), CSV_STEADY_HEADER: (params.K,)}
-    if header not in shapes:
+    ranks = {layout: rank for rank, layout in CSV_HEADERS.items()}
+    if header not in ranks:
+        expected = " or ".join(map(repr, CSV_HEADERS.values()))
         raise DimensionMismatch(
-            f"solution file {path}: unrecognized header {header!r} "
-            f"(expected {CSV_FIELD_HEADER!r} or {CSV_STEADY_HEADER!r})"
+            f"solution file {path}: unrecognized header {header!r} (expected {expected})"
         )
-    shape = shapes[header]
+    shape = (params.T, params.K)[-ranks[header]:]
     if len(rows) != math.prod(shape):
         dims = ", ".join(f"{name.upper()}={n}" for name, n in zip(header.split(","), shape))
         raise DimensionMismatch(
@@ -455,7 +454,7 @@ def cmd_degree(config: RunConfig, out_dir: Path) -> int:
     """Degree estimates for both fixed-point maps; exit 0 when the odd map's
     parity holds and the two estimates agree, 4 otherwise."""
     if 2 * config.params.dim > DEGREE_DIM_CAP:
-        raise DimensionTooLarge(
+        raise ConfigError(
             f"degree estimation caps the realified dimension at {DEGREE_DIM_CAP}, "
             f"got 2*T*K = {2 * config.params.dim}"
         )
@@ -531,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
         commands = {"certify": cmd_certify, "solve": cmd_solve, "steady": cmd_steady,
                     "degree": cmd_degree}
         return commands[args.command](config, out_dir)
-    except (ConfigError, DimensionMismatch, DimensionTooLarge, PeriodMismatch) as exc:
+    except (ConfigError, DimensionMismatch, PeriodMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -11,7 +11,6 @@ __all__ = [
     "CertificateInvalid",
     "SolveFailed",
     "DimensionMismatch",
-    "DimensionTooLarge",
     "ConfigError",
 ]
 
@@ -57,10 +56,6 @@ class SolveFailed(DnlsError):
 
 class DimensionMismatch(DnlsError):
     """Solution file does not match the configured lattice."""
-
-
-class DimensionTooLarge(DnlsError):
-    """Realified dimension exceeds the supported desk-scale limit."""
 
 
 class ConfigError(DnlsError):

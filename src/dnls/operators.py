@@ -109,14 +109,25 @@ class ShiftedOperator:
         np.fft.ifft(work, axis=1, out=dst)
         return out
 
-    def solve_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Apply A^-1 to one vector or to each row of an (m, n) stack, each
-        row with the bits of a one-vector ``solve``: one matrix-vector
-        product per row up to DENSE_APPLY_MAX_DIM nodes (one matrix-matrix
-        product over the stack rounds differently), the FFT above."""
-        if self.dim <= DENSE_APPLY_MAX_DIM:
+    def solve_rows(self, rows: np.ndarray, block: np.ndarray | None = None) -> np.ndarray:
+        """Apply A^-1 to one vector or to each row of an (m, n) stack.
+
+        Without ``block`` each row gets the bits of a one-vector ``solve``:
+        one matrix-vector product per row up to DENSE_APPLY_MAX_DIM nodes
+        (one matrix-matrix product over the stack rounds differently), the
+        FFT above.  Given a complex ``block`` of the stack's shape, the stack
+        goes to ``solve`` as one (n, m) block, the result is C-contiguous and
+        ``rows`` is scratch: the dense product fills ``block`` as the
+        C-contiguous (n, m) ``out`` BLAS needs and is copied back into
+        ``rows``, because a ufunc over operands of mixed layouts allocates a
+        buffer and a copy does not; the FFT fills the rows of ``block``.
+        """
+        if self.dim > DENSE_APPLY_MAX_DIM:
+            return self.solve(rows.T, out=None if block is None else block.T).T
+        if block is None:
             return (self.inverse @ rows[..., None])[..., 0]
-        return self.solve(rows.T).T
+        np.copyto(rows, self.solve(rows.T, out=block.reshape(rows.shape[::-1])).T)
+        return rows
 
     @cached_property
     def inverse(self) -> np.ndarray:

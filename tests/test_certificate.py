@@ -674,14 +674,14 @@ def test_fft_apply_is_bounded_by_the_inverse_norm_and_row_independent(lattice, b
     stack[0] = _l1_extremal(op)
     stack[1] = np.sign(stack[1].real)
     stack *= 10.0**scale
-    whole = certificate._apply_inverse(stack.copy(), op, np.empty_like(stack))
+    whole = op.solve_rows(stack.copy(), np.empty_like(stack))
     sup = np.abs(stack).max(axis=1)
     assert (np.abs(whole).max(axis=1) <= op.norm_shifted_inv * sup
             * (1.0 + certificate.BOUND_SLACK)).all()
     # the extremal field reaches the bound up to rounding
     assert np.abs(whole[0]).max() >= op.norm_shifted_inv * sup[0] * (1.0 - 1e-9)
     rows = stack[subset]
-    part = certificate._apply_inverse(rows, op, np.empty_like(rows))
+    part = op.solve_rows(rows, np.empty_like(rows))
     assert part.tobytes() == np.ascontiguousarray(whole[subset]).tobytes()
 
 

@@ -23,6 +23,7 @@ from dnls.cli import (
     ConfigError,
     PotentialSpec,
     build_potential,
+    cmd_degree,
     load_config,
     main,
     parse_config,
@@ -191,14 +192,14 @@ def test_solution_csv_is_a_field_or_a_profile(tmp_path, shape):
     "content,needle",
     [
         ("", "empty"),
-        ("a,b,c\n0,0,0", "header"),
-        ("t,k,re,im\n0,0,1,2", "expected 6 rows"),
+        ("a,b,c\n0,0,0", r"unrecognized header 'a,b,c' \(expected 't,k,re,im' or 'k,re,im'\)$"),
+        ("t,k,re,im\n0,0,1,2", "expected 6 rows for T=2, K=3, got 1$"),
         ("t,k,re,im\n" + "\n".join(f"0,{k},1,0" for k in (0, 1, 0, 2, 1, 2)), "twice"),
         ("t,k,re,im\n" + "\n".join(f"{t},9,1,0" for t in range(6)), "outside"),
         ("t,k,re,im\n" + "\n".join(f"0,{k},x,0" for k in range(6)), "non-numeric"),
         ("t,k,re,im\n" + "\n".join(f"0.5,{k},1,0" for k in range(6)), "outside"),
         ("t,k,re,im\n0,0,1\n0,1,1\n0,2,1\n1,0,1\n1,1,1\n1,2,1", "columns"),
-        ("k,re,im\n0,1,0\n1,1,0", "expected 3 rows"),
+        ("k,re,im\n0,1,0\n1,1,0", "expected 3 rows for K=3, got 2$"),
         ("t,k,re,im\n0,0,nan,0\n0,0,1,0\n0,1,1,0\n0,2,1,0\n1,0,1,0\n1,1,1,0", "non-finite"),
         ("k,re,im\n0,1,0\n1,inf,0\n2,1,-inf", "non-finite"),
         ("t,k,re,im\n" + "\n".join(f"nan,{k},1,0" for k in range(6)), "non-finite"),
@@ -759,7 +760,10 @@ def test_degree_unforced_parity(tmp_path, capsys):
 def test_degree_dimension_guard(tmp_path, capsys):
     cfg = _write_config(tmp_path, T=4, K=16)  # 2*T*K = 128 > 64
     assert main(["degree", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "dimension" in capsys.readouterr().err.lower()
+    assert capsys.readouterr().err == (
+        "error: degree estimation caps the realified dimension at 64, got 2*T*K = 128\n")
+    with pytest.raises(ConfigError, match="caps the realified dimension"):
+        cmd_degree(load_config(cfg), tmp_path / "o")
 
 
 def test_outputs_are_byte_identical_across_reruns(tmp_path, capsys):

@@ -228,6 +228,27 @@ def test_degree_lattices_apply_densely():
     assert DEGREE_DIM_CAP // 2 <= operators.DENSE_APPLY_MAX_DIM
 
 
+@pytest.mark.parametrize("T,K", [(4, 8), (16, 16)])
+def test_dense_block_apply_is_one_matrix_product(T, K, monkeypatch):
+    # with a block, solve_rows applies A^-1 to the stack as one (n, m)
+    # product, the one the boundary check's certificates were recorded
+    # with, in one ``solve`` call, and returns it in ``rows``, C-contiguous
+    op = build_shifted(_params(T=T, K=K), shift_factor=1.5)
+    assert op.dim <= operators.DENSE_APPLY_MAX_DIM
+    calls, solve = [], ShiftedOperator.solve
+    monkeypatch.setattr(ShiftedOperator, "solve",
+                        lambda self, rhs, out=None: calls.append(rhs.shape) or solve(self, rhs, out))
+    rng = np.random.default_rng(T * K)
+    for m in (1, 16, 37):
+        rows = rng.normal(size=(m, op.dim)) + 1j * rng.normal(size=(m, op.dim))
+        expected = np.matmul(op.inverse, rows.T).T
+        calls.clear()
+        applied = op.solve_rows(rows, np.empty_like(rows))
+        assert calls == [(op.dim, m)]
+        assert applied is rows and applied.flags.c_contiguous
+        assert applied.tobytes() == expected.tobytes()
+
+
 def test_slice_jacobian_from_inverse_parts_matches_realified_inverse():
     # J is built from the real and imaginary parts of A^-1; each entry has
     # the bits of the product with the realified A^-1, for one field and for

@@ -19,8 +19,8 @@ PUBLIC = {
     "DegenerateRecord", "DegreeReport", "ZeroRecord", "estimate_degree",
     # errors
     "CertificateInvalid", "CertificateOverflow", "ConfigError", "DimensionMismatch",
-    "DimensionTooLarge", "DnlsError", "EmptyCoefficients", "InvalidExponent",
-    "NoThresholdFound", "PeriodMismatch", "SingularShift", "SolveFailed",
+    "DnlsError", "EmptyCoefficients", "InvalidExponent", "NoThresholdFound",
+    "PeriodMismatch", "SingularShift", "SolveFailed",
     # lattice
     "LatticeParams", "check_period", "sup_norm",
     # operators

@@ -184,7 +184,7 @@ def _fd_jacobian(phi, op, g, h=1e-7):
     ],
     ids=["zero", "quadratic", "bounded", "constant"],
 )
-def test_realified_jacobian_matches_finite_differences(make_g):
+def test_slice_jacobian_matches_finite_differences(make_g):
     g = make_g()
     T = 2 if g.period == 2 else 1
     params, op, _, _ = _setup(T=T, K=3, g=g, samples=0)
@@ -231,10 +231,7 @@ def _tiled(quotient_flat, period, T, K):
 @pytest.mark.parametrize("T,K", [(8, 10), (12, 12)])
 @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("offset", [False, True], ids=["plain", "shift_vec"])
-# every forcing carries its derivative, so "analytic" is the one mode left;
-# the parameter keeps the test ids
-@pytest.mark.parametrize("mode", ["analytic"])
-def test_sparse_newton_step_matches_dense_solve(T, K, tau, offset, mode):
+def test_quotient_newton_step_tiles_to_the_full_lattice_step(T, K, tau, offset):
     # at a field constant in space and periodic in time like the forcing,
     # the Newton step on the 2-node-per-period quotient, tiled, is the dense
     # step of the full lattice: J maps those fields to themselves and acts
