@@ -220,33 +220,25 @@ def estimate_degree(
         ZeroRecord(_field(z.flat, params), z.residual, sign, z.sigma_ratio)
         for z, sign in zip(regular, _signs(regular, op, g, tau))
     ]
-    degenerate: list[DegenerateRecord] = []
-    degree = sum(z.sign for z in zeros)
-    origin_perturbed = False
+    # a degenerate zero at the origin gets its perturbation-recovered index
     origin_tol = 1e-6 * max(1.0, cert.radius)
-    for z in found:
-        if z.sigma_ratio > SIGMA_RATIO_DEGENERATE:
-            continue
-        local_index: int | None = None
-        if sup_norm(z.flat) <= origin_tol:
-            local_index = _origin_local_index(op, g, tau, cert.radius, seed)
-            if local_index is not None:
-                degree += local_index
-                origin_perturbed = True
-        degenerate.append(
-            DegenerateRecord(_field(z.flat, params), z.residual, z.sigma_ratio, local_index)
+    degenerate = [
+        DegenerateRecord(
+            _field(z.flat, params), z.residual, z.sigma_ratio,
+            _origin_local_index(op, g, tau, cert.radius, seed)
+            if sup_norm(z.flat) <= origin_tol else None,
         )
-
-    parity_ok: bool | None = None
-    if target == "odd":
-        parity_ok = degree % 2 == 1
+        for z in found if z.sigma_ratio <= SIGMA_RATIO_DEGENERATE
+    ]
+    indices = [d.local_index for d in degenerate if d.local_index is not None]
+    degree = sum(z.sign for z in zeros) + sum(indices)
     return DegreeReport(
         target=target,
         radius=cert.radius,
         zeros=tuple(zeros),
         degenerate=tuple(degenerate),
         degree_estimate=degree,
-        parity_ok=parity_ok,
+        parity_ok=degree % 2 == 1 if target == "odd" else None,
         completeness="heuristic",
-        origin_perturbed=origin_perturbed,
+        origin_perturbed=bool(indices),
     )

@@ -203,18 +203,6 @@ def _slice_jacobian(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: fl
 # damped Newton core
 
 
-def _measure(
-    flat: np.ndarray, slice_res: np.ndarray, op: ShiftedOperator, g: Potential, converge_on: str
-) -> np.ndarray:
-    """Newton's convergence measure at each row of an (m, n) stack ``flat``:
-    the sup norm of its slice residual, the row of ``slice_res``
-    ("slice"), or of its direct lattice residual ("direct")."""
-    if converge_on == "slice":
-        return np.abs(slice_res).max(axis=1)
-    fields = flat.reshape(len(flat), op.params.T, op.params.K)
-    return np.abs(residual_direct(fields, op.params, g)).max(axis=(1, 2))
-
-
 def _newton_step(
     flat: np.ndarray, res: np.ndarray, op: ShiftedOperator, g: Potential, tau: float
 ) -> np.ndarray:
@@ -238,7 +226,7 @@ def _damped_newton(
     max_iter: int,
     converge_on: str = "slice",
     shift_vec: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[int], list[str]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[str]]:
     """Damped Newton on the (realified) tau-slice from each row of an (m, n)
     stack of ``starts``, all rows advanced together.
 
@@ -246,8 +234,10 @@ def _damped_newton(
     residual sup norm strictly decreases; a singular Jacobian, a stalled
     line search, or a non-finite trial residual (from a non-finite step or an
     overflow) counts as divergence.  ``converge_on`` picks the convergence
-    measure (see ``_measure``).  ``shift_vec`` subtracts a constant from the
-    slice map (used to solve r_tau(phi) = w when estimating local indices).
+    measure: the sup norm of the slice residual ("slice") or of the direct
+    lattice residual ("direct").  ``shift_vec`` subtracts a constant from
+    the slice map (used to solve r_tau(phi) = w when estimating local
+    indices).
 
     Each iteration takes one stacked residual per trial step and one
     stacked exact Newton step (``_newton_step``, one 2n x 2n Jacobian per
@@ -256,11 +246,13 @@ def _damped_newton(
     enumeration stacks of ``_stack_rows`` rows.  A step that fails for the stack is retried
     one row at a time, so that only the rows that fail on their own diverge.
     Each row ends with the point, iteration count and status of a run from
-    that start alone, bit for bit.  Returns the final (m, n) points, and
-    the iteration count and status of each row.
+    that start alone, bit for bit.  Returns the final (m, n) points, their
+    (m, n) slice residuals and (m,) convergence measures, and the iteration
+    count and status of each row.
     """
     x = np.array(starts, dtype=complex)
     r = _slice_residual(x, op, g, tau, shift_vec)
+    measure = np.empty(len(x))
     iterations = [max_iter] * len(x)
     status = ["max_iter"] * len(x)
     running = np.ones(len(x), dtype=bool)
@@ -272,7 +264,12 @@ def _damped_newton(
 
     for iteration in range(max_iter + 1):
         live = np.flatnonzero(running)
-        finish(live[_measure(x[live], r[live], op, g, converge_on) <= tol], "converged")
+        if converge_on == "slice":
+            measure[live] = np.abs(r[live]).max(axis=1)
+        else:
+            fields = x[live].reshape(live.size, op.params.T, op.params.K)
+            measure[live] = np.abs(residual_direct(fields, op.params, g)).max(axis=(1, 2))
+        finish(live[measure[live] <= tol], "converged")
         live = np.flatnonzero(running)
         if iteration == max_iter or not live.size:
             break  # the rows still running end at max_iter
@@ -308,7 +305,7 @@ def _damped_newton(
             searching = searching[finite & ~better]
             lam *= 0.5
         finish(live[searching], "diverged")
-    return x, iterations, status
+    return x, r, measure, iterations, status
 
 
 def _report_at(
@@ -405,7 +402,7 @@ def _track(
             predicted = x
         else:
             predicted = x + (x - x_prev) * ((tau_try - tau) / (tau - tau_prev))
-        (corrected,), (iters,), (status,) = _damped_newton(
+        (corrected,), _, _, (iters,), (status,) = _damped_newton(
             predicted[None], op, g, tau_try, tol=tol, max_iter=CORRECTOR_ITER,
         )
         total_iters += iters
@@ -429,7 +426,7 @@ def _track(
                 status = "diverged"
                 break
     else:
-        (x,), (iters,), (status,) = _damped_newton(
+        (x,), _, _, (iters,), (status,) = _damped_newton(
             x[None], op, g, 1.0, tol, max_iter, converge_on="direct"
         )
         total_iters += iters
@@ -512,8 +509,9 @@ def _collect_zeros(
     of the (m, n) ``starts``.
 
     A converged run is kept when it ends strictly inside the ball of
-    ``radius``; its convergence measure there, at most ``tol``, is the
-    record's ``residual``.  Its location uncertainty is the slice residual
+    ``radius``, and its record keeps what Newton measured there: the
+    convergence measure, at most ``tol``, is the record's ``residual``, and
+    the location uncertainty is the sup norm of the final slice residual
     over the smallest singular value of the slice Jacobian, infinite at a
     singular Jacobian; near-degenerate zeros get large values, which the
     clustering uses to merge their halo of pseudo-solutions.  Returns the
@@ -528,23 +526,20 @@ def _collect_zeros(
     found: list[_Zero] = []
     size = _stack_rows(op.dim)
     for lo in range(0, len(starts), size):
-        x, iterations, status = _damped_newton(
+        x, r, measure, iterations, status = _damped_newton(
             starts[lo:lo + size], op, g, tau, tol, max_iter, converge_on, shift_vec
         )
         kept = [i for i, how in enumerate(status) if how == "converged" and sup_norm(x[i]) < radius]
         if not kept:
             continue
-        x = x[kept]
-        slice_res = _slice_residual(x, op, g, tau, shift_vec)
-        residuals = _measure(x, slice_res, op, g, converge_on)
-        svals = np.linalg.svd(_slice_jacobian(x, op, g, tau), compute_uv=False)
-        for i, row in enumerate(kept):
-            # svals[i, 0] > 0: J = I - A_r^-1 B = 0 would need A_r = B, but B
-            # is block diagonal and A_r couples neighbours (epsilon > 0)
-            smallest = float(svals[i, -1])
-            uncertainty = sup_norm(slice_res[i]) / smallest if smallest > 0.0 else np.inf
-            found.append(_Zero(x[i], iterations[row], float(residuals[i]), uncertainty,
-                               smallest / float(svals[i, 0])))
+        svals = np.linalg.svd(_slice_jacobian(x[kept], op, g, tau), compute_uv=False)
+        for row, sv in zip(kept, svals):
+            # sv[0] > 0: J = I - A_r^-1 B = 0 would need A_r = B, but B is
+            # block diagonal and A_r couples neighbours (epsilon > 0)
+            smallest = float(sv[-1])
+            uncertainty = sup_norm(r[row]) / smallest if smallest > 0.0 else np.inf
+            found.append(_Zero(x[row], iterations[row], float(measure[row]), uncertainty,
+                               smallest / float(sv[0])))
     return _cluster_representatives(found, base_tol, cap)
 
 

@@ -438,7 +438,9 @@ def test_newton_step_singular_jacobian_raises():
     res = solver._slice_residual(flat, op, g, 1.0)
     jac = solver._slice_jacobian(flat, op, g, 1.0)
     assert np.max(np.abs(jac @ solver.realify(res))) <= 1e-15
-    x, iterations, status = solver._damped_newton(flat[None], op, g, 1.0, solver.DEFAULT_TOL, 25)
+    x, _, _, iterations, status = solver._damped_newton(
+        flat[None], op, g, 1.0, solver.DEFAULT_TOL, 25
+    )
     assert (iterations, status) == ([0], ["diverged"])
     assert not x.any()
 

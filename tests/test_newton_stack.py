@@ -5,7 +5,8 @@ stacked residual per trial step, one stacked Jacobian and one stacked LAPACK
 solve per iteration.  The reference below is the one-start dense-step loop
 it replaced, with its own one-vector residual and its Jacobian from the
 realified A^-1.  Every row of a stacked run must end with the reference's
-point, bit for bit, its iteration count and its status.
+point, bit for bit, its iteration count and its status, and with the slice
+residual and convergence measure of a fresh evaluation at that point.
 """
 
 import tracemalloc
@@ -130,7 +131,7 @@ def _case_starts(name, seed, count):
 
 def _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on, shift_vec):
     tol = 1e-11
-    x, iterations, status = solver._damped_newton(
+    x, r, measure, iterations, status = solver._damped_newton(
         starts, op, g, tau, tol, max_iter, converge_on, shift_vec
     )
     why: list[str] = []
@@ -141,6 +142,11 @@ def _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on, shif
         )
         assert x[row].tobytes() == ref_x.tobytes(), row
         assert (iterations[row], status[row]) == (ref_iterations, ref_status), row
+        fresh = solver._slice_residual(x[row], op, g, tau, shift_vec)
+        assert r[row].tobytes() == fresh.tobytes(), row
+        if converge_on == "direct":
+            fresh = solver.residual_direct(x[row].reshape(op.params.T, op.params.K), op.params, g)
+        assert measure[row].tobytes() == np.abs(fresh).max().tobytes(), row
         outcomes.append(ref_status)
     return outcomes, why
 
@@ -204,7 +210,7 @@ def _collect(starts, op, g):
 
 def test_collect_zeros_records_do_not_depend_on_the_stack_size(monkeypatch):
     # stacked SVDs and Newton runs give each record the bits of runs from
-    # one start at a time
+    # one start at a time, and its residual is Newton's measure at its point
     op, g = _op(4, 8), power_law([0.3], 2.0)
     starts = _degree_starts(op, g, 4, 40)
     stacked = _collect(starts, op, g)
@@ -216,6 +222,7 @@ def test_collect_zeros_records_do_not_depend_on_the_stack_size(monkeypatch):
         assert a.flat.tobytes() == b.flat.tobytes()
         assert (a.iterations, a.residual, a.uncertainty, a.sigma_ratio) == (
             b.iterations, b.residual, b.uncertainty, b.sigma_ratio)
+        assert a.residual == sup_norm(solver._slice_residual(a.flat, op, g, 1.0))
 
 
 def test_collect_zeros_memory_is_flat_in_the_start_count():

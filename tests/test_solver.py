@@ -369,7 +369,7 @@ def test_odd_slice_jacobian_at_origin_is_identity():
 def _direct_newton(start, op, g, tol=solver.DEFAULT_TOL):
     """The homotopy's polish on its own: damped Newton on the tau = 1 slice
     from one start, converged on the direct residual."""
-    x, iterations, status = solver._damped_newton(
+    x, _, _, iterations, status = solver._damped_newton(
         start.flatten()[None], op, g, 1.0, tol, 100, converge_on="direct"
     )
     return solver._report_at(x[0], op, g, iterations[0], status[0], "newton")
