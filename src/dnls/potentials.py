@@ -194,11 +194,12 @@ def bounded_potential(f) -> Potential:
 
     def threshold_formula(coef: float) -> float:
         # beyond rho the inequality fmax*rho/(1+rho^2) <= coef*rho^3 holds,
-        # i.e. coef*rho^2*(1+rho^2) >= fmax; solve the quadratic in rho^2
+        # i.e. coef*rho^2*(1+rho^2) >= fmax; the quadratic's root in rho^2,
+        # (-1 + sqrt(1 + 4a)) / 2, in the form that does not cancel for a << 1
         if fmax == 0.0:
             return 1.0
-        x = (-1.0 + np.sqrt(1.0 + 4.0 * fmax / coef)) / 2.0
-        return float(np.sqrt(x))
+        a = fmax / coef
+        return float(np.sqrt(2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * a))))
 
     def sup_formula(radius: float) -> float:
         if radius >= 1.0:

@@ -376,10 +376,6 @@ def test_closed_forms_bound_sampled_moduli(g, coef, radius):
     # relative rounding of the two sides
     inside = circle_moduli(g, np.linspace(0.0, radius, 33)).max()
     assert inside <= g.sup_formula(radius) * (1 + 1e-12)
-    if g.kind == "bounded":
-        # its threshold loses digits to cancellation when max|f| << coef;
-        # see test_bounded_threshold_cancellation
-        return
     try:
         threshold = g.threshold_formula(coef)
     except NoThresholdFound:
@@ -398,9 +394,9 @@ def test_closed_forms_bound_sampled_moduli(g, coef, radius):
     assert np.all(beyond <= coef * rho**3 * (1 + 1e-12))
 
 
-@pytest.mark.xfail(strict=True, reason="(-1 + sqrt(1 + 4 fmax/coef)) / 2 cancels for "
-                   "fmax << coef, so the radius comes out 4e-6 (relative) too small here")
 def test_bounded_threshold_cancellation():
+    # (-1 + sqrt(1 + 4a)) / 2 with a = max|f|/coef would cancel here and
+    # give a radius 4e-6 (relative) too small; 2a / (1 + sqrt(1 + 4a)) does not
     g = bounded_potential([1e-10])
     rho = g.threshold_formula(11.0)
     assert float(np.abs(g.evaluate(0, rho))) <= 11.0 * rho**3
