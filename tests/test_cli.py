@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dnls
-from dnls import DimensionMismatch, LatticeParams, NoThresholdFound, solver
+from dnls import DimensionMismatch, LatticeParams, NoThresholdFound, power_law, solver
 from dnls.cli import (
     ConfigError,
     PotentialSpec,
@@ -30,6 +30,7 @@ from dnls.cli import (
     read_solution_csv,
     write_solution_csv,
 )
+from oracles import plane_wave, plane_waves
 
 BASE = {
     "T": 1,
@@ -443,6 +444,20 @@ def test_newton_step_singular_jacobian_raises():
     )
     assert (iterations, status) == ([0], ["diverged"])
     assert not x.any()
+
+
+def test_verify_passes_on_a_plane_wave(tmp_path, capsys):
+    # the largest plane wave below modulus 10 on 64x64 solves the equation
+    # exactly, so verify passes on its CSV
+    potential = {"kind": "power_law", "coefficients": [[0.3, 0.0]], "exponent": 2.0}
+    cfg = _write_config(tmp_path, T=64, K=64, potential=potential)
+    params = LatticeParams(T=64, K=64, beta=1.0, epsilon=1.0, gamma=1.0)
+    j, m, rho = max(plane_waves(params, power_law([0.3], 2.0), 10.0), key=lambda w: w[2])
+    assert rho > 2.0
+    write_solution_csv(tmp_path / "wave.csv", plane_wave(params, j, m, rho))
+    assert main(["verify", "--config", cfg, "--solution", str(tmp_path / "wave.csv"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_solve_quotient_and_full_lattice_tracking_agree(tmp_path, capsys, monkeypatch):

@@ -30,7 +30,7 @@ from dnls import (
 )
 from dnls import operators, solver
 from dnls.solver import _newton_step, _slice_jacobian, _slice_residual
-from oracles import random_field, realified_matrix, shifted, tile_steady
+from oracles import plane_wave, plane_waves, random_field, realified_matrix, shifted, tile_steady
 
 RNG = np.random.default_rng(2024)
 
@@ -142,6 +142,42 @@ def test_residual_direct_zero_field_unforced():
     params, _, g, _ = _setup(T=2, K=3, samples=0)
     res = residual_direct(np.zeros((2, 3), dtype=complex), params, g)
     assert sup_norm(res) == 0.0
+
+
+#: one real coefficient each, so the plane-wave oracle has closed forms
+_WAVE_FORCINGS = [power_law([0.3], 2.0), power_law([-0.7], 2.0), bounded_potential([0.5]),
+                  bounded_potential([-2.0])]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    beta=st.floats(0.05, 5.0),
+    epsilon=st.floats(0.05, 5.0),
+    gamma=st.floats(0.05, 5.0) | st.floats(-5.0, -0.05),
+    T=st.integers(1, 12),
+    K=st.integers(2, 12),
+    g=st.sampled_from(_WAVE_FORCINGS),
+)
+def test_plane_waves_solve_the_equation(beta, epsilon, gamma, T, K, g):
+    # the oracle's waves are exact solutions: only rounding is left
+    params = LatticeParams(T=T, K=K, beta=beta, epsilon=epsilon, gamma=gamma)
+    for j, m, rho in plane_waves(params, g, 50.0):
+        residual = sup_norm(residual_direct(plane_wave(params, j, m, rho), params, g))
+        assert residual <= 1e-12 * max(1.0, rho**3), (j, m, rho)
+
+
+@pytest.mark.parametrize("g,gamma,count", [
+    (power_law([0.3], 2.0), 1.0, 65), (power_law([0.3], 2.0), -1.0, 15),
+    (bounded_potential([0.5]), 1.0, 69), (bounded_potential([0.5]), -1.0, 11),
+])
+def test_plane_wave_counts_on_8x10(g, gamma, count):
+    # every wave of the 8x10 lattice, and the largest power-law one, (j, m)
+    # = (2, 5): c = 2 + 4, so rho solves rho^2 - 0.3 rho = 6
+    params = LatticeParams(T=8, K=10, beta=1.0, epsilon=1.0, gamma=gamma)
+    waves = plane_waves(params, g, np.inf)
+    assert len(waves) == len(set(waves)) == count
+    if g.kind == "power_law" and gamma > 0:
+        assert max(waves, key=lambda w: w[2]) == (2, 5, (0.3 + np.sqrt(24.09)) / 2.0)
 
 
 def test_residual_precond_is_preconditioned_direct():
