@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import CertificateInvalid, CertificateOverflow
 from .lattice import check_period
-from .operators import DENSE_APPLY_MAX_DIM, ShiftedOperator
+from .operators import ShiftedOperator
 from .potentials import Potential
 
 __all__ = [
@@ -62,15 +62,12 @@ __all__ = [
 RADIUS_TOL = 1e-9
 #: complex values in flight in the boundary check, shared by its workers:
 #: each has fixed buffers for a chunk of CHUNK_VALUES / workers values, and
-#: only the gaps (8 bytes a sample) grow with the sample count
+#: only the gaps (8 bytes a sample) and the chunks' minima and done flags
+#: (9 bytes a chunk) grow with the sample count
 CHUNK_VALUES = 2**15
 #: most workers of the boundary check, one per CPU, so that a worker's chunk
 #: keeps at least a quarter of CHUNK_VALUES (measured on 2 cores only)
 MAX_WORKERS = 4
-#: dense-path chunks are cut at multiples of this many samples: a BLAS GEMM
-#: runs the columns past a multiple of its kernel's width (4 in OpenBLAS's
-#: x86-64 complex kernels) through other code, which rounds differently
-GEMM_ROWS = 16
 #: relative slack of the bounds ||A^-1 v|| <= ||A^-1|| * ||v|| that let the
 #: boundary check skip a sample's forcing half: it covers the rounding of the
 #: FFT apply and of the l1 sum of A^-1's kernel (norm_shifted_inv), which
@@ -260,8 +257,8 @@ def _odd_part(flat: np.ndarray, op: ShiftedOperator, work: tuple | None = None) 
     """phi - A^-1 F(phi) for one flat field or an (m, n) stack of them.
     ``work``, (float, complex, complex) buffers of flat's shape, holds every
     large array, the result is its first complex buffer, and A^-1 goes to
-    the stack as one block (``ShiftedOperator.solve_rows`` with the last
-    buffer); without it A^-1 goes row by row."""
+    the stack as one FFT block (``ShiftedOperator.solve``) into the last
+    buffer; without it A^-1 goes row by row (``solve_rows``)."""
     real, term, block = work or (np.empty(flat.shape), np.empty(flat.shape, complex), None)
     # -gamma * |phi|^2 * phi, bit for bit: a float times a complex goes
     # through a complex cast
@@ -269,7 +266,8 @@ def _odd_part(flat: np.ndarray, op: ShiftedOperator, work: tuple | None = None) 
     real *= -op.params.gamma
     np.copyto(term, real)
     term *= flat
-    return np.subtract(flat, op.solve_rows(term, block), out=term)
+    applied = op.solve_rows(term) if block is None else op.solve(term.T, out=block.T).T
+    return np.subtract(flat, applied, out=term)
 
 
 def _forcing_term(
@@ -347,30 +345,21 @@ def _kept_halves(
         left = left[keep]
         if keep.size:
             kept = np.take(rhs, keep, axis=0, out=draw[: keep.size], mode="clip")
-            forced = op.solve_rows(kept, term[: keep.size])
+            forced = op.solve(kept.T, out=term[: keep.size].T).T
             return left, np.abs(forced, out=real[: keep.size]).max(axis=1)
     return left, np.empty(0)
 
 
 def _chunks(samples: int, dim: int, workers: int) -> Iterator[tuple[int, int]]:
     """(lo, hi) bounds of the boundary check's chunks, in sample order, when
-    ``workers`` share the CHUNK_VALUES budget.
-
-    The samples fall into blocks of CHUNK_VALUES // dim, the chunks of a
-    serial check, and each block is cut every 1/workers of it.  On the dense
-    path a cut falls on a multiple of GEMM_ROWS samples, and a shorter rest
-    joins the chunk before it, so each sample keeps the bits its block gives
-    it.
-    """
+    ``workers`` share the CHUNK_VALUES budget: the samples fall into blocks
+    of CHUNK_VALUES // dim, the chunks of a serial check, and each block is
+    cut every 1/workers of it, so the first chunk is a largest one."""
     block = max(1, CHUNK_VALUES // dim)
-    align = GEMM_ROWS if dim <= DENSE_APPLY_MAX_DIM else 1
-    rows = max(align, block // (workers * align) * align)
+    rows = max(1, block // workers)
     for start in range(0, samples, block):
         stop = min(start + block, samples)
-        cuts = list(range(start, stop, rows))
-        if len(cuts) > 1 and stop - cuts[-1] < align:
-            cuts.pop()
-        yield from zip(cuts, cuts[1:] + [stop])
+        yield from ((lo, min(lo + rows, stop)) for lo in range(start, stop, rows))
 
 
 def _boundary_gaps(
@@ -383,32 +372,27 @@ def _boundary_gaps(
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     share = min(cores, MAX_WORKERS)
-    plan = list(_chunks(samples, n, share))
-    count, rows = len(plan), max(hi - lo for lo, hi in plan)
+    # the plan is walked, not held: its first chunk is a largest one
+    rows, count = next(_chunks(samples, n, share))[1], sum(1 for _ in _chunks(samples, n, share))
     # per worker: a float buffer (moduli and phases, |phi|^2, each half's
     # moduli) and three complex ones (the samples, then the kept forcing
     # terms; the cast moduli, then each half's term and result; the A^-1
-    # apply's product or spectrum)
+    # apply's spectrum)
     scratch = [
         [np.empty((rows, n))] + [np.empty((rows, n), complex) for _ in range(3)]
         for _ in range(min(share, count))
     ]
-    if n <= DENSE_APPLY_MAX_DIM:
-        op.inverse  # a cached_property, which has no lock: built before the workers start
-    chunks = enumerate(plan)
+    chunks = enumerate(_chunks(samples, n, share))
     index_rng = _stream_at(rng, 2 * samples * n)
     take, forcing = threading.Lock(), threading.Lock()
     errors: list[BaseException] = []
     gaps = np.empty(samples)
-    # only the FFT apply gives a row the same bits whatever rows share it
-    skip = n > DENSE_APPLY_MAX_DIM
     bound = math.inf  # on every sample's forcing half, from the forcing's sup
-    if skip:
-        with np.errstate(all="ignore"):  # a bound that overflows skips nothing
-            try:
-                bound = _inverse_bound(op, g.sup_formula(radius) + op.shift * radius)
-            except OverflowError:  # a power of a Python float
-                pass
+    with np.errstate(all="ignore"):  # a bound that overflows skips nothing
+        try:
+            bound = _inverse_bound(op, g.sup_formula(radius) + op.shift * radius)
+        except OverflowError:  # a power of a Python float
+            pass
     # chunk c may skip against the minimum gap of chunks 0..c - lag, which
     # are done before it starts unless one of them is slow: a schedule-free m
     lag = len(scratch)
@@ -451,7 +435,7 @@ def _boundary_gaps(
                     T, K, radius, samples, rng, (lo, hi), indices, (real, draw, term)
                 ).reshape(-1, n)
                 odd = np.abs(_odd_part(flat, op, (real, term, block)), out=real).max(axis=1)
-                low = lagged_min(chunk) if skip else math.nan
+                low = lagged_min(chunk)
                 if errors:  # set while this worker waited
                     return
                 kept, forced = _kept_halves(
@@ -503,10 +487,10 @@ def verify_boundary(
     the schedule, and an error in one chunk stops the others and is raised
     here once every helper has ended.
 
-    Only the minimum gap is reported, so above DENSE_APPLY_MAX_DIM nodes a
-    sample's forcing half is skipped when a bound shows that its gap exceeds
-    m, the minimum gap of the chunks at least one per worker before its own
-    (a worker waits for them in the rare case that one is still running).
+    Only the minimum gap is reported, so a sample's forcing half is skipped
+    when a bound shows that its gap exceeds m, the minimum gap of the chunks
+    at least one per worker before its own (a worker waits for them in the
+    rare case that one is still running).
     With ||A^-1 v|| <= ||A^-1|| * ||v|| and ||A^-1|| = ``norm_shifted_inv``,
     the half is at most ||A^-1|| * (sup|g| + s*radius) * (1 + BOUND_SLACK),
     with sup|g| from the forcing's ``sup_formula``, and, once G is
@@ -514,11 +498,9 @@ def verify_boundary(
     applied to the rows neither bound excludes.  A sample is skipped only
     when its odd half, the bound and m are finite and odd - bound > m, so
     its gap exceeds m >= the final minimum and the minimum and its argmin
-    keep their bits.  Dense lattices keep every row: a BLAS product over a
-    subset of the columns rounds some of them differently, where an FFT
-    gives a row the same bits whatever rows share it.  Which samples are
-    skipped depends on the chunks, and so on the core count, but not on the
-    schedule; the evidence depends on neither.
+    keep their bits, since the FFT gives a row the same bits whatever rows
+    share it.  Which samples are skipped depends on the chunks, and so on
+    the core count, but not on the schedule; the evidence depends on neither.
     """
     if samples <= 0:
         return BoundaryEvidence(count=0, min_gap=None, argmin_hash=None)

@@ -6,9 +6,10 @@ circulant: node (t, k) couples to node (t + dt, k + dk) with the weight
 exceeds the sup-induced norm, so the symbol (2-D DFT of the kernel) of
 A = L - sI has no zero, and A^-1 is the circulant whose kernel is the inverse
 DFT of the reciprocal symbol.  Each row of a circulant permutes its kernel,
-so the sup-induced norms are l1 norms of kernels.  Above DENSE_APPLY_MAX_DIM
-nodes A^-1 is applied by FFT; the dense n x n A^-1 is gathered from its
-kernel only when something asks for it.
+so the sup-induced norms are l1 norms of kernels.  A block of vectors gets
+A^-1 by FFT (``ShiftedOperator.solve``); one vector at a time gets a dense
+product up to DENSE_APPLY_MAX_DIM nodes (``solve_rows``), and the dense n x n
+A^-1 is gathered from its kernel only when something asks for it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .lattice import LatticeParams
 
 __all__ = ["ShiftedOperator", "build_shifted"]
 
-#: largest lattice size n = T*K whose A^-1 applies are dense products; above
-#: it they go through the FFT (measured crossover, README)
+#: largest lattice size n = T*K whose one-vector A^-1 applies are dense
+#: products; above it they go through the FFT (measured crossover, README)
 DENSE_APPLY_MAX_DIM = 256
 
 
@@ -78,18 +79,18 @@ class ShiftedOperator:
     norm_shifted_inv: float
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply A^-1 to one vector or to an (n, m) stack of column vectors:
-        a dense product up to DENSE_APPLY_MAX_DIM nodes, an FFT above.
+        """Apply A^-1 by FFT to one vector or to an (n, m) stack of column
+        vectors; each column gets the same bits whatever columns share it.
 
         ``out``, a complex array of rhs's shape, receives the result, and then
         a complex ``rhs`` is scratch that the FFT overwrites: its transforms
         alternate between the two, because one with its input as ``out``
-        copies the input.  numpy's matmul calls BLAS only for a C-contiguous
-        ``out``.  Each transform runs along one axis of the (m, T, K) view,
-        in the order of ``numpy.fft.fft2``, with the same bits.
+        copies the input.  Each transform runs along one axis of the (m, T, K)
+        view, in the order of ``numpy.fft.fft2``, with the same bits.  A
+        broadcast multiply allocates a ufunc buffer, where a same-shape or a
+        scalar one does not, so the symbol multiplies the spectra field by
+        field or node by node, whichever loop is shorter, with the same bits.
         """
-        if self.dim <= DENSE_APPLY_MAX_DIM:
-            return np.matmul(self.inverse, rhs, out=out)
         T, K = self.params.T, self.params.K
 
         def fields(a: np.ndarray) -> np.ndarray:
@@ -104,30 +105,24 @@ class ShiftedOperator:
         dst = fields(out)
         np.fft.fft(src, axis=2, out=dst)
         np.fft.fft(dst, axis=1, out=work)
-        np.multiply(work, self.inverse_symbol, out=dst)
+        if len(work) <= self.dim:
+            for spectrum, result in zip(work, dst):
+                np.multiply(spectrum, self.inverse_symbol, out=result)
+        else:
+            for t, k in np.ndindex(T, K):
+                np.multiply(work[:, t, k], self.inverse_symbol[t, k], out=dst[:, t, k])
         np.fft.ifft(dst, axis=2, out=work)
         np.fft.ifft(work, axis=1, out=dst)
         return out
 
-    def solve_rows(self, rows: np.ndarray, block: np.ndarray | None = None) -> np.ndarray:
-        """Apply A^-1 to one vector or to each row of an (m, n) stack.
-
-        Without ``block`` each row gets the bits of a one-vector ``solve``:
-        one matrix-vector product per row up to DENSE_APPLY_MAX_DIM nodes
-        (one matrix-matrix product over the stack rounds differently), the
-        FFT above.  Given a complex ``block`` of the stack's shape, the stack
-        goes to ``solve`` as one (n, m) block, the result is C-contiguous and
-        ``rows`` is scratch: the dense product fills ``block`` as the
-        C-contiguous (n, m) ``out`` BLAS needs and is copied back into
-        ``rows``, because a ufunc over operands of mixed layouts allocates a
-        buffer and a copy does not; the FFT fills the rows of ``block``.
-        """
+    def solve_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Apply A^-1 to one vector or to each row of an (m, n) stack, each
+        row with the bits of a one-vector apply: one matrix-vector product per
+        row up to DENSE_APPLY_MAX_DIM nodes (one matrix-matrix product over
+        the stack rounds differently), ``solve`` above."""
         if self.dim > DENSE_APPLY_MAX_DIM:
-            return self.solve(rows.T, out=None if block is None else block.T).T
-        if block is None:
-            return (self.inverse @ rows[..., None])[..., 0]
-        np.copyto(rows, self.solve(rows.T, out=block.reshape(rows.shape[::-1])).T)
-        return rows
+            return self.solve(rows.T).T
+        return (self.inverse @ rows[..., None])[..., 0]
 
     @cached_property
     def inverse(self) -> np.ndarray:

@@ -8,7 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -349,7 +349,7 @@ def _tied_across_chunks(op, g, bounds):
 #: the chunks are those of 2 workers
 _CHUNK_CASES = {
     "partial-last-chunk": (1, 2, 64, 20),     # 10 samples a chunk: 7 chunks, last of 4
-    "above-crossover": (12, 24, 300, None),   # FFT apply; blocks of 113 cut into 56s
+    "above-crossover": (12, 24, 300, None),   # blocks of 113 cut into 56s
     "tie-across-chunks": (2, 3, 48, 6 * 8),   # 8 samples a chunk, tie in chunks 1 and 3
 }
 
@@ -369,7 +369,7 @@ def test_verify_boundary_chunks_match_direct_computation(case, monkeypatch):
     if case == "partial-last-chunk":
         assert chunks >= 3 and samples % step != 0
     if case == "above-crossover":
-        assert op.dim > operators.DENSE_APPLY_MAX_DIM and chunks >= 3
+        assert chunks >= 3
     if case == "tie-across-chunks":
         assert chunks >= 3
         monkeypatch.setattr(certificate, "sphere_samples", _tied_across_chunks(op, g, bounds))
@@ -387,21 +387,24 @@ def test_verify_boundary_chunks_match_direct_computation(case, monkeypatch):
 
 def test_verify_boundary_memory_is_flat_in_the_sample_count():
     # the samples are drawn chunk by chunk, so past one chunk's working set
-    # only the gaps grow: 8 bytes a sample, against 16 * n for a whole batch
-    params = LatticeParams(T=8, K=8, beta=1.0, epsilon=1.0, gamma=1.0)
-    op = build_shifted(params, shift_factor=1.5)
+    # only the gaps grow: 8 bytes a sample, against 16 * n for a whole batch.
+    # The A^-1 apply allocates no ufunc buffer, so the peak does not depend
+    # on whether two workers' applies overlap
     g = power_law([0.5], 2.0)
-    radius = build_certificate(op, g, samples=0).radius
-    peaks = {}
-    for samples in (5000, 20000):
-        tracemalloc.start()
-        try:
-            verify_boundary(radius, op, g, samples=samples, seed=3)
-            peaks[samples] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[20000] < 8 * 2**20
-    assert peaks[20000] - peaks[5000] <= 8 * 15000 + 2**15
+    for (T, K), cores in (((8, 8), None), ((24, 24), 2)):
+        op = build_shifted(LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
+        radius = build_certificate(op, g, samples=0).radius
+        peaks = {}
+        for samples in (5000, 20000):
+            with _cores(cores) if cores else nullcontext():
+                tracemalloc.start()
+                try:
+                    verify_boundary(radius, op, g, samples=samples, seed=3)
+                    peaks[samples] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[20000] < 8 * 2**20, (T, K)
+        assert peaks[20000] - peaks[5000] <= 8 * 15000 + 2**15, (T, K)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +419,8 @@ def _cores(count):
 
 
 def _reference_solve(op, rhs):
-    """A^-1 applied to an (n, m) block as the serial check applied it: the
-    dense product, or fft2, the symbol and ifft2 over the (T, K, m) block."""
-    if op.dim <= operators.DENSE_APPLY_MAX_DIM:
-        return op.inverse @ rhs
+    """A^-1 applied to an (n, m) block as the serial check applied it: fft2,
+    the symbol and ifft2 over the (T, K, m) block."""
     T, K = op.params.T, op.params.K
     spectrum = np.fft.fft2(rhs.reshape(T, K, -1), axes=(0, 1))
     spectrum *= op.inverse_symbol[:, :, None]
@@ -455,7 +456,7 @@ def _evidence_key(evidence):
     return evidence.count, evidence.min_gap.hex(), evidence.argmin_hash
 
 
-#: lattices on both sides of DENSE_APPLY_MAX_DIM = 256 nodes
+#: lattices on both sides of the one-vector crossover, DENSE_APPLY_MAX_DIM
 _ORACLE_LATTICES = [(1, 2), (2, 3), (3, 5), (4, 4), (12, 12), (16, 16), (17, 16), (12, 24)]
 _ORACLE_FORCINGS = {
     "power_law": power_law([0.5, 0.2j], 2.0),
@@ -478,8 +479,7 @@ def test_verify_boundary_matches_the_serial_check_on_any_core_count(
     lattice, forcing, gamma, block, samples_per_block, radius, seed
 ):
     # samples from 1 (fewer than the workers) to 4 blocks, rarely a multiple
-    # of one; block sizes from 1 to 120 samples, so dense blocks are cut on
-    # and off the GEMM_ROWS grid
+    # of one; block sizes from 1 to 120 samples
     T, K = lattice
     op = build_shifted(LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=gamma), 1.5)
     g = _ORACLE_FORCINGS[forcing]
@@ -493,7 +493,7 @@ def test_verify_boundary_matches_the_serial_check_on_any_core_count(
 
 
 # ---------------------------------------------------------------------------
-# skipped forcing halves above the dense crossover
+# skipped forcing halves
 
 
 @contextmanager
@@ -530,8 +530,8 @@ def _certified_radius(op, g):
     return build_certificate(build_shifted(params, 1.5), g, samples=0).radius
 
 
-#: lattices above DENSE_APPLY_MAX_DIM = 256 nodes
-_FFT_LATTICES = [(17, 16), (12, 24), (24, 24)]
+#: lattices on both sides of the one-vector crossover, DENSE_APPLY_MAX_DIM
+_SKIP_LATTICES = [(4, 8), (8, 8), (16, 16), (17, 16), (12, 24), (24, 24)]
 _SKIP_FORCINGS = {
     **_ORACLE_FORCINGS,
     "no_sup_formula": dataclasses.replace(_NO_SUP_BASE, sup_formula=_no_sup),
@@ -540,7 +540,7 @@ _SKIP_FORCINGS = {
 
 @settings(deadline=None, max_examples=40)
 @given(
-    lattice=st.sampled_from(_FFT_LATTICES),
+    lattice=st.sampled_from(_SKIP_LATTICES),
     forcing=st.sampled_from(sorted(_SKIP_FORCINGS)),
     gamma=st.sampled_from([1.0, -1.0]),
     block=st.integers(6, 40),
@@ -572,26 +572,27 @@ def test_skipped_forcing_halves_keep_the_serial_evidence(lattice, forcing, gamma
 def test_a_skipped_sample_is_never_below_the_lagged_minimum(forcing, cores, monkeypatch):
     # the gaps the check computes have the serial bits, and each skipped
     # sample's serial gap is at least the minimum of the chunks `workers`
-    # or more before its own
-    op = build_shifted(LatticeParams(T=24, K=24, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
+    # or more before its own, on a lattice on each side of the crossover
     g = _SKIP_FORCINGS[forcing]
-    radius = _certified_radius(op, g)
     samples, seed = 1500, 12
-    monkeypatch.setattr(certificate, "CHUNK_VALUES", 40 * op.dim)
-    _, serial = _serial_gaps(radius, op, g, samples, seed)
-    with _cores(cores):
-        gaps = certificate._boundary_gaps(radius, op, g, samples, np.random.default_rng(seed))
-    skipped = np.isinf(gaps)
-    assert skipped.mean() > 0.5
-    assert gaps[~skipped].tobytes() == serial[~skipped].tobytes()
-    bounds = list(certificate._chunks(samples, op.dim, cores))
-    lag = min(cores, len(bounds))
-    for chunk, (lo, hi) in enumerate(bounds):
-        if chunk < lag:
-            assert not skipped[lo:hi].any()
-        else:
-            low = serial[: bounds[chunk - lag][1]].min()
-            assert (serial[lo:hi][skipped[lo:hi]] >= low).all()
+    for T, K in ((8, 8), (24, 24)):
+        op = build_shifted(LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
+        radius = _certified_radius(op, g)
+        monkeypatch.setattr(certificate, "CHUNK_VALUES", 40 * op.dim)
+        _, serial = _serial_gaps(radius, op, g, samples, seed)
+        with _cores(cores):
+            gaps = certificate._boundary_gaps(radius, op, g, samples, np.random.default_rng(seed))
+        skipped = np.isinf(gaps)
+        assert skipped.mean() > 0.5
+        assert gaps[~skipped].tobytes() == serial[~skipped].tobytes()
+        bounds = list(certificate._chunks(samples, op.dim, cores))
+        lag = min(cores, len(bounds))
+        for chunk, (lo, hi) in enumerate(bounds):
+            if chunk < lag:
+                assert not skipped[lo:hi].any()
+            else:
+                low = serial[: bounds[chunk - lag][1]].min()
+                assert (serial[lo:hi][skipped[lo:hi]] >= low).all()
 
 
 def test_skipped_forcing_halves_do_not_depend_on_the_schedule(monkeypatch):
@@ -630,17 +631,20 @@ def test_skipped_forcing_halves_do_not_depend_on_the_schedule(monkeypatch):
     assert len(counts) == 1
 
 
-def test_dense_lattices_keep_every_forcing_half():
-    # a BLAS GEMM over a subset of the columns rounds some of them
-    # differently, so below the crossover no sample is skipped
-    op = build_shifted(LatticeParams(T=16, K=16, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
+def test_small_lattices_skip_forcing_halves():
+    # the check applies A^-1 by FFT at every size, so at or below the
+    # one-vector crossover it skips forcing halves too, with the serial
+    # evidence
     g = power_law([0.5, 0.2j], 2.0)
-    radius = _certified_radius(op, g)
     samples, seed = 2000, 5
-    with _cores(2), _columns() as applied:
-        evidence = verify_boundary(radius, op, g, samples=samples, seed=seed)
-    assert applied[0] == 2 * samples
-    assert _evidence_key(evidence) == _serial_evidence(radius, op, g, samples, seed)
+    for T, K in ((4, 8), (16, 16)):
+        op = build_shifted(LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
+        assert op.dim <= operators.DENSE_APPLY_MAX_DIM
+        radius = _certified_radius(op, g)
+        with _cores(2), _columns() as applied:
+            evidence = verify_boundary(radius, op, g, samples=samples, seed=seed)
+        assert applied[0] < 2 * samples
+        assert _evidence_key(evidence) == _serial_evidence(radius, op, g, samples, seed)
 
 
 def _l1_extremal(op):
@@ -654,7 +658,7 @@ def _l1_extremal(op):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    lattice=st.sampled_from(_FFT_LATTICES + [(16, 32), (9, 40)]),
+    lattice=st.sampled_from(_SKIP_LATTICES + [(1, 2), (3, 5), (16, 32), (9, 40)]),
     beta=st.floats(1e-3, 1e3),
     epsilon=st.floats(1e-3, 1e3),
     scale=st.floats(-100.0, 100.0),
@@ -668,20 +672,19 @@ def test_fft_apply_is_bounded_by_the_inverse_norm_and_row_independent(lattice, b
     # row's apply has the same bits whatever rows share the FFT
     T, K = lattice
     op = build_shifted(LatticeParams(T=T, K=K, beta=beta, epsilon=epsilon, gamma=1.0), 1.5)
-    assert op.dim > operators.DENSE_APPLY_MAX_DIM
     rng = np.random.default_rng(seed)
     stack = rng.normal(size=(6, op.dim)) + 1j * rng.normal(size=(6, op.dim))
     stack[0] = _l1_extremal(op)
     stack[1] = np.sign(stack[1].real)
     stack *= 10.0**scale
-    whole = op.solve_rows(stack.copy(), np.empty_like(stack))
+    whole = op.solve(stack.copy().T, np.empty_like(stack).T).T
     sup = np.abs(stack).max(axis=1)
     assert (np.abs(whole).max(axis=1) <= op.norm_shifted_inv * sup
             * (1.0 + certificate.BOUND_SLACK)).all()
     # the extremal field reaches the bound up to rounding
     assert np.abs(whole[0]).max() >= op.norm_shifted_inv * sup[0] * (1.0 - 1e-9)
     rows = stack[subset]
-    part = op.solve_rows(rows, np.empty_like(rows))
+    part = op.solve(rows.T, np.empty_like(rows).T).T
     assert part.tobytes() == np.ascontiguousarray(whole[subset]).tobytes()
 
 
@@ -714,8 +717,7 @@ def test_nan_forcing_row_gives_the_serial_nan_evidence():
 def test_verify_boundary_memory_is_flat_on_the_fft_path():
     # skipping gathers the rows it keeps into the worker's buffers: past one
     # chunk's working set only the gaps and the chunk minima grow.  One
-    # worker, so that the peak does not depend on how two workers' ufunc
-    # buffers overlap, after a first check has built the FFT plans
+    # worker, after a first check has built the FFT plans
     op = build_shifted(LatticeParams(T=17, K=16, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
     g = power_law([0.5], 2.0)
     radius = build_certificate(op, g, samples=0).radius

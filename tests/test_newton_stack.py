@@ -32,10 +32,10 @@ from oracles import realified_matrix
 
 def _reference_residual(flat, op, g, tau, shift_vec=None):
     """The tau-slice residual of one flat vector, A^-1 applied to it alone."""
-    res = flat - op.solve(-op.params.gamma * (np.abs(flat) ** 2) * flat)
+    res = flat - op.solve_rows(-op.params.gamma * (np.abs(flat) ** 2) * flat)
     if tau != 0.0:
         forcing = g.on_lattice(flat.reshape(op.params.T, op.params.K)).reshape(flat.shape)
-        res = res - tau * op.solve(forcing - op.shift * flat)
+        res = res - tau * op.solve_rows(forcing - op.shift * flat)
     if shift_vec is not None:
         res = res - shift_vec
     return res

@@ -1,5 +1,7 @@
 """Matrix form of the linear part, sup operator norms, and the shifted solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -228,25 +230,27 @@ def test_degree_lattices_apply_densely():
     assert DEGREE_DIM_CAP // 2 <= operators.DENSE_APPLY_MAX_DIM
 
 
-@pytest.mark.parametrize("T,K", [(4, 8), (16, 16)])
-def test_dense_block_apply_is_one_matrix_product(T, K, monkeypatch):
-    # with a block, solve_rows applies A^-1 to the stack as one (n, m)
-    # product, the one the boundary check's certificates were recorded
-    # with, in one ``solve`` call, and returns it in ``rows``, C-contiguous
+@pytest.mark.parametrize("m,T,K", [(256, 8, 8), (28, 24, 24), (512, 4, 8), (3, 1, 2)])
+def test_fft_apply_into_buffers_allocates_nothing(m, T, K):
+    # with ``out`` the FFT apply works in its two buffers alone: the symbol
+    # multiply, by field or by node, takes no ufunc buffer, and the result
+    # has the bits of fft2, a broadcast multiply by the symbol and ifft2
     op = build_shifted(_params(T=T, K=K), shift_factor=1.5)
-    assert op.dim <= operators.DENSE_APPLY_MAX_DIM
-    calls, solve = [], ShiftedOperator.solve
-    monkeypatch.setattr(ShiftedOperator, "solve",
-                        lambda self, rhs, out=None: calls.append(rhs.shape) or solve(self, rhs, out))
-    rng = np.random.default_rng(T * K)
-    for m in (1, 16, 37):
-        rows = rng.normal(size=(m, op.dim)) + 1j * rng.normal(size=(m, op.dim))
-        expected = np.matmul(op.inverse, rows.T).T
-        calls.clear()
-        applied = op.solve_rows(rows, np.empty_like(rows))
-        assert calls == [(op.dim, m)]
-        assert applied is rows and applied.flags.c_contiguous
-        assert applied.tobytes() == expected.tobytes()
+    rng = np.random.default_rng(m)
+    rows = rng.normal(size=(m, op.dim)) + 1j * rng.normal(size=(m, op.dim))
+    spectrum = np.fft.fft2(rows.reshape(m, T, K)) * op.inverse_symbol
+    expected = np.fft.ifft2(spectrum).reshape(m, op.dim)
+    block = np.empty_like(rows)
+    op.solve(rows.copy().T, out=block.T)  # builds the FFT plans
+    scratch = rows.copy()
+    tracemalloc.start()
+    try:
+        applied = op.solve(scratch.T, out=block.T).T
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**12
+    assert applied.tobytes() == expected.tobytes()
 
 
 def test_slice_jacobian_from_inverse_parts_matches_realified_inverse():
@@ -328,18 +332,20 @@ def test_circulant_operator_matches_dense_oracles(T, K, beta, epsilon, factor):
     assert op.norm_shifted_inv == pytest.approx(operator_norm_sup(dense_inv), rel=1e-12)
     assert np.max(np.abs(op.inverse - dense_inv)) <= 1e-12
 
-    # both apply paths: the dense product, and the FFT with the crossover at 0
+    # every apply path: the FFT on a vector and on a block of columns, and
+    # solve_rows' products on a vector and on a stack of rows, dense here or
+    # by FFT with the crossover at 0
     stack = rng.normal(size=(params.dim, 3)) + 1j * rng.normal(size=(params.dim, 3))
     for max_dim in (operators.DENSE_APPLY_MAX_DIM, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operators, "DENSE_APPLY_MAX_DIM", max_dim)
             for rhs in (stack[:, 0], stack):
-                applied = op.solve(rhs)
-                back = dense @ applied
-                assert back.shape == rhs.shape
-                scale = max(1.0, np.max(np.abs(rhs)))
-                assert np.max(np.abs(back - rhs)) <= 1e-12 * scale
-                assert np.max(np.abs(applied - dense_inv @ rhs)) <= 1e-12 * scale
+                for applied in (op.solve(rhs), op.solve_rows(rhs.T).T):
+                    back = dense @ applied
+                    assert back.shape == rhs.shape
+                    scale = max(1.0, np.max(np.abs(rhs)))
+                    assert np.max(np.abs(back - rhs)) <= 1e-12 * scale
+                    assert np.max(np.abs(applied - dense_inv @ rhs)) <= 1e-12 * scale
 
 
 @settings(deadline=None, max_examples=60)

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from dnls.operators import DENSE_APPLY_MAX_DIM
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
@@ -65,15 +64,15 @@ def test_corpus_covers_every_command_at_two_seeds():
 
 
 def test_corpus_checks_the_boundary_skip_for_every_kind():
-    # the boundary check skips forcing halves on FFT lattices only, by the
-    # forcing's closed-form sup and then by each sample's own forcing term;
-    # the corpus covers each kind there, and a power law of exponent 3,
-    # whose sup is 0 inside its threshold of 0
+    # the boundary check skips forcing halves by the forcing's closed-form
+    # sup and then by each sample's own forcing term; the corpus covers each
+    # kind, and a power law of exponent 3, whose sup is 0 inside its
+    # threshold of 0
     corpus = json.loads((TOOLS / "parity_corpus.json").read_text())
     covered = set()
     for entry in corpus["entries"]:
         config = entry["config"]
-        if isinstance(config, dict) and config["T"] * config["K"] > DENSE_APPLY_MAX_DIM and any(
+        if isinstance(config, dict) and any(
                 command[0] in ("certify", "solve") for command in entry["commands"]):
             potential = config["potential"]
             covered.add((potential["kind"], potential.get("exponent", 0) >= 3))

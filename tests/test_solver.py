@@ -377,9 +377,10 @@ def test_direct_residual_of_a_tiled_field_is_the_tiled_quotient_residual(
 
 
 def test_large_lattice_builds_no_dense_operator_matrix():
-    # above the crossover the certificate applies A^-1 by FFT and the
-    # homotopy tracks on the 2 x 2 quotient, so no dense n x n matrix is
-    # gathered, and the tiled endpoint meets the tolerance on 65536 nodes
+    # the certificate applies A^-1 by FFT, as Newton does above the
+    # one-vector crossover, and the homotopy tracks on the 2 x 2 quotient, so
+    # no dense n x n matrix is gathered, and the tiled endpoint meets the
+    # tolerance on 65536 nodes
     params = LatticeParams(T=256, K=256, beta=1.0, epsilon=1.0, gamma=1.0)
     assert params.dim > operators.DENSE_APPLY_MAX_DIM
     op = build_shifted(params, shift_factor=1.5)
