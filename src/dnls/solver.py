@@ -239,16 +239,22 @@ def _damped_newton(
     the slice map (used to solve r_tau(phi) = w when estimating local
     indices).
 
-    Each iteration takes one stacked residual per trial step and one
-    stacked exact Newton step (``_newton_step``, one 2n x 2n Jacobian per
-    row) over the rows still running; a row's trial steps stop at its first
-    decrease.  Homotopy passes one row on its quotient lattice, the
-    enumeration stacks of ``_stack_rows`` rows.  A step that fails for the stack is retried
-    one row at a time, so that only the rows that fail on their own diverge.
-    Each row ends with the point, iteration count and status of a run from
-    that start alone, bit for bit.  Returns the final (m, n) points, their
-    (m, n) slice residuals and (m,) convergence measures, and the iteration
-    count and status of each row.
+    Each iteration takes one stacked exact Newton step (``_newton_step``,
+    one 2n x 2n Jacobian per row) over the rows still running, then tries
+    the steps lambda = 2^-i in blocks that double, i = 0 | 1-2 | 3-6 | 7-14
+    | 15-30, so the MAX_HALVINGS + 1 trials take at most five residual
+    calls.  A block evaluates every trial of every row still searching in
+    one stacked ``_slice_residual``, and each row stops at its first trial
+    that is non-finite or decreases, the trial a one-at-a-time search stops
+    at; the block's later trials are dropped.  A stacked residual gives each
+    row the bits of a one-vector call, so the trials and what they decide
+    are those of that search.  Homotopy passes one row on its quotient
+    lattice, the enumeration stacks of ``_stack_rows`` rows.  A step that
+    fails for the stack is retried one row at a time, so that only the rows
+    that fail on their own diverge.  Each row ends with the point, iteration
+    count and status of a run from that start alone, bit for bit.  Returns
+    the final (m, n) points, their (m, n) slice residuals and (m,)
+    convergence measures, and the iteration count and status of each row.
     """
     x = np.array(starts, dtype=complex)
     r = _slice_residual(x, op, g, tau, shift_vec)
@@ -290,20 +296,26 @@ def _damped_newton(
             steps, live = steps[ok], live[ok]
         base = np.abs(r[live]).max(axis=1)
         searching = np.arange(live.size)  # positions in live still halving
-        lam = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            if not searching.size:
-                break
+        lo = 0
+        while searching.size and lo <= MAX_HALVINGS:
+            # the block of trials lambda = 2^-i, i = lo, ..., 2 lo
+            lam = np.ldexp(1.0, -np.arange(lo, min(2 * lo, MAX_HALVINGS) + 1))
             rows = live[searching]
-            candidate = x[rows] + lam * steps[searching]
-            r_candidate = _slice_residual(candidate, op, g, tau, shift_vec)
-            finite = np.isfinite(r_candidate).all(axis=1)
-            better = finite & (np.abs(r_candidate).max(axis=1) < base[searching])
-            x[rows[better]] = candidate[better]
-            r[rows[better]] = r_candidate[better]
-            finish(rows[~finite], "diverged")
-            searching = searching[finite & ~better]
-            lam *= 0.5
+            candidate = x[rows] + lam[:, None, None] * steps[searching]
+            r_candidate = _slice_residual(
+                candidate.reshape(-1, x.shape[1]), op, g, tau, shift_vec
+            ).reshape(candidate.shape)
+            finite = np.isfinite(r_candidate).all(axis=2)
+            better = finite & (np.abs(r_candidate).max(axis=2) < base[searching])
+            # each row stops at its first trial that diverges or decreases
+            stop = better | ~finite
+            first = (stop.argmax(axis=0), np.arange(rows.size))
+            stops, accept = stop[first], better[first]
+            x[rows[accept]] = candidate[first][accept]
+            r[rows[accept]] = r_candidate[first][accept]
+            finish(rows[stops & ~accept], "diverged")
+            searching = searching[~stops]
+            lo = 2 * lo + 1
         finish(live[searching], "diverged")
     return x, r, measure, iterations, status
 

@@ -1,15 +1,17 @@
 """Damped Newton on a stack of starts against a one-start reference.
 
 ``solver._damped_newton`` advances an (m, n) stack of starts together: one
-stacked residual per trial step, one stacked Jacobian and one stacked LAPACK
-solve per iteration.  The reference below is the one-start dense-step loop
-it replaced, with its own one-vector residual and its Jacobian from the
-realified A^-1.  Every row of a stacked run must end with the reference's
-point, bit for bit, its iteration count and its status, and with the slice
-residual and convergence measure of a fresh evaluation at that point.
+stacked Jacobian and one stacked LAPACK solve per iteration, and a line
+search in blocks of trial steps, one stacked residual per block.  The
+reference below is the one-start dense-step loop it replaced, with its own
+one-vector residual, its Jacobian from the realified A^-1 and one trial step
+at a time.  Every row of a stacked run must end with the reference's point,
+bit for bit, its iteration count and its status, and with the slice residual
+and convergence measure of a fresh evaluation at that point.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,9 +53,11 @@ def _reference_jacobian(flat, op, g, tau):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reference_newton(flat0, op, g, tau, tol, max_iter, converge_on, shift_vec, why):
+def _reference_newton(flat0, op, g, tau, tol, max_iter, converge_on, shift_vec, why, stops):
     """One-start damped Newton with exact dense steps; appends to ``why``
-    what ended a diverged run."""
+    what ended a diverged run, and to ``stops`` the trial index (lambda =
+    2^-index) at which each line search stopped and how: "decrease",
+    "non-finite", or "stalled" after the last trial."""
     x = np.array(flat0, dtype=complex)
     r = _reference_residual(x, op, g, tau, shift_vec)
     for iteration in range(max_iter + 1):
@@ -73,20 +77,40 @@ def _reference_newton(flat0, op, g, tau, tol, max_iter, converge_on, shift_vec, 
             return x, iteration, "diverged"
         base = float(np.abs(r).max())
         lam = 1.0
-        for _ in range(solver.MAX_HALVINGS + 1):
+        for index in range(solver.MAX_HALVINGS + 1):
             candidate = x + lam * step
             r_candidate = _reference_residual(candidate, op, g, tau, shift_vec)
             if not np.isfinite(r_candidate).all():
                 why.append("non-finite")
+                stops.append((index, "non-finite"))
                 return x, iteration, "diverged"
             if float(np.abs(r_candidate).max()) < base:
                 x, r = candidate, r_candidate
+                stops.append((index, "decrease"))
                 break
             lam *= 0.5
         else:
             why.append("stalled")
+            stops.append((index, "stalled"))
             return x, iteration, "diverged"
     raise AssertionError("unreachable")
+
+
+def _banded(g, lo, hi):
+    """``g``, but NaN at every z with lo < |z| < hi.
+
+    With the package's forcings a non-finite trial comes first in its line
+    search (a seed scan of the other cases found no other order):
+    |x + lambda s| is convex in lambda, so no modulus on the way to a finite
+    trial point is larger, and their residuals overflow at large moduli.  A
+    forcing that is non-finite on a band of moduli puts a non-finite trial
+    behind a finite one that did not decrease the residual."""
+
+    def evaluate(t, z):
+        size = np.abs(np.asarray(z, dtype=complex))
+        return np.where((lo < size) & (size < hi), np.nan, g.evaluate(t, z))
+
+    return replace(g, evaluate=evaluate)
 
 
 def _op(T, K, gamma=1.0):
@@ -103,8 +127,13 @@ def _degree_starts(op, g, seed, count):
 #: (lattice, gamma, forcing, tau, convergence measure, starts every stack
 #: includes).  2x4 bounded [[0.5, 0]] at seed 1001, odd route: start 2 meets
 #: an exactly singular Jacobian at iteration 10, starts 1 and 4 take 35 and
-#: 39 iterations.  4x4 constant 1e300: every first trial residual overflows
+#: 39 iterations.  4x4 constant 1e300: every first trial residual overflows.
+#: 4x4 bounded [[0.5, 0]], NaN on 0.5 < |z| < 0.52, at seed 1: its line
+#: searches stop in every block of trials, stall through all of them, and
+#: meet a non-finite trial behind a finite one of the same block
 _CASES = {
+    "banded-half-tau": ((4, 4), 1.0, _banded(bounded_potential([0.5]), 0.5, 0.52), 0.5,
+                        "slice", ("degree", 1, 8)),
     "bounded-odd": ((2, 4), 1.0, bounded_potential([0.5]), 0.0, "slice", ("degree", 1001, 6)),
     "huge-constant": ((4, 4), 1.0, constant_potential([1e300]), 1.0, "slice", ("ball", 0, 2)),
     "power-full-direct": ((4, 8), 1.0, power_law([0.3], 2.0), 1.0, "direct",
@@ -135,10 +164,11 @@ def _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on, shif
         starts, op, g, tau, tol, max_iter, converge_on, shift_vec
     )
     why: list[str] = []
+    stops: list[tuple[int, str]] = []
     outcomes = []
     for row, start in enumerate(starts):
         ref_x, ref_iterations, ref_status = _reference_newton(
-            start, op, g, tau, tol, max_iter, converge_on, shift_vec, why
+            start, op, g, tau, tol, max_iter, converge_on, shift_vec, why, stops
         )
         assert x[row].tobytes() == ref_x.tobytes(), row
         assert (iterations[row], status[row]) == (ref_iterations, ref_status), row
@@ -148,7 +178,7 @@ def _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on, shif
             fresh = solver.residual_direct(x[row].reshape(op.params.T, op.params.K), op.params, g)
         assert measure[row].tobytes() == np.abs(fresh).max().tobytes(), row
         outcomes.append(ref_status)
-    return outcomes, why
+    return outcomes, why, stops
 
 
 @settings(deadline=None, max_examples=25)
@@ -162,6 +192,7 @@ def _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on, shif
 @example(name="bounded-odd", seed=0, count=0, max_iter=30, shifted=False)
 @example(name="huge-constant", seed=0, count=2, max_iter=100, shifted=False)
 @example(name="power-full-direct", seed=1, count=4, max_iter=3, shifted=True)
+@example(name="banded-half-tau", seed=0, count=0, max_iter=100, shifted=False)
 def test_stacked_newton_matches_one_start_reference(name, seed, count, max_iter, shifted):
     op, g, tau, converge_on, starts = _case_starts(name, seed, count)
     shift_vec = None
@@ -176,12 +207,65 @@ def test_reference_stacks_cover_singular_non_finite_and_max_iter_rows():
     # converges, hits max_iter and meets a singular Jacobian, and one whose
     # trial residuals overflow
     op, g, tau, converge_on, starts = _case_starts("bounded-odd", 0, 0)
-    outcomes, why = _assert_rows_match_reference(op, g, tau, starts, 30, converge_on, None)
+    outcomes, why, _ = _assert_rows_match_reference(op, g, tau, starts, 30, converge_on, None)
     assert outcomes == ["converged", "max_iter", "diverged", "converged", "max_iter", "converged"]
     assert why == ["singular"]
     op, g, tau, converge_on, starts = _case_starts("huge-constant", 0, 2)
-    outcomes, why = _assert_rows_match_reference(op, g, tau, starts, 100, converge_on, None)
+    outcomes, why, _ = _assert_rows_match_reference(op, g, tau, starts, 100, converge_on, None)
     assert set(outcomes) == {"diverged"} and set(why) == {"non-finite"}
+
+
+def _block(index):
+    """The block, 0 to 4, in which the line search evaluates the trial
+    lambda = 2^-index: the blocks are index 0 | 1-2 | 3-6 | 7-14 | 15-30."""
+    return (index + 1).bit_length() - 1
+
+
+def test_line_search_blocks_stop_where_the_one_trial_search_stops():
+    # the pinned stack's rows stop in every block, one stalls through all
+    # MAX_HALVINGS + 1 trials, and one meets a non-finite trial right behind
+    # a finite one that did not decrease, in the same block; each row still
+    # ends with the bits of the one-trial search
+    op, g, tau, converge_on, starts = _case_starts("banded-half-tau", 0, 0)
+    outcomes, why, stops = _assert_rows_match_reference(
+        op, g, tau, starts, 100, converge_on, None
+    )
+    assert {_block(index) for index, how in stops if how == "decrease"} == {0, 1, 2, 3, 4}
+    assert (solver.MAX_HALVINGS, "stalled") in stops
+    assert any(how == "non-finite" and _block(index - 1) == _block(index)
+               for index, how in stops)
+    assert {"converged", "diverged"} <= set(outcomes) and {"stalled", "non-finite"} <= set(why)
+
+
+def test_line_search_takes_one_residual_per_block(monkeypatch):
+    # the residual calls pin the mechanism: a line search that stops at
+    # trial i takes one stacked residual per block up to i's, so at most 5
+    # per iteration however deep it halves
+    events = []
+    residual, newton_step = solver._slice_residual, solver._newton_step
+
+    def counted_residual(*args):
+        events.append("residual")
+        return residual(*args)
+
+    def counted_step(*args):
+        events.append("step")
+        return newton_step(*args)
+
+    monkeypatch.setattr(solver, "_slice_residual", counted_residual)
+    monkeypatch.setattr(solver, "_newton_step", counted_step)
+    op, g, tau, converge_on, starts = _case_starts("banded-half-tau", 0, 0)
+    for start in starts:
+        events.clear()
+        stops: list[tuple[int, str]] = []
+        _reference_newton(start, op, g, tau, 1e-11, 100, converge_on, None, [], stops)
+        solver._damped_newton(start[None], op, g, tau, 1e-11, 100, converge_on)
+        assert events.count("residual") == 1 + sum(_block(index) + 1 for index, _ in stops)
+    events.clear()
+    solver._damped_newton(starts, op, g, tau, 1e-11, 100, converge_on)
+    # the first residual is the starts', then each step's line search follows
+    searches = [len(calls.split()) for calls in " ".join(events).split("step")[1:]]
+    assert max(searches) == 5
 
 
 @pytest.mark.parametrize("T,K", [(4, 8), (16, 16), (12, 24)])

@@ -570,6 +570,33 @@ def test_multi_start_counts_match_exact_steps(T, K, potential, gamma, count):
     assert len(multi_start(op, potential, cert, n_starts=16, seed=1)) == count
 
 
+@pytest.mark.parametrize("g,gamma,waves,others", [
+    (power_law([0.3], 2.0), 1.0, 7, 0), (power_law([0.3], 2.0), -1.0, 9, 0),
+    (bounded_potential([0.5]), 1.0, 4, 0), (bounded_potential([0.5]), -1.0, 12, 1),
+])
+def test_multi_start_uniform_modulus_zeros_are_oracle_plane_waves(g, gamma, waves, others):
+    # every nonzero zero of uniform modulus that multi_start returns on 8x10
+    # (16 starts, seed 1) is one of the oracle's plane waves times a global
+    # phase, the best one arg <wave, zero>; ``others`` zeros are not uniform
+    params = LatticeParams(T=8, K=10, beta=1.0, epsilon=1.0, gamma=gamma)
+    op = build_shifted(params, shift_factor=1.5)
+    cert = build_certificate(op, g, samples=100, seed=0)
+    oracle = [plane_wave(params, j, m, rho) for j, m, rho in plane_waves(params, g, cert.radius)]
+    matched, rest = 0, 0
+    for report in multi_start(op, g, cert, n_starts=16, seed=1):
+        field, size = report.solution, sup_norm(report.solution)
+        if size <= 1e-12:
+            continue  # the origin
+        if np.ptp(np.abs(field)) > 1e-8 * size:
+            rest += 1
+            continue
+        distance = min(sup_norm(field - wave * np.exp(1j * np.angle(np.vdot(wave, field))))
+                       for wave in oracle)
+        assert distance <= 1e-9, (report.residual_direct, distance)
+        matched += 1
+    assert (matched, rest) == (waves, others)
+
+
 def test_multi_start_requires_valid_certificate():
     _, op, g, cert = _setup(samples=0)
     with pytest.raises(CertificateInvalid, match="failed its boundary check"):
