@@ -6,20 +6,28 @@ regular.  This module estimates that sum by multi-start enumeration: Newton
 from the origin and from random starts in the ball, deduplication of the
 converged points, then sign evaluation at each representative.
 
-Two wrinkles make the naive sum wrong and are handled explicitly:
+Degenerate zeros, whose Jacobian is numerically singular, have no sign.
+Where they come from, and what they count for, rests on one theorem.
 
-* Phase equivariance.  Both maps commute with a global phase rotation, so
-  any zero with a nonzero phase orbit sits on a whole circle of zeros; the
-  Jacobian there is singular along the orbit direction and such circles
-  contribute nothing countable.  They are reported in ``degenerate`` and
+* Phase equivariance.  When the forcing is phase-equivariant,
+  g(t, e^{ia} z) = e^{ia} g(t, z) (``Potential.phase_equivariant``), every
+  tau-slice commutes with the global rotation phi -> e^{ia} phi (the odd
+  map does for every forcing).  The rotation moves every nonzero
+  field, so S^1 acts freely away from the origin: a zero there sits on a
+  whole circle of zeros, its Jacobian is singular along the circle, and the
+  zeros off the origin add up to degree 0 (Ize and Vignoli, *Equivariant
+  Degree Theory*, 2003).  Such circles are reported in ``degenerate`` and
   excluded from the sum.
 
-* A degenerate origin.  When the forcing has zero derivative at 0 the full
-  map's Jacobian at the origin is singular (constants span its kernel), yet
-  the origin is still an isolated zero with a well-defined local index.  That
-  index is recovered by perturbation: solve map = w for a tiny generic w,
-  enumerate the preimages in a small ball around the origin, and sum their
-  regular signs.
+* The origin's index.  The odd map's Jacobian at the origin is the
+  identity, so with its circles adding up to 0 its degree on the ball is
+  +1.  When no slice has a zero on the sphere (given the certificate's
+  sampled boundary check) the degree does not change with tau, so the full
+  map's degree is 1 as well.  When the forcing has zero derivative at 0
+  the full map's Jacobian at the origin is singular (constants span its
+  kernel).  For a phase-equivariant forcing whose origin is an isolated
+  zero the origin then carries the whole degree: its local index is 1.
+  Isolation is probed on a small sphere, densest along the null directions.
 
 The estimate is heuristic (random starts cannot certify completeness), which
 ``DegreeReport.completeness`` states outright.
@@ -76,9 +84,10 @@ class DegenerateRecord:
     """A zero whose Jacobian is numerically singular, located at the
     read-only (T, K) array ``field``.
 
-    ``local_index`` is the perturbation-recovered Brouwer index when one was
-    computed (only attempted at the origin), None when the zero was excluded
-    from the degree sum.
+    ``local_index`` is 1 at a degenerate origin under the theorem's
+    hypotheses (module docstring: a phase-equivariant forcing, the sampled
+    boundary check, an origin isolated on its probe sphere) and None at
+    every other degenerate zero, which the degree sum excludes.
     """
 
     field: np.ndarray
@@ -91,10 +100,14 @@ class DegenerateRecord:
 class DegreeReport:
     """Degree estimate over the certified ball.
 
-    ``target`` is "odd" (the map without forcing) or "full".  ``parity_ok``
-    checks the odd-map constraint (degree of an odd map on a symmetric ball
-    is odd); it is None for the full map, where no parity is forced.
-    ``completeness`` is always "heuristic".
+    ``target`` is "odd" (the map without forcing) or "full".  Given the
+    sampled boundary check, both maps have degree 1 when the forcing is
+    phase-equivariant (module docstring), so an estimate other than 1 there
+    means missed or degenerate zeros.  ``parity_ok`` checks the odd-map
+    constraint (degree of an odd map on a symmetric ball is odd); it is
+    None for the full map, where no parity is forced.  ``completeness`` is
+    always "heuristic".  ``origin_perturbed`` is True when a degenerate
+    origin's index is counted; it keeps its name for byte parity.
     """
 
     target: str
@@ -129,18 +142,18 @@ def _origin_local_index(
     radius: float,
     seed: int,
 ) -> int | None:
-    """Local Brouwer index at an isolated degenerate zero at the origin.
+    """Local Brouwer index at a degenerate zero at the origin: 1 by the
+    theorem of the module docstring, when the forcing is phase-equivariant
+    and the origin is an isolated zero.
 
-    Solves map = w for a small random target w, well below the map's minimum
-    on a probe sphere (so the preimage count inside the probe ball is exactly
-    the local index count), then sums regular signs over the deduplicated
-    preimages.  The sphere minimum is attained along the Jacobian's null
-    directions, where the map is only cubically small, so those directions
-    are probed densely on top of random samples, and Newton runs start along
-    them as well.  Returns None when the probe is inconclusive (zero sphere
-    minimum, no preimages found, or a degenerate preimage).
+    Isolation is probed on a small sphere around the origin.  The map is
+    only cubically small along the Jacobian's null directions, so those
+    directions are probed densely on top of random samples.  Returns None
+    for a forcing that is not phase-equivariant, or when the map vanishes
+    at a probe (the origin is not isolated there).
     """
-    params = op.params
+    if not g.phase_equivariant:
+        return None
     rng = np.random.default_rng(seed + 0x5EED)
     rho = 0.02 * min(1.0, radius)
 
@@ -154,31 +167,11 @@ def _origin_local_index(
     ]
     phases = np.exp(2j * np.pi * np.arange(16) / 16)
 
-    probes = [sphere_samples(params.T, params.K, rho, 256, rng).reshape(256, op.dim)]
+    probes = [sphere_samples(op.params.T, op.params.K, rho, 256, rng).reshape(256, op.dim)]
     probes += [[rho * phase * vec for phase in phases] for vec in null_dirs]
     # Python's min over the sup norms, as before: np.min would return any NaN
     sphere_min = min(np.abs(_slice_residual(np.vstack(probes), op, g, tau)).max(axis=1).tolist())
-    if sphere_min <= 0.0:
-        return None
-
-    direction = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    direction /= sup_norm(direction)
-    w = (sphere_min / 30.0) * direction
-    tol = max(1e-14, sup_norm(w) * 1e-3)
-
-    starts = [
-        [frac * rho * phase * vec for frac in (0.3, 0.6, 0.9) for phase in phases[::2]]
-        for vec in null_dirs
-    ]
-    starts.append(_ball_starts(op, rng, rho, 96))
-
-    preimages = _collect_zeros(
-        np.vstack(starts), op, g, tau, tol=tol, max_iter=60, radius=rho, converge_on="slice",
-        shift_vec=w, base_tol=1e-9, cap=rho / 4.0,
-    )
-    if not preimages or any(z.sigma_ratio <= SIGMA_RATIO_DEGENERATE for z in preimages):
-        return None
-    return sum(_signs(preimages, op, g, tau))
+    return None if sphere_min <= 0.0 else 1
 
 
 def estimate_degree(
@@ -196,9 +189,9 @@ def estimate_degree(
     zeros come from Newton started at the origin and at ``n_starts`` random
     fields in the ball; candidates that converge to ENUM_TOL strictly inside
     the ball are kept, then deduplicated.  Regular zeros contribute their
-    Jacobian sign; a degenerate origin contributes its perturbation-recovered
-    local index; other degenerate zeros (phase circles) are reported but not
-    counted.
+    Jacobian sign; a degenerate origin contributes the local index the
+    theorem gives it (``_origin_local_index``); other degenerate zeros
+    (phase circles) are reported but not counted.
     """
     check_period(op.params.T, g)
     if target not in ("odd", "full"):
@@ -220,7 +213,7 @@ def estimate_degree(
         ZeroRecord(_field(z.flat, params), z.residual, sign, z.sigma_ratio)
         for z, sign in zip(regular, _signs(regular, op, g, tau))
     ]
-    # a degenerate zero at the origin gets its perturbation-recovered index
+    # a degenerate zero at the origin gets the theorem's index
     origin_tol = 1e-6 * max(1.0, cert.radius)
     degenerate = [
         DegenerateRecord(

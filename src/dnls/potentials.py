@@ -14,10 +14,13 @@ certificate and solver consume:
 * ``threshold_formula``  -- closed form mapping the certificate's
   cubic-threshold coefficient to a radius beyond which |g(t, z)| <= coef*|z|^3;
   raises NoThresholdFound when no radius exists,
-* ``sup_formula``        -- closed form for sup |g| over a disk.
+* ``sup_formula``        -- closed form for sup |g| over a disk,
+* ``phase_equivariant``  -- whether g(t, e^{ia} z) = e^{ia} g(t, z) for
+  every real a, so that every tau-slice commutes with a global phase
+  rotation (the degree count of the origin rests on it).
 
-Every field is required, so a family always carries its Jacobian and the
-two certificate bounds.
+Every field is required, so a family always carries its Jacobian, the
+two certificate bounds and its symmetry.
 
 ``Potential.on_lattice`` applies g at every node of a (..., T, K) stack of
 fields in one call, so no caller loops over time slices or nodes.
@@ -51,6 +54,7 @@ class Potential:
     threshold_formula: Callable[[float], float]
     sup_formula: Callable[[float], float]
     coefficients: tuple[complex, ...]
+    phase_equivariant: bool
 
     def on_lattice(self, values) -> np.ndarray:
         """g(t, phi(t, k)) at every node of a (..., T, K) stack of fields."""
@@ -70,7 +74,8 @@ def _coefficients(f) -> tuple[tuple[complex, ...], Callable, float]:
 
 
 def _coefficient_family(
-    coeffs: tuple[complex, ...], kind: str, evaluate, derivative, formulas
+    coeffs: tuple[complex, ...], kind: str, evaluate, derivative, formulas,
+    phase_equivariant: bool,
 ) -> Potential:
     """The family with the given coefficients, one per time of the period,
     and its (threshold_formula, sup_formula) pair."""
@@ -83,6 +88,7 @@ def _coefficient_family(
         threshold_formula=threshold_formula,
         sup_formula=sup_formula,
         coefficients=coeffs,
+        phase_equivariant=phase_equivariant,
     )
 
 
@@ -129,9 +135,10 @@ def _rotation(c) -> np.ndarray:
 def power_law(f, r: float) -> Potential:
     """Family g(t, z) = f(t) * |z|^(r-1) * z with exponent r > 0.
 
-    The modulus is |f(t)| * |z|^r and the map is odd and continuous in z,
-    including at z = 0.  Exponents r <= 0 are rejected with InvalidExponent,
-    since they would make the map discontinuous at the origin.  The
+    The modulus is |f(t)| * |z|^r and the map is phase-equivariant, odd and
+    continuous in z, including at z = 0.  Exponents r <= 0 are rejected
+    with InvalidExponent, since they would make the map discontinuous at
+    the origin.  The
     certificate's growth hypothesis holds for every r < 3, for r = 3 when
     max|f| < coef, and for r > 3 only when f = 0; otherwise
     ``threshold_formula`` raises NoThresholdFound.
@@ -165,13 +172,15 @@ def power_law(f, r: float) -> Potential:
         inner[origin] = np.eye(2) if r == 1.0 else 0.0
         return _rotation(coeff(t)) @ inner
 
-    return _coefficient_family(coeffs, "power_law", evaluate, derivative, _power_formulas(fmax, r))
+    return _coefficient_family(
+        coeffs, "power_law", evaluate, derivative, _power_formulas(fmax, r), True
+    )
 
 
 def bounded_potential(f) -> Potential:
     """Family g(t, z) = f(t) * z / (1 + |z|^2), globally bounded by max|f| / 2.
 
-    The bound is attained at |z| = 1.
+    The bound is attained at |z| = 1.  The map is phase-equivariant.
     """
     coeffs, coeff, fmax = _coefficients(f)
 
@@ -207,7 +216,7 @@ def bounded_potential(f) -> Potential:
         return float(fmax * radius / (1.0 + radius * radius))
 
     return _coefficient_family(
-        coeffs, "bounded", evaluate, derivative, (threshold_formula, sup_formula)
+        coeffs, "bounded", evaluate, derivative, (threshold_formula, sup_formula), True
     )
 
 
@@ -215,8 +224,9 @@ def constant_potential(f) -> Potential:
     """z-independent forcing g(t, z) = f(t): modulus |f(t)| * |z|^0, so the
     power-law closed forms at r = 0.
 
-    Not odd in z (unless f = 0), so it breaks the symmetry that pins the
-    trivial solution at the origin; the steady-state pipeline relies on it.
+    Neither odd nor phase-equivariant in z (unless f = 0), so it breaks the
+    symmetry that pins the trivial solution at the origin; the steady-state
+    pipeline relies on it.
     """
     coeffs, coeff, fmax = _coefficients(f)
 
@@ -227,13 +237,14 @@ def constant_potential(f) -> Potential:
         return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(z)) + (2, 2))
 
     return _coefficient_family(
-        coeffs, "constant", evaluate, derivative, _power_formulas(fmax, 0.0)
+        coeffs, "constant", evaluate, derivative, _power_formulas(fmax, 0.0), not any(coeffs)
     )
 
 
 def zero_potential(period: int = 1) -> Potential:
     """The unforced equation: g identically zero, the constant family on
-    ``period`` zero coefficients (so its closed forms are those at f = 0)."""
+    ``period`` zero coefficients (so its closed forms are those at f = 0,
+    and it is phase-equivariant)."""
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     return replace(constant_potential([0.0] * period), kind="zero", coefficients=())

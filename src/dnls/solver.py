@@ -130,22 +130,14 @@ def _field(flat: np.ndarray, params: LatticeParams) -> np.ndarray:
     return field
 
 
-def _slice_residual(
-    flat: np.ndarray,
-    op: ShiftedOperator,
-    g: Potential,
-    tau: float,
-    shift_vec: np.ndarray | None = None,
-) -> np.ndarray:
+def _slice_residual(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float) -> np.ndarray:
     """Fixed-point residual of the tau-slice on a flat vector, or on each row
     of an (m, n) stack with the bits of a one-vector call: the odd part
     minus tau times the forcing part, the two halves the boundary check
-    compares; minus ``shift_vec`` when one is given (the map r_tau - w)."""
+    compares."""
     res = _odd_part(flat, op)
     if tau != 0.0:
         res = res - tau * _forcing_part(flat, op, g)
-    if shift_vec is not None:
-        res = res - shift_vec
     return res
 
 
@@ -225,7 +217,6 @@ def _damped_newton(
     tol: float,
     max_iter: int,
     converge_on: str = "slice",
-    shift_vec: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[str]]:
     """Damped Newton on the (realified) tau-slice from each row of an (m, n)
     stack of ``starts``, all rows advanced together.
@@ -235,9 +226,7 @@ def _damped_newton(
     line search, or a non-finite trial residual (from a non-finite step or an
     overflow) counts as divergence.  ``converge_on`` picks the convergence
     measure: the sup norm of the slice residual ("slice") or of the direct
-    lattice residual ("direct").  ``shift_vec`` subtracts a constant from
-    the slice map (used to solve r_tau(phi) = w when estimating local
-    indices).
+    lattice residual ("direct").
 
     Each iteration takes one stacked exact Newton step (``_newton_step``,
     one 2n x 2n Jacobian per row) over the rows still running, then tries
@@ -257,7 +246,7 @@ def _damped_newton(
     convergence measures, and the iteration count and status of each row.
     """
     x = np.array(starts, dtype=complex)
-    r = _slice_residual(x, op, g, tau, shift_vec)
+    r = _slice_residual(x, op, g, tau)
     measure = np.empty(len(x))
     iterations = [max_iter] * len(x)
     status = ["max_iter"] * len(x)
@@ -303,7 +292,7 @@ def _damped_newton(
             rows = live[searching]
             candidate = x[rows] + lam[:, None, None] * steps[searching]
             r_candidate = _slice_residual(
-                candidate.reshape(-1, x.shape[1]), op, g, tau, shift_vec
+                candidate.reshape(-1, x.shape[1]), op, g, tau
             ).reshape(candidate.shape)
             finite = np.isfinite(r_candidate).all(axis=2)
             better = finite & (np.abs(r_candidate).max(axis=2) < base[searching])
@@ -513,11 +502,10 @@ def _collect_zeros(
     max_iter: int,
     radius: float,
     converge_on: str,
-    shift_vec: np.ndarray | None = None,
     base_tol: float,
     cap: float,
 ) -> list[_Zero]:
-    """Zeros of the (shifted) tau-slice found by damped Newton from each row
+    """Zeros of the tau-slice found by damped Newton from each row
     of the (m, n) ``starts``.
 
     A converged run is kept when it ends strictly inside the ball of
@@ -539,7 +527,7 @@ def _collect_zeros(
     size = _stack_rows(op.dim)
     for lo in range(0, len(starts), size):
         x, r, measure, iterations, status = _damped_newton(
-            starts[lo:lo + size], op, g, tau, tol, max_iter, converge_on, shift_vec
+            starts[lo:lo + size], op, g, tau, tol, max_iter, converge_on
         )
         kept = [i for i, how in enumerate(status) if how == "converged" and sup_norm(x[i]) < radius]
         if not kept:

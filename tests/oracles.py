@@ -6,12 +6,19 @@ kernel and FFT, so the n x n matrices of L and A, the sup-induced matrix
 norm and the realified 2n x 2n form of a complex matrix live here, where
 the tests check the package's kernels, norms and Jacobians against them.
 The exact plane-wave solutions of ``plane_waves`` are ground truth for the
-residual at any lattice size.
+residual at any lattice size.  ``reference_newton`` is damped Newton from one
+start with dense steps and one trial step at a time, and
+``perturbed_origin_index`` counts the origin's local Brouwer index by
+perturbation with it, against the index the package takes from the S^1
+theorem.
 """
 
 import numpy as np
 
-from dnls import LatticeParams, Potential, ShiftedOperator
+from dnls import LatticeParams, Potential, ShiftedOperator, complexify, realify, sup_norm
+from dnls import solver
+from dnls.certificate import sphere_samples
+from dnls.degree import SIGMA_RATIO_DEGENERATE
 from dnls.operators import _circulant, _stencil
 
 
@@ -125,3 +132,123 @@ def plane_wave(params: LatticeParams, j: int, m: int, rho: float) -> np.ndarray:
     """The (T, K) field rho e^{i(2 pi j t / T + 2 pi m k / K)}."""
     t, k = np.arange(params.T)[:, None], np.arange(params.K)[None, :]
     return rho * np.exp(2j * np.pi * (j * t / params.T + m * k / params.K))
+
+
+def reference_residual(flat, op, g, tau, shift=None):
+    """The tau-slice residual of one flat vector, A^-1 applied to it alone;
+    minus ``shift`` when one is given (the map r_tau - w)."""
+    res = flat - op.solve_rows(-op.params.gamma * (np.abs(flat) ** 2) * flat)
+    if tau != 0.0:
+        forcing = g.on_lattice(flat.reshape(op.params.T, op.params.K)).reshape(flat.shape)
+        res = res - tau * op.solve_rows(forcing - op.shift * flat)
+    if shift is not None:
+        res = res - shift
+    return res
+
+
+def reference_jacobian(flat, op, g, tau):
+    """I - A_r^-1 blockdiag(blocks), A_r^-1 the realified dense inverse."""
+    blocks = solver._slice_blocks(flat, op, g, tau)
+    n = flat.size
+    inv = realified_matrix(op.inverse).reshape(2 * n, n, 2)
+    product = inv[:, :, :1] * blocks[:, 0] + inv[:, :, 1:] * blocks[:, 1]
+    return np.eye(2 * n) - product.reshape(2 * n, 2 * n)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_newton(flat0, op, g, tau, tol, max_iter, converge_on="slice", shift=None,
+                     why=None, stops=None):
+    """One-start damped Newton on r_tau - ``shift`` with exact dense steps,
+    halving the step up to MAX_HALVINGS times, one trial at a time; returns
+    the point, the iteration count and the status.  Appends to ``why``
+    what ended a diverged run, and to ``stops`` the trial index (lambda =
+    2^-index) at which each line search stopped and how: "decrease",
+    "non-finite", or "stalled" after the last trial."""
+    why = [] if why is None else why
+    stops = [] if stops is None else stops
+    x = np.array(flat0, dtype=complex)
+    r = reference_residual(x, op, g, tau, shift)
+    for iteration in range(max_iter + 1):
+        if converge_on == "slice":
+            measure = float(np.abs(r).max())
+        else:
+            field = x.reshape(op.params.T, op.params.K)
+            measure = sup_norm(solver.residual_direct(field, op.params, g))
+        if measure <= tol:
+            return x, iteration, "converged"
+        if iteration == max_iter:
+            return x, iteration, "max_iter"
+        try:
+            step = complexify(np.linalg.solve(reference_jacobian(x, op, g, tau), -realify(r)))
+        except np.linalg.LinAlgError:
+            why.append("singular")
+            return x, iteration, "diverged"
+        base = float(np.abs(r).max())
+        lam = 1.0
+        for index in range(solver.MAX_HALVINGS + 1):
+            candidate = x + lam * step
+            r_candidate = reference_residual(candidate, op, g, tau, shift)
+            if not np.isfinite(r_candidate).all():
+                why.append("non-finite")
+                stops.append((index, "non-finite"))
+                return x, iteration, "diverged"
+            if float(np.abs(r_candidate).max()) < base:
+                x, r = candidate, r_candidate
+                stops.append((index, "decrease"))
+                break
+            lam *= 0.5
+        else:
+            why.append("stalled")
+            stops.append((index, "stalled"))
+            return x, iteration, "diverged"
+    raise AssertionError("unreachable")
+
+
+def perturbed_origin_index(op, g, tau, radius, seed):
+    """The local Brouwer index of the tau-slice at a zero at the origin, by
+    perturbation, or None when the count is inconclusive.
+
+    Solves r_tau = w for a small random target w, well below the map's
+    minimum on a probe sphere of radius rho (so the preimages inside the
+    probe ball count the index), then sums the determinant signs of the
+    deduplicated preimages.  The sphere minimum is attained along the
+    Jacobian's null directions, where the map is only cubically small, so
+    those directions are probed densely on top of ``sphere_samples``, and
+    Newton (``reference_newton``) starts along them as well as at 96 points
+    of the probe ball.  The preimages are clustered as the package clusters
+    zeros.  None means a zero sphere minimum, no preimage, or a degenerate
+    one.  The count is a heuristic: random starts can miss preimages.
+    """
+    rng = np.random.default_rng(seed + 0x5EED)
+    rho = 0.02 * min(1.0, radius)
+    svals_0, rows_0 = np.linalg.svd(reference_jacobian(np.zeros(op.dim, complex), op, g, tau))[1:]
+    null_dirs = [complexify(row) / sup_norm(complexify(row))
+                 for sval, row in zip(svals_0, rows_0) if sval <= 1e-6 * svals_0[0]]
+    phases = np.exp(2j * np.pi * np.arange(16) / 16)
+    probes = [sphere_samples(op.params.T, op.params.K, rho, 256, rng).reshape(256, op.dim)]
+    probes += [[rho * phase * vec for phase in phases] for vec in null_dirs]
+    sphere_min = min(float(np.abs(reference_residual(probe, op, g, tau)).max())
+                     for probe in np.vstack(probes))
+    if sphere_min <= 0.0:
+        return None
+
+    direction = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    w = (sphere_min / 30.0) * direction / sup_norm(direction)
+    tol = max(1e-14, sup_norm(w) * 1e-3)
+    starts = [[frac * rho * phase * vec for frac in (0.3, 0.6, 0.9) for phase in phases[::2]]
+              for vec in null_dirs]
+    starts.append(solver._ball_starts(op, rng, rho, 96))
+    found = []
+    for start in np.vstack(starts):
+        x, iterations, status = reference_newton(start, op, g, tau, tol, 60, shift=w)
+        if status != "converged" or sup_norm(x) >= rho:
+            continue
+        svals = np.linalg.svd(reference_jacobian(x, op, g, tau), compute_uv=False)
+        residual = sup_norm(reference_residual(x, op, g, tau, w))
+        uncertainty = residual / svals[-1] if svals[-1] > 0.0 else np.inf
+        found.append(solver._Zero(x, iterations, residual, uncertainty, svals[-1] / svals[0]))
+    preimages = solver._cluster_representatives(found, 1e-9, rho / 4.0)
+    if not preimages or any(z.sigma_ratio <= SIGMA_RATIO_DEGENERATE for z in preimages):
+        return None
+    return sum(int(np.linalg.slogdet(reference_jacobian(z.flat, op, g, tau))[0])
+               for z in preimages)

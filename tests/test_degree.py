@@ -29,15 +29,17 @@ from dnls import (
 )
 from dnls import cli, degree
 from dnls.solver import _slice_jacobian
+from oracles import perturbed_origin_index
 
 CORPUS = json.loads(
     (Path(__file__).resolve().parents[1] / "tools" / "parity_corpus.json").read_text()
 )
+CORPUS_CONFIGS = {e["name"]: e["config"] for e in CORPUS["entries"]}
 #: degree command configs: two corpus entries, whose zeros all sign +1, and a
 #: forcing without phase symmetry, whose full map has zeros of both signs
 SIGN_CONFIGS = {
-    **{e["name"]: e["config"] for e in CORPUS["entries"]
-       if e["name"] in ("bench-degree-4x8", "degree-bounded-2x4")},
+    name: CORPUS_CONFIGS[name] for name in ("bench-degree-4x8", "degree-bounded-2x4")
+} | {
     "constant-2x2": {"T": 2, "K": 2, "beta": 1.0, "epsilon": 1.0, "gamma": 1.0,
                      "potential": {"kind": "constant", "coefficients": [[2.0, 0.0]]}},
 }
@@ -67,15 +69,16 @@ def _alone(flat, op, g, tau):
 @pytest.mark.parametrize("seed", CORPUS["seeds"])
 @pytest.mark.parametrize("name", list(SIGN_CONFIGS))
 def test_stacked_signs_are_each_zero_alone(monkeypatch, name, seed):
-    # the degree command's pipeline; every stacked sign pass is recorded, so
-    # the origin's preimages can be checked one by one
+    # the degree command's pipeline; the one stacked sign pass per target
+    # signs the regular zeros, and a degenerate origin's index is the
+    # theorem's 1, which the perturbation count of the oracle confirms
     config = replace(cli.parse_config(SIGN_CONFIGS[name]), seed=seed)
     g, op, cert = cli._certified_pipeline(config)
     passes, stacked = [], degree._signs
 
     def recording(zeros, op, g, tau):
         signs = stacked(zeros, op, g, tau)
-        passes.append((zeros, tau, signs))
+        passes.append(signs)
         return signs
 
     monkeypatch.setattr(degree, "_signs", recording)
@@ -84,24 +87,47 @@ def test_stacked_signs_are_each_zero_alone(monkeypatch, name, seed):
         passes.clear()
         report = estimate_degree(target, op, g, cert, n_starts=config.n_starts, seed=seed)
         signs_seen.update(z.sign for z in report.zeros)
+        assert passes == [[z.sign for z in report.zeros]]
         for z in report.zeros:
             assert z.sign in (-1, 1)
             assert z.sign == _alone(z.field.ravel(), op, g, tau)
-        # the first pass signs the regular zeros, each later one an origin's
-        # preimages, in the order of the degenerate records with an index
         origins = [d.local_index for d in report.degenerate if d.local_index is not None]
-        assert len(passes) == 1 + len(origins)
-        for (zeros, at, signs), local_index in zip(passes[1:], origins):
-            assert at == tau
-            assert signs == [_alone(z.flat, op, g, tau) for z in zeros]
-            assert local_index == sum(signs)
+        for local_index in origins:
+            assert local_index == 1
+            assert perturbed_origin_index(op, g, tau, cert.radius, seed) == 1
         indices += len(origins)
     if name == "bench-degree-4x8":
         # r = 2 has a zero derivative at 0, so the full map's origin is
-        # degenerate and its index comes from the preimages
+        # degenerate and carries the index
         assert indices >= 1
     if name == "constant-2x2":
         assert signs_seen == {-1, 1}
+
+
+@pytest.mark.parametrize("seed", CORPUS["seeds"])
+@pytest.mark.parametrize("name", ["bench-degree-4x8", "degree-zero-2x2"])
+def test_perturbation_count_gives_the_theorems_origin_index(name, seed):
+    # r_1 = w for a small generic w has preimages near the full map's
+    # degenerate origin whose signs sum to its index, 1 by the S^1 theorem
+    config = replace(cli.parse_config(CORPUS_CONFIGS[name]), seed=seed)
+    g, op, cert = cli._certified_pipeline(config)
+    report = estimate_degree("full", op, g, cert, n_starts=0, seed=seed)
+    (origin,) = report.degenerate
+    assert origin.local_index == 1
+    assert perturbed_origin_index(op, g, 1.0, cert.radius, seed) == 1
+
+
+@pytest.mark.parametrize("seed", [0, *CORPUS["seeds"]])
+def test_power_law_2_5_origin_index_is_one_at_every_seed(tmp_path, capsys, seed):
+    # the perturbation count once gave this origin index 2 at seed 0, so
+    # degree exited 4 (INCOMPLETE-ENUMERATION); the theorem gives 1
+    config = replace(cli.parse_config(CORPUS_CONFIGS["degree-power-2.5-2x2"]), seed=seed)
+    assert cli.cmd_degree(config, tmp_path) == 0
+    capsys.readouterr()
+    full = json.loads((tmp_path / "degree.json").read_text())["full"]
+    origins = [d for d in full["degenerate"] if d["sup_norm"] <= 1e-9]
+    assert [d["local_index"] for d in origins] == [1]
+    assert full["degree_estimate"] == 1
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -3,9 +3,9 @@
 ``solver._damped_newton`` advances an (m, n) stack of starts together: one
 stacked Jacobian and one stacked LAPACK solve per iteration, and a line
 search in blocks of trial steps, one stacked residual per block.  The
-reference below is the one-start dense-step loop it replaced, with its own
-one-vector residual, its Jacobian from the realified A^-1 and one trial step
-at a time.  Every row of a stacked run must end with the reference's point,
+reference (``oracles.reference_newton``) is the one-start dense-step loop it
+replaced, with its own one-vector residual, its Jacobian from the realified
+A^-1 and one trial step at a time.  Every row of a stacked run must end with the reference's point,
 bit for bit, its iteration count and its status, and with the slice residual
 and convergence measure of a fresh evaluation at that point.
 """
@@ -28,72 +28,8 @@ from dnls import (
     sup_norm,
 )
 from dnls import solver
-from dnls.solver import _ball_starts, _slice_blocks, complexify, realify
-from oracles import realified_matrix
-
-
-def _reference_residual(flat, op, g, tau, shift_vec=None):
-    """The tau-slice residual of one flat vector, A^-1 applied to it alone."""
-    res = flat - op.solve_rows(-op.params.gamma * (np.abs(flat) ** 2) * flat)
-    if tau != 0.0:
-        forcing = g.on_lattice(flat.reshape(op.params.T, op.params.K)).reshape(flat.shape)
-        res = res - tau * op.solve_rows(forcing - op.shift * flat)
-    if shift_vec is not None:
-        res = res - shift_vec
-    return res
-
-
-def _reference_jacobian(flat, op, g, tau):
-    """I - A_r^-1 blockdiag(blocks), A_r^-1 the realified dense inverse."""
-    blocks = _slice_blocks(flat, op, g, tau)
-    n = flat.size
-    inv = realified_matrix(op.inverse).reshape(2 * n, n, 2)
-    product = inv[:, :, :1] * blocks[:, 0] + inv[:, :, 1:] * blocks[:, 1]
-    return np.eye(2 * n) - product.reshape(2 * n, 2 * n)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _reference_newton(flat0, op, g, tau, tol, max_iter, converge_on, shift_vec, why, stops):
-    """One-start damped Newton with exact dense steps; appends to ``why``
-    what ended a diverged run, and to ``stops`` the trial index (lambda =
-    2^-index) at which each line search stopped and how: "decrease",
-    "non-finite", or "stalled" after the last trial."""
-    x = np.array(flat0, dtype=complex)
-    r = _reference_residual(x, op, g, tau, shift_vec)
-    for iteration in range(max_iter + 1):
-        if converge_on == "slice":
-            measure = float(np.abs(r).max())
-        else:
-            field = x.reshape(op.params.T, op.params.K)
-            measure = sup_norm(solver.residual_direct(field, op.params, g))
-        if measure <= tol:
-            return x, iteration, "converged"
-        if iteration == max_iter:
-            return x, iteration, "max_iter"
-        try:
-            step = complexify(np.linalg.solve(_reference_jacobian(x, op, g, tau), -realify(r)))
-        except np.linalg.LinAlgError:
-            why.append("singular")
-            return x, iteration, "diverged"
-        base = float(np.abs(r).max())
-        lam = 1.0
-        for index in range(solver.MAX_HALVINGS + 1):
-            candidate = x + lam * step
-            r_candidate = _reference_residual(candidate, op, g, tau, shift_vec)
-            if not np.isfinite(r_candidate).all():
-                why.append("non-finite")
-                stops.append((index, "non-finite"))
-                return x, iteration, "diverged"
-            if float(np.abs(r_candidate).max()) < base:
-                x, r = candidate, r_candidate
-                stops.append((index, "decrease"))
-                break
-            lam *= 0.5
-        else:
-            why.append("stalled")
-            stops.append((index, "stalled"))
-            return x, iteration, "diverged"
-    raise AssertionError("unreachable")
+from dnls.solver import _ball_starts
+from oracles import reference_newton, reference_residual
 
 
 def _banded(g, lo, hi):
@@ -158,21 +94,21 @@ def _case_starts(name, seed, count):
     return op, g, tau, converge_on, np.vstack([drawn[: count // 2], fixed, drawn[count // 2:]])
 
 
-def _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on, shift_vec):
+def _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on):
     tol = 1e-11
     x, r, measure, iterations, status = solver._damped_newton(
-        starts, op, g, tau, tol, max_iter, converge_on, shift_vec
+        starts, op, g, tau, tol, max_iter, converge_on
     )
     why: list[str] = []
     stops: list[tuple[int, str]] = []
     outcomes = []
     for row, start in enumerate(starts):
-        ref_x, ref_iterations, ref_status = _reference_newton(
-            start, op, g, tau, tol, max_iter, converge_on, shift_vec, why, stops
+        ref_x, ref_iterations, ref_status = reference_newton(
+            start, op, g, tau, tol, max_iter, converge_on, why=why, stops=stops
         )
         assert x[row].tobytes() == ref_x.tobytes(), row
         assert (iterations[row], status[row]) == (ref_iterations, ref_status), row
-        fresh = solver._slice_residual(x[row], op, g, tau, shift_vec)
+        fresh = solver._slice_residual(x[row], op, g, tau)
         assert r[row].tobytes() == fresh.tobytes(), row
         if converge_on == "direct":
             fresh = solver.residual_direct(x[row].reshape(op.params.T, op.params.K), op.params, g)
@@ -187,19 +123,14 @@ def _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on, shif
     seed=st.integers(0, 2**16),
     count=st.integers(0, 6),
     max_iter=st.sampled_from([3, 30, 100]),
-    shifted=st.booleans(),
 )
-@example(name="bounded-odd", seed=0, count=0, max_iter=30, shifted=False)
-@example(name="huge-constant", seed=0, count=2, max_iter=100, shifted=False)
-@example(name="power-full-direct", seed=1, count=4, max_iter=3, shifted=True)
-@example(name="banded-half-tau", seed=0, count=0, max_iter=100, shifted=False)
-def test_stacked_newton_matches_one_start_reference(name, seed, count, max_iter, shifted):
+@example(name="bounded-odd", seed=0, count=0, max_iter=30)
+@example(name="huge-constant", seed=0, count=2, max_iter=100)
+@example(name="power-full-direct", seed=1, count=4, max_iter=3)
+@example(name="banded-half-tau", seed=0, count=0, max_iter=100)
+def test_stacked_newton_matches_one_start_reference(name, seed, count, max_iter):
     op, g, tau, converge_on, starts = _case_starts(name, seed, count)
-    shift_vec = None
-    if shifted:
-        rng = np.random.default_rng(seed + 1)
-        shift_vec = 1e-3 * (rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim))
-    _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on, shift_vec)
+    _assert_rows_match_reference(op, g, tau, starts, max_iter, converge_on)
 
 
 def test_reference_stacks_cover_singular_non_finite_and_max_iter_rows():
@@ -207,11 +138,11 @@ def test_reference_stacks_cover_singular_non_finite_and_max_iter_rows():
     # converges, hits max_iter and meets a singular Jacobian, and one whose
     # trial residuals overflow
     op, g, tau, converge_on, starts = _case_starts("bounded-odd", 0, 0)
-    outcomes, why, _ = _assert_rows_match_reference(op, g, tau, starts, 30, converge_on, None)
+    outcomes, why, _ = _assert_rows_match_reference(op, g, tau, starts, 30, converge_on)
     assert outcomes == ["converged", "max_iter", "diverged", "converged", "max_iter", "converged"]
     assert why == ["singular"]
     op, g, tau, converge_on, starts = _case_starts("huge-constant", 0, 2)
-    outcomes, why, _ = _assert_rows_match_reference(op, g, tau, starts, 100, converge_on, None)
+    outcomes, why, _ = _assert_rows_match_reference(op, g, tau, starts, 100, converge_on)
     assert set(outcomes) == {"diverged"} and set(why) == {"non-finite"}
 
 
@@ -227,9 +158,7 @@ def test_line_search_blocks_stop_where_the_one_trial_search_stops():
     # a finite one that did not decrease, in the same block; each row still
     # ends with the bits of the one-trial search
     op, g, tau, converge_on, starts = _case_starts("banded-half-tau", 0, 0)
-    outcomes, why, stops = _assert_rows_match_reference(
-        op, g, tau, starts, 100, converge_on, None
-    )
+    outcomes, why, stops = _assert_rows_match_reference(op, g, tau, starts, 100, converge_on)
     assert {_block(index) for index, how in stops if how == "decrease"} == {0, 1, 2, 3, 4}
     assert (solver.MAX_HALVINGS, "stalled") in stops
     assert any(how == "non-finite" and _block(index - 1) == _block(index)
@@ -258,7 +187,7 @@ def test_line_search_takes_one_residual_per_block(monkeypatch):
     for start in starts:
         events.clear()
         stops: list[tuple[int, str]] = []
-        _reference_newton(start, op, g, tau, 1e-11, 100, converge_on, None, [], stops)
+        reference_newton(start, op, g, tau, 1e-11, 100, converge_on, stops=stops)
         solver._damped_newton(start[None], op, g, tau, 1e-11, 100, converge_on)
         assert events.count("residual") == 1 + sum(_block(index) + 1 for index, _ in stops)
     events.clear()
@@ -277,12 +206,10 @@ def test_stacked_residual_rows_match_one_vector_residual(T, K, tau):
     g = power_law([0.3, 0.2j], 2.0)
     rng = np.random.default_rng(T * K)
     stack = 2.0 * (rng.standard_normal((5, op.dim)) + 1j * rng.standard_normal((5, op.dim)))
-    shift_vec = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    for shift in (None, shift_vec):
-        rows = solver._slice_residual(stack, op, g, tau, shift)
-        for row, flat in zip(rows, stack):
-            assert row.tobytes() == solver._slice_residual(flat, op, g, tau, shift).tobytes()
-            assert row.tobytes() == _reference_residual(flat, op, g, tau, shift).tobytes()
+    rows = solver._slice_residual(stack, op, g, tau)
+    for row, flat in zip(rows, stack):
+        assert row.tobytes() == solver._slice_residual(flat, op, g, tau).tobytes()
+        assert row.tobytes() == reference_residual(flat, op, g, tau).tobytes()
 
 
 def _collect(starts, op, g):
@@ -311,8 +238,8 @@ def test_collect_zeros_records_do_not_depend_on_the_stack_size(monkeypatch):
 
 def test_collect_zeros_memory_is_flat_in_the_start_count():
     # the stacks hold at most JACOBIAN_STACK_BYTES of Jacobians, so 288
-    # starts on 4x8 (the origin probe's count) peak like 32; one unbounded
-    # stack of 288 Jacobians alone would take 9.4 MB
+    # starts on 4x8 peak like 32; one unbounded stack of 288 Jacobians
+    # alone would take 9.4 MB
     op, g = _op(4, 8), power_law([0.3], 2.0)
     assert solver._stack_rows(op.dim) == 32
     peaks = []

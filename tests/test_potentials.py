@@ -394,6 +394,39 @@ def test_closed_forms_bound_sampled_moduli(g, coef, radius):
     assert np.all(beyond <= coef * rho**3 * (1 + 1e-12))
 
 
+# ---------------------------------------------------------------------------
+# phase equivariance
+
+
+def _commutes_with_rotation(g, alpha, grid) -> bool:
+    """Whether g(t, e^{ia} z) = e^{ia} g(t, z) at every node of ``grid``, up
+    to a relative rounding slack."""
+    rotation = np.exp(1j * alpha)
+    rotated, expected = g.on_lattice(rotation * grid), rotation * g.on_lattice(grid)
+    return bool(np.all(np.abs(rotated - expected) <= 1e-13 * np.abs(expected)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_families(_NORMAL_COEFFS), st.floats(0.0, 2.0 * np.pi), _lattices())
+def test_declared_phase_equivariance_holds(g, alpha, grid):
+    # power_law, bounded and zero declare the symmetry, constant only on
+    # zero coefficients; every declaration holds to rounding
+    assert g.phase_equivariant == (g.kind != "constant" or not any(g.coefficients))
+    if g.phase_equivariant:
+        assert _commutes_with_rotation(g, alpha, grid)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_NORMAL_COEFFS.filter(any), st.floats(0.1, 2.0 * np.pi - 0.1), _lattices())
+def test_constant_forcing_is_not_phase_equivariant(coefficients, alpha, grid):
+    # g(t, e^{ia} z) = f(t), not e^{ia} f(t): the declaration is False and
+    # the property fails on every lattice whose times meet a nonzero f(t)
+    g = constant_potential(coefficients)
+    assert not g.phase_equivariant
+    if any(coefficients[t % g.period] for t in range(grid.shape[0])):
+        assert not _commutes_with_rotation(g, alpha, grid)
+
+
 def test_bounded_threshold_cancellation():
     # (-1 + sqrt(1 + 4a)) / 2 with a = max|f|/coef would cancel here and
     # give a radius 4e-6 (relative) too small; 2a / (1 + sqrt(1 + 4a)) does not
