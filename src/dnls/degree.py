@@ -2,9 +2,10 @@
 
 The degree of a map on a ball (with no zeros on the boundary) equals the sum
 of Jacobian determinant signs over its zeros inside, provided every zero is
-regular.  This module estimates that sum by multi-start enumeration: Newton
-from the origin and from random starts in the ball, deduplication of the
-converged points, then sign evaluation at each representative.
+regular.  The odd map's degree comes from the theorem below; the full map's
+sum is estimated by multi-start enumeration: Newton from the origin and
+from random starts in the ball, deduplication of the converged points, then
+sign evaluation at each representative.
 
 Degenerate zeros, whose Jacobian is numerically singular, have no sign.
 Where they come from, and what they count for, rests on one theorem.
@@ -19,18 +20,21 @@ Where they come from, and what they count for, rests on one theorem.
   Degree Theory*, 2003).  Such circles are reported in ``degenerate`` and
   excluded from the sum.
 
-* The origin's index.  The odd map's Jacobian at the origin is the
-  identity, so with its circles adding up to 0 its degree on the ball is
-  +1.  When no slice has a zero on the sphere (given the certificate's
-  sampled boundary check) the degree does not change with tau, so the full
-  map's degree is 1 as well.  When the forcing has zero derivative at 0
-  the full map's Jacobian at the origin is singular (constants span its
-  kernel).  For a phase-equivariant forcing whose origin is an isolated
-  zero the origin then carries the whole degree: its local index is 1.
-  Isolation is probed on a small sphere, densest along the null directions.
+* The origin's index.  The odd map vanishes at the origin with the
+  identity as Jacobian, so with its circles adding up to 0 its degree on
+  the ball is +1; ``estimate_degree`` reports that without enumerating.
+  When no slice has a zero on the sphere (given the certificate's sampled
+  boundary check) the degree does not change with tau, so the full map's
+  degree is 1 as well.  When the forcing has zero derivative at 0 the full
+  map's Jacobian at the origin is singular (constants span its kernel).
+  For a phase-equivariant forcing whose origin is an isolated zero the
+  origin then carries the whole degree: its local index is 1.  Isolation
+  is probed on a small sphere, densest along the null directions.
 
-The estimate is heuristic (random starts cannot certify completeness), which
-``DegreeReport.completeness`` states outright.
+For a phase-equivariant forcing the full map's enumeration is therefore an
+audit whose outcome the theorem fixes.  It is heuristic (random starts
+cannot certify completeness), which ``DegreeReport.completeness`` states
+outright.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .lattice import check_period, sup_norm
 from .operators import ShiftedOperator
 from .potentials import Potential
 from .solver import (
-    DEDUP_TOL,
     _Zero,
     _ball_starts,
     _collect_zeros,
@@ -100,14 +103,14 @@ class DegenerateRecord:
 class DegreeReport:
     """Degree estimate over the certified ball.
 
-    ``target`` is "odd" (the map without forcing) or "full".  Given the
-    sampled boundary check, both maps have degree 1 when the forcing is
-    phase-equivariant (module docstring), so an estimate other than 1 there
-    means missed or degenerate zeros.  ``parity_ok`` checks the odd-map
-    constraint (degree of an odd map on a symmetric ball is odd); it is
-    None for the full map, where no parity is forced.  ``completeness`` is
-    always "heuristic".  ``origin_perturbed`` is True when a degenerate
-    origin's index is counted; it keeps its name for byte parity.
+    ``target`` is "odd" (the map without forcing) or "full".  The odd map's
+    report is the theorem's (module docstring): the origin as its one
+    regular zero, sign +1, no degenerate records, degree 1, ``parity_ok``
+    True and ``completeness`` "theorem".  The full map's report comes from
+    enumeration, ``completeness`` "heuristic" and ``parity_ok`` None (no
+    parity is forced); given the sampled boundary check its degree is 1
+    when the forcing is phase-equivariant, so an estimate other than 1
+    there means missed or degenerate zeros.
     """
 
     target: str
@@ -117,11 +120,10 @@ class DegreeReport:
     degree_estimate: int
     parity_ok: bool | None
     completeness: str
-    origin_perturbed: bool
 
 
-def _signs(zeros: list[_Zero], op: ShiftedOperator, g: Potential, tau: float) -> list[int]:
-    """Determinant sign of the tau-slice Jacobian at each of the regular
+def _signs(zeros: list[_Zero], op: ShiftedOperator, g: Potential) -> list[int]:
+    """Determinant sign of the full map's Jacobian at each of the regular
     ``zeros``, as +1 or -1.
 
     The Jacobians are stacked and their signs read from one ``slogdet``;
@@ -132,19 +134,18 @@ def _signs(zeros: list[_Zero], op: ShiftedOperator, g: Potential, tau: float) ->
     if not zeros:
         return []
     flats = np.stack([z.flat for z in zeros])
-    return [int(sign) for sign in np.linalg.slogdet(_slice_jacobian(flats, op, g, tau))[0]]
+    return [int(sign) for sign in np.linalg.slogdet(_slice_jacobian(flats, op, g, 1.0))[0]]
 
 
 def _origin_local_index(
     op: ShiftedOperator,
     g: Potential,
-    tau: float,
     radius: float,
     seed: int,
 ) -> int | None:
-    """Local Brouwer index at a degenerate zero at the origin: 1 by the
-    theorem of the module docstring, when the forcing is phase-equivariant
-    and the origin is an isolated zero.
+    """Local Brouwer index of the full map at a degenerate zero at the
+    origin: 1 by the theorem of the module docstring, when the forcing is
+    phase-equivariant and the origin is an isolated zero.
 
     Isolation is probed on a small sphere around the origin.  The map is
     only cubically small along the Jacobian's null directions, so those
@@ -158,7 +159,7 @@ def _origin_local_index(
     rho = 0.02 * min(1.0, radius)
 
     origin = np.zeros(op.dim, dtype=complex)
-    svals_0, rows_0 = np.linalg.svd(_slice_jacobian(origin, op, g, tau))[1:]
+    svals_0, rows_0 = np.linalg.svd(_slice_jacobian(origin, op, g, 1.0))[1:]
     # the rows are unit vectors, so their sup norms are positive
     null_dirs = [
         complexify(row) / sup_norm(complexify(row))
@@ -170,7 +171,7 @@ def _origin_local_index(
     probes = [sphere_samples(op.params.T, op.params.K, rho, 256, rng).reshape(256, op.dim)]
     probes += [[rho * phase * vec for phase in phases] for vec in null_dirs]
     # Python's min over the sup norms, as before: np.min would return any NaN
-    sphere_min = min(np.abs(_slice_residual(np.vstack(probes), op, g, tau)).max(axis=1).tolist())
+    sphere_min = min(np.abs(_slice_residual(np.vstack(probes), op, g, 1.0)).max(axis=1).tolist())
     return None if sphere_min <= 0.0 else 1
 
 
@@ -185,53 +186,47 @@ def estimate_degree(
     """Estimate the Brouwer degree of a fixed-point map on the certified ball.
 
     ``target`` chooses the map: "odd" drops the forcing (the comparison map of
-    the existence argument, odd by construction), "full" keeps it.  Candidate
-    zeros come from Newton started at the origin and at ``n_starts`` random
-    fields in the ball; candidates that converge to ENUM_TOL strictly inside
-    the ball are kept, then deduplicated.  Regular zeros contribute their
-    Jacobian sign; a degenerate origin contributes the local index the
-    theorem gives it (``_origin_local_index``); other degenerate zeros
-    (phase circles) are reported but not counted.
+    the existence argument, odd by construction), "full" keeps it.  The odd
+    map's report is the theorem's and runs no Newton.  For the full map
+    candidate zeros come from Newton started at the origin and at
+    ``n_starts`` random fields in the ball; candidates that converge to
+    ENUM_TOL strictly inside the ball are kept, then deduplicated.  Regular
+    zeros contribute their Jacobian sign; a degenerate origin contributes
+    the local index the theorem gives it (``_origin_local_index``); other
+    degenerate zeros (phase circles) are reported but not counted.
     """
     check_period(op.params.T, g)
     if target not in ("odd", "full"):
         raise ValueError(f"target must be 'odd' or 'full', got {target!r}")
     _require_valid(cert)
-    tau = 0.0 if target == "odd" else 1.0
     params = op.params
-    starts = np.vstack([
-        np.zeros(op.dim, dtype=complex),
-        _ball_starts(op, np.random.default_rng(seed), cert.radius, n_starts),
-    ])
+    origin = np.zeros(op.dim, dtype=complex)
+    if target == "odd":
+        # r_0(0) = 0 and J_0(0) = I exactly, and the other zeros lie on circles
+        zero = ZeroRecord(_field(origin, params), 0.0, 1, 1.0)
+        return DegreeReport("odd", cert.radius, (zero,), (), 1, True, "theorem")
+    rng = np.random.default_rng(seed)
+    starts = np.vstack([origin, _ball_starts(op, rng, cert.radius, n_starts)])
     found = _collect_zeros(
-        starts, op, g, tau, tol=ENUM_TOL, max_iter=100, radius=cert.radius, converge_on="slice",
-        base_tol=DEDUP_TOL, cap=0.01 * max(1.0, cert.radius),
+        starts, op, g, tol=ENUM_TOL, max_iter=100, radius=cert.radius, converge_on="slice"
     )
 
     regular = [z for z in found if z.sigma_ratio > SIGMA_RATIO_DEGENERATE]
     zeros = [
         ZeroRecord(_field(z.flat, params), z.residual, sign, z.sigma_ratio)
-        for z, sign in zip(regular, _signs(regular, op, g, tau))
+        for z, sign in zip(regular, _signs(regular, op, g))
     ]
     # a degenerate zero at the origin gets the theorem's index
     origin_tol = 1e-6 * max(1.0, cert.radius)
     degenerate = [
         DegenerateRecord(
             _field(z.flat, params), z.residual, z.sigma_ratio,
-            _origin_local_index(op, g, tau, cert.radius, seed)
+            _origin_local_index(op, g, cert.radius, seed)
             if sup_norm(z.flat) <= origin_tol else None,
         )
         for z in found if z.sigma_ratio <= SIGMA_RATIO_DEGENERATE
     ]
-    indices = [d.local_index for d in degenerate if d.local_index is not None]
-    degree = sum(z.sign for z in zeros) + sum(indices)
-    return DegreeReport(
-        target=target,
-        radius=cert.radius,
-        zeros=tuple(zeros),
-        degenerate=tuple(degenerate),
-        degree_estimate=degree,
-        parity_ok=degree % 2 == 1 if target == "odd" else None,
-        completeness="heuristic",
-        origin_perturbed=bool(indices),
-    )
+    degree = sum(z.sign for z in zeros)
+    degree += sum(d.local_index for d in degenerate if d.local_index is not None)
+    return DegreeReport("full", cert.radius, tuple(zeros), tuple(degenerate), degree, None,
+                        "heuristic")

@@ -496,17 +496,14 @@ def _collect_zeros(
     starts: np.ndarray,
     op: ShiftedOperator,
     g: Potential,
-    tau: float,
     *,
     tol: float,
     max_iter: int,
     radius: float,
     converge_on: str,
-    base_tol: float,
-    cap: float,
 ) -> list[_Zero]:
-    """Zeros of the tau-slice found by damped Newton from each row
-    of the (m, n) ``starts``.
+    """Zeros of the full map (the tau = 1 slice) found by damped Newton from
+    each row of the (m, n) ``starts``.
 
     A converged run is kept when it ends strictly inside the ball of
     ``radius``, and its record keeps what Newton measured there: the
@@ -515,7 +512,8 @@ def _collect_zeros(
     over the smallest singular value of the slice Jacobian, infinite at a
     singular Jacobian; near-degenerate zeros get large values, which the
     clustering uses to merge their halo of pseudo-solutions.  Returns the
-    cluster representatives in first-found order.
+    cluster representatives in first-found order, merged within DEDUP_TOL
+    and an uncertainty radius capped at 0.01 * max(1, ``radius``).
 
     The starts run through one ``_damped_newton`` in stacks of
     ``_stack_rows`` rows, so that a stack of Jacobians stays within
@@ -527,12 +525,12 @@ def _collect_zeros(
     size = _stack_rows(op.dim)
     for lo in range(0, len(starts), size):
         x, r, measure, iterations, status = _damped_newton(
-            starts[lo:lo + size], op, g, tau, tol, max_iter, converge_on
+            starts[lo:lo + size], op, g, 1.0, tol, max_iter, converge_on
         )
         kept = [i for i, how in enumerate(status) if how == "converged" and sup_norm(x[i]) < radius]
         if not kept:
             continue
-        svals = np.linalg.svd(_slice_jacobian(x[kept], op, g, tau), compute_uv=False)
+        svals = np.linalg.svd(_slice_jacobian(x[kept], op, g, 1.0), compute_uv=False)
         for row, sv in zip(kept, svals):
             # sv[0] > 0: J = I - A_r^-1 B = 0 would need A_r = B, but B is
             # block diagonal and A_r couples neighbours (epsilon > 0)
@@ -540,7 +538,7 @@ def _collect_zeros(
             uncertainty = sup_norm(r[row]) / smallest if smallest > 0.0 else np.inf
             found.append(_Zero(x[row], iterations[row], float(measure[row]), uncertainty,
                                smallest / float(sv[0])))
-    return _cluster_representatives(found, base_tol, cap)
+    return _cluster_representatives(found, DEDUP_TOL, 0.01 * max(1.0, radius))
 
 
 def multi_start(
@@ -585,8 +583,7 @@ def _multi_start_from(
         starts = np.vstack([endpoint.solution.ravel(), starts])
 
     zeros = _collect_zeros(
-        starts, op, g, 1.0, tol=tol, max_iter=max_iter, radius=cert.radius,
-        converge_on="direct", base_tol=DEDUP_TOL, cap=0.01 * max(1.0, cert.radius),
+        starts, op, g, tol=tol, max_iter=max_iter, radius=cert.radius, converge_on="direct"
     )
     return [_report_at(z.flat, op, g, z.iterations, "converged", "multi_start") for z in zeros]
 

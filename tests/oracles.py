@@ -7,10 +7,11 @@ norm and the realified 2n x 2n form of a complex matrix live here, where
 the tests check the package's kernels, norms and Jacobians against them.
 The exact plane-wave solutions of ``plane_waves`` are ground truth for the
 residual at any lattice size.  ``reference_newton`` is damped Newton from one
-start with dense steps and one trial step at a time, and
+start with dense steps and one trial step at a time.  With it
+``odd_map_zeros`` enumerates the odd map's zeros and
 ``perturbed_origin_index`` counts the origin's local Brouwer index by
-perturbation with it, against the index the package takes from the S^1
-theorem.
+perturbation, the two checks of the S^1 theorem from which the package
+takes the odd map's degree and the full map's origin index.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from dnls import LatticeParams, Potential, ShiftedOperator, complexify, realify, sup_norm
 from dnls import solver
 from dnls.certificate import sphere_samples
-from dnls.degree import SIGMA_RATIO_DEGENERATE
+from dnls.degree import ENUM_TOL, SIGMA_RATIO_DEGENERATE
 from dnls.operators import _circulant, _stencil
 
 
@@ -202,6 +203,34 @@ def reference_newton(flat0, op, g, tau, tol, max_iter, converge_on="slice", shif
             stops.append((index, "stalled"))
             return x, iteration, "diverged"
     raise AssertionError("unreachable")
+
+
+def odd_map_zeros(op, radius, n_starts, seed):
+    """Zeros of the odd map r_0 strictly inside the ball of ``radius``, as
+    ``solver._Zero`` records in first-found order.
+
+    Newton (``reference_newton``, to ENUM_TOL) runs from the origin and
+    from the ``n_starts`` draws of ``solver._ball_starts`` that the full
+    map's enumeration makes at ``seed``, one start at a time.  Each
+    converged point's residual is the sup norm of r_0 there and its
+    location uncertainty that residual over the smallest singular value of
+    the Jacobian; the points are clustered as the package clusters zeros.
+    The enumeration the degree command once ran for the odd map.
+    """
+    starts = np.vstack([
+        np.zeros(op.dim, dtype=complex),
+        solver._ball_starts(op, np.random.default_rng(seed), radius, n_starts),
+    ])
+    found = []
+    for start in starts:
+        x, iterations, status = reference_newton(start, op, None, 0.0, ENUM_TOL, 100)
+        if status != "converged" or sup_norm(x) >= radius:
+            continue
+        svals = np.linalg.svd(reference_jacobian(x, op, None, 0.0), compute_uv=False)
+        residual = sup_norm(reference_residual(x, op, None, 0.0))
+        uncertainty = residual / svals[-1] if svals[-1] > 0.0 else np.inf
+        found.append(solver._Zero(x, iterations, residual, uncertainty, svals[-1] / svals[0]))
+    return solver._cluster_representatives(found, solver.DEDUP_TOL, 0.01 * max(1.0, radius))
 
 
 def perturbed_origin_index(op, g, tau, radius, seed):

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dnls
-from dnls import DimensionMismatch, LatticeParams, NoThresholdFound, power_law, solver
+from dnls import (
+    DimensionMismatch, LatticeParams, NoThresholdFound, certificate, power_law, solver,
+)
 from dnls.cli import (
     ConfigError,
     PotentialSpec,
@@ -352,6 +354,25 @@ def test_oversized_config_exit_one(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["certify", "solve", "degree"])
+def test_samples_beyond_memory_exit_one_before_the_chunk_plan(tmp_path, capsys, monkeypatch,
+                                                              command):
+    # 10**15 samples need 7.11 PiB of gaps; walking their chunk plan first
+    # would take about 37 hours on 2x2, so the allocation must come first
+    def walked(*args):
+        raise AssertionError("the chunk plan was walked before the gaps were allocated")
+
+    monkeypatch.setattr(certificate, "_chunks", walked)
+    cfg = _write_config(tmp_path, T=2, K=2, samples=10**15,
+                        potential={"kind": "power_law", "coefficients": [[0.3, 0.0]],
+                                   "exponent": 2.0})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: ") and captured.err.count("\n") == 1
+    assert "PiB" in captured.err
 
 
 def test_certify_huge_constant_forcing_terminates(tmp_path, capsys):
@@ -771,7 +792,11 @@ def test_degree_unforced_parity(tmp_path, capsys):
     assert payload["odd"]["parity_ok"] is True
     assert payload["estimates_agree"] is True
     assert payload["flag"] is None
-    assert payload["full"]["origin_perturbed"] is True
+    assert payload["odd"]["completeness"] == "theorem"
+    assert payload["odd"]["degenerate"] == []
+    # the full map's degenerate origin counts its index; no other key says so
+    assert payload["full"]["degenerate"][0]["local_index"] == 1
+    assert "origin_perturbed" not in payload["full"]
 
 
 def test_degree_dimension_guard(tmp_path, capsys):

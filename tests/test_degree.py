@@ -1,7 +1,8 @@
-"""Zero enumeration, sign bookkeeping, and the degree parity cross-check.
+"""Zero enumeration, sign bookkeeping, and the theorem behind the odd map's
+degree, checked against the odd map's enumeration (``oracles.odd_map_zeros``).
 
 The T = 1, K = 2 unforced instance is solvable by hand, which makes it the
-anchor oracle here.  Writing phi = (a, b), the odd-route zeros satisfy
+anchor oracle here.  Writing phi = (a, b), the odd-map zeros satisfy
 (L - 6I)phi + |phi|^2 phi = 0 and come in four families: the origin plus three
 phase circles with sup norms sqrt(6) (in-phase), sqrt(10) (anti-phase), and
 sqrt(3) + 1 (mixed).  The full equation L phi + |phi|^2 phi = 0 has the origin
@@ -25,11 +26,12 @@ from dnls import (
     homotopy_solve,
     multi_start,
     power_law,
+    sup_norm,
     zero_potential,
 )
-from dnls import cli, degree
+from dnls import cli, degree, solver
 from dnls.solver import _slice_jacobian
-from oracles import perturbed_origin_index
+from oracles import odd_map_zeros, perturbed_origin_index, reference_jacobian, reference_residual
 
 CORPUS = json.loads(
     (Path(__file__).resolve().parents[1] / "tools" / "parity_corpus.json").read_text()
@@ -66,42 +68,62 @@ def _alone(flat, op, g, tau):
     return int(np.linalg.slogdet(_slice_jacobian(flat, op, g, tau))[0])
 
 
+def _odd_theorem_holds(op, radius, n_starts, seed):
+    """Checks the odd map's enumeration against its theorem: the origin is
+    the only regular zero, with sign +1, and every other zero sits on a
+    degenerate phase circle.  Returns the enumerated zeros."""
+    zeros = odd_map_zeros(op, radius, n_starts, seed)
+    assert zeros[0].flat.tobytes() == np.zeros(op.dim, dtype=complex).tobytes()
+    assert (zeros[0].residual, zeros[0].sigma_ratio) == (0.0, 1.0)
+    assert np.linalg.slogdet(reference_jacobian(zeros[0].flat, op, None, 0.0))[0] == 1.0
+    for z in zeros[1:]:
+        assert z.sigma_ratio <= degree.SIGMA_RATIO_DEGENERATE
+        assert z.residual <= degree.ENUM_TOL
+        # the rotated zero is a zero: the record lies on a circle of them
+        turned = reference_residual(np.exp(0.7j) * z.flat, op, None, 0.0)
+        assert np.abs(turned).max() <= 1e3 * degree.ENUM_TOL
+    return zeros
+
+
 @pytest.mark.parametrize("seed", CORPUS["seeds"])
 @pytest.mark.parametrize("name", list(SIGN_CONFIGS))
 def test_stacked_signs_are_each_zero_alone(monkeypatch, name, seed):
-    # the degree command's pipeline; the one stacked sign pass per target
-    # signs the regular zeros, and a degenerate origin's index is the
-    # theorem's 1, which the perturbation count of the oracle confirms
+    # the degree command's pipeline; the one stacked sign pass signs the
+    # full map's regular zeros, a degenerate origin's index is the
+    # theorem's 1, which the perturbation count of the oracle confirms, and
+    # the odd map's theorem report matches its enumeration
     config = replace(cli.parse_config(SIGN_CONFIGS[name]), seed=seed)
     g, op, cert = cli._certified_pipeline(config)
     passes, stacked = [], degree._signs
 
-    def recording(zeros, op, g, tau):
-        signs = stacked(zeros, op, g, tau)
+    def recording(zeros, op, g):
+        signs = stacked(zeros, op, g)
         passes.append(signs)
         return signs
 
     monkeypatch.setattr(degree, "_signs", recording)
-    indices, signs_seen = 0, set()
-    for target, tau in (("odd", 0.0), ("full", 1.0)):
-        passes.clear()
-        report = estimate_degree(target, op, g, cert, n_starts=config.n_starts, seed=seed)
-        signs_seen.update(z.sign for z in report.zeros)
-        assert passes == [[z.sign for z in report.zeros]]
-        for z in report.zeros:
-            assert z.sign in (-1, 1)
-            assert z.sign == _alone(z.field.ravel(), op, g, tau)
-        origins = [d.local_index for d in report.degenerate if d.local_index is not None]
-        for local_index in origins:
-            assert local_index == 1
-            assert perturbed_origin_index(op, g, tau, cert.radius, seed) == 1
-        indices += len(origins)
+    report = estimate_degree("full", op, g, cert, n_starts=config.n_starts, seed=seed)
+    assert passes == [[z.sign for z in report.zeros]]
+    for z in report.zeros:
+        assert z.sign in (-1, 1)
+        assert z.sign == _alone(z.field.ravel(), op, g, 1.0)
+    origins = [d.local_index for d in report.degenerate if d.local_index is not None]
+    for local_index in origins:
+        assert local_index == 1
+        assert perturbed_origin_index(op, g, 1.0, cert.radius, seed) == 1
     if name == "bench-degree-4x8":
         # r = 2 has a zero derivative at 0, so the full map's origin is
         # degenerate and carries the index
-        assert indices >= 1
+        assert origins
     if name == "constant-2x2":
-        assert signs_seen == {-1, 1}
+        assert {z.sign for z in report.zeros} == {-1, 1}
+
+    passes.clear()
+    odd = estimate_degree("odd", op, g, cert, n_starts=config.n_starts, seed=seed)
+    assert not passes
+    (origin,) = odd.zeros
+    assert (origin.residual, origin.sign, origin.sigma_ratio) == (0.0, 1, 1.0)
+    _odd_theorem_holds(op, cert.radius, config.n_starts, seed)
 
 
 @pytest.mark.parametrize("seed", CORPUS["seeds"])
@@ -147,44 +169,68 @@ def test_constant_forcing_on_2x2_estimates_agree(tmp_path, capsys):
 
 
 def test_unforced_odd_route_enumeration():
+    # the theorem's report, and the enumeration it replaced finds only the
+    # origin as a regular zero, plus the three known circles
     op, g, cert = _setup()
     report = estimate_degree("odd", op, g, cert, n_starts=32, seed=0)
     assert report.target == "odd"
     assert report.degree_estimate == 1
     assert report.parity_ok is True
-    assert report.completeness == "heuristic"
-    assert not report.origin_perturbed
+    assert report.completeness == "theorem"
+    assert report.degenerate == ()
+    (origin,) = report.zeros
+    assert np.max(np.abs(origin.field)) == 0.0
+    assert (origin.residual, origin.sign, origin.sigma_ratio) == (0.0, 1, 1.0)
+    assert not origin.field.flags.writeable
 
-    # the origin is the only regular zero and carries sign +1
-    assert len(report.zeros) == 1
-    origin = report.zeros[0]
-    assert np.max(np.abs(origin.field)) <= 1e-9
-    assert origin.sign == 1
-    assert origin.residual <= 1e-9
-
-    # every degenerate record sits on one of the three known circles
-    assert report.degenerate
-    for rec in report.degenerate:
-        sup = np.max(np.abs(rec.field))
+    circles = _odd_theorem_holds(op, cert.radius, 32, 0)[1:]
+    assert circles
+    for rec in circles:
+        sup = sup_norm(rec.flat)
         assert min(abs(sup - known) for known in ODD_CIRCLE_SUPS) <= 1e-6
-        assert rec.residual <= degree.ENUM_TOL
-        assert rec.sigma_ratio <= 1e-8
-        assert rec.local_index is None
         assert sup < cert.radius
+
+
+def test_odd_route_runs_no_newton(monkeypatch):
+    op, g, cert = _setup()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the odd map's report needs no Newton, SVD or sign pass")
+
+    monkeypatch.setattr(solver, "_damped_newton", forbidden)
+    monkeypatch.setattr(degree, "_collect_zeros", forbidden)
+    monkeypatch.setattr(degree, "_signs", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    report = estimate_degree("odd", op, g, cert, n_starts=32, seed=0)
+    assert report.degree_estimate == 1
 
 
 def test_unforced_full_route_uses_origin_local_index():
     op, g, cert = _setup()
     report = estimate_degree("full", op, g, cert, n_starts=32, seed=0)
     assert report.degree_estimate == 1
-    assert report.origin_perturbed
     assert report.parity_ok is None
+    assert report.completeness == "heuristic"
     # the origin is singular for the full route, so no regular zeros exist
     assert len(report.zeros) == 0
     sups = sorted(np.max(np.abs(rec.field)) for rec in report.degenerate)
     assert sups[0] <= 1e-9  # the origin itself
     for sup in sups[1:]:
         assert min(abs(sup - known) for known in FULL_CIRCLE_SUPS) <= 1e-6
+    indices = [rec.local_index for rec in report.degenerate]
+    assert indices == [1] + [None] * (len(indices) - 1)
+
+
+@pytest.mark.parametrize("equivariant", [True, False])
+def test_origin_index_needs_phase_equivariance(equivariant):
+    # the same forcing, declared without its symmetry: the theorem does not
+    # apply, so the degenerate origin has no index and counts for nothing
+    g = replace(power_law([0.2], 2.0), phase_equivariant=equivariant)
+    op, _, cert = _setup(g=g)
+    report = estimate_degree("full", op, g, cert, n_starts=24, seed=0)
+    (origin,) = [rec for rec in report.degenerate if np.max(np.abs(rec.field)) <= 1e-9]
+    assert origin.local_index == (1 if equivariant else None)
+    assert report.degree_estimate == (1 if equivariant else 0)
 
 
 def test_degree_is_sum_of_signs_and_local_indices():

@@ -61,7 +61,7 @@ def _degree_starts(op, g, seed, count):
 
 
 #: (lattice, gamma, forcing, tau, convergence measure, starts every stack
-#: includes).  2x4 bounded [[0.5, 0]] at seed 1001, odd route: start 2 meets
+#: includes).  2x4 bounded [[0.5, 0]] at seed 1001, odd map: start 2 meets
 #: an exactly singular Jacobian at iteration 10, starts 1 and 4 take 35 and
 #: 39 iterations.  4x4 constant 1e300: every first trial residual overflows.
 #: 4x4 bounded [[0.5, 0]], NaN on 0.5 < |z| < 0.52, at seed 1: its line
@@ -214,8 +214,7 @@ def test_stacked_residual_rows_match_one_vector_residual(T, K, tau):
 
 def _collect(starts, op, g):
     return solver._collect_zeros(
-        starts, op, g, 1.0, tol=1e-11, max_iter=100, radius=4.0, converge_on="slice",
-        base_tol=solver.DEDUP_TOL, cap=0.04,
+        starts, op, g, tol=1e-11, max_iter=100, radius=4.0, converge_on="slice"
     )
 
 
