@@ -215,7 +215,7 @@ def odd_map_zeros(op, radius, n_starts, seed):
     converged point's residual is the sup norm of r_0 there and its
     location uncertainty that residual over the smallest singular value of
     the Jacobian; the points are clustered as the package clusters zeros.
-    The enumeration the degree command once ran for the odd map.
+    This is the enumeration that the theorem spares ``estimate_degree``.
     """
     starts = np.vstack([
         np.zeros(op.dim, dtype=complex),
