@@ -253,20 +253,19 @@ def _require_valid(cert: ExistenceCertificate) -> None:
         )
 
 
-def _odd_part(flat: np.ndarray, op: ShiftedOperator, work: tuple | None = None) -> np.ndarray:
-    """phi - A^-1 F(phi) for one flat field or an (m, n) stack of them.
-    ``work``, (float, complex, complex) buffers of flat's shape, holds every
-    large array, the result is its first complex buffer, and A^-1 goes to
-    the stack as one FFT block (``ShiftedOperator.solve``) into the last
-    buffer; without it A^-1 goes row by row (``solve_rows``)."""
-    real, term, block = work or (np.empty(flat.shape), np.empty(flat.shape, complex), None)
+def _odd_part(flat: np.ndarray, op: ShiftedOperator, work: tuple) -> np.ndarray:
+    """phi - A^-1 F(phi) for an (m, n) stack of flat fields.  ``work``,
+    (float, complex, complex) buffers of flat's shape, holds every large
+    array, the result is its first complex buffer, and A^-1 goes to the
+    stack as one FFT block (``ShiftedOperator.solve``) into the last."""
+    real, term, block = work
     # -gamma * |phi|^2 * phi, bit for bit: a float times a complex goes
     # through a complex cast
     np.square(np.abs(flat, out=real), out=real)
     real *= -op.params.gamma
     np.copyto(term, real)
     term *= flat
-    applied = op.solve_rows(term) if block is None else op.solve(term.T, out=block.T).T
+    applied = op.solve(term.T, out=block.T).T
     return np.subtract(flat, applied, out=term)
 
 
@@ -286,13 +285,6 @@ def _forcing_term(
     with lock or contextlib.nullcontext():
         np.multiply(flat, op.shift, out=out)
         return np.subtract(g.on_lattice(fields).reshape(flat.shape), out, out=out)
-
-
-def _forcing_part(flat: np.ndarray, op: ShiftedOperator, g: Potential) -> np.ndarray:
-    """A^-1 (G(phi) - s*phi) for one flat field or an (m, n) stack of them,
-    A^-1 row by row.  The boundary check forms it only on the rows it keeps
-    (``_kept_halves``)."""
-    return op.solve_rows(_forcing_term(flat, op, g, np.empty(flat.shape, complex)))
 
 
 def _inverse_bound(op: ShiftedOperator, sup):

@@ -3,7 +3,7 @@
 Five subcommands drive the library from a single JSON config file:
 
 * ``certify`` computes the existence certificate and boundary evidence,
-* ``solve``   certifies, then runs homotopy continuation with Newton polish,
+* ``solve``   certifies, then runs homotopy continuation with Newton correction,
 * ``steady``  solves the time-independent reduction on K spatial nodes,
 * ``verify``  recomputes the nodewise residual of a solution CSV from the
   file alone (the repository's independent ground-truth gate),
@@ -393,13 +393,13 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_solve(config: RunConfig, out_dir: Path) -> int:
-    """Certify, track the homotopy, polish; dump the solution as CSV."""
+    """Certify, track the homotopy; dump the solution as CSV."""
     g, op, cert = _certified_pipeline(config)
     payload = {"command": "solve", "certificate": asdict(cert), "report": None}
     if not cert.valid:
         _emit(payload, out_dir, "report.json")
         return 2
-    report = homotopy_solve(op, g, cert, tol=config.tolerance, max_iter=config.max_iter)
+    report = homotopy_solve(op, g, cert, tol=config.tolerance)
     converged = report.status == "converged"
     csv_name = "solution.csv" if converged else None
     csv = (csv_name, report.solution) if converged else None

@@ -7,6 +7,16 @@ sum is estimated by multi-start enumeration: Newton from the origin and
 from random starts in the ball, deduplication of the converged points, then
 sign evaluation at each representative.
 
+Newton works in direct form (``solver``): on d_1 = A r_1, the lattice
+equation's residual, with Jacobian M = A_r J.  A record's ``residual`` is
+the sup norm of d_1 and its ``sigma_ratio`` that of M.  The sign is J's,
+since sign det M = sign det A_r * sign det J and det A_r = |det A|^2 > 0.
+Each singular value of J = A_r^-1 M is M's divided by a factor between
+A's smallest and largest singular values (the extreme moduli of its
+symbol), whose ratio kappa(A) is at most (f + 1) / (f - 1), f the shift
+factor (5 at the default 1.5); so a sigma ratio moves by at most kappa(A)
+either way and SIGMA_RATIO_DEGENERATE keeps its meaning.
+
 Degenerate zeros, whose Jacobian is numerically singular, have no sign.
 Where they come from, and what they count for, rests on one theorem.
 
@@ -66,15 +76,16 @@ __all__ = [
 
 #: a zero counts as degenerate when sigma_min / sigma_max drops to this level
 SIGMA_RATIO_DEGENERATE = 1e-8
-#: Newton tolerance on the fixed-point residual during enumeration, which
-#: bounds every record's residual
+#: Newton tolerance on the sup norm of the direct residual d_1 during
+#: enumeration, which bounds every record's residual
 ENUM_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
 class ZeroRecord:
-    """A regular zero: location (a read-only (T, K) array), residual,
-    Jacobian sign, singular value ratio."""
+    """A regular zero: location (a read-only (T, K) array), the sup norm of
+    its direct residual, Jacobian sign, and the singular value ratio of M
+    (module docstring)."""
 
     field: np.ndarray
     residual: float
@@ -123,10 +134,10 @@ class DegreeReport:
 
 
 def _signs(zeros: list[_Zero], op: ShiftedOperator, g: Potential) -> list[int]:
-    """Determinant sign of the full map's Jacobian at each of the regular
-    ``zeros``, as +1 or -1.
+    """Determinant sign of the full map's Jacobian J at each of the regular
+    ``zeros``, as +1 or -1: the sign of det M (module docstring).
 
-    The Jacobians are stacked and their signs read from one ``slogdet``;
+    The matrices M are stacked and their signs read from one ``slogdet``;
     each stacked matrix has the bits of a one-zero ``_slice_jacobian`` and
     takes its own LU.  A sigma ratio above SIGMA_RATIO_DEGENERATE keeps
     every determinant away from zero.
@@ -147,11 +158,12 @@ def _origin_local_index(
     origin: 1 by the theorem of the module docstring, when the forcing is
     phase-equivariant and the origin is an isolated zero.
 
-    Isolation is probed on a small sphere around the origin.  The map is
-    only cubically small along the Jacobian's null directions, so those
-    directions are probed densely on top of random samples.  Returns None
-    for a forcing that is not phase-equivariant, or when the map vanishes
-    at a probe (the origin is not isolated there).
+    Isolation is probed on a small sphere around the origin, on d_1, which
+    vanishes where the full map does.  The map is only cubically small
+    along the Jacobian's null directions, those of M, so those directions
+    are probed densely on top of random samples.  Returns None for a
+    forcing that is not phase-equivariant, or when the map vanishes at a
+    probe (the origin is not isolated there).
     """
     if not g.phase_equivariant:
         return None
@@ -189,11 +201,12 @@ def estimate_degree(
     the existence argument, odd by construction), "full" keeps it.  The odd
     map's report is the theorem's and runs no Newton.  For the full map
     candidate zeros come from Newton started at the origin and at
-    ``n_starts`` random fields in the ball; candidates that converge to
-    ENUM_TOL strictly inside the ball are kept, then deduplicated.  Regular
-    zeros contribute their Jacobian sign; a degenerate origin contributes
-    the local index the theorem gives it (``_origin_local_index``); other
-    degenerate zeros (phase circles) are reported but not counted.
+    ``n_starts`` random fields in the ball; candidates whose direct residual
+    converges to ENUM_TOL strictly inside the ball are kept, then
+    deduplicated.  Regular zeros contribute their Jacobian sign; a
+    degenerate origin contributes the local index the theorem gives it
+    (``_origin_local_index``); other degenerate zeros (phase circles) are
+    reported but not counted.
     """
     check_period(op.params.T, g)
     if target not in ("odd", "full"):
@@ -207,9 +220,7 @@ def estimate_degree(
         return DegreeReport("odd", cert.radius, (zero,), (), 1, True, "theorem")
     rng = np.random.default_rng(seed)
     starts = np.vstack([origin, _ball_starts(op, rng, cert.radius, n_starts)])
-    found = _collect_zeros(
-        starts, op, g, tol=ENUM_TOL, max_iter=100, radius=cert.radius, converge_on="slice"
-    )
+    found = _collect_zeros(starts, op, g, tol=ENUM_TOL, max_iter=100, radius=cert.radius)
 
     regular = [z for z in found if z.sigma_ratio > SIGMA_RATIO_DEGENERATE]
     zeros = [

@@ -82,10 +82,15 @@ def _linear(v: np.ndarray, params: LatticeParams) -> np.ndarray:
 
     Wrapping makes the time difference vanish identically for T = 1 (both
     neighbours are the node itself) and T = 2 (both neighbours coincide);
-    for K = 2 the Laplacian collapses to 2*(phi(t, k+1) - phi(t, k)).
+    for K = 2 the Laplacian collapses to 2*(phi(t, k+1) - phi(t, k)).  The
+    neighbours are gathered by index, with the bits of ``np.roll`` at a
+    fraction of its per-call cost on small lattices.
     """
-    tdiff = np.roll(v, -1, axis=-2) - np.roll(v, 1, axis=-2)
-    lap = np.roll(v, -1, axis=-1) - 2.0 * v + np.roll(v, 1, axis=-1)
+    # indices -1, 0, ..., n modulo n: [:-2] are the previous, [2:] the next
+    t = np.arange(-1, params.T + 1) % params.T
+    k = np.arange(-1, params.K + 1) % params.K
+    tdiff = v.take(t[2:], axis=-2) - v.take(t[:-2], axis=-2)
+    lap = v.take(k[2:], axis=-1) - 2.0 * v + v.take(k[:-2], axis=-1)
     return 1j * params.beta * tdiff + params.epsilon * lap
 
 

@@ -6,16 +6,15 @@ circulant: node (t, k) couples to node (t + dt, k + dk) with the weight
 exceeds the sup-induced norm, so the symbol (2-D DFT of the kernel) of
 A = L - sI has no zero, and A^-1 is the circulant whose kernel is the inverse
 DFT of the reciprocal symbol.  Each row of a circulant permutes its kernel,
-so the sup-induced norms are l1 norms of kernels.  A block of vectors gets
-A^-1 by FFT (``ShiftedOperator.solve``); one vector at a time gets a dense
-product up to DENSE_APPLY_MAX_DIM nodes (``solve_rows``), and the dense n x n
-A^-1 is gathered from its kernel only when something asks for it.
+so the sup-induced norms are l1 norms of kernels.  A^-1 has one apply, by
+FFT (``ShiftedOperator.solve``), on one vector or a block of them; no dense
+n x n matrix is held.  Newton needs no A^-1: it solves with the realified
+A minus the nodewise blocks, assembled from the five stencil weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,10 +22,6 @@ from .errors import SingularShift
 from .lattice import LatticeParams
 
 __all__ = ["ShiftedOperator", "build_shifted"]
-
-#: largest lattice size n = T*K whose one-vector A^-1 applies are dense
-#: products; above it they go through the FFT (measured crossover, README)
-DENSE_APPLY_MAX_DIM = 256
 
 
 def _stencil(params: LatticeParams) -> np.ndarray:
@@ -50,14 +45,6 @@ def _reversed(kernel: np.ndarray) -> np.ndarray:
     return np.roll(kernel[::-1, ::-1], (1, 1), axis=(0, 1))
 
 
-def _circulant(kernel: np.ndarray) -> np.ndarray:
-    """Dense matrix of the circulant with a (T, K) kernel, on row-major
-    flattened fields: entry (t*K + k, t'*K + k') is kernel[t' - t, k' - k]."""
-    T, K = kernel.shape
-    t, k = np.divmod(np.arange(T * K), K)
-    return kernel[(t - t[:, None]) % T, (k - k[:, None]) % K]
-
-
 @dataclass
 class ShiftedOperator:
     """The shifted operator A = L - sI, its inverse, and the certificate norms.
@@ -66,8 +53,7 @@ class ShiftedOperator:
     ``norm_linear`` strictly, which keeps A invertible.  The norms are the l1
     norms of the kernels of L, A and A^-1: actual values, not bounds, because
     the certificate constants need them.  ``inverse_symbol`` multiplies the
-    2-D DFT of a field to apply A^-1; the dense A^-1 is gathered on first
-    use.
+    2-D DFT of a field to apply A^-1 (``solve``).
     """
 
     params: LatticeParams
@@ -115,20 +101,6 @@ class ShiftedOperator:
         np.fft.ifft(work, axis=1, out=dst)
         return out
 
-    def solve_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Apply A^-1 to one vector or to each row of an (m, n) stack, each
-        row with the bits of a one-vector apply: one matrix-vector product per
-        row up to DENSE_APPLY_MAX_DIM nodes (one matrix-matrix product over
-        the stack rounds differently), ``solve`` above."""
-        if self.dim > DENSE_APPLY_MAX_DIM:
-            return self.solve(rows.T).T
-        return (self.inverse @ rows[..., None])[..., 0]
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """Dense A^-1, gathered from the inverse DFT of the reciprocal symbol."""
-        return _circulant(np.fft.ifft2(_reversed(self.inverse_symbol)))
-
 
 def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOperator:
     """Build the shifted operator from the stencil kernel of the linear part.
@@ -171,8 +143,9 @@ def _build_shifted(params: LatticeParams, shift: float) -> ShiftedOperator:
         params=params,
         dim=params.dim,
         shift=float(shift),
-        # _circulant correlates with its kernel, so a field's DFT meets the
-        # symbol at negated frequencies
+        # A^-1 correlates a field with its kernel (entry (t*K + k, t'*K + k')
+        # is kernel[t' - t, k' - k]), so a field's DFT meets the symbol at
+        # negated frequencies
         inverse_symbol=_reversed(reciprocal),
         norm_linear=norm_linear,
         norm_shifted=float(np.abs(shifted_kernel).sum()),

@@ -1,27 +1,30 @@
 """Newton and homotopy solvers for the lattice equation.
 
-Everything here works on the fixed-point form of the problem.  With A the
-shifted linear matrix and s the shift, a field solves the lattice equation
-exactly when
-
-    phi - A^-1 F(phi) - A^-1 (G(phi) - s*phi) = 0,
-
-where F is the cubic term and G the forcing.  The solvers treat the family
+The degree argument works on the fixed-point family
 
     r_tau(phi) = phi - A^-1 F(phi) - tau * A^-1 (G(phi) - s*phi),
 
-whose tau = 0 slice is the odd map driving the degree argument (its only
-small zero is the origin, with identity Jacobian) and whose tau = 1 slice is
-the full problem.  ``homotopy_solve`` tracks the zero curve from (0, 0) to
-tau = 1 with a secant predictor and damped Newton corrector, then polishes
-the endpoint against the direct residual.  It tracks on the symmetry
-quotient: the curve stays in the fields that are constant in space and
-periodic in time like the forcing, a lattice of two nodes per forcing period.
+with A = L - sI the shifted linear matrix, s the shift, F the cubic term
+and G the forcing.  Its tau = 0 slice is the odd map (its only small zero
+is the origin, with identity Jacobian) and its tau = 1 slice the full
+problem.  Newton solves the same slices in direct form,
+
+    d_tau(phi) = A r_tau(phi) = L phi + gamma |phi|^2 phi - tau G(phi) - (1 - tau) s phi,
+
+a stencil plus nodewise terms, with no A^-1: d_tau and r_tau have the same
+zeros, and the Newton step M dx = -d_tau, with M = A_r - blockdiag(B) the
+Jacobian of d_tau (A_r the realified A, B the nodewise blocks), is the step
+J dx = -r_tau of J = A_r^-1 M.  At tau = 1, d_tau is the lattice equation's
+residual.  ``homotopy_solve`` tracks the zero curve from (0, 0) to tau = 1
+with a secant predictor and damped Newton corrector.  It tracks on the
+symmetry quotient: the curve stays in the fields that are constant in space
+and periodic in time like the forcing, a lattice of two nodes per forcing
+period.
 
 Complex fields are realified for the linear algebra: a vector in C^n becomes
 a vector in R^(2n) with interleaved layout (Re z_0, Im z_0, Re z_1, ...), and
 an R-linear map becomes a 2n x 2n real matrix built from 2x2 blocks.  Every
-Newton step solves the dense realified Jacobian exactly.
+Newton step solves the dense realified M exactly.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certificate import ExistenceCertificate, _forcing_part, _odd_part, _require_valid
+from .certificate import ExistenceCertificate, _require_valid
 from .errors import SolveFailed
 from .lattice import LatticeParams, _linear, check_period, sup_norm
-from .operators import ShiftedOperator, _build_shifted
+from .operators import ShiftedOperator, _build_shifted, _stencil
 from .potentials import Potential, _blocks
 
 __all__ = [
@@ -46,7 +49,8 @@ __all__ = [
     "steady_state_solve",
 ]
 
-#: default convergence tolerance on the sup norm of the direct residual
+#: default convergence tolerance on the sup norm of the direct residual: of
+#: d_tau on the homotopy's way, of the lattice equation at its end
 DEFAULT_TOL = 1e-10
 #: maximum step halvings inside the damped Newton line search
 MAX_HALVINGS = 30
@@ -56,7 +60,7 @@ STEP_FLOOR = 1e-6
 CORRECTOR_ITER = 25
 #: base deduplication radius for distinct solutions (sup distance)
 DEDUP_TOL = 1e-6
-#: bytes of realified Jacobians one stack of Newton starts may hold: 32
+#: bytes of realified Jacobians M one stack of Newton starts may hold: 32
 #: starts per stack on 4x8, one from 12x12 up, so multi-start memory does
 #: not grow with the start count
 JACOBIAN_STACK_BYTES = 1 << 20
@@ -68,10 +72,10 @@ class SolveReport:
 
     ``solution`` is a read-only (T, K) complex array.  ``residual_direct``
     is the sup norm of the lattice equation residual at the reported field;
-    ``residual_precond`` is the sup norm of the fixed-point residual (the
-    direct residual pushed through A^-1).  ``path`` holds (tau, sup norm)
-    pairs for homotopy runs, None otherwise.  ``status`` is one of
-    "converged", "diverged", "left_ball", "max_iter".
+    ``residual_precond`` is the sup norm of the fixed-point residual, the
+    direct residual pushed through A^-1 (``ShiftedOperator.solve``).
+    ``path`` holds (tau, sup norm) pairs for homotopy runs, None otherwise.
+    ``status`` is one of "converged", "diverged", "left_ball", "max_iter".
     """
 
     solution: np.ndarray
@@ -119,8 +123,23 @@ def residual_direct(values, params: LatticeParams, g: Potential) -> np.ndarray:
     if v.shape[-2:] != (params.T, params.K):
         raise ValueError(f"field shape {v.shape} does not match lattice ({params.T}, {params.K})")
     check_period(params.T, g)
+    return _residual(v, params, g, 1.0, 0.0)
+
+
+def _residual(v: np.ndarray, params: LatticeParams, g: Potential, tau: float,
+              shift: float) -> np.ndarray:
+    """d_tau = L phi + gamma |phi|^2 phi - tau G(phi) - (1 - tau) s phi on a
+    (..., T, K) stack of fields, each with the bits of a call on it alone.
+    A term whose factor is 0 is skipped and a factor 1 is not multiplied,
+    so at tau = 1 these are the bits of the lattice equation's residual."""
     cubic = -params.gamma * (v.real * v.real + v.imag * v.imag) * v
-    return _linear(v, params) - cubic - g.on_lattice(v)
+    res = _linear(v, params) - cubic
+    if tau != 0.0:
+        forcing = g.on_lattice(v)
+        res = res - (forcing if tau == 1.0 else tau * forcing)
+    if tau != 1.0:
+        res = res - (1.0 - tau) * shift * v
+    return res
 
 
 def _field(flat: np.ndarray, params: LatticeParams) -> np.ndarray:
@@ -131,14 +150,11 @@ def _field(flat: np.ndarray, params: LatticeParams) -> np.ndarray:
 
 
 def _slice_residual(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float) -> np.ndarray:
-    """Fixed-point residual of the tau-slice on a flat vector, or on each row
-    of an (m, n) stack with the bits of a one-vector call: the odd part
-    minus tau times the forcing part, the two halves the boundary check
-    compares."""
-    res = _odd_part(flat, op)
-    if tau != 0.0:
-        res = res - tau * _forcing_part(flat, op, g)
-    return res
+    """d_tau, the direct residual of the tau-slice, on a flat vector or on
+    each row of an (m, n) stack with the bits of a one-vector call."""
+    T, K = op.params.T, op.params.K
+    fields = flat.reshape(flat.shape[:-1] + (T, K))
+    return _residual(fields, op.params, g, tau, op.shift).reshape(flat.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +162,10 @@ def _slice_residual(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: fl
 
 
 def _slice_blocks(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float) -> np.ndarray:
-    """(..., n, 2, 2) realified Jacobian blocks of the nodewise part of the
+    """(..., n, 2, 2) realified Jacobian blocks B of the nodewise part of the
     tau-slice, the cubic term -gamma |z|^2 z plus tau * (forcing - s*phi),
-    at a flat vector or an (m, n) stack: the slice Jacobian is
-    I - A_r^-1 blockdiag(blocks)."""
+    at a flat vector or an (m, n) stack: the Jacobian of d_tau is
+    A_r - blockdiag(B)."""
     x, y = flat.real, flat.imag
     blocks = -op.params.gamma * _blocks(
         3.0 * x * x + y * y, 2.0 * x * y, 2.0 * x * y, x * x + 3.0 * y * y
@@ -164,31 +180,32 @@ def _slice_blocks(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: floa
 
 
 def _slice_jacobian(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: float) -> np.ndarray:
-    """Dense realified Jacobian of the tau-slice residual at a flat vector,
-    (2n, 2n), or at each row of an (m, n) stack, (m, 2n, 2n), with the
-    blocks of ``_slice_blocks``."""
-    blocks = _slice_blocks(flat, op, g, tau)
-    n = op.dim
+    """M = A_r - blockdiag(B), the dense realified Jacobian of d_tau at a
+    flat vector, (2n, 2n), or at each row of an (m, n) stack, (m, 2n, 2n),
+    with the blocks B of ``_slice_blocks``.
+
+    M is assembled in one fresh array: node p's row of blocks holds, at
+    each neighbour p + (dt, dk), the realified weight [[a, -b], [b, a]] of
+    A's kernel entry a + ib there (offsets that wrap onto one another are
+    merged in the kernel), and B_p is subtracted on the diagonal.  Its
+    determinant has the sign of J's, since det A_r = |det A|^2 > 0."""
+    T, K, n = op.params.T, op.params.K, op.dim
+    kernel = _stencil(op.params)
+    kernel[0, 0] -= op.shift
+    dt, dk = np.nonzero(kernel)
+    w = kernel[dt, dk]
+    t, k = np.divmod(np.arange(n), K)
+    neighbour = (t + dt[:, None]) % T * K + (k + dk[:, None]) % K
+    # flat index of entry (2p + a, 2j + c) of a 2n x 2n matrix
+    corner = np.array([[0, 1], [2 * n, 2 * n + 1]])
+    row = 4 * n * np.arange(n)
     lead = flat.shape[:-1]
-    # entry (2p + a, 2j + c) of A_r^-1 blockdiag(blocks) is row 2p + a of
-    # A_r^-1 against column c of block j.  Rows 2p and 2p + 1 of A_r^-1 hold
-    # (Re, -Im) and (Im, Re) of A^-1's entries, so with each column of Re
-    # and Im repeated and the blocks' rows laid out by column 2j + c, every
-    # term is one long product; the subtraction rounds as the sum with -Im
-    re = np.repeat(op.inverse.real, 2, axis=1)
-    im = np.repeat(op.inverse.imag, 2, axis=1)
-    top = blocks[..., 0, :].reshape(lead + (1, 2 * n))
-    bottom = blocks[..., 1, :].reshape(lead + (1, 2 * n))
-    product = np.empty(lead + (n, 2, 2 * n))
-    scratch = np.empty(lead + (n, 2 * n))
-    even, odd = product[..., 0, :], product[..., 1, :]
-    np.subtract(np.multiply(re, top, out=even), np.multiply(im, bottom, out=scratch), out=even)
-    np.add(np.multiply(im, top, out=odd), np.multiply(re, bottom, out=scratch), out=odd)
-    # I - product in place, with the bits of np.eye(2n) - product: 0 - p is
-    # the off-diagonal entry, and 1 + (0 - p) rounds as 1 - p
-    np.subtract(0.0, product, out=product)
-    product.reshape(lead + (4 * n * n,))[..., :: 2 * n + 1] += 1.0
-    return product.reshape(lead + (2 * n, 2 * n))
+    jacobian = np.zeros(lead + (4 * n * n,))
+    jacobian[..., (row + 2 * neighbour)[..., None, None] + corner] = np.stack(
+        [w.real, -w.imag, w.imag, w.real], axis=-1).reshape(-1, 1, 2, 2)
+    diagonal = (row + 2 * np.arange(n))[:, None, None] + corner
+    jacobian[..., diagonal] -= _slice_blocks(flat, op, g, tau)
+    return jacobian.reshape(lead + (2 * n, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +215,12 @@ def _slice_jacobian(flat: np.ndarray, op: ShiftedOperator, g: Potential, tau: fl
 def _newton_step(
     flat: np.ndarray, res: np.ndarray, op: ShiftedOperator, g: Potential, tau: float
 ) -> np.ndarray:
-    """Newton step of the tau-slice at ``flat``, whose slice residual is
-    ``res``: the solution dx of J dx = -res, with the 2n x 2n J assembled and
-    solved exactly.  ``flat`` and ``res`` are flat vectors or (m, n) stacks,
-    one step per row; a stack takes one stacked LAPACK call whose rows carry
-    the bits of one call each.  A singular J in any row raises LinAlgError.
+    """Newton step of the tau-slice at ``flat``, whose direct residual d_tau
+    is ``res``: the solution dx of M dx = -res, with the 2n x 2n M assembled
+    and solved exactly.  ``flat`` and ``res`` are flat vectors or (m, n)
+    stacks, one step per row; a stack takes one stacked LAPACK call whose
+    rows carry the bits of one call each.  A singular M in any row raises
+    LinAlgError.
     """
     jacobian = _slice_jacobian(flat, op, g, tau)
     return complexify(np.linalg.solve(jacobian, -realify(res)[..., None])[..., 0])
@@ -216,20 +234,18 @@ def _damped_newton(
     tau: float,
     tol: float,
     max_iter: int,
-    converge_on: str = "slice",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[str]]:
+) -> tuple[np.ndarray, np.ndarray, list[int], list[str]]:
     """Damped Newton on the (realified) tau-slice from each row of an (m, n)
     stack of ``starts``, all rows advanced together.
 
-    Full steps first, halving up to MAX_HALVINGS times until the slice
-    residual sup norm strictly decreases; a singular Jacobian, a stalled
-    line search, or a non-finite trial residual (from a non-finite step or an
-    overflow) counts as divergence.  ``converge_on`` picks the convergence
-    measure: the sup norm of the slice residual ("slice") or of the direct
-    lattice residual ("direct").
+    A row converges once the sup norm of its direct residual d_tau is at
+    most ``tol``.  Full steps first, halving up to MAX_HALVINGS times until
+    that sup norm strictly decreases; a singular Jacobian, a stalled line
+    search, or a non-finite trial residual (from a non-finite step or an
+    overflow) counts as divergence.
 
     Each iteration takes one stacked exact Newton step (``_newton_step``,
-    one 2n x 2n Jacobian per row) over the rows still running, then tries
+    one 2n x 2n M per row) over the rows still running, then tries
     the steps lambda = 2^-i in blocks that double, i = 0 | 1-2 | 3-6 | 7-14
     | 15-30, so the MAX_HALVINGS + 1 trials take at most five residual
     calls.  A block evaluates every trial of every row still searching in
@@ -242,8 +258,8 @@ def _damped_newton(
     fails for the stack is retried one row at a time, so that only the rows
     that fail on their own diverge.  Each row ends with the point, iteration
     count and status of a run from that start alone, bit for bit.  Returns
-    the final (m, n) points, their (m, n) slice residuals and (m,)
-    convergence measures, and the iteration count and status of each row.
+    the final (m, n) points and their (m, n) direct residuals, and the
+    iteration count and status of each row.
     """
     x = np.array(starts, dtype=complex)
     r = _slice_residual(x, op, g, tau)
@@ -259,11 +275,7 @@ def _damped_newton(
 
     for iteration in range(max_iter + 1):
         live = np.flatnonzero(running)
-        if converge_on == "slice":
-            measure[live] = np.abs(r[live]).max(axis=1)
-        else:
-            fields = x[live].reshape(live.size, op.params.T, op.params.K)
-            measure[live] = np.abs(residual_direct(fields, op.params, g)).max(axis=(1, 2))
+        measure[live] = np.abs(r[live]).max(axis=1)
         finish(live[measure[live] <= tol], "converged")
         live = np.flatnonzero(running)
         if iteration == max_iter or not live.size:
@@ -283,7 +295,7 @@ def _damped_newton(
                     pass
             finish(live[~ok], "diverged")
             steps, live = steps[ok], live[ok]
-        base = np.abs(r[live]).max(axis=1)
+        base = measure[live]
         searching = np.arange(live.size)  # positions in live still halving
         lo = 0
         while searching.size and lo <= MAX_HALVINGS:
@@ -306,7 +318,7 @@ def _damped_newton(
             searching = searching[~stops]
             lo = 2 * lo + 1
         finish(live[searching], "diverged")
-    return x, r, measure, iterations, status
+    return x, r, iterations, status
 
 
 def _report_at(
@@ -320,10 +332,11 @@ def _report_at(
     path: tuple[tuple[float, float], ...] | None = None,
 ) -> SolveReport:
     field = _field(flat, op.params)
+    direct = residual_direct(field, op.params, g)
     return SolveReport(
         solution=field,
-        residual_direct=sup_norm(residual_direct(field, op.params, g)),
-        residual_precond=sup_norm(_slice_residual(flat, op, g, 1.0)),
+        residual_direct=sup_norm(direct),
+        residual_precond=sup_norm(op.solve(direct.ravel())),
         newton_iterations=iterations,
         homotopy_steps=homotopy_steps,
         path=path,
@@ -341,7 +354,6 @@ def homotopy_solve(
     g: Potential,
     cert: ExistenceCertificate,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 100,
 ) -> SolveReport:
     """Track the slice family from the origin at tau = 0 to the full problem,
     on the symmetry quotient of the lattice.
@@ -363,25 +375,26 @@ def homotopy_solve(
     _require_valid(cert)
     q = g.period
     quotient = _build_shifted(replace(op.params, T=q, K=2), op.shift)
-    x, iterations, status, path = _track(quotient, g, cert, tol, max_iter)
+    x, iterations, status, path = _track(quotient, g, cert, tol)
     field = np.tile(x.reshape(q, 2)[:, :1], (op.params.T // q, op.params.K))
     return _report_at(field.ravel(), op, g, iterations, status, "homotopy", len(path) - 1, path)
 
 
 def _track(
-    op: ShiftedOperator, g: Potential, cert: ExistenceCertificate, tol: float, max_iter: int
+    op: ShiftedOperator, g: Potential, cert: ExistenceCertificate, tol: float
 ) -> tuple[np.ndarray, int, str, tuple[tuple[float, float], ...]]:
     """The tracking loop of ``homotopy_solve`` on the lattice of ``op``.
 
-    Secant predictor, damped Newton corrector, adaptive steps from 1: halve
-    on corrector failure (divergence when the step falls below STEP_FLOOR),
-    grow by 1.5x after two consecutive successes.  Tracking aborts with
-    status "left_ball" when an accepted iterate (or the polished endpoint)
-    has sup norm at least the certified radius, since the certificate only
-    controls the zero set strictly inside the ball.  The tau = 1 endpoint is
-    polished by Newton against the direct residual.  Returns the flat
-    endpoint, the Newton iterations of the run, its status and its path of
-    (tau, sup norm) pairs.
+    Secant predictor, damped Newton corrector to ``tol`` on the sup norm of
+    d_tau, adaptive steps from 1: halve on corrector failure (divergence
+    when the step falls below STEP_FLOOR), grow by 1.5x after two
+    consecutive successes.  Tracking aborts with status "left_ball" when an
+    accepted iterate has sup norm at least the certified radius, since the
+    certificate only controls the zero set strictly inside the ball.  At
+    tau = 1, d_tau is the lattice equation's residual, so the corrector's
+    last zero needs no polish.  Returns the flat endpoint, the Newton
+    iterations of the run, its status and its path of (tau, sup norm)
+    pairs.
     """
     step = 1.0
 
@@ -403,7 +416,7 @@ def _track(
             predicted = x
         else:
             predicted = x + (x - x_prev) * ((tau_try - tau) / (tau - tau_prev))
-        (corrected,), _, _, (iters,), (status,) = _damped_newton(
+        (corrected,), _, (iters,), (status,) = _damped_newton(
             predicted[None], op, g, tau_try, tol=tol, max_iter=CORRECTOR_ITER,
         )
         total_iters += iters
@@ -426,14 +439,6 @@ def _track(
                 # step underflow is reported as divergence
                 status = "diverged"
                 break
-    else:
-        (x,), _, _, (iters,), (status,) = _damped_newton(
-            x[None], op, g, 1.0, tol, max_iter, converge_on="direct"
-        )
-        total_iters += iters
-        if status == "converged" and sup_norm(x) >= cert.radius:
-            status = "left_ball"
-        path[-1] = (1.0, sup_norm(x))
     return x, total_iters, status, tuple(path)
 
 
@@ -455,8 +460,8 @@ def _ball_starts(
 @dataclass(frozen=True)
 class _Zero:
     """A converged Newton candidate: the point, the iterations it took, the
-    convergence measure there, its location uncertainty, and the ratio of
-    the smallest to the largest singular value of the slice Jacobian."""
+    sup norm of its direct residual there, its location uncertainty, and
+    the ratio of the smallest to the largest singular value of M there."""
 
     flat: np.ndarray
     iterations: int
@@ -500,43 +505,40 @@ def _collect_zeros(
     tol: float,
     max_iter: int,
     radius: float,
-    converge_on: str,
 ) -> list[_Zero]:
     """Zeros of the full map (the tau = 1 slice) found by damped Newton from
     each row of the (m, n) ``starts``.
 
     A converged run is kept when it ends strictly inside the ball of
-    ``radius``, and its record keeps what Newton measured there: the
-    convergence measure, at most ``tol``, is the record's ``residual``, and
-    the location uncertainty is the sup norm of the final slice residual
-    over the smallest singular value of the slice Jacobian, infinite at a
-    singular Jacobian; near-degenerate zeros get large values, which the
-    clustering uses to merge their halo of pseudo-solutions.  Returns the
+    ``radius``, and its record keeps what Newton measured there: the sup
+    norm of the final direct residual, at most ``tol``, is the record's
+    ``residual``, and the location uncertainty is that sup norm over the
+    smallest singular value of M, which bounds the Newton correction,
+    infinite at a singular M; near-degenerate zeros get large values, which
+    the clustering uses to merge their halo of pseudo-solutions.  Returns the
     cluster representatives in first-found order, merged within DEDUP_TOL
     and an uncertainty radius capped at 0.01 * max(1, ``radius``).
 
     The starts run through one ``_damped_newton`` in stacks of
     ``_stack_rows`` rows, so that a stack of Jacobians stays within
     JACOBIAN_STACK_BYTES, and the kept points of a stack take one stacked
-    SVD of the same dense slice Jacobians that Newton's steps solve.  Each
+    SVD of the same matrices M that Newton's steps solve.  Each
     record has the bits of a run from its start alone.
     """
     found: list[_Zero] = []
     size = _stack_rows(op.dim)
     for lo in range(0, len(starts), size):
-        x, r, measure, iterations, status = _damped_newton(
-            starts[lo:lo + size], op, g, 1.0, tol, max_iter, converge_on
-        )
+        x, r, iterations, status = _damped_newton(starts[lo:lo + size], op, g, 1.0, tol, max_iter)
         kept = [i for i, how in enumerate(status) if how == "converged" and sup_norm(x[i]) < radius]
         if not kept:
             continue
         svals = np.linalg.svd(_slice_jacobian(x[kept], op, g, 1.0), compute_uv=False)
         for row, sv in zip(kept, svals):
-            # sv[0] > 0: J = I - A_r^-1 B = 0 would need A_r = B, but B is
-            # block diagonal and A_r couples neighbours (epsilon > 0)
-            smallest = float(sv[-1])
-            uncertainty = sup_norm(r[row]) / smallest if smallest > 0.0 else np.inf
-            found.append(_Zero(x[row], iterations[row], float(measure[row]), uncertainty,
+            # sv[0] > 0: M = A_r - B = 0 would need A_r = B, but B is block
+            # diagonal and A_r couples neighbours (epsilon > 0)
+            smallest, residual = float(sv[-1]), sup_norm(r[row])
+            uncertainty = residual / smallest if smallest > 0.0 else np.inf
+            found.append(_Zero(x[row], iterations[row], residual, uncertainty,
                                smallest / float(sv[0])))
     return _cluster_representatives(found, DEDUP_TOL, 0.01 * max(1.0, radius))
 
@@ -563,7 +565,7 @@ def multi_start(
     Raises CertificateInvalid (from ``homotopy_solve``) for a certificate
     that failed its boundary check.
     """
-    endpoint = homotopy_solve(op, g, cert, tol=tol, max_iter=max_iter)
+    endpoint = homotopy_solve(op, g, cert, tol=tol)
     return _multi_start_from(endpoint, op, g, cert, n_starts, seed, tol, max_iter)
 
 
@@ -582,9 +584,7 @@ def _multi_start_from(
     if endpoint.status == "converged":
         starts = np.vstack([endpoint.solution.ravel(), starts])
 
-    zeros = _collect_zeros(
-        starts, op, g, tol=tol, max_iter=max_iter, radius=cert.radius, converge_on="direct"
-    )
+    zeros = _collect_zeros(starts, op, g, tol=tol, max_iter=max_iter, radius=cert.radius)
     return [_report_at(z.flat, op, g, z.iterations, "converged", "multi_start") for z in zeros]
 
 
@@ -616,7 +616,7 @@ def steady_state_solve(
     """
     if op.params.T != 1:
         raise ValueError(f"steady states need an operator with T = 1, got T = {op.params.T}")
-    report = homotopy_solve(op, g, cert, tol=tol, max_iter=max_iter)
+    report = homotopy_solve(op, g, cert, tol=tol)
     if report.status != "converged":
         # multi_start would first rerun the same deterministic homotopy
         candidates = _multi_start_from(report, op, g, cert, n_starts, seed, tol, max_iter)

@@ -2,13 +2,18 @@
 matrices, for the tests only: nothing under ``src/`` imports this module.
 
 The package applies the shifted operator A = L - sI through its stencil
-kernel and FFT, so the n x n matrices of L and A, the sup-induced matrix
-norm and the realified 2n x 2n form of a complex matrix live here, where
-the tests check the package's kernels, norms and Jacobians against them.
-The exact plane-wave solutions of ``plane_waves`` are ground truth for the
-residual at any lattice size.  ``reference_newton`` is damped Newton from one
-start with dense steps and one trial step at a time.  With it
-``odd_map_zeros`` enumerates the odd map's zeros and
+kernel and FFT, so the n x n matrices of L, A and A^-1, the sup-induced
+matrix norm and the realified 2n x 2n form of a complex matrix live here,
+where the tests check the package's kernels, norms and Jacobians against
+them.  The exact plane-wave solutions of ``plane_waves`` are ground truth
+for the residual at any lattice size.
+
+Newton comes in the package's direct form and in the fixed-point form of
+the degree argument.  ``reference_newton`` is damped Newton on the direct
+residual d_tau from one start, one trial step at a time, with the dense M =
+A_r - blockdiag(B).  ``slice_newton`` is the same loop on the fixed-point
+slice r_tau = A^-1 d_tau with its dense J = I - A_r^-1 blockdiag(B).  With
+it ``odd_map_zeros`` enumerates the odd map's zeros and
 ``perturbed_origin_index`` counts the origin's local Brouwer index by
 perturbation, the two checks of the S^1 theorem from which the package
 takes the odd map's degree and the full map's origin index.
@@ -20,7 +25,16 @@ from dnls import LatticeParams, Potential, ShiftedOperator, complexify, realify,
 from dnls import solver
 from dnls.certificate import sphere_samples
 from dnls.degree import ENUM_TOL, SIGMA_RATIO_DEGENERATE
-from dnls.operators import _circulant, _stencil
+from dnls.lattice import _linear
+from dnls.operators import _stencil
+
+
+def _circulant(kernel: np.ndarray) -> np.ndarray:
+    """Dense matrix of the circulant with a (T, K) kernel, on row-major
+    flattened fields: entry (t*K + k, t'*K + k') is kernel[t' - t, k' - k]."""
+    T, K = kernel.shape
+    t, k = np.divmod(np.arange(T * K), K)
+    return kernel[(t - t[:, None]) % T, (k - k[:, None]) % K]
 
 
 def linear_matrix(params: LatticeParams) -> np.ndarray:
@@ -135,60 +149,85 @@ def plane_wave(params: LatticeParams, j: int, m: int, rho: float) -> np.ndarray:
     return rho * np.exp(2j * np.pi * (j * t / params.T + m * k / params.K))
 
 
-def reference_residual(flat, op, g, tau, shift=None):
-    """The tau-slice residual of one flat vector, A^-1 applied to it alone;
-    minus ``shift`` when one is given (the map r_tau - w)."""
-    res = flat - op.solve_rows(-op.params.gamma * (np.abs(flat) ** 2) * flat)
+def _nodewise(flat, op, g, tau):
+    """F(phi) + tau (G(phi) - s phi) of one flat vector, F the cubic term."""
+    res = -op.params.gamma * (np.abs(flat) ** 2) * flat
     if tau != 0.0:
         forcing = g.on_lattice(flat.reshape(op.params.T, op.params.K)).reshape(flat.shape)
-        res = res - tau * op.solve_rows(forcing - op.shift * flat)
-    if shift is not None:
-        res = res - shift
+        res = res + tau * (forcing - op.shift * flat)
     return res
 
 
-def reference_jacobian(flat, op, g, tau):
-    """I - A_r^-1 blockdiag(blocks), A_r^-1 the realified dense inverse."""
+def _block_diagonal(flat, op, g, tau):
+    """blockdiag(B), the realified Jacobian of ``_nodewise``, dense."""
     blocks = solver._slice_blocks(flat, op, g, tau)
     n = flat.size
-    inv = realified_matrix(op.inverse).reshape(2 * n, n, 2)
-    product = inv[:, :, :1] * blocks[:, 0] + inv[:, :, 1:] * blocks[:, 1]
-    return np.eye(2 * n) - product.reshape(2 * n, 2 * n)
+    out = np.zeros((n, 2, n, 2))
+    out[np.arange(n), :, np.arange(n), :] = blocks
+    return out.reshape(2 * n, 2 * n)
+
+
+def reference_residual(flat, op, g, tau):
+    """d_tau = L phi + gamma |phi|^2 phi - tau G(phi) - (1 - tau) s phi of
+    one flat vector, evaluated on it alone by the stencil, term by term in
+    the package's order."""
+    field = flat.reshape(op.params.T, op.params.K)
+    cubic = -op.params.gamma * (field.real * field.real + field.imag * field.imag) * field
+    res = _linear(field, op.params) - cubic
+    if tau != 0.0:
+        forcing = g.on_lattice(field)
+        res = res - (forcing if tau == 1.0 else tau * forcing)
+    if tau != 1.0:
+        res = res - (1.0 - tau) * op.shift * field
+    return res.reshape(flat.shape)
+
+
+def reference_jacobian(flat, op, g, tau):
+    """M = A_r - blockdiag(B), A_r the realified dense A of ``shifted``."""
+    return realified_matrix(shifted(op)) - _block_diagonal(flat, op, g, tau)
+
+
+def slice_residual(flat, op, g, tau, shift=None):
+    """The fixed-point residual r_tau = phi - A^-1 (F(phi) + tau (G(phi) -
+    s phi)) of one flat vector, with the dense A^-1 of ``shifted``; minus
+    ``shift`` when one is given (the map r_tau - w)."""
+    res = flat - np.linalg.inv(shifted(op)) @ _nodewise(flat, op, g, tau)
+    return res if shift is None else res - shift
+
+
+def slice_jacobian(flat, op, g, tau):
+    """J = I - A_r^-1 blockdiag(B), A_r^-1 the realified dense A^-1."""
+    inverse = realified_matrix(np.linalg.inv(shifted(op)))
+    return np.eye(2 * flat.size) - inverse @ _block_diagonal(flat, op, g, tau)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def reference_newton(flat0, op, g, tau, tol, max_iter, converge_on="slice", shift=None,
-                     why=None, stops=None):
-    """One-start damped Newton on r_tau - ``shift`` with exact dense steps,
-    halving the step up to MAX_HALVINGS times, one trial at a time; returns
-    the point, the iteration count and the status.  Appends to ``why``
-    what ended a diverged run, and to ``stops`` the trial index (lambda =
-    2^-index) at which each line search stopped and how: "decrease",
-    "non-finite", or "stalled" after the last trial."""
+def _newton(residual, jacobian, flat0, tol, max_iter, why, stops):
+    """One-start damped Newton on ``residual`` with exact dense steps of
+    ``jacobian``, halving the step up to MAX_HALVINGS times, one trial at a
+    time, until the residual's sup norm strictly decreases; converged once
+    that sup norm is at most ``tol``.  Returns the point, the iteration
+    count and the status, and appends to ``why`` and ``stops`` as
+    ``reference_newton`` says."""
     why = [] if why is None else why
     stops = [] if stops is None else stops
     x = np.array(flat0, dtype=complex)
-    r = reference_residual(x, op, g, tau, shift)
+    r = residual(x)
     for iteration in range(max_iter + 1):
-        if converge_on == "slice":
-            measure = float(np.abs(r).max())
-        else:
-            field = x.reshape(op.params.T, op.params.K)
-            measure = sup_norm(solver.residual_direct(field, op.params, g))
-        if measure <= tol:
+        base = float(np.abs(r).max())
+        if base <= tol:
             return x, iteration, "converged"
         if iteration == max_iter:
             return x, iteration, "max_iter"
         try:
-            step = complexify(np.linalg.solve(reference_jacobian(x, op, g, tau), -realify(r)))
+            step = complexify(np.linalg.solve(jacobian(x), -realify(r)))
         except np.linalg.LinAlgError:
             why.append("singular")
             return x, iteration, "diverged"
-        base = float(np.abs(r).max())
         lam = 1.0
         for index in range(solver.MAX_HALVINGS + 1):
             candidate = x + lam * step
-            r_candidate = reference_residual(candidate, op, g, tau, shift)
+            r_candidate = residual(candidate)
             if not np.isfinite(r_candidate).all():
                 why.append("non-finite")
                 stops.append((index, "non-finite"))
@@ -205,11 +244,28 @@ def reference_newton(flat0, op, g, tau, tol, max_iter, converge_on="slice", shif
     raise AssertionError("unreachable")
 
 
+def reference_newton(flat0, op, g, tau, tol, max_iter, why=None, stops=None):
+    """One-start damped Newton on d_tau with exact dense steps of M; returns
+    the point, the iteration count and the status.  Appends to ``why`` what
+    ended a diverged run, and to ``stops`` the trial index (lambda =
+    2^-index) at which each line search stopped and how: "decrease",
+    "non-finite", or "stalled" after the last trial."""
+    return _newton(lambda x: reference_residual(x, op, g, tau),
+                   lambda x: reference_jacobian(x, op, g, tau), flat0, tol, max_iter, why, stops)
+
+
+def slice_newton(flat0, op, g, tau, tol, max_iter, shift=None):
+    """``reference_newton`` on the fixed-point slice r_tau - ``shift``, with
+    dense steps of J."""
+    return _newton(lambda x: slice_residual(x, op, g, tau, shift),
+                   lambda x: slice_jacobian(x, op, g, tau), flat0, tol, max_iter, None, None)
+
+
 def odd_map_zeros(op, radius, n_starts, seed):
     """Zeros of the odd map r_0 strictly inside the ball of ``radius``, as
     ``solver._Zero`` records in first-found order.
 
-    Newton (``reference_newton``, to ENUM_TOL) runs from the origin and
+    Newton (``slice_newton``, to ENUM_TOL) runs from the origin and
     from the ``n_starts`` draws of ``solver._ball_starts`` that the full
     map's enumeration makes at ``seed``, one start at a time.  Each
     converged point's residual is the sup norm of r_0 there and its
@@ -223,11 +279,11 @@ def odd_map_zeros(op, radius, n_starts, seed):
     ])
     found = []
     for start in starts:
-        x, iterations, status = reference_newton(start, op, None, 0.0, ENUM_TOL, 100)
+        x, iterations, status = slice_newton(start, op, None, 0.0, ENUM_TOL, 100)
         if status != "converged" or sup_norm(x) >= radius:
             continue
-        svals = np.linalg.svd(reference_jacobian(x, op, None, 0.0), compute_uv=False)
-        residual = sup_norm(reference_residual(x, op, None, 0.0))
+        svals = np.linalg.svd(slice_jacobian(x, op, None, 0.0), compute_uv=False)
+        residual = sup_norm(slice_residual(x, op, None, 0.0))
         uncertainty = residual / svals[-1] if svals[-1] > 0.0 else np.inf
         found.append(solver._Zero(x, iterations, residual, uncertainty, svals[-1] / svals[0]))
     return solver._cluster_representatives(found, solver.DEDUP_TOL, 0.01 * max(1.0, radius))
@@ -243,20 +299,20 @@ def perturbed_origin_index(op, g, tau, radius, seed):
     deduplicated preimages.  The sphere minimum is attained along the
     Jacobian's null directions, where the map is only cubically small, so
     those directions are probed densely on top of ``sphere_samples``, and
-    Newton (``reference_newton``) starts along them as well as at 96 points
+    Newton (``slice_newton``) starts along them as well as at 96 points
     of the probe ball.  The preimages are clustered as the package clusters
     zeros.  None means a zero sphere minimum, no preimage, or a degenerate
     one.  The count is a heuristic: random starts can miss preimages.
     """
     rng = np.random.default_rng(seed + 0x5EED)
     rho = 0.02 * min(1.0, radius)
-    svals_0, rows_0 = np.linalg.svd(reference_jacobian(np.zeros(op.dim, complex), op, g, tau))[1:]
+    svals_0, rows_0 = np.linalg.svd(slice_jacobian(np.zeros(op.dim, complex), op, g, tau))[1:]
     null_dirs = [complexify(row) / sup_norm(complexify(row))
                  for sval, row in zip(svals_0, rows_0) if sval <= 1e-6 * svals_0[0]]
     phases = np.exp(2j * np.pi * np.arange(16) / 16)
     probes = [sphere_samples(op.params.T, op.params.K, rho, 256, rng).reshape(256, op.dim)]
     probes += [[rho * phase * vec for phase in phases] for vec in null_dirs]
-    sphere_min = min(float(np.abs(reference_residual(probe, op, g, tau)).max())
+    sphere_min = min(float(np.abs(slice_residual(probe, op, g, tau)).max())
                      for probe in np.vstack(probes))
     if sphere_min <= 0.0:
         return None
@@ -269,15 +325,15 @@ def perturbed_origin_index(op, g, tau, radius, seed):
     starts.append(solver._ball_starts(op, rng, rho, 96))
     found = []
     for start in np.vstack(starts):
-        x, iterations, status = reference_newton(start, op, g, tau, tol, 60, shift=w)
+        x, iterations, status = slice_newton(start, op, g, tau, tol, 60, shift=w)
         if status != "converged" or sup_norm(x) >= rho:
             continue
-        svals = np.linalg.svd(reference_jacobian(x, op, g, tau), compute_uv=False)
-        residual = sup_norm(reference_residual(x, op, g, tau, w))
+        svals = np.linalg.svd(slice_jacobian(x, op, g, tau), compute_uv=False)
+        residual = sup_norm(slice_residual(x, op, g, tau, w))
         uncertainty = residual / svals[-1] if svals[-1] > 0.0 else np.inf
         found.append(solver._Zero(x, iterations, residual, uncertainty, svals[-1] / svals[0]))
     preimages = solver._cluster_representatives(found, 1e-9, rho / 4.0)
     if not preimages or any(z.sigma_ratio <= SIGMA_RATIO_DEGENERATE for z in preimages):
         return None
-    return sum(int(np.linalg.slogdet(reference_jacobian(z.flat, op, g, tau))[0])
+    return sum(int(np.linalg.slogdet(slice_jacobian(z.flat, op, g, tau))[0])
                for z in preimages)

@@ -349,7 +349,7 @@ def _tied_across_chunks(op, g, bounds):
 #: the chunks are those of 2 workers
 _CHUNK_CASES = {
     "partial-last-chunk": (1, 2, 64, 20),     # 10 samples a chunk: 7 chunks, last of 4
-    "above-crossover": (12, 24, 300, None),   # blocks of 113 cut into 56s
+    "above-crossover": (12, 24, 300, None),   # 288 nodes: blocks of 113 cut into 56s
     "tie-across-chunks": (2, 3, 48, 6 * 8),   # 8 samples a chunk, tie in chunks 1 and 3
 }
 
@@ -456,7 +456,7 @@ def _evidence_key(evidence):
     return evidence.count, evidence.min_gap.hex(), evidence.argmin_hash
 
 
-#: lattices on both sides of the one-vector crossover, DENSE_APPLY_MAX_DIM
+#: lattices from 2 to 288 nodes, on both sides of 256 nodes
 _ORACLE_LATTICES = [(1, 2), (2, 3), (3, 5), (4, 4), (12, 12), (16, 16), (17, 16), (12, 24)]
 _ORACLE_FORCINGS = {
     "power_law": power_law([0.5, 0.2j], 2.0),
@@ -530,7 +530,7 @@ def _certified_radius(op, g):
     return build_certificate(build_shifted(params, 1.5), g, samples=0).radius
 
 
-#: lattices on both sides of the one-vector crossover, DENSE_APPLY_MAX_DIM
+#: lattices from 32 to 576 nodes, on both sides of 256 nodes
 _SKIP_LATTICES = [(4, 8), (8, 8), (16, 16), (17, 16), (12, 24), (24, 24)]
 _SKIP_FORCINGS = {
     **_ORACLE_FORCINGS,
@@ -572,7 +572,7 @@ def test_skipped_forcing_halves_keep_the_serial_evidence(lattice, forcing, gamma
 def test_a_skipped_sample_is_never_below_the_lagged_minimum(forcing, cores, monkeypatch):
     # the gaps the check computes have the serial bits, and each skipped
     # sample's serial gap is at least the minimum of the chunks `workers`
-    # or more before its own, on a lattice on each side of the crossover
+    # or more before its own, on a lattice on each side of 256 nodes
     g = _SKIP_FORCINGS[forcing]
     samples, seed = 1500, 12
     for T, K in ((8, 8), (24, 24)):
@@ -632,14 +632,13 @@ def test_skipped_forcing_halves_do_not_depend_on_the_schedule(monkeypatch):
 
 
 def test_small_lattices_skip_forcing_halves():
-    # the check applies A^-1 by FFT at every size, so at or below the
-    # one-vector crossover it skips forcing halves too, with the serial
-    # evidence
+    # the check applies A^-1 by FFT at every size, so on lattices of 256
+    # nodes and fewer it skips forcing halves too, with the serial evidence
     g = power_law([0.5, 0.2j], 2.0)
     samples, seed = 2000, 5
     for T, K in ((4, 8), (16, 16)):
         op = build_shifted(LatticeParams(T=T, K=K, beta=1.0, epsilon=1.0, gamma=1.0), 1.5)
-        assert op.dim <= operators.DENSE_APPLY_MAX_DIM
+        assert op.dim <= 256
         radius = _certified_radius(op, g)
         with _cores(2), _columns() as applied:
             evidence = verify_boundary(radius, op, g, samples=samples, seed=seed)

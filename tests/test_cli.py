@@ -448,9 +448,9 @@ def test_solve_every_newton_step_failing_exit_three(tmp_path, capsys, monkeypatc
 
 
 def test_newton_step_singular_jacobian_raises():
-    # at the origin on the tau = 1 slice, J = A^-1 L, and L's symbol vanishes
-    # at time frequencies 0 and pi; the period-2 forcing puts the residual
-    # there, so J r = 0.  The dense solve of this J returns a step of 3.6e15
+    # at the origin on the tau = 1 slice, M = L, and L's symbol vanishes at
+    # time frequencies 0 and pi; the period-2 forcing puts the residual
+    # there, so M d = 0.  The dense solve of this M returns a huge step
     # rather than raising, no halving of it lowers the residual, and the
     # Newton run ends as diverged at iteration 0
     params = LatticeParams(T=12, K=12, beta=1.0, epsilon=1.0, gamma=1.0)
@@ -460,9 +460,7 @@ def test_newton_step_singular_jacobian_raises():
     res = solver._slice_residual(flat, op, g, 1.0)
     jac = solver._slice_jacobian(flat, op, g, 1.0)
     assert np.max(np.abs(jac @ solver.realify(res))) <= 1e-15
-    x, _, _, iterations, status = solver._damped_newton(
-        flat[None], op, g, 1.0, solver.DEFAULT_TOL, 25
-    )
+    x, _, iterations, status = solver._damped_newton(flat[None], op, g, 1.0, solver.DEFAULT_TOL, 25)
     assert (iterations, status) == ([0], ["diverged"])
     assert not x.any()
 
@@ -496,8 +494,8 @@ def test_solve_quotient_and_full_lattice_tracking_agree(tmp_path, capsys, monkey
         values = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
         return report, values
 
-    def full_lattice(op, g, cert, tol, max_iter):
-        x, iterations, status, path = solver._track(op, g, cert, tol, max_iter)
+    def full_lattice(op, g, cert, tol):
+        x, iterations, status, path = solver._track(op, g, cert, tol)
         return solver._report_at(x, op, g, iterations, status, "homotopy", len(path) - 1, path)
 
     quotient_report, quotient = solve_and_verify("quotient")
@@ -509,7 +507,7 @@ def test_solve_quotient_and_full_lattice_tracking_agree(tmp_path, capsys, monkey
 
 
 def test_commands_do_not_import_scipy(tmp_path):
-    # numpy alone runs every command, Newton steps above the crossover too
+    # numpy alone runs every command, Newton steps on large lattices too
     script = textwrap.dedent("""
         import json, sys
         import dnls, dnls.cli
@@ -662,21 +660,23 @@ def test_steady_forces_one_time_slice(tmp_path, capsys):
 
 
 def test_steady_runs_its_homotopy_once_before_the_starts(tmp_path, capsys, monkeypatch):
-    # the parity corpus's exit3-steady-no-route: the homotopy diverges and
-    # the 8 starts find nothing; the fallback reuses the failed report
-    calls = []
+    # the parity corpus's steady-constant-1x3-tol-1e-15: the homotopy
+    # diverges and the fallback's 8 starts find the steady state, starting
+    # from the failed report rather than from a second homotopy run
+    statuses = []
     homotopy = solver.homotopy_solve
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return homotopy(*args, **kwargs)
+        report = homotopy(*args, **kwargs)
+        statuses.append(report.status)
+        return report
 
     monkeypatch.setattr(solver, "homotopy_solve", counted)
     cfg = _write_config(tmp_path, K=3, samples=300, n_starts=8, tolerance=1e-15,
                         potential={"kind": "constant", "coefficients": [[8.0, 1.0]]})
-    assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "4"]) == 3
-    assert "diverged" in capsys.readouterr().err
-    assert len(calls) == 1
+    assert main(["steady", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "4"]) == 0
+    assert capsys.readouterr().err == ""
+    assert statuses == ["diverged"]
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from dnls import (
     sup_norm,
     zero_potential,
 )
-from dnls import operators
 from dnls.lattice import _linear
 from dnls.solver import _slice_blocks, _slice_jacobian
 from oracles import linear_matrix, operator_norm_sup, random_field, realified_matrix, shifted
@@ -214,20 +213,14 @@ def test_norm_product_is_invariant_when_beta_and_epsilon_scale(shape, exponent):
 
 
 def test_dense_matrices_are_gathered_on_demand():
+    # the operator holds its symbol and norms, nothing of size n x n; the
+    # dense A and A^-1 are the tests' oracles
     op = build_shifted(_params(T=3, K=4), shift_factor=1.5)
-    assert not hasattr(ShiftedOperator, "shifted")
-    assert "inverse" not in vars(op)
+    for name in ("shifted", "inverse", "solve_rows"):
+        assert not hasattr(ShiftedOperator, name)
+    assert all(np.size(value) <= op.dim for value in vars(op).values())
     assert np.array_equal(shifted(op), linear_matrix(op.params) - op.shift * np.eye(12))
-    assert_allclose(op.inverse @ shifted(op), np.eye(12), atol=1e-12)
-    assert "inverse" in vars(op)
-
-
-def test_degree_lattices_apply_densely():
-    # the degree command's lattices (realified dimension at most 64) keep the
-    # dense apply, whose products its outputs were recorded with
-    from dnls.cli import DEGREE_DIM_CAP
-
-    assert DEGREE_DIM_CAP // 2 <= operators.DENSE_APPLY_MAX_DIM
+    assert_allclose(op.solve(np.eye(12)) @ shifted(op), np.eye(12), atol=1e-12)
 
 
 @pytest.mark.parametrize("m,T,K", [(256, 8, 8), (28, 24, 24), (512, 4, 8), (3, 1, 2)])
@@ -253,47 +246,30 @@ def test_fft_apply_into_buffers_allocates_nothing(m, T, K):
     assert applied.tobytes() == expected.tobytes()
 
 
-def test_slice_jacobian_from_inverse_parts_matches_realified_inverse():
-    # J is built from the real and imaginary parts of A^-1; each entry has
-    # the bits of the product with the realified A^-1, for one field and for
-    # each row of a stack
-    op = build_shifted(_params(T=2, K=3), shift_factor=1.5)
-    g = power_law([0.5, 0.2 + 0.3j], 2.5)
-    rng = np.random.default_rng(5)
-    stack = rng.normal(size=(3, op.dim)) + 1j * rng.normal(size=(3, op.dim))
-    n = op.dim
-    inv = realified_matrix(op.inverse).reshape(2 * n, n, 2)
-    assert_allclose(realified_matrix(op.inverse), realified_matrix(np.linalg.inv(shifted(op))),
-                    atol=1e-12)
-    jacobians = _slice_jacobian(stack, op, g, 1.0)
-    for flat, jac in zip(stack, jacobians):
-        blocks = _slice_blocks(flat, op, g, 1.0)
-        product = inv[:, :, :1] * blocks[:, 0] + inv[:, :, 1:] * blocks[:, 1]
-        expected = np.eye(2 * n) - product.reshape(2 * n, 2 * n)
-        np.testing.assert_array_equal(_slice_jacobian(flat, op, g, 1.0), expected)
-        np.testing.assert_array_equal(jac, expected)
-
-
 @pytest.mark.parametrize("tau", [0.0, 1.0])
-def test_slice_jacobian_has_the_bytes_of_eye_minus_product(tau):
-    # J = I - product is formed in place; every entry, signed zeros
-    # included, has the bytes of np.eye(2n) - product, on stacks whose zero
-    # nodes and zero forcing give +0 and -0 products
-    op = build_shifted(_params(T=2, K=3), shift_factor=1.5)
-    n = op.dim
-    inv = realified_matrix(op.inverse).reshape(2 * n, n, 2)
+def test_slice_jacobian_is_realified_shifted_operator_minus_blocks(tau):
+    # M = A_r - blockdiag(B) is assembled from the five stencil weights,
+    # merged where neighbours wrap onto one another (T <= 2, K = 2), and the
+    # nodewise blocks, on stacks whose zero nodes and zero forcing give +0
+    # and -0 blocks; each row of a stack has the bits of a one-field M
     rng = np.random.default_rng(11)
-    for g in (power_law([0.5, 0.2 + 0.3j], 2.5), zero_potential(2)):
-        stack = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
-        stack[rng.random(stack.shape) < 0.4] = 0.0
-        stack[0] = 0.0
-        stack[1, ::2] = -0.0
-        for flat, jac in zip(stack, _slice_jacobian(stack, op, g, tau)):
-            blocks = _slice_blocks(flat, op, g, tau)
-            product = inv[:, :, :1] * blocks[:, 0] + inv[:, :, 1:] * blocks[:, 1]
-            expected = np.eye(2 * n) - product.reshape(2 * n, 2 * n)
-            assert jac.tobytes() == expected.tobytes()
-            assert _slice_jacobian(flat, op, g, tau).tobytes() == expected.tobytes()
+    for T, K in ((2, 3), (1, 2), (4, 2)):
+        op = build_shifted(_params(T=T, K=K), shift_factor=1.5)
+        n = op.dim
+        dense = realified_matrix(shifted(op))
+        forcings = [power_law([0.5, 0.2 + 0.3j], 2.5), zero_potential(2)]
+        for g in (g for g in forcings if T % g.period == 0):
+            stack = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+            stack[rng.random(stack.shape) < 0.4] = 0.0
+            stack[0] = 0.0
+            stack[1, ::2] = -0.0
+            for flat, jac in zip(stack, _slice_jacobian(stack, op, g, tau)):
+                blocks = _slice_blocks(flat, op, g, tau)
+                expected = dense.copy()
+                for j in range(n):
+                    expected[2 * j:2 * j + 2, 2 * j:2 * j + 2] -= blocks[j]
+                assert np.array_equal(jac, expected)
+                assert _slice_jacobian(flat, op, g, tau).tobytes() == jac.tobytes()
 
 
 #: lattices up to 7 x 7, including the wrap cases T in {1, 2} and K = 2
@@ -330,22 +306,16 @@ def test_circulant_operator_matches_dense_oracles(T, K, beta, epsilon, factor):
     assert op.norm_shifted == pytest.approx(operator_norm_sup(dense), rel=1e-12)
     dense_inv = np.linalg.inv(dense)
     assert op.norm_shifted_inv == pytest.approx(operator_norm_sup(dense_inv), rel=1e-12)
-    assert np.max(np.abs(op.inverse - dense_inv)) <= 1e-12
 
-    # every apply path: the FFT on a vector and on a block of columns, and
-    # solve_rows' products on a vector and on a stack of rows, dense here or
-    # by FFT with the crossover at 0
+    # the one apply, by FFT, on a vector and on a block of columns
     stack = rng.normal(size=(params.dim, 3)) + 1j * rng.normal(size=(params.dim, 3))
-    for max_dim in (operators.DENSE_APPLY_MAX_DIM, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(operators, "DENSE_APPLY_MAX_DIM", max_dim)
-            for rhs in (stack[:, 0], stack):
-                for applied in (op.solve(rhs), op.solve_rows(rhs.T).T):
-                    back = dense @ applied
-                    assert back.shape == rhs.shape
-                    scale = max(1.0, np.max(np.abs(rhs)))
-                    assert np.max(np.abs(back - rhs)) <= 1e-12 * scale
-                    assert np.max(np.abs(applied - dense_inv @ rhs)) <= 1e-12 * scale
+    for rhs in (stack[:, 0], stack):
+        applied = op.solve(rhs)
+        back = dense @ applied
+        assert back.shape == rhs.shape
+        scale = max(1.0, np.max(np.abs(rhs)))
+        assert np.max(np.abs(back - rhs)) <= 1e-12 * scale
+        assert np.max(np.abs(applied - dense_inv @ rhs)) <= 1e-12 * scale
 
 
 @settings(deadline=None, max_examples=60)
