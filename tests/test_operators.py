@@ -18,7 +18,14 @@ from dnls import (
 )
 from dnls.lattice import _linear
 from dnls.solver import _slice_blocks, _slice_jacobian
-from oracles import linear_matrix, operator_norm_sup, random_field, realified_matrix, shifted
+from oracles import (
+    linear_matrix,
+    operator_norm_sup,
+    random_field,
+    realified_matrix,
+    shifted,
+    slice_jacobian,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -244,6 +251,29 @@ def test_fft_apply_into_buffers_allocates_nothing(m, T, K):
         tracemalloc.stop()
     assert peak < 2**12
     assert applied.tobytes() == expected.tobytes()
+
+
+def test_slice_jacobian_from_inverse_parts_matches_realified_inverse():
+    # J = I - A_r^-1 blockdiag(B), built from the real and imaginary parts of
+    # A^-1 (gathered by the FFT apply) and the blocks B, is A_r^-1 M with M
+    # the direct Jacobian, for one field and for each row of a stack: the
+    # step M dx = -d_tau is the fixed-point step J dx = -r_tau
+    op = build_shifted(_params(T=2, K=3), shift_factor=1.5)
+    g = power_law([0.5, 0.2 + 0.3j], 2.5)
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(3, op.dim)) + 1j * rng.normal(size=(3, op.dim))
+    n = op.dim
+    dense_inv = realified_matrix(np.linalg.inv(shifted(op)))
+    inverse = realified_matrix(op.solve(np.eye(n, dtype=complex)))
+    assert_allclose(inverse, dense_inv, atol=1e-12)
+    inv = inverse.reshape(2 * n, n, 2)
+    for flat, jac in zip(stack, _slice_jacobian(stack, op, g, 1.0)):
+        blocks = _slice_blocks(flat, op, g, 1.0)
+        product = inv[:, :, :1] * blocks[:, 0] + inv[:, :, 1:] * blocks[:, 1]
+        expected = np.eye(2 * n) - product.reshape(2 * n, 2 * n)
+        assert_allclose(slice_jacobian(flat, op, g, 1.0), expected, atol=1e-12)
+        assert_allclose(dense_inv @ _slice_jacobian(flat, op, g, 1.0), expected, atol=1e-12)
+        assert_allclose(dense_inv @ jac, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("tau", [0.0, 1.0])
