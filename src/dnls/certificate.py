@@ -31,7 +31,6 @@ sampling and records the worst observed gap.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import hashlib
 import math
@@ -274,7 +273,7 @@ def _forcing_term(
     op: ShiftedOperator,
     g: Potential,
     out: np.ndarray,
-    lock: threading.Lock | None = None,
+    lock: threading.Lock,
 ) -> np.ndarray:
     """G(phi) - s*phi for one flat field or an (m, n) stack of them, written
     to and returned in the complex ``out`` of flat's shape.  G, the one step
@@ -282,7 +281,7 @@ def _forcing_term(
     forcing evaluation alive at a time and never call a forcing from two
     threads at once."""
     fields = flat.reshape(flat.shape[:-1] + (op.params.T, op.params.K))
-    with lock or contextlib.nullcontext():
+    with lock:
         np.multiply(flat, op.shift, out=out)
         return np.subtract(g.on_lattice(fields).reshape(flat.shape), out, out=out)
 

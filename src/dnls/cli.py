@@ -87,7 +87,6 @@ class RunConfig:
     shift_factor: float = 1.5
     slack: float = 0.1
     tolerance: float = DEFAULT_TOL
-    max_iter: int = 100
     samples: int = 10000
     n_starts: int = 32
     seed: int = 0
@@ -220,7 +219,7 @@ def parse_config(doc: object) -> RunConfig:
         raise ConfigError(f"field 'slack': must lie in [0, 1), got {values['slack']}")
     if values["tolerance"] <= 0:
         raise ConfigError(f"field 'tolerance': must be positive, got {values['tolerance']}")
-    for name in ("max_iter", "samples", "n_starts", "seed"):
+    for name in ("samples", "n_starts", "seed"):
         if values[name] < 0:
             raise ConfigError(f"field {name!r}: must be nonnegative, got {values[name]}")
 
@@ -411,7 +410,7 @@ def cmd_steady(config: RunConfig, out_dir: Path) -> int:
     """Steady-state solve (T forced to 1); dump the profile as CSV."""
     g, op, cert = _certified_pipeline(replace(config, params=replace(config.params, T=1)))
     report = steady_state_solve(op, g, cert, n_starts=config.n_starts, seed=config.seed,
-                                tol=config.tolerance, max_iter=config.max_iter)
+                                tol=config.tolerance)
     csv_name = "steady.csv"
     _emit(
         {"command": "steady", "report": _solve_payload(report, csv_name)},

@@ -3,9 +3,10 @@
 The degree of a map on a ball (with no zeros on the boundary) equals the sum
 of Jacobian determinant signs over its zeros inside, provided every zero is
 regular.  The odd map's degree comes from the theorem below; the full map's
-sum is estimated by multi-start enumeration: Newton from the origin and
-from random starts in the ball, deduplication of the converged points, then
-sign evaluation at each representative.
+sum is estimated by multi-start enumeration (``solver._collect_zeros``):
+Newton from the origin and from random starts in the ball, then
+deduplication of the converged points, each signed from the Jacobian stack
+that also gives its sigma ratio.
 
 Newton works in direct form (``solver``): on d_1 = A r_1, the lattice
 equation's residual, with Jacobian M = A_r J.  A record's ``residual`` is
@@ -58,7 +59,6 @@ from .lattice import check_period, sup_norm
 from .operators import ShiftedOperator
 from .potentials import Potential
 from .solver import (
-    _Zero,
     _ball_starts,
     _collect_zeros,
     _field,
@@ -133,21 +133,6 @@ class DegreeReport:
     completeness: str
 
 
-def _signs(zeros: list[_Zero], op: ShiftedOperator, g: Potential) -> list[int]:
-    """Determinant sign of the full map's Jacobian J at each of the regular
-    ``zeros``, as +1 or -1: the sign of det M (module docstring).
-
-    The matrices M are stacked and their signs read from one ``slogdet``;
-    each stacked matrix has the bits of a one-zero ``_slice_jacobian`` and
-    takes its own LU.  A sigma ratio above SIGMA_RATIO_DEGENERATE keeps
-    every determinant away from zero.
-    """
-    if not zeros:
-        return []
-    flats = np.stack([z.flat for z in zeros])
-    return [int(sign) for sign in np.linalg.slogdet(_slice_jacobian(flats, op, g, 1.0))[0]]
-
-
 def _origin_local_index(
     op: ShiftedOperator,
     g: Potential,
@@ -220,12 +205,12 @@ def estimate_degree(
         return DegreeReport("odd", cert.radius, (zero,), (), 1, True, "theorem")
     rng = np.random.default_rng(seed)
     starts = np.vstack([origin, _ball_starts(op, rng, cert.radius, n_starts)])
-    found = _collect_zeros(starts, op, g, tol=ENUM_TOL, max_iter=100, radius=cert.radius)
+    found = _collect_zeros(starts, op, g, tol=ENUM_TOL, radius=cert.radius)
 
-    regular = [z for z in found if z.sigma_ratio > SIGMA_RATIO_DEGENERATE]
+    # a sigma ratio above SIGMA_RATIO_DEGENERATE keeps det M away from zero
     zeros = [
-        ZeroRecord(_field(z.flat, params), z.residual, sign, z.sigma_ratio)
-        for z, sign in zip(regular, _signs(regular, op, g))
+        ZeroRecord(_field(z.flat, params), z.residual, z.sign, z.sigma_ratio)
+        for z in found if z.sigma_ratio > SIGMA_RATIO_DEGENERATE
     ]
     # a degenerate zero at the origin gets the theorem's index
     origin_tol = 1e-6 * max(1.0, cert.radius)

@@ -105,11 +105,11 @@ class ShiftedOperator:
 def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOperator:
     """Build the shifted operator from the stencil kernel of the linear part.
 
-    The shift is ``shift_factor * norm_linear`` (or ``shift_factor`` itself in
-    the degenerate case of a zero linear norm), so any factor > 1 places the
-    shift strictly beyond the operator norm and the spectrum: every entry of
-    A's symbol has modulus between shift - norm_linear > 0 and
-    shift + norm_linear, however small beta and epsilon are.  What can fail
+    The shift is ``shift_factor * norm_linear``, the stencil's l1 norm being
+    at least 4 epsilon > 0 (K >= 2), so any factor > 1 places the shift
+    strictly beyond the operator norm and the spectrum: every entry of A's
+    symbol has modulus between shift - norm_linear > 0 and shift +
+    norm_linear, however small beta and epsilon are.  What can fail
     is the floating-point range: for subnormal beta and epsilon the
     reciprocal symbol overflows.  Raises SingularShift exactly when A^-1's
     symbol or kernel is not finite.
@@ -117,8 +117,7 @@ def build_shifted(params: LatticeParams, shift_factor: float = 1.5) -> ShiftedOp
     if not shift_factor > 1.0:
         raise ValueError(f"shift_factor must exceed 1, got {shift_factor}")
     norm_linear = float(np.abs(_stencil(params)).sum())
-    return _build_shifted(params, shift_factor * norm_linear if norm_linear > 0.0
-                          else float(shift_factor))
+    return _build_shifted(params, shift_factor * norm_linear)
 
 
 def _build_shifted(params: LatticeParams, shift: float) -> ShiftedOperator:

@@ -58,12 +58,15 @@ MAX_HALVINGS = 30
 STEP_FLOOR = 1e-6
 #: Newton iteration budget of one homotopy corrector call
 CORRECTOR_ITER = 25
+#: Newton iteration budget of one enumeration run (``_collect_zeros``)
+ENUM_ITER = 100
 #: base deduplication radius for distinct solutions (sup distance)
 DEDUP_TOL = 1e-6
-#: bytes of realified Jacobians M one stack of Newton starts may hold: 32
-#: starts per stack on 4x8, one from 12x12 up, so multi-start memory does
-#: not grow with the start count
-JACOBIAN_STACK_BYTES = 1 << 20
+#: bytes of realified Jacobians M one stack of Newton starts may hold: 64
+#: starts per stack on 4x8 (the degree command's origin and 32 starts run as
+#: one stack), one from 14x14 up, so multi-start memory does not grow with
+#: the start count
+JACOBIAN_STACK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,14 +463,16 @@ def _ball_starts(
 @dataclass(frozen=True)
 class _Zero:
     """A converged Newton candidate: the point, the iterations it took, the
-    sup norm of its direct residual there, its location uncertainty, and
-    the ratio of the smallest to the largest singular value of M there."""
+    sup norm of its direct residual there, its location uncertainty, the
+    ratio of the smallest to the largest singular value of M there, and the
+    sign of det M, which is the sign of det J (0 at an exactly singular M)."""
 
     flat: np.ndarray
     iterations: int
     residual: float
     uncertainty: float
     sigma_ratio: float
+    sign: int
 
 
 def _cluster_representatives(found: list[_Zero], base_tol: float, cap: float) -> list[_Zero]:
@@ -503,11 +508,10 @@ def _collect_zeros(
     g: Potential,
     *,
     tol: float,
-    max_iter: int,
     radius: float,
 ) -> list[_Zero]:
-    """Zeros of the full map (the tau = 1 slice) found by damped Newton from
-    each row of the (m, n) ``starts``.
+    """Zeros of the full map (the tau = 1 slice) found by damped Newton, with
+    a budget of ENUM_ITER iterations, from each row of the (m, n) ``starts``.
 
     A converged run is kept when it ends strictly inside the ball of
     ``radius``, and its record keeps what Newton measured there: the sup
@@ -515,31 +519,35 @@ def _collect_zeros(
     ``residual``, and the location uncertainty is that sup norm over the
     smallest singular value of M, which bounds the Newton correction,
     infinite at a singular M; near-degenerate zeros get large values, which
-    the clustering uses to merge their halo of pseudo-solutions.  Returns the
+    the clustering uses to merge their halo of pseudo-solutions, and its
+    ``sign`` is that of det M.  Returns the
     cluster representatives in first-found order, merged within DEDUP_TOL
     and an uncertainty radius capped at 0.01 * max(1, ``radius``).
 
     The starts run through one ``_damped_newton`` in stacks of
     ``_stack_rows`` rows, so that a stack of Jacobians stays within
     JACOBIAN_STACK_BYTES, and the kept points of a stack take one stacked
-    SVD of the same matrices M that Newton's steps solve.  Each
-    record has the bits of a run from its start alone.
+    SVD and one stacked ``slogdet`` of the same matrices M that Newton's
+    steps solve.  Each record has the bits of a run from its start alone.
     """
     found: list[_Zero] = []
     size = _stack_rows(op.dim)
     for lo in range(0, len(starts), size):
-        x, r, iterations, status = _damped_newton(starts[lo:lo + size], op, g, 1.0, tol, max_iter)
+        x, r, iterations, status = _damped_newton(starts[lo:lo + size], op, g, 1.0, tol, ENUM_ITER)
         kept = [i for i, how in enumerate(status) if how == "converged" and sup_norm(x[i]) < radius]
         if not kept:
             continue
-        svals = np.linalg.svd(_slice_jacobian(x[kept], op, g, 1.0), compute_uv=False)
-        for row, sv in zip(kept, svals):
+        jacobians = _slice_jacobian(x[kept], op, g, 1.0)
+        svals = np.linalg.svd(jacobians, compute_uv=False)
+        signs = np.linalg.slogdet(jacobians)[0]
+        del jacobians  # freed before the next stack's Newton builds its own
+        for row, sv, sign in zip(kept, svals, signs):
             # sv[0] > 0: M = A_r - B = 0 would need A_r = B, but B is block
             # diagonal and A_r couples neighbours (epsilon > 0)
             smallest, residual = float(sv[-1]), sup_norm(r[row])
             uncertainty = residual / smallest if smallest > 0.0 else np.inf
             found.append(_Zero(x[row], iterations[row], residual, uncertainty,
-                               smallest / float(sv[0])))
+                               smallest / float(sv[0]), int(sign)))
     return _cluster_representatives(found, DEDUP_TOL, 0.01 * max(1.0, radius))
 
 
@@ -550,7 +558,6 @@ def multi_start(
     n_starts: int = 32,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 100,
 ) -> list[SolveReport]:
     """Converged Newton zeros strictly inside the certified ball.
 
@@ -566,7 +573,7 @@ def multi_start(
     that failed its boundary check.
     """
     endpoint = homotopy_solve(op, g, cert, tol=tol)
-    return _multi_start_from(endpoint, op, g, cert, n_starts, seed, tol, max_iter)
+    return _multi_start_from(endpoint, op, g, cert, n_starts, seed, tol)
 
 
 def _multi_start_from(
@@ -577,14 +584,13 @@ def _multi_start_from(
     n_starts: int,
     seed: int,
     tol: float,
-    max_iter: int,
 ) -> list[SolveReport]:
     """``multi_start`` after its homotopy run, whose report is ``endpoint``."""
     starts = _ball_starts(op, np.random.default_rng(seed), cert.radius, n_starts)
     if endpoint.status == "converged":
         starts = np.vstack([endpoint.solution.ravel(), starts])
 
-    zeros = _collect_zeros(starts, op, g, tol=tol, max_iter=max_iter, radius=cert.radius)
+    zeros = _collect_zeros(starts, op, g, tol=tol, radius=cert.radius)
     return [_report_at(z.flat, op, g, z.iterations, "converged", "multi_start") for z in zeros]
 
 
@@ -599,7 +605,6 @@ def steady_state_solve(
     n_starts: int = 16,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 100,
 ) -> SolveReport:
     """Solve the time-independent lattice equation: the T = 1 problem, where
     the time-difference part of the operator vanishes identically, so the
@@ -619,7 +624,7 @@ def steady_state_solve(
     report = homotopy_solve(op, g, cert, tol=tol)
     if report.status != "converged":
         # multi_start would first rerun the same deterministic homotopy
-        candidates = _multi_start_from(report, op, g, cert, n_starts, seed, tol, max_iter)
+        candidates = _multi_start_from(report, op, g, cert, n_starts, seed, tol)
         if not candidates:
             raise SolveFailed(
                 f"neither homotopy (status {report.status!r}) nor {n_starts} Newton starts "

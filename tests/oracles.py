@@ -261,6 +261,16 @@ def slice_newton(flat0, op, g, tau, tol, max_iter, shift=None):
                    lambda x: slice_jacobian(x, op, g, tau), flat0, tol, max_iter, None, None)
 
 
+def _zero(x, iterations, residual, jacobian):
+    """``solver._Zero`` record of a converged point x from the Jacobian J
+    there: the location uncertainty is the residual over J's smallest
+    singular value, and the sign is that of det J."""
+    svals = np.linalg.svd(jacobian, compute_uv=False)
+    uncertainty = residual / svals[-1] if svals[-1] > 0.0 else np.inf
+    return solver._Zero(x, iterations, residual, uncertainty, svals[-1] / svals[0],
+                        int(np.linalg.slogdet(jacobian)[0]))
+
+
 def odd_map_zeros(op, radius, n_starts, seed):
     """Zeros of the odd map r_0 strictly inside the ball of ``radius``, as
     ``solver._Zero`` records in first-found order.
@@ -268,9 +278,9 @@ def odd_map_zeros(op, radius, n_starts, seed):
     Newton (``slice_newton``, to ENUM_TOL) runs from the origin and
     from the ``n_starts`` draws of ``solver._ball_starts`` that the full
     map's enumeration makes at ``seed``, one start at a time.  Each
-    converged point's residual is the sup norm of r_0 there and its
-    location uncertainty that residual over the smallest singular value of
-    the Jacobian; the points are clustered as the package clusters zeros.
+    converged point's residual is the sup norm of r_0 there (``_zero``
+    gives the rest of its record); the points are clustered as the package
+    clusters zeros.
     This is the enumeration that the theorem spares ``estimate_degree``.
     """
     starts = np.vstack([
@@ -282,10 +292,8 @@ def odd_map_zeros(op, radius, n_starts, seed):
         x, iterations, status = slice_newton(start, op, None, 0.0, ENUM_TOL, 100)
         if status != "converged" or sup_norm(x) >= radius:
             continue
-        svals = np.linalg.svd(slice_jacobian(x, op, None, 0.0), compute_uv=False)
         residual = sup_norm(slice_residual(x, op, None, 0.0))
-        uncertainty = residual / svals[-1] if svals[-1] > 0.0 else np.inf
-        found.append(solver._Zero(x, iterations, residual, uncertainty, svals[-1] / svals[0]))
+        found.append(_zero(x, iterations, residual, slice_jacobian(x, op, None, 0.0)))
     return solver._cluster_representatives(found, solver.DEDUP_TOL, 0.01 * max(1.0, radius))
 
 
@@ -328,12 +336,9 @@ def perturbed_origin_index(op, g, tau, radius, seed):
         x, iterations, status = slice_newton(start, op, g, tau, tol, 60, shift=w)
         if status != "converged" or sup_norm(x) >= rho:
             continue
-        svals = np.linalg.svd(slice_jacobian(x, op, g, tau), compute_uv=False)
         residual = sup_norm(slice_residual(x, op, g, tau, w))
-        uncertainty = residual / svals[-1] if svals[-1] > 0.0 else np.inf
-        found.append(solver._Zero(x, iterations, residual, uncertainty, svals[-1] / svals[0]))
+        found.append(_zero(x, iterations, residual, slice_jacobian(x, op, g, tau)))
     preimages = solver._cluster_representatives(found, 1e-9, rho / 4.0)
     if not preimages or any(z.sigma_ratio <= SIGMA_RATIO_DEGENERATE for z in preimages):
         return None
-    return sum(int(np.linalg.slogdet(slice_jacobian(z.flat, op, g, tau))[0])
-               for z in preimages)
+    return sum(z.sign for z in preimages)

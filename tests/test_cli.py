@@ -67,7 +67,6 @@ def test_parse_config_defaults():
     assert config.shift_factor == 1.5
     assert config.slack == 0.1
     assert config.tolerance == 1e-10
-    assert config.max_iter == 100
     assert config.samples == 10000
     assert config.n_starts == 32
     assert config.seed == 0
@@ -89,10 +88,11 @@ def test_parse_config_defaults():
         (lambda d: d.update(seed=-1), "seed"),
         (lambda d: d.update(n_starts=-4), "n_starts"),
         (lambda d: d.update(samples="many"), "samples"),
+        (lambda d: d.update(max_iter=100), "max_iter"),
     ],
     ids=["missing-gamma", "typo-field", "T-zero", "T-float", "beta-bool",
          "gamma-zero", "shift-low", "slack-neg", "slack-one", "tol-zero", "seed-neg",
-         "starts-neg", "samples-str"],
+         "starts-neg", "samples-str", "max-iter-unknown"],
 )
 def test_parse_config_rejections_name_the_field(mutate, needle):
     doc = _doc()
@@ -864,7 +864,6 @@ _CONFIGS = st.fixed_dictionaries(
         "slack": st.floats(0.0, 1.5),
         "shift_factor": st.floats(1.0, 3.0),
         "tolerance": st.floats(0.0, 1e-6),
-        "max_iter": st.integers(0, 30),
         "seed": st.integers(0, 5),
     },
 )

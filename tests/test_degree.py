@@ -88,25 +88,29 @@ def _odd_theorem_holds(op, radius, n_starts, seed):
 @pytest.mark.parametrize("seed", CORPUS["seeds"])
 @pytest.mark.parametrize("name", list(SIGN_CONFIGS))
 def test_stacked_signs_are_each_zero_alone(monkeypatch, name, seed):
-    # the degree command's pipeline; the one stacked sign pass signs the
-    # full map's regular zeros, a degenerate origin's index is the
-    # theorem's 1, which the perturbation count of the oracle confirms, and
-    # the odd map's theorem report matches its enumeration
+    # the degree command's pipeline; the enumeration's stacked slogdet signs
+    # each zero as a one-zero slogdet of M does, the regular records carry
+    # those signs, a degenerate origin's index is the theorem's 1, which the
+    # perturbation count of the oracle confirms, and the odd map's theorem
+    # report matches its enumeration
     config = replace(cli.parse_config(SIGN_CONFIGS[name]), seed=seed)
     g, op, cert = cli._certified_pipeline(config)
-    passes, stacked = [], degree._signs
+    passes, collect = [], degree._collect_zeros
 
-    def recording(zeros, op, g):
-        signs = stacked(zeros, op, g)
-        passes.append(signs)
-        return signs
+    def recording(*args, **kwargs):
+        found = collect(*args, **kwargs)
+        passes.append(found)
+        return found
 
-    monkeypatch.setattr(degree, "_signs", recording)
+    monkeypatch.setattr(degree, "_collect_zeros", recording)
     report = estimate_degree("full", op, g, cert, n_starts=config.n_starts, seed=seed)
-    assert passes == [[z.sign for z in report.zeros]]
+    (found,) = passes
+    for z in found:
+        assert z.sign == _alone(z.flat, op, g, 1.0)
+    regular = [z for z in found if z.sigma_ratio > degree.SIGMA_RATIO_DEGENERATE]
+    assert [z.sign for z in report.zeros] == [z.sign for z in regular]
     for z in report.zeros:
         assert z.sign in (-1, 1)
-        assert z.sign == _alone(z.field.ravel(), op, g, 1.0)
     origins = [d.local_index for d in report.degenerate if d.local_index is not None]
     for local_index in origins:
         assert local_index == 1
@@ -199,7 +203,7 @@ def test_odd_route_runs_no_newton(monkeypatch):
 
     monkeypatch.setattr(solver, "_damped_newton", forbidden)
     monkeypatch.setattr(degree, "_collect_zeros", forbidden)
-    monkeypatch.setattr(degree, "_signs", forbidden)
+    monkeypatch.setattr(np.linalg, "slogdet", forbidden)
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     report = estimate_degree("odd", op, g, cert, n_starts=32, seed=0)
     assert report.degree_estimate == 1

@@ -217,7 +217,7 @@ def test_stacked_residual_rows_match_one_vector_residual(T, K, tau):
 
 
 def _collect(starts, op, g):
-    return solver._collect_zeros(starts, op, g, tol=1e-11, max_iter=100, radius=4.0)
+    return solver._collect_zeros(starts, op, g, tol=1e-11, radius=4.0)
 
 
 def test_collect_zeros_records_do_not_depend_on_the_stack_size(monkeypatch):
@@ -232,19 +232,20 @@ def test_collect_zeros_records_do_not_depend_on_the_stack_size(monkeypatch):
     assert len(stacked) == len(single) > 1
     for a, b in zip(stacked, single):
         assert a.flat.tobytes() == b.flat.tobytes()
-        assert (a.iterations, a.residual, a.uncertainty, a.sigma_ratio) == (
-            b.iterations, b.residual, b.uncertainty, b.sigma_ratio)
+        assert (a.iterations, a.residual, a.uncertainty, a.sigma_ratio, a.sign) == (
+            b.iterations, b.residual, b.uncertainty, b.sigma_ratio, b.sign)
         assert a.residual == sup_norm(solver._slice_residual(a.flat, op, g, 1.0))
 
 
 def test_collect_zeros_memory_is_flat_in_the_start_count():
-    # the stacks hold at most JACOBIAN_STACK_BYTES of Jacobians, so 288
-    # starts on 4x8 peak like 32; one unbounded stack of 288 Jacobians
-    # alone would take 9.4 MB
+    # the stacks hold at most JACOBIAN_STACK_BYTES of Jacobians, so 576
+    # starts on 4x8 peak like 64; one unbounded stack of 576 Jacobians
+    # alone would take 18.9 MB
     op, g = _op(4, 8), power_law([0.3], 2.0)
-    assert solver._stack_rows(op.dim) == 32
+    rows = solver._stack_rows(op.dim)
+    assert rows == 64
     peaks = []
-    for count in (32, 288):
+    for count in (rows, 9 * rows):
         starts = _degree_starts(op, g, 4, count - 1)
         tracemalloc.start()
         _collect(starts, op, g)
@@ -326,7 +327,8 @@ def test_the_newton_path_applies_no_inverse(monkeypatch):
 
     monkeypatch.setattr(operators.ShiftedOperator, "solve", no_inverse)
     assert solver._damped_newton(starts, op, g, 0.5, 1e-11, 3)[3] == ["converged", "max_iter"]
-    assert len(solver._collect_zeros(starts, op, g, tol=1e-11, max_iter=3, radius=cert.radius)) == 1
+    monkeypatch.setattr(solver, "ENUM_ITER", 3)
+    assert len(solver._collect_zeros(starts, op, g, tol=1e-11, radius=cert.radius)) == 1
     assert solver._track(quotient, h, quotient_cert, solver.DEFAULT_TOL)[2] == "converged"
     assert estimate_degree("full", op, g, cert, n_starts=0, seed=4).degree_estimate == 1
 

@@ -566,8 +566,8 @@ def test_multi_start_deterministic():
 
 
 @pytest.mark.parametrize("T,K,potential,gamma,count", [
-    (8, 10, power_law([0.3], 2.0), 1.0, 5),
-    (12, 12, constant_potential([2.0, 1.0 + 1.0j]), 1.0, 2),
+    pytest.param(8, 10, power_law([0.3], 2.0), 1.0, 5, id="8x10-power-r2"),
+    pytest.param(12, 12, constant_potential([2.0, 1.0 + 1.0j]), 1.0, 2, id="12x12-constant-q2"),
 ])
 def test_multi_start_counts_match_exact_steps(T, K, potential, gamma, count):
     # counts found with exact dense Newton steps line-searched on the direct
@@ -580,8 +580,10 @@ def test_multi_start_counts_match_exact_steps(T, K, potential, gamma, count):
 
 
 @pytest.mark.parametrize("g,gamma,waves,others", [
-    (power_law([0.3], 2.0), 1.0, 4, 0), (power_law([0.3], 2.0), -1.0, 10, 0),
-    (bounded_potential([0.5]), 1.0, 4, 1), (bounded_potential([0.5]), -1.0, 12, 1),
+    pytest.param(power_law([0.3], 2.0), 1.0, 4, 0, id="8x10-power-r2-gamma1"),
+    pytest.param(power_law([0.3], 2.0), -1.0, 10, 0, id="8x10-power-r2-gamma-1"),
+    pytest.param(bounded_potential([0.5]), 1.0, 4, 1, id="8x10-bounded-gamma1"),
+    pytest.param(bounded_potential([0.5]), -1.0, 12, 1, id="8x10-bounded-gamma-1"),
 ])
 def test_multi_start_uniform_modulus_zeros_are_oracle_plane_waves(g, gamma, waves, others):
     # every nonzero zero of uniform modulus that multi_start returns on 8x10
