@@ -580,8 +580,8 @@ def test_multi_start_counts_match_exact_steps(T, K, potential, gamma, count):
 
 
 @pytest.mark.parametrize("g,gamma,waves,others", [
-    pytest.param(power_law([0.3], 2.0), 1.0, 4, 0, id="8x10-power-r2-gamma1"),
-    pytest.param(power_law([0.3], 2.0), -1.0, 10, 0, id="8x10-power-r2-gamma-1"),
+    pytest.param(power_law([0.3], 2.0), 1.0, 4, 0, id="g0-1.0-4-0"),
+    pytest.param(power_law([0.3], 2.0), -1.0, 10, 0, id="g1--1.0-10-0"),
     pytest.param(bounded_potential([0.5]), 1.0, 4, 1, id="8x10-bounded-gamma1"),
     pytest.param(bounded_potential([0.5]), -1.0, 12, 1, id="8x10-bounded-gamma-1"),
 ])
