@@ -59,6 +59,9 @@ __all__ = [
 
 #: absolute bisection tolerance of the certified ball radius
 RADIUS_TOL = 1e-9
+#: relative margin by which the certified radius's lower envelope clears the
+#: upper one; any R that clears it at all would do for the degree argument
+RADIUS_SLACK = 0.1
 #: complex values in flight in the boundary check, shared by its workers:
 #: each has fixed buffers for a chunk of CHUNK_VALUES / workers values, and
 #: only the gaps (8 bytes a sample) and the chunks' minima and done flags
@@ -135,7 +138,7 @@ def compute_forcing_sup(g: Potential, radius: float) -> float:
 
 
 def compute_ball_radius(
-    const_bound: float, linear_bound: float, cubic_bound: float, slack: float = 0.1
+    const_bound: float, linear_bound: float, cubic_bound: float, slack: float
 ) -> float:
     """Smallest radius R whose lower envelope clears the upper one with slack.
 
@@ -507,7 +510,6 @@ def verify_boundary(
 def build_certificate(
     op: ShiftedOperator,
     g: Potential,
-    slack: float = 0.1,
     samples: int = 10000,
     seed: int = 0,
 ) -> ExistenceCertificate:
@@ -533,7 +535,7 @@ def build_certificate(
         forcing_sup = compute_forcing_sup(g, threshold_radius)
         const_bound = op.norm_shifted_inv * forcing_sup
         linear_bound = op.norm_shifted_inv * op.shift
-        radius = compute_ball_radius(const_bound, linear_bound, cubic_bound, slack)
+        radius = compute_ball_radius(const_bound, linear_bound, cubic_bound, RADIUS_SLACK)
         upper = const_bound + linear_bound * radius + cubic_bound * radius**3
         margin = (2.0 * cubic_bound * radius**3 - radius) / upper - 1.0
         finite = math.isfinite(upper) and math.isfinite(margin)

@@ -12,8 +12,8 @@ Five subcommands drive the library from a single JSON config file:
 Every command prints one JSON document to standard output and mirrors it
 into ``--out`` (default: the working directory); ``solve`` and ``steady``
 additionally write the solution as CSV.  All outputs are deterministic
-functions of (config, seed): rerunning a command reproduces byte-identical
-bytes.
+functions of the config and ``--seed`` (0 by default): rerunning a command
+reproduces byte-identical bytes.
 
 Exit codes: 0 success, 1 config or dimension errors (including a forcing
 period that does not divide T, a config too large for the available
@@ -85,11 +85,9 @@ class RunConfig:
     params: LatticeParams
     potential: PotentialSpec
     shift_factor: float = 1.5
-    slack: float = 0.1
     tolerance: float = DEFAULT_TOL
     samples: int = 10000
     n_starts: int = 32
-    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +213,9 @@ def parse_config(doc: object) -> RunConfig:
             values[name] = parse(doc[name], name)
     if values["shift_factor"] <= 1:
         raise ConfigError(f"field 'shift_factor': must exceed 1, got {values['shift_factor']}")
-    if not 0 <= values["slack"] < 1:
-        raise ConfigError(f"field 'slack': must lie in [0, 1), got {values['slack']}")
     if values["tolerance"] <= 0:
         raise ConfigError(f"field 'tolerance': must be positive, got {values['tolerance']}")
-    for name in ("samples", "n_starts", "seed"):
+    for name in ("samples", "n_starts"):
         if values[name] < 0:
             raise ConfigError(f"field {name!r}: must be nonnegative, got {values[name]}")
 
@@ -372,28 +368,26 @@ def _degree_payload(report: DegreeReport) -> dict:
 # commands
 
 
-def _certified_pipeline(config: RunConfig):
+def _certified_pipeline(config: RunConfig, seed: int):
     g = build_potential(config.potential)
     op = build_shifted(config.params, config.shift_factor)
     # a forcing that overflows inside the sampler is invalid evidence, which
     # the report states; numpy's warnings would add stderr lines
     with np.errstate(over="ignore", invalid="ignore"):
-        cert = build_certificate(
-            op, g, slack=config.slack, samples=config.samples, seed=config.seed
-        )
+        cert = build_certificate(op, g, samples=config.samples, seed=seed)
     return g, op, cert
 
 
-def cmd_certify(config: RunConfig, out_dir: Path) -> int:
+def cmd_certify(config: RunConfig, seed: int, out_dir: Path) -> int:
     """Existence certificate as JSON; exit 0 exactly when it is valid."""
-    _, _, cert = _certified_pipeline(config)
+    _, _, cert = _certified_pipeline(config, seed)
     _emit({"command": "certify", "certificate": asdict(cert)}, out_dir, "certificate.json")
     return 0 if cert.valid else 2
 
 
-def cmd_solve(config: RunConfig, out_dir: Path) -> int:
+def cmd_solve(config: RunConfig, seed: int, out_dir: Path) -> int:
     """Certify, track the homotopy; dump the solution as CSV."""
-    g, op, cert = _certified_pipeline(config)
+    g, op, cert = _certified_pipeline(config, seed)
     payload = {"command": "solve", "certificate": asdict(cert), "report": None}
     if not cert.valid:
         _emit(payload, out_dir, "report.json")
@@ -406,10 +400,10 @@ def cmd_solve(config: RunConfig, out_dir: Path) -> int:
     return 0 if converged else 3
 
 
-def cmd_steady(config: RunConfig, out_dir: Path) -> int:
+def cmd_steady(config: RunConfig, seed: int, out_dir: Path) -> int:
     """Steady-state solve (T forced to 1); dump the profile as CSV."""
-    g, op, cert = _certified_pipeline(replace(config, params=replace(config.params, T=1)))
-    report = steady_state_solve(op, g, cert, n_starts=config.n_starts, seed=config.seed,
+    g, op, cert = _certified_pipeline(replace(config, params=replace(config.params, T=1)), seed)
+    report = steady_state_solve(op, g, cert, n_starts=config.n_starts, seed=seed,
                                 tol=config.tolerance)
     csv_name = "steady.csv"
     _emit(
@@ -449,7 +443,7 @@ def cmd_verify(config: RunConfig, solution_path: str, out_dir: Path) -> int:
     return 0 if passed else 3
 
 
-def cmd_degree(config: RunConfig, out_dir: Path) -> int:
+def cmd_degree(config: RunConfig, seed: int, out_dir: Path) -> int:
     """Degree estimates for both fixed-point maps; exit 0 when the full map's
     estimate is 1, the odd map's degree by its theorem, and 4 otherwise."""
     if 2 * config.params.dim > DEGREE_DIM_CAP:
@@ -457,15 +451,13 @@ def cmd_degree(config: RunConfig, out_dir: Path) -> int:
             f"degree estimation caps the realified dimension at {DEGREE_DIM_CAP}, "
             f"got 2*T*K = {2 * config.params.dim}"
         )
-    g, op, cert = _certified_pipeline(config)
+    g, op, cert = _certified_pipeline(config, seed)
     payload = {"command": "degree", "certificate": asdict(cert)}
     if not cert.valid:
         _emit(payload, out_dir, "degree.json")
         return 2
     reports = {
-        target: estimate_degree(
-            target, op, g, cert, n_starts=config.n_starts, seed=config.seed
-        )
+        target: estimate_degree(target, op, g, cert, n_starts=config.n_starts, seed=seed)
         for target in ("odd", "full")
     }
     ok = reports["full"].degree_estimate == 1
@@ -506,7 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=int, default=0,
+                       help="the seed of the boundary samples and Newton starts, 0 by default")
         p.add_argument("--out", default=".", help="directory for reports and CSV dumps")
         if name == "verify":
             p.add_argument("--solution", required=True, help="solution CSV to check")
@@ -518,16 +511,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-            config = replace(config, seed=args.seed)
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         out_dir = Path(args.out)
         if args.command == "verify":
             return cmd_verify(config, args.solution, out_dir)
         commands = {"certify": cmd_certify, "solve": cmd_solve, "steady": cmd_steady,
                     "degree": cmd_degree}
-        return commands[args.command](config, out_dir)
+        return commands[args.command](config, args.seed, out_dir)
     except (ConfigError, DimensionMismatch, PeriodMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

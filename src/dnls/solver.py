@@ -78,7 +78,9 @@ class SolveReport:
     ``residual_precond`` is the sup norm of the fixed-point residual, the
     direct residual pushed through A^-1 (``ShiftedOperator.solve``).
     ``path`` holds (tau, sup norm) pairs for homotopy runs, None otherwise.
-    ``status`` is one of "converged", "diverged", "left_ball", "max_iter".
+    ``status`` is "converged", "diverged" or "left_ball", the three ways a
+    homotopy track ends; a multi-start report is always "converged".
+    ("max_iter" is a status of a ``_damped_newton`` row only.)
     """
 
     solution: np.ndarray
@@ -97,18 +99,14 @@ class SolveReport:
 
 def realify(z: np.ndarray) -> np.ndarray:
     """C^n vector -> R^(2n) vector, interleaved (Re, Im) per entry; an
-    (m, n) stack row by row."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
+    (m, n) stack row by row.  A view of a contiguous copy, so every bit of
+    each part survives."""
+    return np.array(z, dtype=complex, order="C").view(float)
 
 
 def complexify(x: np.ndarray) -> np.ndarray:
-    """Inverse of ``realify``."""
-    x = np.asarray(x, dtype=float)
-    return x[..., 0::2] + 1j * x[..., 1::2]
+    """Exact inverse of ``realify``, by the same kind of view."""
+    return np.array(x, dtype=float, order="C").view(complex)
 
 
 # ---------------------------------------------------------------------------

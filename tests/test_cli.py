@@ -1,14 +1,17 @@
 """Config parsing, CSV round trips, and end-to-end command exit codes."""
 
+import ast
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import textwrap
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from dnls import (
 from dnls.cli import (
     ConfigError,
     PotentialSpec,
+    RunConfig,
     build_potential,
     cmd_degree,
     load_config,
@@ -65,11 +69,21 @@ def test_parse_config_defaults():
     assert config.params == LatticeParams(T=1, K=2, beta=1.0, epsilon=1.0, gamma=1.0)
     assert config.potential.kind == "zero"
     assert config.shift_factor == 1.5
-    assert config.slack == 0.1
     assert config.tolerance == 1e-10
     assert config.samples == 10000
     assert config.n_starts == 32
-    assert config.seed == 0
+
+
+def test_readme_names_exactly_the_optional_knobs_with_their_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = " ".join(readme.split("Optional knobs with defaults:")[1].split())
+    sentence = sentence.split(" The defaults are")[0]
+    named = {name: ast.literal_eval(value)
+             for name, value in re.findall(r"`(\w+)` \(([^,)]+)", sentence)}
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+    assert named == defaults
+    assert {name: type(v) for name, v in named.items()} == {
+        name: type(v) for name, v in defaults.items()}
 
 
 @pytest.mark.parametrize(
@@ -82,23 +96,28 @@ def test_parse_config_defaults():
         (lambda d: d.update(beta=True), "beta"),
         (lambda d: d.update(gamma=0.0), "gamma"),
         (lambda d: d.update(shift_factor=1.0), "shift_factor"),
-        (lambda d: d.update(slack=-0.1), "slack"),
-        (lambda d: d.update(slack=1.0), "slack"),
         (lambda d: d.update(tolerance=0.0), "tolerance"),
-        (lambda d: d.update(seed=-1), "seed"),
         (lambda d: d.update(n_starts=-4), "n_starts"),
         (lambda d: d.update(samples="many"), "samples"),
         (lambda d: d.update(max_iter=100), "max_iter"),
+        (lambda d: d.update(slack=0.1), "slack"),
+        (lambda d: d.update(seed=3), "seed"),
     ],
     ids=["missing-gamma", "typo-field", "T-zero", "T-float", "beta-bool",
-         "gamma-zero", "shift-low", "slack-neg", "slack-one", "tol-zero", "seed-neg",
-         "starts-neg", "samples-str", "max-iter-unknown"],
+         "gamma-zero", "shift-low", "tol-zero", "starts-neg", "samples-str",
+         "max-iter-unknown", "slack-unknown", "seed-unknown"],
 )
-def test_parse_config_rejections_name_the_field(mutate, needle):
+def test_parse_config_rejections_name_the_field(tmp_path, capsys, mutate, needle):
+    # the parse names the field, and the command ends in exit 1 with one line
     doc = _doc()
     mutate(doc)
     with pytest.raises(ConfigError, match=needle):
         parse_config(doc)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and err.count("\n") == 1
 
 
 def test_parse_config_rejects_non_object_root():
@@ -256,14 +275,6 @@ def test_config_error_exit_one(tmp_path, capsys):
     cfg = _write_config(tmp_path, potentiall={"kind": "zero"})
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "potentiall" in capsys.readouterr().err
-
-
-def test_slack_beyond_one_exit_one(tmp_path, capsys):
-    # the ball radius has no solution for slack >= 1, so the config is refused
-    cfg = _write_config(tmp_path, slack=1.5, samples=10)
-    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: field 'slack'") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["certify", "solve", "steady", "verify", "degree"])
@@ -805,7 +816,7 @@ def test_degree_dimension_guard(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: degree estimation caps the realified dimension at 64, got 2*T*K = 128\n")
     with pytest.raises(ConfigError, match="caps the realified dimension"):
-        cmd_degree(load_config(cfg), tmp_path / "o")
+        cmd_degree(load_config(cfg), 0, tmp_path / "o")
 
 
 def test_outputs_are_byte_identical_across_reruns(tmp_path, capsys):
@@ -861,10 +872,8 @@ _CONFIGS = st.fixed_dictionaries(
         "n_starts": st.integers(0, 4),
     },
     optional={
-        "slack": st.floats(0.0, 1.5),
         "shift_factor": st.floats(1.0, 3.0),
         "tolerance": st.floats(0.0, 1e-6),
-        "seed": st.integers(0, 5),
     },
 )
 #: replacements that break a config: out-of-range or mistyped values, and

@@ -93,8 +93,8 @@ def test_stacked_signs_are_each_zero_alone(monkeypatch, name, seed):
     # those signs, a degenerate origin's index is the theorem's 1, which the
     # perturbation count of the oracle confirms, and the odd map's theorem
     # report matches its enumeration
-    config = replace(cli.parse_config(SIGN_CONFIGS[name]), seed=seed)
-    g, op, cert = cli._certified_pipeline(config)
+    config = cli.parse_config(SIGN_CONFIGS[name])
+    g, op, cert = cli._certified_pipeline(config, seed)
     passes, collect = [], degree._collect_zeros
 
     def recording(*args, **kwargs):
@@ -135,8 +135,8 @@ def test_stacked_signs_are_each_zero_alone(monkeypatch, name, seed):
 def test_perturbation_count_gives_the_theorems_origin_index(name, seed):
     # r_1 = w for a small generic w has preimages near the full map's
     # degenerate origin whose signs sum to its index, 1 by the S^1 theorem
-    config = replace(cli.parse_config(CORPUS_CONFIGS[name]), seed=seed)
-    g, op, cert = cli._certified_pipeline(config)
+    config = cli.parse_config(CORPUS_CONFIGS[name])
+    g, op, cert = cli._certified_pipeline(config, seed)
     report = estimate_degree("full", op, g, cert, n_starts=0, seed=seed)
     (origin,) = report.degenerate
     assert origin.local_index == 1
@@ -147,8 +147,8 @@ def test_perturbation_count_gives_the_theorems_origin_index(name, seed):
 def test_power_law_2_5_origin_index_is_one_at_every_seed(tmp_path, capsys, seed):
     # the perturbation count once gave this origin index 2 at seed 0, so
     # degree exited 4 (INCOMPLETE-ENUMERATION); the theorem gives 1
-    config = replace(cli.parse_config(CORPUS_CONFIGS["degree-power-2.5-2x2"]), seed=seed)
-    assert cli.cmd_degree(config, tmp_path) == 0
+    config = cli.parse_config(CORPUS_CONFIGS["degree-power-2.5-2x2"])
+    assert cli.cmd_degree(config, seed, tmp_path) == 0
     capsys.readouterr()
     full = json.loads((tmp_path / "degree.json").read_text())["full"]
     origins = [d for d in full["degenerate"] if d["sup_norm"] <= 1e-9]
@@ -163,8 +163,8 @@ def test_power_law_2_5_origin_index_is_one_at_every_seed(tmp_path, capsys, seed)
     "are missed"))
 def test_constant_forcing_on_2x2_estimates_agree(tmp_path, capsys):
     for seed in CORPUS["seeds"]:
-        config = replace(cli.parse_config(SIGN_CONFIGS["constant-2x2"]), seed=seed)
-        assert cli.cmd_degree(config, tmp_path) == 0, f"seed {seed}"
+        config = cli.parse_config(SIGN_CONFIGS["constant-2x2"])
+        assert cli.cmd_degree(config, seed, tmp_path) == 0, f"seed {seed}"
     capsys.readouterr()
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -59,11 +59,15 @@ def _setup(T=1, K=2, gamma=1.0, g=None, samples=2000, seed=0):
 @given(arrays(np.complex128, 6,
               elements=st.complex_numbers(max_magnitude=100.0, allow_nan=False,
                                           allow_infinity=False)))
+# signed zeros and infinite parts keep their bits both ways
+@example(np.array([complex(1.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+                   complex(1.0, np.inf), complex(-np.inf, 2.0), complex(np.inf, -np.inf)]))
 def test_realify_complexify_roundtrip(z):
     x = realify(z)
     assert x.shape == (12,)
     assert x.dtype == np.float64
-    assert np.array_equal(complexify(x), z)
+    assert complexify(x).tobytes() == z.tobytes()
+    assert realify(complexify(x)).tobytes() == x.tobytes()
     # interleaved layout: (Re z0, Im z0, Re z1, Im z1, ...)
     assert x[0] == z[0].real and x[1] == z[0].imag
 
