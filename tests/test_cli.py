@@ -100,12 +100,12 @@ def test_readme_names_exactly_the_optional_knobs_with_their_defaults():
         (lambda d: d.update(n_starts=-4), "n_starts"),
         (lambda d: d.update(samples="many"), "samples"),
         (lambda d: d.update(max_iter=100), "max_iter"),
-        (lambda d: d.update(slack=0.1), "slack"),
+        (lambda d: d.update(slack=-0.1), "slack"),
         (lambda d: d.update(seed=3), "seed"),
     ],
     ids=["missing-gamma", "typo-field", "T-zero", "T-float", "beta-bool",
          "gamma-zero", "shift-low", "tol-zero", "starts-neg", "samples-str",
-         "max-iter-unknown", "slack-unknown", "seed-unknown"],
+         "max-iter-unknown", "slack-neg", "seed-unknown"],
 )
 def test_parse_config_rejections_name_the_field(tmp_path, capsys, mutate, needle):
     # the parse names the field, and the command ends in exit 1 with one line
@@ -275,6 +275,14 @@ def test_config_error_exit_one(tmp_path, capsys):
     cfg = _write_config(tmp_path, potentiall={"kind": "zero"})
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "potentiall" in capsys.readouterr().err
+
+
+def test_slack_beyond_one_exit_one(tmp_path, capsys):
+    # slack is no config key (the radius margin is a constant), so the config is refused
+    cfg = _write_config(tmp_path, slack=1.5, samples=10)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'slack'" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["certify", "solve", "steady", "verify", "degree"])
